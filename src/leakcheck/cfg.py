@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-import networkx as nx
-
 from . import ir
 
 EXIT = -1
@@ -131,7 +129,7 @@ def inline_calls(prog: ir.Program, fn: ir.Function) -> list[ANode]:
         for p in f.params:
             used.append(int(p[1:]))
         for ins in f.body:
-            du = ir.instr_defuse(prog, ins.op)
+            du = ir.instr_defuse(ins.op)
             for r in du.reads | du.writes:
                 used.append(int(r[1:]))
     fresh = itertools.count(max(used) + 1)
@@ -140,7 +138,7 @@ def inline_calls(prog: ir.Program, fn: ir.Function) -> list[ANode]:
     def locals_of(f: ir.Function) -> set[str]:
         w: set[str] = set()
         for ins in f.body:
-            w |= ir.instr_defuse(prog, ins.op).writes
+            w |= ir.instr_defuse(ins.op).writes
         return w - set(f.params)
 
     def splice(f: ir.Function, m: dict[str, str], suffix: str,
@@ -221,34 +219,91 @@ def _node_name(nd: ANode) -> str:
     return f"{base} ({nd.instr.op})"
 
 
-def _find_back_edges(nodes, succ):
-    g = nx.DiGraph()
-    g.add_node(0)
-    for u, ss in enumerate(succ):
-        for s in ss:
-            if s != EXIT:
-                g.add_edge(u, s)
-    reach = {0} | nx.descendants(g, 0)
-    sub = g.subgraph(reach)
-    idom = nx.immediate_dominators(sub, 0)
+def immediate_dominators(succ, root: int) -> dict[int, int]:
+    """Immediate dominator of every node reachable from ``root``.
+
+    ``succ`` maps a node to its successors.  The root maps to itself.
+    Iterative Cooper-Harvey-Kennedy over reverse postorder.
+    """
+    post: list[int] = []
+    seen = {root}
+    stack = [(root, iter(succ.get(root, ())))]
+    while stack:
+        node, it = stack[-1]
+        for nxt in it:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, iter(succ.get(nxt, ()))))
+                break
+        else:
+            stack.pop()
+            post.append(node)
+    rank = {n: i for i, n in enumerate(post)}
+    preds: dict[int, list[int]] = {}
+    for u in post:
+        for v in succ.get(u, ()):
+            preds.setdefault(v, []).append(u)
+    idom = {root: root}
+    changed = True
+    while changed:
+        changed = False
+        for n in reversed(post[:-1]):
+            new = None
+            for p in preds[n]:
+                if p not in idom:
+                    continue
+                while new is not None and p != new:  # walk up to the meet
+                    while rank[p] < rank[new]:
+                        p = idom[p]
+                    while rank[new] < rank[p]:
+                        new = idom[new]
+                new = p
+            if idom.get(n) != new:
+                idom[n] = new
+                changed = True
+    return idom
+
+
+def cyclic_nodes(edges) -> set[int]:
+    """Nodes on a cycle of the digraph ``edges``, or on a path between two.
+
+    Empty exactly when the graph is acyclic.  Kahn's algorithm peels
+    source nodes, then peels sink nodes off what is left.
+    """
+    edges = set(edges)
+    for head, tail in ((0, 1), (1, 0)):
+        out: dict[int, list[int]] = {}
+        indeg: dict[int, int] = {}
+        for e in edges:
+            out.setdefault(e[head], []).append(e[tail])
+            indeg[e[tail]] = indeg.get(e[tail], 0) + 1
+        ready = [n for n in out if n not in indeg]
+        peeled = set(ready)
+        while ready:
+            for m in out.get(ready.pop(), ()):
+                indeg[m] -= 1
+                if not indeg[m]:
+                    ready.append(m)
+                    peeled.add(m)
+        edges = {e for e in edges if e[0] not in peeled and e[1] not in peeled}
+    return {n for e in edges for n in e}
+
+
+def _find_back_edges(succ):
+    fwd = {u: [s for s in ss if s != EXIT] for u, ss in enumerate(succ)}
+    idom = immediate_dominators(fwd, 0)
 
     def dominates(a: int, b: int) -> bool:
-        while True:
-            if a == b:
-                return True
+        while a != b:
             if b == 0:
                 return False
             b = idom[b]
+        return True
 
-    back = [(u, v) for u, v in sub.edges if dominates(v, u)]
-    rest = nx.DiGraph(sub.edges)
-    rest.remove_edges_from(back)
-    try:
-        cyc = nx.find_cycle(rest)
-        offenders = sorted({u for u, _ in cyc})
-    except nx.NetworkXNoCycle:
-        offenders = []
-    return back, offenders
+    edges = [(u, v) for u in idom for v in fwd[u]]
+    back = [(u, v) for u, v in edges if dominates(v, u)]
+    offenders = cyclic_nodes(set(edges) - set(back))
+    return back, sorted(offenders)
 
 
 def _natural_loop(succ, h: int, srcs: list[int]) -> set[int]:
@@ -294,7 +349,7 @@ def _unroll(nodes, succ, h: int, srcs: list[int]):
 def summarize_loops(nodes: list[ANode], succ: list[list[int]]):
     """Unroll every natural loop twice; reject irreducible control flow."""
     while True:
-        back, offenders = _find_back_edges(nodes, succ)
+        back, offenders = _find_back_edges(succ)
         if offenders:
             names = ", ".join(_node_name(nodes[u]) for u in offenders)
             raise CfgError(f"irreducible control flow involving {names}")
@@ -327,27 +382,7 @@ def build_acfg(prog: ir.Program) -> ACfg:
         roots.append(off)
         all_nodes.extend(nodes)
         all_succ.extend([s if s == EXIT else s + off for s in ss] for ss in succ)
-    acfg = ACfg(all_nodes, all_succ, roots, prog)
-    _assert_acyclic(acfg)
-    seen: set[tuple] = set()
-    for nd in all_nodes:
-        assert nd.provenance not in seen, f"provenance not injective: {nd.provenance}"
-        seen.add(nd.provenance)
-    return acfg
-
-
-def _assert_acyclic(acfg: ACfg):
-    g = nx.DiGraph()
-    g.add_nodes_from(acfg.roots)
-    for u, ss in enumerate(acfg.succ):
-        for s in ss:
-            if s != EXIT:
-                g.add_edge(u, s)
-    reach = set(acfg.roots)
-    for r in acfg.roots:
-        reach |= nx.descendants(g, r)
-    assert nx.is_directed_acyclic_graph(g.subgraph(reach)), \
-        "loop summarization left a cycle"
+    return ACfg(all_nodes, all_succ, roots, prog)
 
 
 def to_dot(acfg: ACfg) -> str:

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +46,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="model the silent-store optimization")
     p.add_argument("--no-probe", action="store_true",
                    help="disable the final cache-probe observer rule")
-    p.add_argument("--mcm", choices=("tso",), default="tso")
     p.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS",
                    help="per-file analysis budget (default 60)")
 
@@ -261,12 +259,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         print(f"{args.dir}: no litmus files found", file=sys.stderr)
         return 2
     started = time.monotonic()
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda p: _run_one(p, args), files))
-    else:
-        rows = [_run_one(p, args) for p in files]
-    rows.sort(key=lambda r: r.name)
+    rows = sorted((_run_one(p, args) for p in files), key=lambda r: r.name)
     width = max(len(r.name) for r in rows)
     ew = max(len("expected"), max(len(r.expected) for r in rows))
     print(f"{'program':<{width}}  {'expected':<{ew}}  detected")
@@ -328,7 +321,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="run a directory of litmus files against "
                             "expected-outcome sidecars")
     p.add_argument("dir")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
     p.add_argument("--no-timing", action="store_true")
     p.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS")
     p.set_defaults(fn=cmd_corpus)

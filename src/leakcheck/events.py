@@ -32,11 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from . import cfg as acfg_mod
 from . import ir
-from .cfg import ACfg, ANode, EXIT
+from .cfg import ACfg, ANode, EXIT, immediate_dominators
 
 
 class AnalysisTimeout(Exception):
@@ -82,7 +80,6 @@ class Event:
     fence: str | None = None  # "full" | "lfence" for F events
     window: int | None = None  # eid of the branch this transient fetch belongs to
     cond_reads: frozenset[int] = frozenset()  # BR: loads tainting the condition
-    value_reads: frozenset[int] = frozenset()  # W/AMO: loads tainting the value
     addr_reads: frozenset[int] = frozenset()  # R/W/AMO: loads tainting the address
     amo_pointers: tuple[tuple[str, str], ...] = ()  # AMO: (register, location) choices
     silent_eligible: bool = False
@@ -114,12 +111,6 @@ class EventStructure:
     plans: list[list[Step]] = field(default_factory=list, repr=False)
     acfg: ACfg | None = field(default=None, repr=False)
     step_of: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
-
-    def event(self, eid: int) -> Event:
-        return self.events[eid]
-
-    def locations(self) -> set[str]:
-        return {e.location for e in self.events if e.location is not None}
 
     def transient_events(self) -> list[int]:
         return [e.eid for e in self.events if e.transient]
@@ -251,16 +242,13 @@ class _ThreadState:
 
 def _branch_regions(graph: ACfg) -> dict[int, frozenset[int]]:
     """Nodes control-dependent on each two-way branch (postdominator-bounded)."""
-    g = nx.DiGraph()
-    g.add_node(EXIT)
+    pred: dict[int, list[int]] = {}
     for node, succs in enumerate(graph.succ):
-        for nxt in succs:
-            g.add_edge(nxt, node)  # reversed: postdominators = dominators here
-        if not succs:
-            g.add_edge(EXIT, node)
+        for nxt in succs or [EXIT]:
+            pred.setdefault(nxt, []).append(node)
+    # Postdominators are the dominators of the reversed graph.
+    ipdom = immediate_dominators(pred, EXIT)
     regions: dict[int, frozenset[int]] = {}
-    reachable = set(g.nodes)
-    ipdom = nx.immediate_dominators(g, EXIT)
     for node, succs in enumerate(graph.succ):
         if not isinstance(graph.nodes[node].instr.op, ir.BranchEqZero):
             continue
@@ -301,7 +289,7 @@ class _Builder:
         self.fence_pairs: set[tuple[int, int]] = set()
         self.step_of: dict[int, tuple[int, int]] = {}
         self._eid_by_step: dict[tuple[int, int], int] = {}
-        self._plans_cache: list[list[Step]] = []
+        self._value_id: dict[int, tuple] = {}
 
     def location(self, addr: ir.Address, state: _ThreadState) -> tuple[str, bool]:
         if isinstance(addr, ir.Direct):
@@ -412,9 +400,12 @@ class _Builder:
                 gep=gep,
                 window=window_eid,
                 addr_reads=addr_reads,
-                value_reads=value_reads,
                 label=label,
             )
+            # Value identity for silent stores: the expression text and the
+            # reaching definition of every register it mentions.
+            self._value_id[ev.eid] = (op.value.text, tuple(sorted(
+                (r, state.defslot.get(r, -1)) for r in op.value.regs)))
             for src in addr_reads:
                 self.addr.add((src, ev.eid))
                 if gep:
@@ -565,34 +556,9 @@ class _Builder:
             if prior:
                 ev.silent_eligible = True
                 ev.silent_definite = any(
-                    self._store_identity(p) == self._store_identity(ev) for p in prior
+                    self._value_id[p.eid] == self._value_id[ev.eid] for p in prior
                 )
             prior.append(ev)
-
-    def _store_identity(self, ev: Event) -> tuple:
-        assert ev.node is not None and isinstance(ev.node.instr.op, ir.Store)
-        op = ev.node.instr.op
-        thread, step_idx = self.step_of[ev.eid]
-        # Value identity: same expression text and same reaching definition for
-        # every register it mentions, judged at the store's own program point.
-        slots = self._reg_slots_at(thread, step_idx, op.value.regs)
-        return (op.value.text, slots)
-
-    def _reg_slots_at(
-        self, thread: int, step_idx: int, regs: frozenset[str]
-    ) -> tuple:
-        state = _ThreadState()
-        plan = self._plans_cache[thread]
-        for sidx in range(step_idx):
-            step = plan[sidx]
-            if step.node is None or not step.committed:
-                continue
-            op = self.graph.nodes[step.node].instr.op
-            if isinstance(op, ir.Load):
-                state.defslot[op.dest] = sidx
-            elif isinstance(op, ir.Alu):
-                state.defslot[op.dest] = sidx
-        return tuple(sorted((r, state.defslot.get(r, -1)) for r in regs))
 
     def _find_sites(self) -> list[Site]:
         want_stl = "stl" in self.primitives
@@ -664,7 +630,6 @@ def _build(
     want_sites: bool = True,
 ) -> EventStructure:
     builder = _Builder(graph, merged, primitives)
-    builder._plans_cache = plans
     for thread, plan in enumerate(plans):
         builder.walk_thread(thread, plan)
     return builder.finish(plans, regions, bypass_site, want_sites)

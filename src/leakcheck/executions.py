@@ -27,14 +27,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from . import events as ev_mod
+from .cfg import cyclic_nodes
 from .events import AnalysisTimeout, Event, EventStructure, Site
 
 
 class ExecutionError(Exception):
     pass
+
+
+def _kind_loc(
+    st: EventStructure, amo: dict[int, tuple[str, str]], eid: int
+) -> tuple[str | None, str | None]:
+    """Access kind (R, W or None) and location, with AMO choices applied."""
+    e = st.events[eid]
+    if e.kind == "AMO":
+        return amo.get(eid, (None, None))
+    return (e.kind if e.kind in ("R", "W") else None), e.location
 
 
 @dataclass
@@ -56,26 +65,10 @@ class Candidate:
 
     def access_kind(self, eid: int) -> str | None:
         """R or W as resolved in this candidate (AMO choices applied)."""
-        e = self.st.events[eid]
-        if e.kind == "AMO":
-            choice = self.amo.get(eid)
-            return choice[0] if choice else None
-        if e.kind in ("R", "W"):
-            return e.kind
-        return None
+        return _kind_loc(self.st, self.amo, eid)[0]
 
     def location_of(self, eid: int) -> str | None:
-        e = self.st.events[eid]
-        if e.kind == "AMO":
-            choice = self.amo.get(eid)
-            return choice[1] if choice else None
-        return e.location
-
-    def committed_memory(self) -> list[int]:
-        out = []
-        for order in self.st.po:
-            out.extend(e for e in order if self.access_kind(e) is not None)
-        return out
+        return _kind_loc(self.st, self.amo, eid)[1]
 
     def global_tfo(self) -> list[int]:
         out: list[int] = []
@@ -168,16 +161,9 @@ def canonical_arch(
     rf: dict[int, int] = {}
     co: dict[str, list[int]] = {}
     last: dict[str, int] = {}
-
-    def kind_loc(eid: int) -> tuple[str | None, str | None]:
-        e = cand_st.events[eid]
-        if e.kind == "AMO":
-            return amo.get(eid, (None, None))
-        return (e.kind if e.kind in ("R", "W") else None), e.location
-
     for order in cand_st.po:
         for eid in order:
-            kind, loc = kind_loc(eid)
+            kind, loc = _kind_loc(cand_st, amo, eid)
             if kind == "R":
                 rf[eid] = last.get(loc, 0)
             elif kind == "W":
@@ -188,20 +174,9 @@ def canonical_arch(
 
 def _tso_consistent(cand: Candidate) -> bool:
     st = cand.st
-    mem = cand.committed_memory()
-    po_pos: dict[int, tuple[int, int]] = {}
-    for tid, order in enumerate(st.po):
-        for i, e in enumerate(order):
-            po_pos[e] = (tid, i)
     rf = cand.rf_pairs()
     co = cand.co_pairs()
     fr = cand.fr()
-
-    def acyclic(edges) -> bool:
-        g = nx.DiGraph()
-        g.add_nodes_from(mem + [0])
-        g.add_edges_from(edges)
-        return nx.is_directed_acyclic_graph(g)
 
     # Per-location sequential consistency.
     po_loc = set()
@@ -211,7 +186,7 @@ def _tso_consistent(cand: Candidate) -> bool:
             for e2 in m[i + 1 :]:
                 if cand.location_of(e1) == cand.location_of(e2):
                     po_loc.add((e1, e2))
-    if not acyclic(rf | co | fr | po_loc):
+    if cyclic_nodes(rf | co | fr | po_loc):
         return False
 
     # Causality with the store-to-load relaxation.
@@ -228,7 +203,7 @@ def _tso_consistent(cand: Candidate) -> bool:
         for (w, r) in rf
         if w == 0 or st.events[w].thread != st.events[r].thread
     }
-    return acyclic(rfe | co | fr | ppo | set(st.fence_pairs))
+    return not cyclic_nodes(rfe | co | fr | ppo | st.fence_pairs)
 
 
 def arch_witnesses(
@@ -238,17 +213,11 @@ def arch_witnesses(
     if len(st.po) == 1:
         return [canonical_arch(st, amo)]
 
-    def kind_loc(eid: int) -> tuple[str | None, str | None]:
-        e = st.events[eid]
-        if e.kind == "AMO":
-            return amo.get(eid, (None, None))
-        return (e.kind if e.kind in ("R", "W") else None), e.location
-
     reads: list[int] = []
     writes: dict[str, list[int]] = {}
     for order in st.po:
         for eid in order:
-            kind, loc = kind_loc(eid)
+            kind, loc = _kind_loc(st, amo, eid)
             if kind == "R":
                 reads.append(eid)
             elif kind == "W":
@@ -259,7 +228,7 @@ def arch_witnesses(
         )
     rf_opts = []
     for r in reads:
-        _, loc = kind_loc(r)
+        _, loc = _kind_loc(st, amo, r)
         rf_opts.append([(r, w) for w in [0] + writes.get(loc, [])])
     co_opts = [
         [(loc, [0] + list(p)) for p in itertools.permutations(ws)]
@@ -302,14 +271,8 @@ def _build_comx(
 
     for order in st.tfo:
         for eid in order:
-            e = st.events[eid]
-            if e.kind == "AMO":
-                if eid not in amo:
-                    continue
-                kind, x = amo[eid]
-            elif e.kind in ("R", "W"):
-                kind, x = e.kind, e.location
-            else:
+            kind, x = _kind_loc(st, amo, eid)
+            if kind is None:
                 continue
             if site is not None and eid == site.read:
                 # The misforwarded load: an stl site forwards from a stale
@@ -366,13 +329,9 @@ def confidential(cand: Candidate) -> bool:
     """
     pos = cand.tfo_positions()
     pos[cand.st.bottom] = len(pos) + 1
-    g = nx.DiGraph()
-    g.add_node(0)
-    for e, src in cand.rfx_in.items():
-        g.add_edge(src, e)
-    for x, order in cand.cox.items():
-        for w1, w2 in zip(order, order[1:]):
-            g.add_edge(w1, w2)
+    edges = {(src, e) for e, src in cand.rfx_in.items()}
+    for order in cand.cox.values():
+        edges.update(zip(order, order[1:]))
     by_x: dict[str, list[int]] = {}
     for e, src in cand.rfx_in.items():
         by_x.setdefault(str(cand.rfx_xstate[e]), []).append(e)
@@ -380,9 +339,8 @@ def confidential(cand: Candidate) -> bool:
         members = sorted(
             set(order[1:]) | set(by_x.get(x, [])), key=lambda e: pos.get(e, -1)
         )
-        for e1, e2 in zip(members, members[1:]):
-            g.add_edge(e1, e2)
-    if not nx.is_directed_acyclic_graph(g):
+        edges.update(zip(members, members[1:]))
+    if cyclic_nodes(edges):
         return False
     site_read = cand.site.read if cand.site is not None else None
     for e, w2 in cand.frx():

@@ -13,7 +13,7 @@ One instruction per line::
     JMP loop           ; unconditional jump
     fence              ; full fence
     lfence             ; load fence / speculation barrier
-    protect r4         ; per-value barrier (accepted, never emitted)
+    protect r4         ; speculation barrier, acts as a full lfence
     call f(r1)         ; call a defined or extern function
     skip               ; no-op
 
@@ -396,7 +396,7 @@ def parse(text: str) -> Program:
     prog = Program(functions, entry, tuple(aliases), externs, multithread)
     _resolve_labels(prog)
     for f in prog.functions:
-        _check_defined_before_use(prog, f)
+        _check_defined_before_use(f)
     return prog
 
 
@@ -445,21 +445,18 @@ def successors(fn: Function, i: int) -> list[int]:
     return [i + 1]
 
 
-def _check_defined_before_use(prog: Program, fn: Function):
+def _check_defined_before_use(fn: Function):
     """Definite-assignment: every register read must be written on all paths."""
     n = len(fn.body)
     if n == 0:
         return
-    all_regs = set(fn.params)
-    for ins in fn.body:
-        all_regs |= instr_defuse(prog, ins.op).writes
     # Forward dataflow, intersection over predecessors.
     defined: list[set[str] | None] = [None] * n
     defined[0] = set(fn.params)
     work = [0]
     while work:
         i = work.pop()
-        du = instr_defuse(prog, fn.body[i].op)
+        du = instr_defuse(fn.body[i].op)
         missing = du.reads - defined[i]
         if missing:
             raise ParseError(
@@ -485,8 +482,6 @@ def _check_defined_before_use(prog: Program, fn: Function):
 class DefUse:
     reads: frozenset[str]
     writes: frozenset[str]
-    loc_reads: frozenset[str]
-    loc_writes: frozenset[str]
 
 
 def address_regs(addr: AddressExpr) -> frozenset[str]:
@@ -497,91 +492,22 @@ def address_regs(addr: AddressExpr) -> frozenset[str]:
     return frozenset()
 
 
-def addr_base(addr: AddressExpr) -> str:
-    """Syntactic base location name of an address expression."""
-    if isinstance(addr, Direct):
-        return addr.loc
-    if isinstance(addr, Indexed):
-        return addr.base
-    return f"*{addr.reg}"
-
-
-def instr_defuse(prog: Program, op: Op) -> DefUse:
-    """Registers and (syntactic) locations read and written by one opcode."""
+def instr_defuse(op: Op) -> DefUse:
+    """Registers read and written by one opcode."""
     e = frozenset()
     if isinstance(op, Load):
-        return DefUse(address_regs(op.addr), frozenset([op.dest]),
-                      frozenset([addr_base(op.addr)]), e)
+        return DefUse(address_regs(op.addr), frozenset([op.dest]))
     if isinstance(op, Store):
-        return DefUse(address_regs(op.addr) | frozenset(op.value.regs), e,
-                      e, frozenset([addr_base(op.addr)]))
+        return DefUse(address_regs(op.addr) | frozenset(op.value.regs), e)
     if isinstance(op, Alu):
-        return DefUse(frozenset(op.expr.regs), frozenset([op.dest]), e, e)
+        return DefUse(frozenset(op.expr.regs), frozenset([op.dest]))
     if isinstance(op, BranchEqZero):
-        return DefUse(frozenset([op.cond]), e, e, e)
+        return DefUse(frozenset([op.cond]), e)
     if isinstance(op, Protect) and op.reg:
-        return DefUse(frozenset([op.reg]), e, e, e)
+        return DefUse(frozenset([op.reg]), e)
     if isinstance(op, Call):
-        # Pointer arguments may be dereferenced either way by the callee.
-        npointer = prog.externs.get(op.func)
-        locs = frozenset(f"*{a}" for a in op.args[:npointer]) if npointer else e
-        return DefUse(frozenset(op.args), e, locs, locs)
-    return DefUse(e, e, e, e)
-
-
-def defuse(prog: Program, fn: Function) -> list[DefUse]:
-    """Per-instruction def/use information, aligned with ``fn.body``."""
-    return [instr_defuse(prog, ins.op) for ins in fn.body]
-
-
-def value_flow_closure(prog: Program, fn: Function) -> dict[int, set[int]]:
-    """Transitive value flow between instruction indices through registers.
-
-    ``i in closure[j]`` means a register written at ``j`` reaches a read at
-    ``i``, possibly through intermediate ALU/load steps (no memory hops).
-    Computed over the control-flow graph with reaching definitions.
-    """
-    n = len(fn.body)
-    dus = defuse(prog, fn)
-    # reaching defs: for each instruction, the set of (reg, def-index) live in.
-    reach_in: list[set[tuple[str, int]] | None] = [None] * n
-    if n == 0:
-        return {}
-    reach_in[0] = {(p, -1) for p in fn.params}
-    work = [0]
-    while work:
-        i = work.pop()
-        out = {(r, d) for (r, d) in reach_in[i] if r not in dus[i].writes}
-        out |= {(r, i) for r in dus[i].writes}
-        for j in successors(fn, i):
-            if j >= n:
-                continue
-            if reach_in[j] is None:
-                reach_in[j] = set(out)
-                work.append(j)
-            elif not out <= reach_in[j]:
-                reach_in[j] |= out
-                work.append(j)
-    direct: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i in range(n):
-        if reach_in[i] is None:
-            continue
-        for r, d in reach_in[i]:
-            if d >= 0 and r in dus[i].reads:
-                direct[d].add(i)
-    closure: dict[int, set[int]] = {}
-    for start in range(n):
-        seen: set[int] = set()
-        frontier = set(direct[start])
-        while frontier:
-            i = frontier.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            if dus[i].writes:  # value propagates through ALU/load results
-                frontier |= direct[i] - seen
-        closure[start] = seen
-    return closure
+        return DefUse(frozenset(op.args), e)
+    return DefUse(e, e)
 
 
 # --------------------------------------------------------------------------

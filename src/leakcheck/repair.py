@@ -27,6 +27,8 @@ from .leakage import EngineConfig, Record, Report, analyze, record_sort_key
 
 Point = tuple[str, int]
 
+_MAX_ITERATIONS = 10
+
 
 @dataclass(frozen=True)
 class FencePoint:
@@ -116,13 +118,7 @@ def _origin_maps(prog: ir.Program, inserted: set[Point]) -> dict[str, list[int]]
     return maps
 
 
-def repair(
-    prog: ir.Program,
-    engine: str,
-    config: EngineConfig,
-    max_iterations: int = 10,
-    verify_minimal: bool = True,
-) -> RepairPlan:
+def repair(prog: ir.Program, engine: str, config: EngineConfig) -> RepairPlan:
     """Insert a minimum set of lfences until the engine reports nothing."""
 
     def key(p: Point) -> tuple[int, int]:
@@ -133,7 +129,7 @@ def repair(
     report = analyze(prog, engine, config)
     iterations = 0
     all_points: set[Point] = set()
-    while report.records and iterations < max_iterations:
+    while report.records and iterations < _MAX_ITERATIONS:
         iterations += 1
         origin = _origin_maps(prog, inserted)
         goals: list[frozenset[Point]] = []
@@ -161,7 +157,7 @@ def repair(
         iterations=max(iterations, 1),
         program=fenced,
     )
-    if verify_minimal and plan.success and len(all_points) <= 20 and inserted:
+    if plan.success and len(all_points) <= 20 and inserted:
         plan.minimal = _verify_minimal(prog, engine, config, inserted)
     elif plan.success and not inserted:
         plan.minimal = True

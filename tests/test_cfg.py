@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 from leakcheck import cfg, ir
 from leakcheck.cfg import EXIT
 
@@ -127,3 +131,104 @@ def test_to_dot_mentions_every_node():
     dot = cfg.to_dot(g)
     assert dot.startswith("digraph")
     assert dot.count("shape=") >= len(g.nodes)
+
+
+# -- graph helpers against networkx -------------------------------------------
+
+nx = pytest.importorskip("networkx")
+
+edge_lists = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                       max_size=3 * n)
+)
+
+
+def _nx_graph(edges, root):
+    g = nx.DiGraph(edges)
+    g.add_node(root)
+    return g
+
+
+def _idoms(edges, root):
+    """Ours and networkx's immediate dominators, root entries dropped.
+
+    networkx maps the root to itself before 3.6 and omits it from 3.6 on.
+    """
+    succ: dict[int, list[int]] = {}
+    for u, v in edges:
+        succ.setdefault(u, []).append(v)
+    ours = cfg.immediate_dominators(succ, root)
+    theirs = nx.immediate_dominators(_nx_graph(edges, root), root)
+    assert ours.pop(root) == root
+    theirs.pop(root, None)
+    return ours, theirs
+
+
+@given(edge_lists)
+@settings(max_examples=300)
+def test_immediate_dominators_match_networkx_on_cyclic_graphs(edges):
+    ours, theirs = _idoms(edges, 0)
+    assert ours == theirs
+
+
+@given(edge_lists)
+@settings(max_examples=300)
+def test_immediate_dominators_match_networkx_on_reversed_dags(edges):
+    # Orient every edge forward, send sinks to EXIT, then reverse: the
+    # postdominator query that bounds branch regions.
+    dag = {(min(u, v), max(u, v)) for u, v in edges if u != v}
+    nodes = {n for e in edges for n in e}
+    dag |= {(n, EXIT) for n in nodes if not any(u == n for u, _ in dag)}
+    ours, theirs = _idoms([(v, u) for u, v in dag], EXIT)
+    assert ours == theirs
+
+
+@given(edge_lists)
+@settings(max_examples=300)
+def test_cyclic_nodes_are_those_between_cycles(edges):
+    g = _nx_graph(edges, 0)
+    on_cycle = set(nx.nodes_with_selfloops(g))
+    for comp in nx.strongly_connected_components(g):
+        if len(comp) > 1:
+            on_cycle |= comp
+    expected = {
+        n for n in g
+        if on_cycle & (nx.ancestors(g, n) | {n})
+        and on_cycle & (nx.descendants(g, n) | {n})
+    }
+    assert cfg.cyclic_nodes(edges) == expected
+    assert (not expected) == nx.is_directed_acyclic_graph(g)
+
+
+# -- invariants of every acfg -------------------------------------------------
+
+
+def assert_acfg_invariants(g: cfg.ACfg) -> None:
+    """Acyclic over the nodes reachable from a root; provenance injective."""
+    reach, stack = set(g.roots), list(g.roots)
+    while stack:
+        for s in g.succ[stack.pop()]:
+            if s != EXIT and s not in reach:
+                reach.add(s)
+                stack.append(s)
+    edges = [(u, s) for u in reach for s in g.succ[u] if s != EXIT]
+    assert not cfg.cyclic_nodes(edges)
+    provs = [nd.provenance for nd in g.nodes]
+    assert len(provs) == len(set(provs))
+
+
+def test_corpus_acfgs_keep_invariants(corpus_dir):
+    for path in sorted(corpus_dir.rglob("*.lcm")):
+        assert_acfg_invariants(build(path.read_text()))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100)
+def test_random_program_acfgs_keep_invariants(seed):
+    assert_acfg_invariants(build(oracles.random_single(random.Random(seed))))
+
+
+def test_unreachable_self_loop_is_accepted():
+    g = build("JMP end\nx: skip\nJMP x\nend: skip\n")
+    assert_acfg_invariants(g)
+    assert g.succ[2] == [1]  # the unreachable cycle is left as written

@@ -127,6 +127,17 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_irreducible_control_flow_exits_two(tmp_path, capsys):
+    f = tmp_path / "irreducible.lcm"
+    f.write_text("r1 <-0\nBEQZ r1, b\na: skip\nb: skip\nBEQZ r1, a\n")
+    code = main(["check", str(f), "--no-timing"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: irreducible control flow involving a (skip), b (skip), "
+        "line 5 (BEQZ r1, a)\n"
+    )
+
+
 def test_unknown_class_exits_via_systemexit(gadget):
     with pytest.raises(SystemExit):
         main(["check", str(gadget), "--classes", "timing", "--no-timing"])

@@ -110,9 +110,8 @@ def test_defuse_and_address_regs():
     prog = ir.parse("r1 <-0\nR A+r1 ->r2\n")
     # the address register is a read, the destination a write
     op = prog.entry_function.body[1].op
-    du = ir.instr_defuse(prog, op)
+    du = ir.instr_defuse(op)
     assert "r1" in du.reads and du.writes == {"r2"}
     assert ir.address_regs(ir.Indexed("A", "r1")) == frozenset({"r1"})
     assert ir.address_regs(ir.Indexed("A", 3)) == frozenset()
     assert ir.address_regs(ir.Indirect("r7")) == frozenset({"r7"})
-    assert ir.addr_base(ir.Indirect("r7")) == "*r7"

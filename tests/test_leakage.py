@@ -46,6 +46,12 @@ def test_guarded_double_load_full_record_set():
     assert {r.engine for r in report.records} == {"v1"}
 
 
+def test_protect_on_an_unrelated_register_acts_as_lfence():
+    assert run(GADGET).records
+    protected = GADGET.replace("BEQZ r2, end\n", "BEQZ r2, end\nprotect r9\n")
+    assert not run("r9 <-0\n" + protected).records
+
+
 def test_transient_scope_drops_committed_findings():
     report = run(GADGET, scope="transient", classes=ALL)
     assert keys(report) == {
