@@ -264,29 +264,34 @@ def immediate_dominators(succ, root: int) -> dict[int, int]:
     return idom
 
 
-def cyclic_nodes(edges) -> set[int]:
-    """Nodes on a cycle of the digraph ``edges``, or on a path between two.
+def find_cycle(edges) -> list[int]:
+    """The nodes of one cycle of the digraph ``edges`` in order; [] if acyclic.
 
-    Empty exactly when the graph is acyclic.  Kahn's algorithm peels
-    source nodes, then peels sink nodes off what is left.
+    Kahn's algorithm peels source nodes.  Every node left has a predecessor
+    among the rest, so walking predecessors from one of them revisits a node;
+    the stretch between the two visits is a cycle.
     """
-    edges = set(edges)
-    for head, tail in ((0, 1), (1, 0)):
-        out: dict[int, list[int]] = {}
-        indeg: dict[int, int] = {}
-        for e in edges:
-            out.setdefault(e[head], []).append(e[tail])
-            indeg[e[tail]] = indeg.get(e[tail], 0) + 1
-        ready = [n for n in out if n not in indeg]
-        peeled = set(ready)
-        while ready:
-            for m in out.get(ready.pop(), ()):
-                indeg[m] -= 1
-                if not indeg[m]:
-                    ready.append(m)
-                    peeled.add(m)
-        edges = {e for e in edges if e[0] not in peeled and e[1] not in peeled}
-    return {n for e in edges for n in e}
+    out: dict[int, list[int]] = {}
+    indeg: dict[int, int] = {}
+    for u, v in edges:
+        out.setdefault(u, []).append(v)
+        indeg[v] = indeg.get(v, 0) + 1
+    ready = [n for n in out if n not in indeg]
+    while ready:
+        for m in out.get(ready.pop(), ()):
+            indeg[m] -= 1
+            if not indeg[m]:
+                ready.append(m)
+    left = {n for n, d in indeg.items() if d}
+    if not left:
+        return []
+    pred = {v: u for u in left for v in out.get(u, ()) if v in left}
+    pos: dict[int, int] = {}
+    n = min(left)
+    while n not in pos:
+        pos[n] = len(pos)
+        n = pred[n]
+    return list(pos)[pos[n]:][::-1]
 
 
 def _find_back_edges(succ):
@@ -302,8 +307,7 @@ def _find_back_edges(succ):
 
     edges = [(u, v) for u in idom for v in fwd[u]]
     back = [(u, v) for u, v in edges if dominates(v, u)]
-    offenders = cyclic_nodes(set(edges) - set(back))
-    return back, sorted(offenders)
+    return back, sorted(find_cycle(set(edges) - set(back)))
 
 
 def _natural_loop(succ, h: int, srcs: list[int]) -> set[int]:

@@ -404,8 +404,9 @@ class _Builder:
             )
             # Value identity for silent stores: the expression text and the
             # reaching definition of every register it mentions.
-            self._value_id[ev.eid] = (op.value.text, tuple(sorted(
-                (r, state.defslot.get(r, -1)) for r in op.value.regs)))
+            if step.committed:
+                self._value_id[ev.eid] = (op.value.text, tuple(sorted(
+                    (r, state.defslot.get(r, -1)) for r in op.value.regs)))
             for src in addr_reads:
                 self.addr.add((src, ev.eid))
                 if gep:

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import events as ev_mod
-from .cfg import cyclic_nodes
+from .cfg import find_cycle
 from .events import AnalysisTimeout, Event, EventStructure, Site
 
 
@@ -186,7 +186,7 @@ def _tso_consistent(cand: Candidate) -> bool:
             for e2 in m[i + 1 :]:
                 if cand.location_of(e1) == cand.location_of(e2):
                     po_loc.add((e1, e2))
-    if cyclic_nodes(rf | co | fr | po_loc):
+    if find_cycle(rf | co | fr | po_loc):
         return False
 
     # Causality with the store-to-load relaxation.
@@ -203,7 +203,7 @@ def _tso_consistent(cand: Candidate) -> bool:
         for (w, r) in rf
         if w == 0 or st.events[w].thread != st.events[r].thread
     }
-    return not cyclic_nodes(rfe | co | fr | ppo | st.fence_pairs)
+    return not find_cycle(rfe | co | fr | ppo | st.fence_pairs)
 
 
 def arch_witnesses(
@@ -340,7 +340,7 @@ def confidential(cand: Candidate) -> bool:
             set(order[1:]) | set(by_x.get(x, [])), key=lambda e: pos.get(e, -1)
         )
         edges.update(zip(members, members[1:]))
-    if cyclic_nodes(edges):
+    if find_cycle(edges):
         return False
     site_read = cand.site.read if cand.site is not None else None
     for e, w2 in cand.frx():

@@ -133,73 +133,6 @@ def test_to_dot_mentions_every_node():
     assert dot.count("shape=") >= len(g.nodes)
 
 
-# -- graph helpers against networkx -------------------------------------------
-
-nx = pytest.importorskip("networkx")
-
-edge_lists = st.integers(min_value=1, max_value=10).flatmap(
-    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                       max_size=3 * n)
-)
-
-
-def _nx_graph(edges, root):
-    g = nx.DiGraph(edges)
-    g.add_node(root)
-    return g
-
-
-def _idoms(edges, root):
-    """Ours and networkx's immediate dominators, root entries dropped.
-
-    networkx maps the root to itself before 3.6 and omits it from 3.6 on.
-    """
-    succ: dict[int, list[int]] = {}
-    for u, v in edges:
-        succ.setdefault(u, []).append(v)
-    ours = cfg.immediate_dominators(succ, root)
-    theirs = nx.immediate_dominators(_nx_graph(edges, root), root)
-    assert ours.pop(root) == root
-    theirs.pop(root, None)
-    return ours, theirs
-
-
-@given(edge_lists)
-@settings(max_examples=300)
-def test_immediate_dominators_match_networkx_on_cyclic_graphs(edges):
-    ours, theirs = _idoms(edges, 0)
-    assert ours == theirs
-
-
-@given(edge_lists)
-@settings(max_examples=300)
-def test_immediate_dominators_match_networkx_on_reversed_dags(edges):
-    # Orient every edge forward, send sinks to EXIT, then reverse: the
-    # postdominator query that bounds branch regions.
-    dag = {(min(u, v), max(u, v)) for u, v in edges if u != v}
-    nodes = {n for e in edges for n in e}
-    dag |= {(n, EXIT) for n in nodes if not any(u == n for u, _ in dag)}
-    ours, theirs = _idoms([(v, u) for u, v in dag], EXIT)
-    assert ours == theirs
-
-
-@given(edge_lists)
-@settings(max_examples=300)
-def test_cyclic_nodes_are_those_between_cycles(edges):
-    g = _nx_graph(edges, 0)
-    on_cycle = set(nx.nodes_with_selfloops(g))
-    for comp in nx.strongly_connected_components(g):
-        if len(comp) > 1:
-            on_cycle |= comp
-    expected = {
-        n for n in g
-        if on_cycle & (nx.ancestors(g, n) | {n})
-        and on_cycle & (nx.descendants(g, n) | {n})
-    }
-    assert cfg.cyclic_nodes(edges) == expected
-    assert (not expected) == nx.is_directed_acyclic_graph(g)
-
-
 # -- invariants of every acfg -------------------------------------------------
 
 
@@ -212,7 +145,7 @@ def assert_acfg_invariants(g: cfg.ACfg) -> None:
                 reach.add(s)
                 stack.append(s)
     edges = [(u, s) for u in reach for s in g.succ[u] if s != EXIT]
-    assert not cfg.cyclic_nodes(edges)
+    assert not cfg.find_cycle(edges)
     provs = [nd.provenance for nd in g.nodes]
     assert len(provs) == len(set(provs))
 

@@ -136,6 +136,17 @@ def test_irreducible_control_flow_exits_two(tmp_path, capsys):
         "error: irreducible control flow involving a (skip), b (skip), "
         "line 5 (BEQZ r1, a)\n"
     )
+    # Two irreducible regions joined by straight-line code: only the nodes
+    # of one cycle are named, not the code between the regions.
+    f.write_text(
+        "r1 <-0\nBEQZ r1, b\na: skip\nb: skip\nBEQZ r1, a\n"
+        "c: skip\nBEQZ r1, e\nd: skip\ne: skip\nBEQZ r1, d\n"
+    )
+    assert main(["check", str(f), "--no-timing"]) == 2
+    assert capsys.readouterr().err == (
+        "error: irreducible control flow involving a (skip), b (skip), "
+        "line 5 (BEQZ r1, a)\n"
+    )
 
 
 def test_unknown_class_exits_via_systemexit(gadget):
