@@ -111,6 +111,9 @@ class EventStructure:
     plans: list[list[Step]] = field(default_factory=list, repr=False)
     acfg: ACfg | None = field(default=None, repr=False)
     step_of: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
+    # The acfg's branch regions: computed once per enumeration and shared
+    # by every structure built from it, derived ones included.
+    regions: dict[int, frozenset[int]] | None = field(default=None, repr=False)
 
     def transient_events(self) -> list[int]:
         return [e.eid for e in self.events if e.transient]
@@ -508,6 +511,7 @@ class _Builder:
             plans=plans,
             acfg=self.graph,
             step_of=dict(self.step_of),
+            regions=regions,
         )
 
     def _fence_order(self) -> None:
@@ -711,7 +715,7 @@ def derive_bypass(
         st.merged_aliases,
         [new_plan],
         frozenset(),
-        _branch_regions(st.acfg),
+        st.regions,
         bypass_site=-1,
         want_sites=False,
     )

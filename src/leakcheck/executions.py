@@ -60,6 +60,9 @@ class Candidate:
     site: Site | None = None  # bypass candidates: site in this structure's ids
     stale_src: int | None = None
     amo: dict[int, tuple[str, str]] = field(default_factory=dict)  # eid -> (kind, loc)
+    _frx: frozenset[tuple[int, int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- resolved views ----------------------------------------------------
 
@@ -116,15 +119,19 @@ class Candidate:
         return frozenset(pairs)
 
     def frx(self) -> frozenset[tuple[int, int]]:
-        pairs = set()
-        for e, src in self.rfx_in.items():
-            order = self.cox.get(self.rfx_xstate[e])
-            if order is None or src not in order:
-                continue
-            for w2 in order[order.index(src) + 1 :]:
-                if w2 != e:
-                    pairs.add((e, w2))
-        return frozenset(pairs)
+        """``rfx^-1 ; cox``, computed on first use (confidential and
+        detect_leaks both read it)."""
+        if self._frx is None:
+            pairs = set()
+            for e, src in self.rfx_in.items():
+                order = self.cox.get(self.rfx_xstate[e])
+                if order is None or src not in order:
+                    continue
+                for w2 in order[order.index(src) + 1 :]:
+                    if w2 != e:
+                        pairs.add((e, w2))
+            self._frx = frozenset(pairs)
+        return self._frx
 
     def describe(self) -> str:
         bits = [self.st.describe()]
@@ -356,10 +363,13 @@ def confidential(cand: Candidate) -> bool:
 
 
 def _bypass_variants(
-    st: EventStructure, d_spec: int, seen: set
-) -> list[tuple[EventStructure, Site, int]]:
+    st: EventStructure, d_spec: int, seen: set, tick=None
+) -> list[tuple[EventStructure, Site, tuple[int, ...]]]:
+    """One (derived structure, its site, stale sources) per new bypass."""
     out = []
     for site in st.sites:
+        if tick is not None:
+            tick()
         derived = ev_mod.derive_bypass(st, site, d_spec)
         if derived is None:
             continue
@@ -375,8 +385,7 @@ def _bypass_variants(
         new_site = Site(
             read=derived.bypass_site, kind=site.kind, sources=sources, last_store=-1
         )
-        for src in sources:
-            out.append((derived, new_site, src))
+        out.append((derived, new_site, sources))
     return out
 
 
@@ -391,16 +400,21 @@ def _nonempty_subsets(items: list[int]) -> list[frozenset[int]]:
 def _make_candidates(
     st: EventStructure,
     amo: dict[int, tuple[str, str]],
+    arch: list[tuple[dict[int, int], dict[str, list[int]]]],
     silent: frozenset[int],
     site: Site | None,
     stale_src: int | None,
-    tick,
 ) -> list[Candidate]:
+    """The confidential candidates over the architectural witnesses ``arch``.
+
+    The cache simulation does not depend on the architectural witness, so
+    its result is shared by all of them (nothing mutates a candidate).
+    """
+    rfx_in, rfx_x, writers, xmode, bottom = _build_comx(
+        st, amo, silent, site, stale_src
+    )
     out = []
-    for rf, co in arch_witnesses(st, amo, tick):
-        rfx_in, rfx_x, writers, xmode, bottom = _build_comx(
-            st, amo, silent, site, stale_src
-        )
+    for rf, co in arch:
         cand = Candidate(
             st=st,
             rf=rf,
@@ -426,26 +440,37 @@ def enumerate_candidates(
     d_spec: int = 250,
     tick=None,
 ) -> list[Candidate]:
-    """All consistent candidates: canonical, silent-store, and bypass ones."""
+    """All consistent candidates: canonical, silent-store, and bypass ones.
+
+    The candidates of one structure are contiguous in the result.  The
+    architectural witnesses are computed once per (structure, AMO choice)
+    and shared by its bypass and silent-store candidates.
+    """
     out: list[Candidate] = []
     seen_bypass: set = set()
     for st in structures:
         if tick is not None:
             tick()
-        variants: list[tuple[EventStructure, Site | None, int | None]] = [
-            (st, None, None)
+        variants: list[tuple[EventStructure, Site | None, tuple[int | None, ...]]] = [
+            (st, None, (None,))
         ]
         if len(st.po) == 1:
-            variants += _bypass_variants(st, d_spec, seen_bypass)
-        for cst, site, src in variants:
-            for amo in _amo_choices(cst):
-                out.extend(_make_candidates(cst, amo, frozenset(), site, src, tick))
-                if silent_stores and site is None:
-                    eligible = [
-                        e.eid for e in cst.events if e.silent_eligible
-                    ]
-                    for subset in _nonempty_subsets(eligible):
+            variants += _bypass_variants(st, d_spec, seen_bypass, tick)
+        for cst, site, sources in variants:
+            amos = _amo_choices(cst)
+            archs = [arch_witnesses(cst, amo, tick) for amo in amos]
+            subsets = []
+            if silent_stores and site is None:
+                subsets = _nonempty_subsets(
+                    [e.eid for e in cst.events if e.silent_eligible]
+                )
+            for src in sources:
+                for amo, arch in zip(amos, archs):
+                    out.extend(
+                        _make_candidates(cst, amo, arch, frozenset(), site, src)
+                    )
+                    for subset in subsets:
                         out.extend(
-                            _make_candidates(cst, amo, subset, None, None, tick)
+                            _make_candidates(cst, amo, arch, subset, None, None)
                         )
     return out

@@ -255,43 +255,85 @@ def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
 # classification
 
 
+def _by_target(edges: frozenset[tuple[int, int]]) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for a, m in edges:
+        out.setdefault(m, []).append(a)
+    return out
+
+
+class _Shared:
+    """What the candidates of one event structure share.
+
+    The structure fixes the addr/ctrl edges (indexed here by target), the
+    data edges (indexed by store) and the fetch positions.  Classification
+    is memoised per :class:`_Chains` key and fence slot sets per (primitive
+    step, earliest step).  ``analyze`` keeps one per structure and drops
+    it when the candidate loop moves to the next structure.
+    """
+
+    def __init__(self, st: EventStructure) -> None:
+        self.st = st
+        self.pos = {e: i for i, e in enumerate(e for o in st.tfo for e in o)}
+        self.into = {
+            ("addr", False): _by_target(st.addr),
+            ("addr", True): _by_target(st.addr_gep),
+            ("ctrl", False): _by_target(st.ctrl),
+        }
+        self.stored_from = _by_target(st.data)  # store -> reads it stores
+        self.chains: dict[tuple, _Chains] = {}
+        self.slots: dict[tuple[int, int], frozenset[tuple[str, int]]] = {}
+
+
+def _forwarding(cand: Candidate) -> frozenset[tuple[int, int]]:
+    """Value forwarding: architectural rf plus microarchitectural
+    same-location fills whose source is a program store."""
+    fwd = {(w, r) for r, w in cand.rf.items() if w != 0}
+    for e, src in cand.rfx_in.items():
+        if src == 0:
+            continue
+        if cand.access_kind(src) == "W" and (
+            cand.location_of(src) == cand.location_of(e)
+        ):
+            fwd.add((src, e))
+    return frozenset(fwd)
+
+
 class _Chains:
-    """Backward extended-dependency reachability for one candidate.
+    """Backward extended-dependency reachability and the classification
+    it yields, for the candidates of one structure that share a key.
 
     ``ext(a, m)`` holds when a read ``a``'s returned value reaches ``m``'s
     address (resp. branch condition feeding ``m``) through alternating
     store/forward hops: the final hop into ``m`` is an addr (resp. ctrl)
     edge, every earlier hop is data followed by rf or by a same-location
     store-to-load fill edge.
+
+    The edges and fetch positions are the structure's (:class:`_Shared`).
+    What else the chains depend on is the key: the forwarding relation,
+    the psf site read (its own address is mispredicted, so it is no
+    universal access) and ``w_size``.  Candidates with equal keys get the
+    same transmitters, so each event is classified once per key.
     """
 
-    def __init__(self, cand: Candidate, w_size: int | None) -> None:
-        self.cand = cand
-        st = cand.st
-        self.addr = st.addr
-        self.addr_gep = st.addr_gep
-        self.ctrl = st.ctrl
-        self.pos = cand.tfo_positions()
+    def __init__(
+        self,
+        shared: _Shared,
+        fwd: frozenset[tuple[int, int]],
+        psf_read: int | None,
+        w_size: int | None,
+    ) -> None:
+        self.st = shared.st
+        self.into = shared.into
+        self.pos = shared.pos
+        self.psf_read = psf_read
         self.w_size = w_size
-        # Value forwarding: architectural rf plus microarchitectural
-        # same-location fills whose source is a program store.
-        fwd: set[tuple[int, int]] = set()
-        for r, w in cand.rf.items():
-            if w != 0:
-                fwd.add((w, r))
-        for e, src in cand.rfx_in.items():
-            if src == 0:
-                continue
-            if cand.access_kind(src) == "W" and (
-                cand.location_of(src) == cand.location_of(e)
-            ):
-                fwd.add((src, e))
         # data;forward composition: read a -> read r via a store.
         self.value_hop: dict[int, set[int]] = {}
-        for a, w in st.data:
-            for w2, r in fwd:
-                if w2 == w:
-                    self.value_hop.setdefault(r, set()).add(a)
+        for w, r in fwd:
+            for a in shared.stored_from.get(w, ()):
+                self.value_hop.setdefault(r, set()).add(a)
+        self.classified: dict[int, list[Transmitter]] = {}  # event -> classes
 
     def _within(self, member: int, anchor: int) -> bool:
         if self.w_size is None:
@@ -300,49 +342,30 @@ class _Chains:
 
     def sources(self, target: int, final: str, gep_only: bool, anchor: int) -> set[int]:
         """Reads whose value reaches ``target``; final hop addr or ctrl."""
-        final_edges = {
-            ("addr", False): self.addr,
-            ("addr", True): self.addr_gep,
-            ("ctrl", False): self.ctrl,
-        }[(final, gep_only)]
         found: set[int] = set()
-        frontier = [a for (a, m) in final_edges if m == target and self._within(a, anchor)]
+        frontier = list(self.into[(final, gep_only)].get(target, ()))
         while frontier:
             a = frontier.pop()
-            if a in found:
+            if a in found or not self._within(a, anchor):
                 continue
             found.add(a)
-            for prev in self.value_hop.get(a, ()):  # a's value came via a store
-                if prev not in found and self._within(prev, anchor):
-                    frontier.append(prev)
+            frontier.extend(self.value_hop.get(a, ()))  # a's value came via a store
         return found
 
-    def address_true(self, eid: int) -> bool:
-        site = self.cand.site
-        return not (
-            site is not None and site.kind == "psf" and eid == site.read
-        )
-
-
-def classify_transmitters(
-    cand: Candidate, events: list[int], w_size: int | None = None
-) -> list[Transmitter]:
-    """Every satisfied (event, class) pair, one Transmitter each."""
-    chains = _Chains(cand, w_size)
-    st = cand.st
-    out: list[Transmitter] = []
-    for t in sorted(events):
+    def classify(self, t: int) -> list[Transmitter]:
+        """Every satisfied class of event ``t``."""
+        st = self.st
         ev = st.events[t]
-        out.append(Transmitter(t, "address", ev.transient))
+        out = [Transmitter(t, "address", ev.transient)]
         for final, base_klass, universal_klass in (
             ("addr", "data", "universal_data"),
             ("ctrl", "control", "universal_control"),
         ):
-            accesses = chains.sources(t, final, False, t)
+            accesses = self.sources(t, final, False, t)
             if not accesses:
                 continue
             gep_accesses = (
-                chains.sources(t, final, True, t) if final == "addr" else set()
+                self.sources(t, final, True, t) if final == "addr" else set()
             )
             rep = _pick(st, accesses)
             out.append(
@@ -357,13 +380,13 @@ def classify_transmitters(
             )
             uni: list[tuple[int, int, bool]] = []
             for a in sorted(accesses):
-                if not chains.address_true(a):
+                if a == self.psf_read:
                     continue
-                upstream = chains.sources(a, "addr", False, t)
+                upstream = self.sources(a, "addr", False, t)
                 upstream.discard(a)
                 if not upstream:
                     continue
-                upstream_gep = chains.sources(a, "addr", True, t)
+                upstream_gep = self.sources(a, "addr", True, t)
                 upstream_gep.discard(a)
                 r = _pick(st, upstream)
                 uni.append((a, r, bool(upstream_gep)))
@@ -383,6 +406,35 @@ def classify_transmitters(
                         gep=any(x[2] for x in uni),
                     )
                 )
+        return out
+
+
+def classify_transmitters(
+    cand: Candidate,
+    events: list[int],
+    w_size: int | None = None,
+    shared: _Shared | None = None,
+) -> list[Transmitter]:
+    """Every satisfied (event, class) pair, one Transmitter each.
+
+    ``shared`` holds what earlier candidates of ``cand.st`` computed;
+    without it nothing is reused (the reference the memoised path is
+    tested against).
+    """
+    if shared is None:
+        shared = _Shared(cand.st)
+    fwd = _forwarding(cand)
+    site = cand.site
+    psf_read = site.read if site is not None and site.kind == "psf" else None
+    key = (fwd, psf_read, w_size)
+    chains = shared.chains.get(key)
+    if chains is None:
+        chains = shared.chains[key] = _Chains(shared, fwd, psf_read, w_size)
+    out: list[Transmitter] = []
+    for t in sorted(events):
+        if t not in chains.classified:
+            chains.classified[t] = chains.classify(t)
+        out.extend(chains.classified[t])
     return out
 
 
@@ -395,11 +447,13 @@ def _pick(st: EventStructure, eids: set[int]) -> int:
 
 
 def _fence_points(
-    cand: Candidate, w: LeakWitness, t: Transmitter
+    cand: Candidate, w: LeakWitness, t: Transmitter, shared: _Shared | None = None
 ) -> frozenset[tuple[str, int]] | None:
     """Slots strictly between the speculation primitive and the earliest
     transient transmitter among the finding's chain events (the primitive's
-    own transient instance does not count -- no slot precedes it)."""
+    own transient instance does not count -- no slot precedes it).
+
+    The slot set is memoised in ``shared`` when one is given."""
     st = cand.st
     if st.acfg is None or len(st.plans) != 1:
         return None
@@ -432,14 +486,18 @@ def _fence_points(
     emin_step = min(st.step_of[m][1] for m in chain_transient)
     if emin_step <= prim_step:
         return None
-    points = set()
-    for sidx in range(prim_step + 1, emin_step + 1):
-        step = plan[sidx]
-        if step.node is None:
-            continue
-        node = st.acfg.nodes[step.node]
-        points.add((node.func, node.index))
-    return frozenset(points)
+    key = (prim_step, emin_step)
+    if shared is not None and key in shared.slots:
+        return shared.slots[key]
+    nodes = st.acfg.nodes
+    points = frozenset(
+        (nodes[step.node].func, nodes[step.node].index)
+        for step in plan[prim_step + 1 : emin_step + 1]
+        if step.node is not None
+    )
+    if shared is not None:
+        shared.slots[key] = points
+    return points
 
 
 # --------------------------------------------------------------------------
@@ -487,13 +545,16 @@ def analyze(
         candidates=len(cands),
     )
     seen: set[Record] = set()
+    shared: _Shared | None = None
     for cand in cands:
         config.tick()
+        if shared is None or shared.st is not cand.st:
+            shared = _Shared(cand.st)  # the last structure's memos go
         for w in detect_leaks(cand, probe=config.probe):
             w.transmitters = classify_transmitters(
-                cand, sorted(w.transmitter_events()), config.w_size
+                cand, sorted(w.transmitter_events()), config.w_size, shared
             )
-            emitted = _emit(cand, w, report, config, seen)
+            emitted = _emit(cand, w, report, config, seen, shared)
             if emitted and config.collect_graphs:
                 title = f"{engine} witness {len(report.graphs) + 1}"
                 report.graphs.append((title, witness_dot(cand, [w], title)))
@@ -507,6 +568,7 @@ def _emit(
     report: Report,
     config: EngineConfig,
     seen: set[Record],
+    shared: _Shared | None = None,
 ) -> bool:
     emitted = False
     st = cand.st
@@ -544,7 +606,7 @@ def _emit(
         )
         seen.add(rec)
         emitted = True
-        points = _fence_points(cand, w, best)
+        points = _fence_points(cand, w, best, shared)
         if points:
             report.elements.append(RepairElement(points, rec))
         else:

@@ -60,15 +60,22 @@ def _point_key(prog: ir.Program, p: Point) -> tuple[int, int]:
     return (0 if fi == entry else 1 + fi, p[1])
 
 
-def hitting_set(sets: list[frozenset[Point]], order_key) -> set[Point]:
-    """Exact minimum hitting set, ties broken toward earlier points."""
+def hitting_set(sets: list[frozenset[Point]], order_key, tick=None) -> set[Point]:
+    """Exact minimum hitting set, ties broken toward earlier points.
+
+    ``tick`` is an optional callable invoked once per branch; it may raise
+    :class:`~leakcheck.events.AnalysisTimeout` to abandon the search.
+    """
     sets = [s for s in sets if s]
     if not sets:
         return set()
     universe = sorted({p for s in sets for p in s}, key=order_key)
+    rank = {p: i for i, p in enumerate(universe)}
     best: list[set[Point]] = [set(universe)]
 
     def bound(chosen: set[Point], remaining: list[frozenset[Point]]) -> None:
+        if tick is not None:
+            tick()
         if len(chosen) >= len(best[0]):
             return
         missed = [s for s in remaining if not (s & chosen)]
@@ -77,7 +84,7 @@ def hitting_set(sets: list[frozenset[Point]], order_key) -> set[Point]:
             return
         # Branch on the points of the hardest-to-hit set, earliest first.
         pivot = min(missed, key=len)
-        for p in sorted(pivot, key=order_key):
+        for p in sorted(pivot, key=rank.__getitem__):
             bound(chosen | {p}, missed)
 
     bound(set(), sets)
@@ -142,8 +149,11 @@ def repair(prog: ir.Program, engine: str, config: EngineConfig) -> RepairPlan:
         if not goals:
             unrepairable = sorted(set(round_unrepairable), key=record_sort_key)
             break
+        # Many witnesses share a point set; the first occurrence keeps its
+        # place, so the search branches exactly as it would on every copy.
+        goals = list(dict.fromkeys(goals))
         all_points.update(p for s in goals for p in s)
-        chosen = hitting_set(goals, key)
+        chosen = hitting_set(goals, key, config.tick)
         inserted |= chosen
         fenced = insert_fences(prog, inserted)
         report = analyze(fenced, engine, config)

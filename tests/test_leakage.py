@@ -197,6 +197,18 @@ def test_deadline_interrupts_analysis():
         lk.analyze(ir.parse(GADGET), "v1", cfg_)
 
 
+def test_deadline_interrupts_bypass_derivation(corpus_dir):
+    # under v4 the stress program spends most of its time deriving one
+    # bypass structure per site; the deadline is checked before each
+    prog = ir.parse((corpus_dir / "stress" / "deep_pipeline.lcm").read_text())
+    budget = 0.02
+    config = lk.EngineConfig(deadline=time.monotonic() + budget)
+    start = time.monotonic()
+    with pytest.raises(ev.AnalysisTimeout):
+        lk.analyze(prog, "v4", config)
+    assert time.monotonic() - start - budget < 0.1
+
+
 def test_thread_programs_are_rejected():
     src = "thread t0:\nW x <-1\nthread t1:\nR x ->r1\n"
     with pytest.raises(ex.ExecutionError):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from leakcheck import ir
 from leakcheck import leakage as lk
 from leakcheck import repair as rp
+from leakcheck.events import AnalysisTimeout
 
 UD = frozenset({"universal_data"})
 
@@ -105,6 +108,46 @@ def test_hitting_set_is_exact_on_overlaps():
     chosen = rp.hitting_set(sets, lambda p: (0, p[1]))
     assert len(chosen) == 2
     assert all(s & chosen for s in sets)
+
+
+def test_duplicate_goals_do_not_change_the_hitting_set():
+    a = frozenset({("m", 3), ("m", 4)})
+    b = frozenset({("m", 1), ("m", 2)})
+    c = frozenset({("m", 2), ("m", 3)})
+    d = frozenset({("m", 4), ("m", 5)})
+    goals = [a, b, a, c, b, d, c, a]
+    order = lambda p: (0, p[1])  # noqa: E731
+    deduped = list(dict.fromkeys(goals))
+    assert deduped == [a, b, c, d]
+    assert rp.hitting_set(goals, order) == rp.hitting_set(deduped, order)
+
+
+def test_repair_hands_each_goal_to_the_hitting_set_once(monkeypatch):
+    # i5_S and i6_S of the v1 window give two elements with one point set
+    config = lk.EngineConfig(classes=frozenset(lk.CLASSES))
+    elements = lk.analyze(ir.parse(GADGET), "v1", config).elements
+    assert len({el.points for el in elements}) < len(elements)
+    seen = []
+    original = rp.hitting_set
+
+    def recorded(goals, order_key, tick=None):
+        seen.append(list(goals))
+        return original(goals, order_key, tick)
+
+    monkeypatch.setattr(rp, "hitting_set", recorded)
+    plan = rp.repair(ir.parse(GADGET), "v1", config)
+    assert plan.success
+    assert seen == [[frozenset({("main", 2)})]]
+
+
+def test_hitting_set_honours_the_deadline():
+    # 14 disjoint 3-point sets: 3^14 branches, many seconds without a tick
+    sets = [frozenset({("m", 3 * k + i) for i in range(3)}) for k in range(14)]
+    config = lk.EngineConfig(deadline=time.monotonic() + 0.2)
+    start = time.monotonic()
+    with pytest.raises(AnalysisTimeout):
+        rp.hitting_set(sets, lambda p: (0, p[1]), config.tick)
+    assert time.monotonic() - start < 1.0
 
 
 def test_insert_fences_shifts_later_points():
