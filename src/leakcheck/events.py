@@ -31,6 +31,7 @@ marks speculative fetch running off the end of the program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from . import cfg as acfg_mod
 from . import ir
@@ -104,6 +105,9 @@ class EventStructure:
     addr_gep: frozenset[tuple[int, int]]
     data: frozenset[tuple[int, int]]
     ctrl: frozenset[tuple[int, int]]
+    # Memory-event pairs a fence orders, read by the multi-thread TSO check
+    # only: empty for single-thread structures, whose one witness is
+    # canonical.
     fence_pairs: frozenset[tuple[int, int]]
     sites: tuple[Site, ...]
     merged_aliases: frozenset[frozenset[str]]
@@ -126,7 +130,10 @@ class EventStructure:
         return " | ".join(parts)
 
 
-def _uf_find(uf: dict[str, str], name: str) -> str:
+_K = TypeVar("_K")
+
+
+def _uf_find(uf: dict[_K, _K], name: _K) -> _K:
     root = name
     while uf.get(root, root) != root:
         root = uf[root]
@@ -487,7 +494,8 @@ class _Builder:
         want_sites: bool = True,
     ) -> EventStructure:
         bottom = self._fresh(kind="BOT", label="⊥")
-        self._fence_order()
+        if len(self.po) > 1:
+            self._fence_order()
         if regions is not None:
             self._control_deps(regions)
         self._silent_marks()

@@ -3,9 +3,15 @@
 Each leak finding carries the set of program points where an ``lfence``
 would cut the transient window between its speculation primitive and its
 earliest transient transmitter.  Repair computes a minimum-cardinality
-hitting set over those point sets (exact branch-and-bound; litmus-scale
-instances are tiny), inserts the fences, re-runs the engine, and iterates
-until the report is empty or the iteration cap is hit.
+hitting set over those point sets, inserts the fences, re-runs the engine,
+and iterates until the report is empty or the iteration cap is hit.
+
+The hitting set is exact.  Goals that strictly contain another goal are
+dropped, the rest are split into components that share no point (one per
+group of overlapping windows, so independent gadgets are solved
+separately), and each component is solved by a branch-and-bound with a
+disjoint-packing lower bound.  The result is the same set the plain
+search over all goals returns, ties broken toward earlier points.
 
 Findings without any candidate point (no transient window to cut -- e.g.
 silent-store leakage, or a window whose only transient transmitter is the
@@ -23,6 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import ir
+from .events import _uf_find
 from .leakage import EngineConfig, Record, Report, analyze, record_sort_key
 
 Point = tuple[str, int]
@@ -63,32 +70,79 @@ def _point_key(prog: ir.Program, p: Point) -> tuple[int, int]:
 def hitting_set(sets: list[frozenset[Point]], order_key, tick=None) -> set[Point]:
     """Exact minimum hitting set, ties broken toward earlier points.
 
+    The result is the first optimal leaf of a plain branch-and-bound that
+    branches on the points of the smallest missed set (the first of them
+    in input order), earliest point first.  Three exact steps make the
+    search cheaper and return that same set:
+
+    1. a goal that strictly contains another goal is dropped: the smaller
+       one is missed whenever it is, so it is never the set branched on;
+    2. the goals are split into components that share no point, and each
+       component is searched on its own: branching in one never changes
+       another's missed sets, so the first optimal leaf of the whole search
+       is the union of each component's first optimal leaf;
+    3. inside a component, a subtree is cut when the points chosen so far
+       plus a greedy packing of pairwise-disjoint missed goals (each needs
+       a point of its own) cannot beat the best set found.
+
     ``tick`` is an optional callable invoked once per branch; it may raise
     :class:`~leakcheck.events.AnalysisTimeout` to abandon the search.
     """
-    sets = [s for s in sets if s]
-    if not sets:
-        return set()
-    universe = sorted({p for s in sets for p in s}, key=order_key)
+    # Sorted by size (stable, so input order breaks ties): the subsets of a
+    # goal come before it, and each component's first missed goal is its
+    # pivot.
+    goals: list[frozenset[Point]] = []
+    for s in sorted((s for s in sets if s), key=len):
+        if not any(t < s for t in goals):
+            goals.append(s)
+    universe = sorted({p for s in goals for p in s}, key=order_key)
     rank = {p: i for i, p in enumerate(universe)}
-    best: list[set[Point]] = [set(universe)]
+    uf: dict[Point, Point] = {}
+    for s in goals:
+        first, *rest = s
+        for p in rest:
+            a, b = _uf_find(uf, first), _uf_find(uf, p)
+            if a != b:
+                uf[b] = a
+    components: dict[Point, list[frozenset[Point]]] = {}
+    for s in goals:
+        components.setdefault(_uf_find(uf, next(iter(s))), []).append(s)
+    chosen: set[Point] = set()
+    for component in components.values():
+        chosen |= _branch_and_bound(component, rank, tick)
+    return chosen
+
+
+def _branch_and_bound(
+    goals: list[frozenset[Point]], rank: dict[Point, int], tick
+) -> set[Point]:
+    """First optimal leaf of the pivot search over goals sorted by size."""
+    best = {p for s in goals for p in s}
 
     def bound(chosen: set[Point], remaining: list[frozenset[Point]]) -> None:
+        nonlocal best
         if tick is not None:
             tick()
-        if len(chosen) >= len(best[0]):
+        if len(chosen) >= len(best):
             return
-        missed = [s for s in remaining if not (s & chosen)]
+        missed = [s for s in remaining if chosen.isdisjoint(s)]
         if not missed:
-            best[0] = set(chosen)
+            best = set(chosen)
+            return
+        packed: set[Point] = set()
+        packing = 0
+        for s in missed:
+            if packed.isdisjoint(s):
+                packed |= s
+                packing += 1
+        if len(chosen) + packing >= len(best):
             return
         # Branch on the points of the hardest-to-hit set, earliest first.
-        pivot = min(missed, key=len)
-        for p in sorted(pivot, key=rank.__getitem__):
+        for p in sorted(missed[0], key=rank.__getitem__):
             bound(chosen | {p}, missed)
 
-    bound(set(), sets)
-    return best[0]
+    bound(set(), goals)
+    return best
 
 
 def insert_fences(prog: ir.Program, points: set[Point]) -> ir.Program:

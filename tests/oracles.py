@@ -167,6 +167,38 @@ def leak_findings(cand, probe: bool = True):
     return sorted(finds)
 
 
+def hitting_set_reference(sets, order_key, tick=None):
+    """The plain branch-and-bound that ``repair.hitting_set`` replaced.
+
+    Kept verbatim: one search over all goals, no lower bound.  Its result,
+    the first optimal leaf in its DFS order, is what the decomposed search
+    must return set for set.
+    """
+    sets = [s for s in sets if s]
+    if not sets:
+        return set()
+    universe = sorted({p for s in sets for p in s}, key=order_key)
+    rank = {p: i for i, p in enumerate(universe)}
+    best = [set(universe)]
+
+    def bound(chosen, remaining):
+        if tick is not None:
+            tick()
+        if len(chosen) >= len(best[0]):
+            return
+        missed = [s for s in remaining if not (s & chosen)]
+        if not missed:
+            best[0] = set(chosen)
+            return
+        # Branch on the points of the hardest-to-hit set, earliest first.
+        pivot = min(missed, key=len)
+        for p in sorted(pivot, key=rank.__getitem__):
+            bound(chosen | {p}, missed)
+
+    bound(set(), sets)
+    return best[0]
+
+
 # --------------------------------------------------------------------------
 # random programs
 

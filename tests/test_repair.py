@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
+import random
 import time
 
+import oracles
 import pytest
-
+from conftest import CORPUS
+from hypothesis import example, given, settings, strategies as st
 from leakcheck import ir
 from leakcheck import leakage as lk
 from leakcheck import repair as rp
@@ -141,13 +145,141 @@ def test_repair_hands_each_goal_to_the_hitting_set_once(monkeypatch):
 
 
 def test_hitting_set_honours_the_deadline():
-    # 14 disjoint 3-point sets: 3^14 branches, many seconds without a tick
-    sets = [frozenset({("m", 3 * k + i) for i in range(3)}) for k in range(14)]
+    # 120 random 3-point sets over 60 points form one component that the
+    # packing bound does not tame: many seconds of search without a tick
+    rng = random.Random(0)
+    sets = [frozenset(("m", p) for p in rng.sample(range(60), 3))
+            for _ in range(120)]
     config = lk.EngineConfig(deadline=time.monotonic() + 0.2)
     start = time.monotonic()
     with pytest.raises(AnalysisTimeout):
         rp.hitting_set(sets, lambda p: (0, p[1]), config.tick)
     assert time.monotonic() - start < 1.0
+
+
+def two_function_order(p):
+    return (0 if p[0] == "main" else 1, p[1])
+
+
+def _blocks(sizes):
+    """Consecutive disjoint runs of main's points, one per size."""
+    out, start = [], 0
+    for n in sizes:
+        out.append(frozenset(("main", i) for i in range(start, start + n)))
+        start += n
+    return out
+
+
+def random_goals(last: int, max_goals: int):
+    point = st.tuples(st.sampled_from(("main", "g")), st.integers(0, last))
+    return st.lists(st.frozensets(point, max_size=4), max_size=max_goals)
+
+
+disjoint_goals = st.lists(st.integers(0, 4), max_size=7).map(_blocks)
+chain_goals = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(1, 4)), max_size=7
+).map(lambda runs: [frozenset(("main", i) for i in range(a, a + n))
+                    for a, n in runs])
+
+
+@st.composite
+def goal_lists(draw):
+    """Random, disjoint or chained goals, plus supersets and duplicates."""
+    goals = draw(st.one_of(random_goals(9, 7), random_goals(2, 8),
+                           disjoint_goals, chain_goals))
+    if goals:
+        pairs = st.tuples(st.sampled_from(goals), st.sampled_from(goals))
+        goals += [a | b for a, b in draw(st.lists(pairs, max_size=3))]
+        goals += draw(st.lists(st.sampled_from(goals), max_size=3))
+    return draw(st.permutations(goals))
+
+
+@given(goal_lists())
+@example([frozenset({("main", 1), ("main", 2)}),
+          frozenset({("main", 2), ("main", 3)}),
+          frozenset({("main", 1), ("main", 3)})])
+@settings(max_examples=400, deadline=None)
+def test_hitting_set_matches_the_plain_search(goals):
+    assert rp.hitting_set(goals, two_function_order) == (
+        oracles.hitting_set_reference(goals, two_function_order)
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CORPUS.rglob("*.lcm")), ids=lambda p: p.stem
+)
+def test_corpus_repair_goals_match_the_plain_search(path):
+    """First-round goals under the sidecar's depth, window, classes, scope."""
+    sidecar = json.loads(path.with_suffix(".expect.json").read_text())
+    config = sidecar.get("config", {})
+    config = lk.EngineConfig(
+        d_spec=config.get("d_spec", 250),
+        w_size=config.get("w_size"),
+        classes=frozenset(config.get("classes", ["universal_data"])),
+        scope=config.get("scope", "transient"),
+    )
+    prog = ir.parse(path.read_text())
+
+    def key(p):
+        return rp._point_key(prog, p)
+
+    for engine in ("v1", "v4", "psf"):
+        report = lk.analyze(prog, engine, config)
+        goals = list(dict.fromkeys(el.points for el in report.elements))
+        chosen = rp.hitting_set(goals, key)
+        if (path.stem, engine) != ("deep_pipeline", "psf"):
+            assert chosen == oracles.hitting_set_reference(goals, key)
+            continue
+        # The plain search cannot finish here (about 4^77 leaves).  The
+        # minimal goals are pairwise disjoint, so its first optimal leaf
+        # takes the earliest point of each.
+        minimal = [s for s in goals if not any(t < s for t in goals)]
+        assert len(set().union(*minimal)) == sum(map(len, minimal))
+        assert chosen == {min(s, key=key) for s in minimal}
+
+
+def independent_v4_windows(windows: int, slots: int = 4):
+    """Spectre-v4 gadgets, each closed by an lfence, and their fence slots.
+
+    In window w the reload ``dw`` can bypass the masking store ``cw``, and
+    its stale value steers ``ew`` and ``fw``.  ``slots - 1`` ALU steps lie
+    between ``dw`` and ``ew``, so each window offers ``slots`` fence slots
+    of its own and one fence per window is the minimum.
+    """
+    lines = ["r9 <-0"]
+    ranges = []
+    for w in range(windows):
+        lines += [
+            f"a{w}: R n{w} ->r1",
+            f"b{w}: R v{w} ->r2",
+            f"c{w}: W v{w} <-r2&(r1-1)",
+            f"d{w}: R v{w} ->r3",
+        ]
+        first = len(lines)
+        lines += [f"r9 <-r9+{k + 1}" for k in range(slots - 1)]
+        ranges.append(range(first, len(lines) + 1))
+        lines += [f"e{w}: R A{w}+r3 ->r4", f"f{w}: R B{w}+r4 ->r5", "lfence"]
+    return "\n".join(lines) + "\n", ranges
+
+
+def test_forty_independent_windows_repair_in_under_a_second():
+    src, ranges = independent_v4_windows(40)
+    start = time.process_time()
+    plan = do_repair(src, engine="v4")
+    assert time.process_time() - start < 1.0
+    assert plan.success and plan.iterations == 1
+    assert len(plan.fences) == 40
+    assert [sum(f.index in r for f in plan.fences) for r in ranges] == [1] * 40
+    assert not lk.analyze(plan.program, "v4", lk.EngineConfig()).records
+
+
+def test_psf_stress_repair_succeeds_within_the_default_budget():
+    prog = ir.parse((CORPUS / "stress" / "deep_pipeline.lcm").read_text())
+    config = lk.EngineConfig(d_spec=25, w_size=50,
+                             deadline=time.monotonic() + 60)
+    plan = rp.repair(prog, "psf", config)
+    assert plan.success
+    assert len(plan.fences) == 78 and plan.iterations == 1
 
 
 def test_insert_fences_shifts_later_points():
