@@ -445,6 +445,10 @@ def enumerate_candidates(
     The candidates of one structure are contiguous in the result.  The
     architectural witnesses are computed once per (structure, AMO choice)
     and shared by its bypass and silent-store candidates.
+
+    ``tick`` is an optional callable invoked once per structure, bypass
+    site, multi-thread witness combination and batch of candidates built;
+    it may raise :class:`AnalysisTimeout` to abandon the enumeration.
     """
     out: list[Candidate] = []
     seen_bypass: set = set()
@@ -466,10 +470,14 @@ def enumerate_candidates(
                 )
             for src in sources:
                 for amo, arch in zip(amos, archs):
+                    if tick is not None:
+                        tick()
                     out.extend(
                         _make_candidates(cst, amo, arch, frozenset(), site, src)
                     )
                     for subset in subsets:
+                        if tick is not None:
+                            tick()
                         out.extend(
                             _make_candidates(cst, amo, arch, subset, None, None)
                         )

@@ -158,6 +158,38 @@ def test_silent_subset_requires_opt_in(corpus_dir):
     assert all(not c.silent for c in candidates(src))
 
 
+def _batches_between_ticks(monkeypatch, src, prims, **kw):
+    """How many candidate batches were built between consecutive ticks."""
+    built = [0]
+    make = ex._make_candidates
+
+    def counted(*args):
+        built[0] += 1
+        return make(*args)
+
+    monkeypatch.setattr(ex, "_make_candidates", counted)
+    sts = ev.enumerate_event_structures(cfg.build_acfg(ir.parse(src)), prims)
+    marks = []
+    ex.enumerate_candidates(sts, tick=lambda: marks.append(built[0]), **kw)
+    marks.append(built[0])
+    return [b - a for a, b in zip(marks, marks[1:])], built[0]
+
+
+@pytest.mark.parametrize("path, prims, kw", [
+    ("stress/deep_pipeline.lcm", frozenset({"psf"}), {"d_spec": 25}),
+    ("gadgets/silent_store_pair.lcm", frozenset(), {"silent_stores": True}),
+])
+def test_deadline_is_checked_before_each_candidate_batch(
+    monkeypatch, corpus_dir, path, prims, kw
+):
+    # a deadline that passes among the bypass or silent-store candidates
+    # stops the enumeration within one batch, not at its end
+    src = (corpus_dir / path).read_text()
+    gaps, built = _batches_between_ticks(monkeypatch, src, prims, **kw)
+    assert built > 1
+    assert max(gaps) <= 1
+
+
 # -- store-to-load bypass variants --------------------------------------------
 
 
