@@ -22,6 +22,10 @@ Three speculation primitives can extend a structure:
 * ``psf``     -- as ``stl`` but the qualifying store may target any
   location (the load's address is mispredicted to alias it).
 
+Structures are built along the tree of committed paths: one depth-first
+walk fetches each branch prefix once and forks at every branch, so the
+structures of paths with a common prefix share that prefix's events.
+
 Sites are recorded on the path structure; :func:`derive_bypass` builds the
 derived structure for one site.  Events ``0`` and ``len(events)-1`` are the
 initial-state writer and the final observer; a transient squash pseudo-event
@@ -159,22 +163,6 @@ def _alias_subsets(aliases: list[tuple[str, str]]) -> list[frozenset[frozenset[s
     return subsets
 
 
-def committed_paths(graph: ACfg, root: int) -> list[list[int]]:
-    """All committed paths from ``root`` to the exit (one per branch outcome)."""
-    paths: list[list[int]] = []
-    stack: list[tuple[int, list[int]]] = [(root, [])]
-    while stack:
-        node, prefix = stack.pop()
-        if node == EXIT:
-            paths.append(prefix)
-            continue
-        succs = graph.succ[node]
-        for nxt in reversed(succs):
-            stack.append((nxt, prefix + [node]))
-    paths.reverse()
-    return paths
-
-
 def _window_steps(
     graph: ACfg, branch_idx: int, start: int, d_spec: int
 ) -> list[Step]:
@@ -200,27 +188,6 @@ def _window_steps(
     return steps
 
 
-def _plan_for_path(
-    graph: ACfg, path: list[int], primitives: frozenset[str], d_spec: int
-) -> list[Step]:
-    plan: list[Step] = []
-    for pos, node in enumerate(path):
-        idx = len(plan)
-        plan.append(Step(node, True))
-        op = graph.nodes[node].instr.op
-        succs = graph.succ[node]
-        if (
-            "branch" in primitives
-            and isinstance(op, ir.BranchEqZero)
-            and len(succs) == 2
-        ):
-            taken = path[pos + 1] if pos + 1 < len(path) else EXIT
-            others = [s for s in succs if s != taken]
-            if others:
-                plan.extend(_window_steps(graph, idx, others[0], d_spec))
-    return plan
-
-
 def _node_label(node: ANode) -> str:
     # Labels already carry the inline-instance suffix from splicing;
     # anonymous nodes need it added to stay unique across instances.
@@ -242,6 +209,11 @@ class _ThreadState:
 
     def restore(self, snap: tuple[dict, dict]) -> None:
         self.taint, self.defslot = dict(snap[0]), dict(snap[1])
+
+    def copy(self) -> _ThreadState:
+        new = _ThreadState()
+        new.taint, new.defslot = dict(self.taint), dict(self.defslot)
+        return new
 
     def reads_of(self, regs) -> frozenset[int]:
         out: frozenset[int] = frozenset()
@@ -279,6 +251,14 @@ def _branch_regions(graph: ACfg) -> dict[int, frozenset[int]]:
 
 
 class _Builder:
+    """One structure under construction, fed one fetch (:class:`Step`) at a
+    time, thread after thread.
+
+    :meth:`fork` copies the containers but not the events in them: structures
+    whose committed paths share a prefix share that prefix's :class:`Event`
+    objects, so an event never changes once emitted.
+    """
+
     def __init__(
         self,
         graph: ACfg,
@@ -290,16 +270,39 @@ class _Builder:
         self.uf = _make_union_find(merged)
         self.primitives = primitives
         self.events: list[Event] = [Event(0, "TOP", label="⊤")]
+        self.plans: list[list[Step]] = []
         self.po: list[list[int]] = []
         self.tfo: list[list[int]] = []
-        self.addr: set[tuple[int, int]] = set()
-        self.addr_gep: set[tuple[int, int]] = set()
-        self.data: set[tuple[int, int]] = set()
-        self.ctrl: set[tuple[int, int]] = set()
-        self.fence_pairs: set[tuple[int, int]] = set()
+        self.addr: list[tuple[int, int]] = []
+        self.addr_gep: list[tuple[int, int]] = []
+        self.data: list[tuple[int, int]] = []
         self.step_of: dict[int, tuple[int, int]] = {}
-        self._eid_by_step: dict[tuple[int, int], int] = {}
-        self._value_id: dict[int, tuple] = {}
+        # Value identities of the committed stores so far, per location:
+        # silent marks are read from them when the next store is emitted.
+        self._stores: dict[str, tuple[tuple, ...]] = {}
+        # The current thread's walking state: register taint, the event of
+        # each plan step so far, and the committed state saved while a
+        # transient window runs.
+        self.state = _ThreadState()
+        self._eid_at: list[int | None] = []
+        self._saved: tuple[dict, dict] | None = None
+        self._in_window: int | None = None
+
+    def fork(self) -> _Builder:
+        new = object.__new__(_Builder)
+        new.__dict__.update(self.__dict__)
+        new.events = list(self.events)
+        new.plans = [list(plan) for plan in self.plans]
+        new.po = [list(order) for order in self.po]
+        new.tfo = [list(order) for order in self.tfo]
+        new.addr = list(self.addr)
+        new.addr_gep = list(self.addr_gep)
+        new.data = list(self.data)
+        new.step_of = dict(self.step_of)
+        new._stores = dict(self._stores)
+        new.state = self.state.copy()
+        new._eid_at = list(self._eid_at)
+        return new
 
     def location(self, addr: ir.Address, state: _ThreadState) -> tuple[str, bool]:
         if isinstance(addr, ir.Direct):
@@ -311,56 +314,55 @@ class _Builder:
         # Indirect: identity keyed by the reaching definition of the pointer.
         return f"*{addr.reg}@{state.defslot.get(addr.reg, -1)}", False
 
-    def walk_thread(self, thread: int, plan: list[Step]) -> None:
+    def start_thread(self) -> None:
         state = _ThreadState()
-        graph = self.graph
-        if graph.program.multithread:
-            params: list[str] = []
-        else:
-            params = graph.program.entry_function.params
-        for reg in params:
+        program = self.graph.program
+        for reg in [] if program.multithread else program.entry_function.params:
             state.taint[reg] = frozenset()
             state.defslot[reg] = -1
-        po: list[int] = []
-        tfo: list[int] = []
-        saved: tuple[dict, dict] | None = None
-        in_window: int | None = None
-        for step_idx, step in enumerate(plan):
-            if step.window is not None and step.window != in_window:
-                if in_window is None:
-                    saved = state.snapshot()
-                else:
-                    assert saved is not None
-                    state.restore(saved)
-                    saved = state.snapshot()
-                in_window = step.window
-            elif step.window is None and in_window is not None:
-                assert saved is not None
-                state.restore(saved)
-                saved = None
-                in_window = None
-            self._emit(thread, step_idx, step, plan, state, po, tfo)
-        self.po.append(po)
-        self.tfo.append(tfo)
+        self.state = state
+        self.plans.append([])
+        self.po.append([])
+        self.tfo.append([])
+        self._eid_at = []
+        self._saved = None
+        self._in_window = None
+
+    def walk_thread(self, plan: list[Step]) -> None:
+        self.start_thread()
+        for step in plan:
+            self.step(step)
+
+    def step(self, step: Step) -> None:
+        """Fetch ``step`` as the next step of the current thread's plan."""
+        state = self.state
+        if step.window is not None and step.window != self._in_window:
+            if self._in_window is None:
+                self._saved = state.snapshot()
+            else:
+                assert self._saved is not None
+                state.restore(self._saved)
+                self._saved = state.snapshot()
+            self._in_window = step.window
+        elif step.window is None and self._in_window is not None:
+            assert self._saved is not None
+            state.restore(self._saved)
+            self._saved = None
+            self._in_window = None
+        plan = self.plans[-1]
+        plan.append(step)
+        self._emit(len(self.plans) - 1, len(plan) - 1, step)
 
     def _fresh(self, **kw) -> Event:
         ev = Event(eid=len(self.events), **kw)
         self.events.append(ev)
         return ev
 
-    def _emit(
-        self,
-        thread: int,
-        step_idx: int,
-        step: Step,
-        plan: list[Step],
-        state: _ThreadState,
-        po: list[int],
-        tfo: list[int],
-    ) -> None:
+    def _emit(self, thread: int, step_idx: int, step: Step) -> None:
+        state = self.state
         window_eid = None
         if step.window is not None:
-            window_eid = self._eid_by_step.get((thread, step.window))
+            window_eid = self._eid_at[step.window]
         if step.node is None:
             ev = self._fresh(
                 kind="SBOT",
@@ -369,7 +371,8 @@ class _Builder:
                 window=window_eid,
                 label="⊥",
             )
-            tfo.append(ev.eid)
+            self.tfo[-1].append(ev.eid)
+            self._eid_at.append(None)
             return
         node = self.graph.nodes[step.node]
         op = node.instr.op
@@ -391,15 +394,26 @@ class _Builder:
                 label=label,
             )
             for src in addr_reads:
-                self.addr.add((src, ev.eid))
+                self.addr.append((src, ev.eid))
                 if gep:
-                    self.addr_gep.add((src, ev.eid))
+                    self.addr_gep.append((src, ev.eid))
             state.taint[op.dest] = frozenset({ev.eid})
             state.defslot[op.dest] = step_idx
         elif isinstance(op, ir.Store):
             loc, gep = self.location(op.addr, state)
             addr_reads = state.reads_of(ir.address_regs(op.addr))
             value_reads = state.reads_of(op.value.regs)
+            # A committed store after a committed same-location store may be
+            # silent (single-thread programs only); definitely so when an
+            # earlier one stores the same value identity: the expression
+            # text and the reaching definition of every register in it.
+            eligible = definite = False
+            if step.committed and len(self.graph.roots) == 1:
+                value_id = (op.value.text, tuple(sorted(
+                    (r, state.defslot.get(r, -1)) for r in op.value.regs)))
+                prior = self._stores.get(loc, ())
+                eligible, definite = bool(prior), value_id in prior
+                self._stores[loc] = prior + (value_id,)
             ev = self._fresh(
                 kind="W",
                 thread=thread,
@@ -410,19 +424,16 @@ class _Builder:
                 gep=gep,
                 window=window_eid,
                 addr_reads=addr_reads,
+                silent_eligible=eligible,
+                silent_definite=definite,
                 label=label,
             )
-            # Value identity for silent stores: the expression text and the
-            # reaching definition of every register it mentions.
-            if step.committed:
-                self._value_id[ev.eid] = (op.value.text, tuple(sorted(
-                    (r, state.defslot.get(r, -1)) for r in op.value.regs)))
             for src in addr_reads:
-                self.addr.add((src, ev.eid))
+                self.addr.append((src, ev.eid))
                 if gep:
-                    self.addr_gep.add((src, ev.eid))
+                    self.addr_gep.append((src, ev.eid))
             for src in value_reads:
-                self.data.add((src, ev.eid))
+                self.data.append((src, ev.eid))
         elif isinstance(op, ir.Alu):
             state.taint[op.dest] = state.reads_of(op.expr.regs)
             state.defslot[op.dest] = step_idx
@@ -477,30 +488,20 @@ class _Builder:
                 label=label,
             )
             for src in addr_reads:
-                self.addr.add((src, ev.eid))
+                self.addr.append((src, ev.eid))
         # Skip and Jump fetch but produce no event.
+        self._eid_at.append(None if ev is None else ev.eid)
         if ev is not None:
             self.step_of[ev.eid] = (thread, step_idx)
-            self._eid_by_step[(thread, step_idx)] = ev.eid
-            tfo.append(ev.eid)
+            self.tfo[-1].append(ev.eid)
             if step.committed:
-                po.append(ev.eid)
+                self.po[-1].append(ev.eid)
 
-    def finish(
-        self,
-        plans: list[list[Step]],
-        regions: dict[int, frozenset[int]] | None,
-        bypass_site: int | None = None,
-        want_sites: bool = True,
-    ) -> EventStructure:
+    def finish(self, regions: dict[int, frozenset[int]] | None) -> EventStructure:
+        """The structure of the steps so far; the builder is spent."""
         bottom = self._fresh(kind="BOT", label="⊥")
-        if len(self.po) > 1:
-            self._fence_order()
-        if regions is not None:
-            self._control_deps(regions)
-        self._silent_marks()
         sites: tuple[Site, ...] = ()
-        if want_sites and len(plans) == 1 and bypass_site is None:
+        if len(self.plans) == 1:
             sites = tuple(self._find_sites())
         return EventStructure(
             events=self.events,
@@ -511,18 +512,18 @@ class _Builder:
             addr=frozenset(self.addr),
             addr_gep=frozenset(self.addr_gep),
             data=frozenset(self.data),
-            ctrl=frozenset(self.ctrl),
-            fence_pairs=frozenset(self.fence_pairs),
+            ctrl=self._control_deps(regions) if regions is not None else frozenset(),
+            fence_pairs=self._fence_order() if len(self.po) > 1 else frozenset(),
             sites=sites,
             merged_aliases=self.merged,
-            bypass_site=bypass_site,
-            plans=plans,
+            plans=self.plans,
             acfg=self.graph,
-            step_of=dict(self.step_of),
+            step_of=self.step_of,
             regions=regions,
         )
 
-    def _fence_order(self) -> None:
+    def _fence_order(self) -> frozenset[tuple[int, int]]:
+        pairs: set[tuple[int, int]] = set()
         for order in self.po:
             for i, fid in enumerate(order):
                 fev = self.events[fid]
@@ -534,9 +535,13 @@ class _Builder:
                     if fev.fence == "lfence" and self.events[e1].kind != "R":
                         continue
                     for e2 in after:
-                        self.fence_pairs.add((e1, e2))
+                        pairs.add((e1, e2))
+        return frozenset(pairs)
 
-    def _control_deps(self, regions: dict[int, frozenset[int]]) -> None:
+    def _control_deps(
+        self, regions: dict[int, frozenset[int]]
+    ) -> frozenset[tuple[int, int]]:
+        ctrl: set[tuple[int, int]] = set()
         branches = [e for e in self.events if e.kind == "BR" and not e.transient]
         for br in branches:
             if not br.cond_reads:
@@ -551,27 +556,12 @@ class _Builder:
                     ev = self.events[eid]
                     if ev.node_id is not None and ev.node_id in region:
                         for src in br.cond_reads:
-                            self.ctrl.add((src, eid))
+                            ctrl.add((src, eid))
             for ev in self.events:
                 if ev.transient and ev.window == br.eid:
                     for src in br.cond_reads:
-                        self.ctrl.add((src, ev.eid))
-
-    def _silent_marks(self) -> None:
-        if len(self.po) != 1:
-            return
-        seen: dict[str, list[Event]] = {}
-        for eid in self.po[0]:
-            ev = self.events[eid]
-            if ev.kind != "W":
-                continue
-            prior = seen.setdefault(ev.location or "", [])
-            if prior:
-                ev.silent_eligible = True
-                ev.silent_definite = any(
-                    self._value_id[p.eid] == self._value_id[ev.eid] for p in prior
-                )
-            prior.append(ev)
+                        ctrl.add((src, ev.eid))
+        return frozenset(ctrl)
 
     def _find_sites(self) -> list[Site]:
         want_stl = "stl" in self.primitives
@@ -633,19 +623,62 @@ class _Builder:
         )
 
 
-def _build(
+def _walk_paths(
     graph: ACfg,
     merged: frozenset[frozenset[str]],
-    plans: list[list[Step]],
     primitives: frozenset[str],
-    regions: dict[int, frozenset[int]] | None,
-    bypass_site: int | None = None,
-    want_sites: bool = True,
-) -> EventStructure:
-    builder = _Builder(graph, merged, primitives)
-    for thread, plan in enumerate(plans):
-        builder.walk_thread(thread, plan)
-    return builder.finish(plans, regions, bypass_site, want_sites)
+    d_spec: int,
+    regions: dict[int, frozenset[int]],
+    tick,
+) -> list[EventStructure]:
+    """The structures of one alias resolution, depth first along the tree of
+    committed paths (thread after thread).
+
+    Each branch prefix is fetched once, not once per path through it: at a
+    branch the builder forks once per successor, and each fork fetches the
+    untaken arm's window (``branch`` primitive) before it continues.  Forks
+    are visited in reversed successor order, which is the structure order of
+    listing every path up front.  Only the forks pending on the current path
+    are held at a time; ``tick`` runs once per node walked.
+    """
+    committed = [Step(node, True) for node in range(len(graph.nodes))]
+    want_windows = "branch" in primitives
+    out: list[EventStructure] = []
+    first = _Builder(graph, merged, primitives)
+    first.start_thread()
+    stack: list[tuple[_Builder, int]] = [(first, graph.roots[0])]
+    while stack:
+        builder, node = stack.pop()
+        while True:
+            if tick is not None:
+                tick()
+            if node == EXIT:
+                if len(builder.plans) == len(graph.roots):
+                    out.append(builder.finish(regions))
+                    break
+                builder.start_thread()
+                node = graph.roots[len(builder.plans) - 1]
+                continue
+            builder.step(committed[node])
+            succs = graph.succ[node]
+            if len(succs) == 1:
+                node = succs[0]
+                continue
+            window = (
+                want_windows
+                and len(succs) == 2
+                and isinstance(graph.nodes[node].instr.op, ir.BranchEqZero)
+            )
+            branch_idx = len(builder.plans[-1]) - 1
+            forks = [builder] + [builder.fork() for _ in succs[1:]]
+            for fork, nxt in zip(forks, succs):
+                if window:
+                    untaken = succs[0] if nxt == succs[1] else succs[1]
+                    for step in _window_steps(graph, branch_idx, untaken, d_spec):
+                        fork.step(step)
+                stack.append((fork, nxt))
+            break
+    return out
 
 
 def enumerate_event_structures(
@@ -656,29 +689,13 @@ def enumerate_event_structures(
 ) -> list[EventStructure]:
     """All event structures of the program: alias resolutions x path choices.
 
-    ``tick`` is an optional callable invoked once per structure; it may raise
-    :class:`AnalysisTimeout` to abandon a long-running enumeration.
+    ``tick`` is an optional callable invoked once per node walked; it may
+    raise :class:`AnalysisTimeout` to abandon a long-running enumeration.
     """
     regions = _branch_regions(graph)
-    subsets = _alias_subsets(graph.program.aliases)
-    per_root: list[list[list[Step]]] = []
-    for root in graph.roots:
-        plans = [
-            _plan_for_path(graph, path, primitives, d_spec)
-            for path in committed_paths(graph, root)
-        ]
-        per_root.append(plans)
-    combos: list[list[list[Step]]] = [[]]
-    for plans in per_root:
-        combos = [chosen + [plan] for chosen in combos for plan in plans]
-    structures = []
-    for merged in subsets:
-        for plan_combo in combos:
-            if tick is not None:
-                tick()
-            structures.append(
-                _build(graph, merged, plan_combo, primitives, regions)
-            )
+    structures: list[EventStructure] = []
+    for merged in _alias_subsets(graph.program.aliases):
+        structures += _walk_paths(graph, merged, primitives, d_spec, regions, tick)
     return structures
 
 
@@ -717,16 +734,9 @@ def derive_bypass(
         suffix.append(Step(None, False))
     if not any(step.node is not None for step in suffix):
         return None
-    new_plan = prefix + suffix
-    derived = _build(
-        st.acfg,
-        st.merged_aliases,
-        [new_plan],
-        frozenset(),
-        st.regions,
-        bypass_site=-1,
-        want_sites=False,
-    )
+    builder = _Builder(st.acfg, st.merged_aliases, frozenset())
+    builder.walk_thread(prefix + suffix)
+    derived = builder.finish(st.regions)
     # The site load is the first transient event of the derived structure.
     site_eid = next(e.eid for e in derived.events if e.transient)
     derived.bypass_site = site_eid

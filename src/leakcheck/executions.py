@@ -73,15 +73,6 @@ class Candidate:
     def location_of(self, eid: int) -> str | None:
         return _kind_loc(self.st, self.amo, eid)[1]
 
-    def global_tfo(self) -> list[int]:
-        out: list[int] = []
-        for order in self.st.tfo:
-            out.extend(order)
-        return out
-
-    def tfo_positions(self) -> dict[int, int]:
-        return {e: i for i, e in enumerate(self.global_tfo())}
-
     def fr(self) -> frozenset[tuple[int, int]]:
         pairs = set()
         for r, w in self.rf.items():
@@ -326,16 +317,34 @@ def _build_comx(
     return rfx_in, rfx_xstate, writers, xmode, bottom_sources
 
 
-def confidential(cand: Candidate) -> bool:
+def fetch_positions(st: EventStructure) -> dict[int, int]:
+    """Each fetched event's index in fetch order (threads in turn), BOT last."""
+    pos = {e: i for i, e in enumerate(e for order in st.tfo for e in order)}
+    pos[st.bottom] = len(pos) + 1
+    return pos
+
+
+def _acyclic(edges, pos: dict[int, int]) -> bool:
+    """Whether the digraph ``edges`` has no cycle.
+
+    Exact: when every edge goes strictly forward in ``pos`` (nodes without a
+    position at -1) no cycle can close, so :func:`find_cycle` runs only when
+    some edge does not.
+    """
+    if all(pos.get(u, -1) < pos.get(v, -1) for u, v in edges):
+        return True
+    return not find_cycle(edges)
+
+
+def confidential(cand: Candidate, pos: dict[int, int]) -> bool:
     """The microarchitectural analog of consistency.
 
     The fill/writer orders must compose acyclically with same-line fetch
     order, and any fill edge pointing *against* fetch order (reading a line
     version that a fetch-earlier event should already have replaced) is
-    only justified at a bypass site.
+    only justified at a bypass site.  ``pos`` is
+    ``fetch_positions(cand.st)``, shared by the candidates of a structure.
     """
-    pos = cand.tfo_positions()
-    pos[cand.st.bottom] = len(pos) + 1
     edges = {(src, e) for e, src in cand.rfx_in.items()}
     for order in cand.cox.values():
         edges.update(zip(order, order[1:]))
@@ -347,7 +356,7 @@ def confidential(cand: Candidate) -> bool:
             set(order[1:]) | set(by_x.get(x, [])), key=lambda e: pos.get(e, -1)
         )
         edges.update(zip(members, members[1:]))
-    if find_cycle(edges):
+    if not _acyclic(edges, pos):
         return False
     site_read = cand.site.read if cand.site is not None else None
     for e, w2 in cand.frx():
@@ -404,6 +413,7 @@ def _make_candidates(
     silent: frozenset[int],
     site: Site | None,
     stale_src: int | None,
+    pos: dict[int, int],
 ) -> list[Candidate]:
     """The confidential candidates over the architectural witnesses ``arch``.
 
@@ -429,7 +439,7 @@ def _make_candidates(
             stale_src=stale_src,
             amo=dict(amo),
         )
-        if confidential(cand):
+        if confidential(cand, pos):
             out.append(cand)
     return out
 
@@ -462,6 +472,7 @@ def enumerate_candidates(
             variants += _bypass_variants(st, d_spec, seen_bypass, tick)
         for cst, site, sources in variants:
             amos = _amo_choices(cst)
+            pos = fetch_positions(cst)
             archs = [arch_witnesses(cst, amo, tick) for amo in amos]
             subsets = []
             if silent_stores and site is None:
@@ -473,12 +484,12 @@ def enumerate_candidates(
                     if tick is not None:
                         tick()
                     out.extend(
-                        _make_candidates(cst, amo, arch, frozenset(), site, src)
+                        _make_candidates(cst, amo, arch, frozenset(), site, src, pos)
                     )
                     for subset in subsets:
                         if tick is not None:
                             tick()
                         out.extend(
-                            _make_candidates(cst, amo, arch, subset, None, None)
+                            _make_candidates(cst, amo, arch, subset, None, None, pos)
                         )
     return out

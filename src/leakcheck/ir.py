@@ -431,12 +431,12 @@ def _resolve_labels(prog: Program):
                 raise ParseError(f"undefined label {tgt!r}", ins.line)
 
 
-def successors(fn: Function, i: int) -> list[int]:
+def successors(fn: Function, i: int, labels: dict[str, int]) -> list[int]:
     """Indices of the possible next instructions after ``fn.body[i]``.
 
+    ``labels`` maps each label of ``fn`` to its index;
     ``len(fn.body)`` stands for function exit.
     """
-    labels = {ins.label: j for j, ins in enumerate(fn.body) if ins.label}
     op = fn.body[i].op
     if isinstance(op, Jump):
         return [labels[op.target]]
@@ -453,6 +453,7 @@ def _check_defined_before_use(fn: Function):
     # Forward dataflow, intersection over predecessors.
     defined: list[set[str] | None] = [None] * n
     defined[0] = set(fn.params)
+    labels = {ins.label: j for j, ins in enumerate(fn.body) if ins.label}
     work = [0]
     while work:
         i = work.pop()
@@ -463,7 +464,7 @@ def _check_defined_before_use(fn: Function):
                 f"register {sorted(missing)[0]} may be read before assignment",
                 fn.body[i].line)
         out = defined[i] | du.writes
-        for j in successors(fn, i):
+        for j in successors(fn, i, labels):
             if j >= n:
                 continue
             if defined[j] is None:

@@ -11,6 +11,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from leakcheck import events, ir
+from leakcheck.cfg import EXIT
+
 
 def acyclic(nodes, edges) -> bool:
     """Kahn's algorithm on an explicit edge set."""
@@ -200,6 +203,116 @@ def hitting_set_reference(sets, order_key, tick=None):
 
 
 # --------------------------------------------------------------------------
+# event structures
+
+
+def committed_paths(graph, root: int) -> list[list[int]]:
+    """All committed paths from ``root`` to the exit (one per branch outcome)."""
+    paths: list[list[int]] = []
+    stack: list[tuple[int, list[int]]] = [(root, [])]
+    while stack:
+        node, prefix = stack.pop()
+        if node == EXIT:
+            paths.append(prefix)
+            continue
+        succs = graph.succ[node]
+        for nxt in reversed(succs):
+            stack.append((nxt, prefix + [node]))
+    paths.reverse()
+    return paths
+
+
+def _plan_for_path(graph, path: list[int], primitives, d_spec: int):
+    plan = []
+    for pos, node in enumerate(path):
+        idx = len(plan)
+        plan.append(events.Step(node, True))
+        op = graph.nodes[node].instr.op
+        succs = graph.succ[node]
+        if (
+            "branch" in primitives
+            and isinstance(op, ir.BranchEqZero)
+            and len(succs) == 2
+        ):
+            taken = path[pos + 1] if pos + 1 < len(path) else EXIT
+            others = [s for s in succs if s != taken]
+            if others:
+                plan.extend(events._window_steps(graph, idx, others[0], d_spec))
+    return plan
+
+
+def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=250):
+    """The enumerator that the path-tree walk replaced.
+
+    Kept verbatim: every committed path of every thread is listed up front,
+    planned on its own, and each combination of plans (one per thread) is
+    built from the root by a fresh builder, so no two structures share an
+    event.  Silent marks are set after the build, as the replaced code did
+    (:func:`silent_marks_reference`).
+    """
+    regions = events._branch_regions(graph)
+    subsets = events._alias_subsets(graph.program.aliases)
+    per_root = []
+    for root in graph.roots:
+        plans = [
+            _plan_for_path(graph, path, primitives, d_spec)
+            for path in committed_paths(graph, root)
+        ]
+        per_root.append(plans)
+    combos = [[]]
+    for plans in per_root:
+        combos = [chosen + [plan] for chosen in combos for plan in plans]
+    structures = []
+    for merged in subsets:
+        for plan_combo in combos:
+            builder = events._Builder(graph, merged, primitives)
+            for plan in plan_combo:
+                builder.walk_thread(plan)
+            st = builder.finish(regions)
+            silent_marks_reference(st)
+            structures.append(st)
+    return structures
+
+
+def silent_marks_reference(st) -> None:
+    """Set the silent marks of ``st``'s events from its finished plan.
+
+    A committed store of a single-thread structure is silent-eligible when a
+    po-earlier committed store has its location, and definitely silent when
+    one of those stores has its value identity: the expression text and the
+    plan step that last defined each register in it (-1 for none).  Only
+    committed steps define registers here, because the walk undoes a
+    window's definitions before the next committed step.
+    """
+    for e in st.events:
+        e.silent_eligible = e.silent_definite = False
+    if len(st.po) != 1:
+        return
+    eid_at = {idx: eid for eid, (_, idx) in st.step_of.items()}
+    defslot: dict[str, int] = {}
+    value_id = {}
+    for idx, step in enumerate(st.plans[0]):
+        if not step.committed:
+            continue
+        op = st.acfg.nodes[step.node].instr.op
+        if isinstance(op, ir.Store):
+            value_id[eid_at[idx]] = (op.value.text, tuple(sorted(
+                (r, defslot.get(r, -1)) for r in op.value.regs)))
+        elif isinstance(op, (ir.Load, ir.Alu)):
+            defslot[op.dest] = idx
+    seen: dict[str, list[int]] = {}
+    for eid in st.po[0]:
+        e = st.events[eid]
+        if e.kind != "W":
+            continue
+        prior = seen.setdefault(e.location or "", [])
+        if prior:
+            e.silent_eligible = True
+            e.silent_definite = any(value_id[p] == value_id[eid] for p in prior)
+        prior.append(eid)
+
+
+# --------------------------------------------------------------------------
 # random programs
 
 
@@ -234,6 +347,44 @@ def random_single(rng: random.Random) -> str:
         if rng.random() < 0.12:
             lines.append(rng.choice(("fence", "lfence")))
     lines.append("end: skip")
+    return "\n".join(lines) + "\n"
+
+
+def random_diamonds(rng: random.Random) -> str:
+    """Straight-line code and if-then diamonds over three reused registers.
+
+    Unlike :func:`random_single`, code follows each join, and the arms
+    redefine registers, store and load, so what one arm leaves behind
+    (taint, definitions, same-location stores) shows in the code after it.
+    """
+    regs = ("r1", "r2", "r3")
+    lines = [f"{r} <-{i}" for i, r in enumerate(regs)]
+
+    def instr() -> str:
+        reg, loc = rng.choice(regs), rng.choice(LOCS)
+        return rng.choice((
+            f"R {loc} ->{reg}",
+            f"R A+{rng.choice(regs)} ->{reg}",
+            f"W {loc} <-{rng.choice(regs)}",
+            f"W {loc} <-{rng.randint(0, 1)}",
+            f"{reg} <-{rng.choice(regs)}&3",
+            rng.choice(("fence", "lfence")),
+        ))
+
+    for k in range(rng.randint(1, 4)):
+        lines += [instr() for _ in range(rng.randint(0, 2))]
+        lines.append(f"BEQZ {rng.choice(regs)}, j{k}")
+        lines += [instr() for _ in range(rng.randint(1, 3))]
+        lines.append(f"j{k}: skip")
+    lines += [instr() for _ in range(rng.randint(1, 3))]
+    return "\n".join(lines) + "\n"
+
+
+def sequential_diamonds(n: int) -> str:
+    """``n`` if-then diamonds in a row: 2^n committed paths."""
+    lines = ["r2 <-0"]
+    for k in range(n):
+        lines += [f"R c{k} ->r1", f"BEQZ r1, j{k}", "r2 <-r2+1", f"j{k}: skip"]
     return "\n".join(lines) + "\n"
 
 

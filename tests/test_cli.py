@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import oracles
 import pytest
 
 from leakcheck.cli import main
@@ -125,6 +126,14 @@ def test_parse_error_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "parse error" in err
+
+
+def test_path_enumeration_timeout_exits_two(tmp_path, capsys):
+    f = tmp_path / "diamonds.lcm"
+    f.write_text(oracles.sequential_diamonds(18))
+    code = main(["check", str(f), "--engine", "v1", "--timeout", "1"])
+    assert code == 2
+    assert "analysis timed out" in capsys.readouterr().err
 
 
 def test_irreducible_control_flow_exits_two(tmp_path, capsys):

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from conftest import CORPUS
 from leakcheck import cfg, ir
 from leakcheck import events as ev
 from leakcheck import executions as ex
+from leakcheck.cfg import find_cycle
 
 
 def candidates(src: str, prims=frozenset(), **kw):
@@ -237,3 +243,63 @@ def test_aliased_fill_crosses_locations():
         assert c.rfx_in[ids["i3"]] == ids["i2"]
         assert c.rfx_xstate[ids["i3"]] == c.location_of(ids["i2"])
         assert c.xmode[ids["i3"]] == "R"
+
+
+# -- confidentiality ----------------------------------------------------------
+
+
+NODES = st.integers(0, 11)  # 10 and 11 have no fetch position
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.permutations(range(10)),
+    st.lists(st.tuples(NODES, NODES, st.booleans()), max_size=16),
+)
+@example(list(range(10)), [(0, 1, False), (1, 2, False), (10, 0, False)])
+@example(list(range(10)), [(0, 2, False), (3, 1, True)])  # backward, acyclic
+@example(list(range(10)), [(0, 1, False), (1, 2, False), (2, 0, True)])
+@example(list(range(10)), [(4, 4, True)])
+def test_forward_edge_shortcut_agrees_with_find_cycle(order, raw):
+    # Edges are turned forward in the position order unless flagged, so
+    # both the shortcut and the fallback to find_cycle are exercised.
+    pos = {n: i for i, n in enumerate(order)}
+    edges = set()
+    for u, v, backward in raw:
+        if not backward and pos.get(u, -1) > pos.get(v, -1):
+            u, v = v, u
+        edges.add((u, v))
+    assert ex._acyclic(edges, pos) == (not find_cycle(edges))
+
+
+def corpus_and_random_programs():
+    for path in sorted(CORPUS.rglob("*.lcm")):
+        config = json.loads(path.with_suffix(".expect.json").read_text())
+        yield path.read_text(), config.get("config", {}).get("d_spec", 250)
+    for seed in range(9000, 9200):
+        yield oracles.random_single(random.Random(seed)), 8
+    for seed in range(9200, 9260):
+        yield oracles.random_multithread(random.Random(seed)), 8
+
+
+def test_every_enumerated_candidate_is_confidential(monkeypatch):
+    # The check runs on every candidate as it is built and has rejected
+    # none so far; this is the evidence for ever dropping it from the build
+    # path.  Should a rejection appear, the runtime check must stay.
+    verdicts = []
+    original = ex.confidential
+
+    def recorded(cand, pos):
+        verdicts.append(original(cand, pos))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ex, "confidential", recorded)
+    for src, d_spec in corpus_and_random_programs():
+        graph = cfg.build_acfg(ir.parse(src))
+        for prims in ({"branch"}, {"stl"}, {"psf"}):
+            sts = ev.enumerate_event_structures(graph, frozenset(prims), d_spec)
+            for cand in ex.enumerate_candidates(
+                sts, silent_stores=True, d_spec=d_spec
+            ):
+                assert original(cand, ex.fetch_positions(cand.st))
+    assert verdicts and all(verdicts)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from leakcheck import ir
@@ -27,7 +29,7 @@ def test_labels_and_branches():
     assert body[0].label == "i1"
     assert body[1].op.target == "done"
     assert body[3].label == "done"
-    assert ir.successors(prog.entry_function, 1) == [2, 3]
+    assert ir.successors(prog.entry_function, 1, {"i1": 0, "done": 3}) == [2, 3]
 
 
 def test_numeric_branch_target_resolves_to_synthesized_label():
@@ -115,3 +117,11 @@ def test_defuse_and_address_regs():
     assert ir.address_regs(ir.Indexed("A", "r1")) == frozenset({"r1"})
     assert ir.address_regs(ir.Indexed("A", 3)) == frozenset()
     assert ir.address_regs(ir.Indirect("r7")) == frozenset({"r7"})
+
+
+def test_definite_assignment_check_is_linear_in_function_length():
+    src = "r1 <-0\n" + "R A+r1 ->r1\n" * 6400
+    start = time.process_time()
+    prog = ir.parse(src)
+    assert time.process_time() - start < 1.0
+    assert len(prog.entry_function.body) == 6401

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import time
 
+import oracles
 import pytest
 
 from leakcheck import cfg, ir
@@ -207,6 +208,17 @@ def test_deadline_interrupts_bypass_derivation(corpus_dir):
     with pytest.raises(ev.AnalysisTimeout):
         lk.analyze(prog, "v4", config)
     assert time.monotonic() - start - budget < 0.1
+
+
+def test_deadline_interrupts_path_enumeration():
+    # 2^18 committed paths: the walk along the path tree checks the
+    # deadline once per node, so it stops long before listing them all
+    prog = ir.parse(oracles.sequential_diamonds(18))
+    config = lk.EngineConfig(deadline=time.monotonic() + 0.2)
+    start = time.process_time()
+    with pytest.raises(ev.AnalysisTimeout):
+        lk.analyze(prog, "v1", config)
+    assert time.process_time() - start < 1.0
 
 
 def test_thread_programs_are_rejected():
