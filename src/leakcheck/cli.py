@@ -25,16 +25,46 @@ from .leakage import CLASSES, EngineConfig, Record, analyze
 from .repair import repair
 
 _ENGINES = ("v1", "v4", "psf", "all")
-_PRIM_NAMES = {"branch", "stl", "psf"}
+_PRIM_NAMES = ("branch", "stl", "psf")
+
+
+def _at_least_zero(kind):
+    """An argument type: the value as ``kind`` (int or float), at least 0."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not value >= 0:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+        return value
+
+    return convert
+
+
+def _names(known: tuple[str, ...], what: str):
+    """An argument type: a comma-separated subset of ``known``."""
+
+    def convert(text: str) -> frozenset[str]:
+        names = frozenset(n.strip() for n in text.split(",") if n.strip())
+        bad = names - set(known)
+        if bad:
+            raise argparse.ArgumentTypeError(f"unknown {what} {sorted(bad)[0]!r}")
+        return names
+
+    return convert
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=_ENGINES, default="all")
-    p.add_argument("--spec-depth", type=int, default=250, metavar="N",
-                   help="speculation window depth bound (default 250)")
-    p.add_argument("--w-size", type=int, default=None, metavar="N",
+    p.add_argument("--spec-depth", type=_at_least_zero(int), default=250,
+                   metavar="N", help="speculation window depth bound (default 250)")
+    p.add_argument("--w-size", type=_at_least_zero(int), default=None, metavar="N",
                    help="sliding-window bound on chain member distance")
-    p.add_argument("--classes", default="universal_data", metavar="LIST",
+    p.add_argument("--classes", type=_names(CLASSES, "class"),
+                   default="universal_data", metavar="LIST",
                    help="comma-separated transmitter classes to report "
                         f"(default universal_data; all = {','.join(CLASSES)})")
     p.add_argument("--scope", choices=("transient", "any"), default="transient",
@@ -46,21 +76,16 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="model the silent-store optimization")
     p.add_argument("--no-probe", action="store_true",
                    help="disable the final cache-probe observer rule")
-    p.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS",
-                   help="per-file analysis budget (default 60)")
+    p.add_argument("--timeout", type=_at_least_zero(float), default=60.0,
+                   metavar="SECONDS",
+                   help="per-file analysis budget (default 60, 0 for none)")
 
 
 def _config(args: argparse.Namespace, collect_graphs: bool = False) -> EngineConfig:
-    classes = frozenset(
-        c.strip() for c in args.classes.split(",") if c.strip()
-    )
-    bad = classes - set(CLASSES)
-    if bad:
-        raise SystemExit(f"error: unknown class {sorted(bad)[0]!r}")
     return EngineConfig(
         d_spec=args.spec_depth,
         w_size=args.w_size,
-        classes=classes,
+        classes=args.classes,
         scope=args.scope,
         require_gep=args.require_gep,
         silent_stores=args.silent_stores,
@@ -90,15 +115,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     prog = _load(args.file)
     config = _config(args)
-    prims = frozenset()
-    if args.primitives:
-        prims = frozenset(p.strip() for p in args.primitives.split(","))
-        bad = prims - _PRIM_NAMES
-        if bad:
-            raise SystemExit(f"error: unknown primitive {sorted(bad)[0]!r}")
     graph = cfg_mod.build_acfg(prog)
     structures = ev_mod.enumerate_event_structures(
-        graph, prims, config.d_spec, tick=config.tick
+        graph, args.primitives, config.d_spec, tick=config.tick
     )
     cands = ex_mod.enumerate_candidates(
         structures, silent_stores=config.silent_stores,
@@ -295,7 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("enumerate",
                        help="count event structures and consistent candidates")
     p.add_argument("file")
-    p.add_argument("--primitives", default="", metavar="LIST",
+    p.add_argument("--primitives", type=_names(_PRIM_NAMES, "primitive"),
+                   default="", metavar="LIST",
                    help="speculation primitives: branch,stl,psf (default none)")
     p.add_argument("--show", action="store_true",
                    help="print each candidate's relations")
@@ -322,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
                             "expected-outcome sidecars")
     p.add_argument("dir")
     p.add_argument("--no-timing", action="store_true")
-    p.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS")
+    p.add_argument("--timeout", type=_at_least_zero(float), default=60.0,
+                   metavar="SECONDS")
     p.set_defaults(fn=cmd_corpus)
 
     args = top.parse_args(argv)

@@ -27,9 +27,10 @@ walk fetches each branch prefix once and forks at every branch, so the
 structures of paths with a common prefix share that prefix's events.
 
 Sites are recorded on the path structure; :func:`derive_bypass` builds the
-derived structure for one site.  Events ``0`` and ``len(events)-1`` are the
-initial-state writer and the final observer; a transient squash pseudo-event
-marks speculative fetch running off the end of the program.
+derived structure for every site, in one walk.  Events ``0`` and
+``len(events)-1`` are the initial-state writer and the final observer; a
+transient squash pseudo-event marks speculative fetch running off the end of
+the program.
 """
 
 from __future__ import annotations
@@ -327,11 +328,6 @@ class _Builder:
         self._eid_at = []
         self._saved = None
         self._in_window = None
-
-    def walk_thread(self, plan: list[Step]) -> None:
-        self.start_thread()
-        for step in plan:
-            self.step(step)
 
     def step(self, step: Step) -> None:
         """Fetch ``step`` as the next step of the current thread's plan."""
@@ -700,73 +696,66 @@ def enumerate_event_structures(
 
 
 def derive_bypass(
-    st: EventStructure, site: Site, d_spec: int = 250
-) -> EventStructure | None:
-    """The derived structure where ``site``'s load re-runs transiently.
+    st: EventStructure, d_spec: int = 250, tick=None
+) -> list[EventStructure | None]:
+    """The derived structure of each of ``st``'s sites, in ``st.sites`` order.
 
-    The committed prefix before the load is kept; the load and the committed
+    In a derived structure the site's load re-runs transiently: the
+    committed prefix before the load is kept; the load and the committed
     continuation after it become a transient suffix, truncated at the first
     fence or branch or at the speculation depth (with a squash marker if the
     program's end is reached first).  None when the depth budget leaves no
     room for the re-run at all.
+
+    One builder fetches the committed steps of the plan once, up to the
+    last site (sites are in fetch order).  At each site it forks, and the
+    fork fetches that site's suffix, so no prefix is fetched twice.  When
+    ``st`` fetched committed steps only, every derived structure keeps its
+    prefix's event ids, stale sources included.  ``tick`` runs once per
+    site.
     """
+    if not st.sites:
+        return []
     assert st.acfg is not None and len(st.plans) == 1
     plan = st.plans[0]
-    thread, site_step = st.step_of[site.read]
-    prefix = [s for s in plan[:site_step] if s.committed]
-    suffix: list[Step] = []
-    depth = 0
-    exited = True
-    for step in plan[site_step:]:
-        if not step.committed:
-            continue
-        assert step.node is not None
-        op = st.acfg.nodes[step.node].instr.op
-        if isinstance(op, (ir.BranchEqZero, ir.Fence, ir.Protect)):
-            exited = False
-            break
-        if depth >= d_spec:
-            exited = False
-            break
-        suffix.append(Step(step.node, False))
-        depth += 1
-    if exited:
-        suffix.append(Step(None, False))
-    if not any(step.node is not None for step in suffix):
-        return None
     builder = _Builder(st.acfg, st.merged_aliases, frozenset())
-    builder.walk_thread(prefix + suffix)
-    derived = builder.finish(st.regions)
-    # The site load is the first transient event of the derived structure.
-    site_eid = next(e.eid for e in derived.events if e.transient)
-    derived.bypass_site = site_eid
-    return derived
-
-
-def remap_sources(
-    st: EventStructure, derived: EventStructure, site: Site
-) -> tuple[int, ...]:
-    """Map a site's stale-source event ids into the derived structure.
-
-    The derived plan keeps the committed prefix steps in order, so an old
-    committed step index maps to its position among committed predecessors.
-    """
-    plan = st.plans[0]
-    thread, site_step = st.step_of[site.read]
-    old_to_new: dict[int, int] = {}
-    new_idx = 0
-    for old_idx in range(site_step):
-        if plan[old_idx].committed:
-            old_to_new[old_idx] = new_idx
-            new_idx += 1
-    new_by_step = {step: eid for eid, step in derived.step_of.items()}
-    out = []
-    for src in site.sources:
-        if src == 0:
-            out.append(0)
+    builder.start_thread()
+    walked = 0
+    out: list[EventStructure | None] = []
+    for site in st.sites:
+        if tick is not None:
+            tick()
+        site_step = st.step_of[site.read][1]
+        for step in plan[walked:site_step]:
+            if step.committed:
+                builder.step(step)
+        walked = site_step
+        suffix: list[Step] = []
+        depth = 0
+        exited = True
+        for step in plan[site_step:]:
+            if not step.committed:
+                continue
+            assert step.node is not None
+            op = st.acfg.nodes[step.node].instr.op
+            if isinstance(op, (ir.BranchEqZero, ir.Fence, ir.Protect)):
+                exited = False
+                break
+            if depth >= d_spec:
+                exited = False
+                break
+            suffix.append(Step(step.node, False))
+            depth += 1
+        if exited:
+            suffix.append(Step(None, False))
+        if not any(step.node is not None for step in suffix):
+            out.append(None)
             continue
-        _, old_idx = st.step_of[src]
-        mapped = new_by_step.get((0, old_to_new.get(old_idx, -1)))
-        if mapped is not None:
-            out.append(mapped)
-    return tuple(out)
+        fork = builder.fork()
+        site_eid = len(fork.events)  # the re-run load is the first new event
+        for step in suffix:
+            fork.step(step)
+        derived = fork.finish(st.regions)
+        derived.bypass_site = site_eid
+        out.append(derived)
+    return out

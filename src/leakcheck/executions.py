@@ -20,6 +20,11 @@ modeled on top: a *bypass* candidate forwards a site load from a chosen
 stale writer (store-to-load) or from a different location's store (alias
 prediction); a *silent* store neither fills nor claims its line.  The final
 observer ``BOT`` reads every touched line from its last writer.
+
+Every candidate is confidential (the microarchitectural analog of
+consistency) by construction, as :func:`_build_comx` argues, so none is
+checked while candidates are built.  :func:`confidential` is the checkable
+definition; the test suite applies it to every candidate it enumerates.
 """
 
 from __future__ import annotations
@@ -259,6 +264,23 @@ def _build_comx(
     site: Site | None,
     stale_src: int | None,
 ) -> tuple[dict[int, int], dict[int, int | str], dict[str, list[int]], dict[int, str], dict[str, int]]:
+    """The cache simulation: fill edges, their xstates, line-writer orders,
+    access modes and the lines the final observer reads.
+
+    Its result is confidential (:func:`confidential`) by construction:
+
+    * events are visited in fetch order, and each fill edge comes from the
+      line's writer so far (``0`` when untouched) while each line writer is
+      appended to its order, so every ``rfx_in`` and ``cox`` edge points
+      forward in fetch order (``0`` first, ``BOT`` last), and so do the
+      same-line fetch-order edges; edges that all point forward close no
+      cycle;
+    * a bypass site's stale source precedes the site in fetch order, so its
+      fill edge points forward too;
+    * every writer after an event's fill source in that line's order was
+      appended after the event was visited, so an ``frx`` pair points
+      backward only at the site read, which the check exempts.
+    """
     rfx_in: dict[int, int] = {}
     rfx_xstate: dict[int, int | str] = {}
     writers: dict[str, list[int]] = {}
@@ -376,10 +398,11 @@ def _bypass_variants(
 ) -> list[tuple[EventStructure, Site, tuple[int, ...]]]:
     """One (derived structure, its site, stale sources) per new bypass."""
     out = []
-    for site in st.sites:
-        if tick is not None:
-            tick()
-        derived = ev_mod.derive_bypass(st, site, d_spec)
+    # Branch windows fetched before a site (several primitives at once) are
+    # not part of its derived prefix, which renumbers the prefix's events
+    # and drops stale sources fetched in a window.
+    renumbered = len(st.tfo[0]) > len(st.po[0])
+    for site, derived in zip(st.sites, ev_mod.derive_bypass(st, d_spec, tick)):
         if derived is None:
             continue
         key = (
@@ -390,7 +413,10 @@ def _bypass_variants(
         if key in seen:
             continue
         seen.add(key)
-        sources = ev_mod.remap_sources(st, derived, site)
+        sources = site.sources
+        if renumbered:
+            ids = {0: 0, **dict(zip(st.po[0], derived.po[0]))}
+            sources = tuple(ids[s] for s in sources if s in ids)
         new_site = Site(
             read=derived.bypass_site, kind=site.kind, sources=sources, last_store=-1
         )
@@ -413,9 +439,8 @@ def _make_candidates(
     silent: frozenset[int],
     site: Site | None,
     stale_src: int | None,
-    pos: dict[int, int],
 ) -> list[Candidate]:
-    """The confidential candidates over the architectural witnesses ``arch``.
+    """The candidates over the architectural witnesses ``arch``.
 
     The cache simulation does not depend on the architectural witness, so
     its result is shared by all of them (nothing mutates a candidate).
@@ -423,9 +448,8 @@ def _make_candidates(
     rfx_in, rfx_x, writers, xmode, bottom = _build_comx(
         st, amo, silent, site, stale_src
     )
-    out = []
-    for rf, co in arch:
-        cand = Candidate(
+    return [
+        Candidate(
             st=st,
             rf=rf,
             co=co,
@@ -439,9 +463,8 @@ def _make_candidates(
             stale_src=stale_src,
             amo=dict(amo),
         )
-        if confidential(cand, pos):
-            out.append(cand)
-    return out
+        for rf, co in arch
+    ]
 
 
 def enumerate_candidates(
@@ -468,11 +491,10 @@ def enumerate_candidates(
         variants: list[tuple[EventStructure, Site | None, tuple[int | None, ...]]] = [
             (st, None, (None,))
         ]
-        if len(st.po) == 1:
+        if st.sites:
             variants += _bypass_variants(st, d_spec, seen_bypass, tick)
         for cst, site, sources in variants:
             amos = _amo_choices(cst)
-            pos = fetch_positions(cst)
             archs = [arch_witnesses(cst, amo, tick) for amo in amos]
             subsets = []
             if silent_stores and site is None:
@@ -484,12 +506,12 @@ def enumerate_candidates(
                     if tick is not None:
                         tick()
                     out.extend(
-                        _make_candidates(cst, amo, arch, frozenset(), site, src, pos)
+                        _make_candidates(cst, amo, arch, frozenset(), site, src)
                     )
                     for subset in subsets:
                         if tick is not None:
                             tick()
                         out.extend(
-                            _make_candidates(cst, amo, arch, subset, None, None, pos)
+                            _make_candidates(cst, amo, arch, subset, None, None)
                         )
     return out

@@ -146,6 +146,9 @@ class Report:
     structures: int = 0
     candidates: int = 0
     graphs: list[tuple[str, str]] = field(default_factory=list)
+    # Every element and unrepairable record appended so far: each is kept
+    # once, at its first occurrence (many witnesses repeat one finding).
+    _emitted: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
@@ -607,10 +610,13 @@ def _emit(
         seen.add(rec)
         emitted = True
         points = _fence_points(cand, w, best, shared)
-        if points:
-            report.elements.append(RepairElement(points, rec))
-        else:
-            report.unrepairable.append(rec)
+        entry = RepairElement(points, rec) if points else rec
+        if entry not in report._emitted:
+            report._emitted.add(entry)
+            if isinstance(entry, RepairElement):
+                report.elements.append(entry)
+            else:
+                report.unrepairable.append(entry)
     return emitted
 
 

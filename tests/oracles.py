@@ -267,7 +267,9 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
         for plan_combo in combos:
             builder = events._Builder(graph, merged, primitives)
             for plan in plan_combo:
-                builder.walk_thread(plan)
+                builder.start_thread()
+                for step in plan:
+                    builder.step(step)
             st = builder.finish(regions)
             silent_marks_reference(st)
             structures.append(st)
@@ -310,6 +312,80 @@ def silent_marks_reference(st) -> None:
             e.silent_eligible = True
             e.silent_definite = any(value_id[p] == value_id[eid] for p in prior)
         prior.append(eid)
+
+
+def derive_bypass_reference(st, site, d_spec: int = 250):
+    """The per-site derivation that the one-walk ``events.derive_bypass``
+    replaced, kept verbatim: a fresh builder fetches the committed prefix
+    from the root for every site.
+
+    The derived structure where ``site``'s load re-runs transiently.  The
+    committed prefix before the load is kept; the load and the committed
+    continuation after it become a transient suffix, truncated at the first
+    fence or branch or at the speculation depth (with a squash marker if the
+    program's end is reached first).  None when the depth budget leaves no
+    room for the re-run at all.
+    """
+    assert st.acfg is not None and len(st.plans) == 1
+    plan = st.plans[0]
+    thread, site_step = st.step_of[site.read]
+    prefix = [s for s in plan[:site_step] if s.committed]
+    suffix = []
+    depth = 0
+    exited = True
+    for step in plan[site_step:]:
+        if not step.committed:
+            continue
+        assert step.node is not None
+        op = st.acfg.nodes[step.node].instr.op
+        if isinstance(op, (ir.BranchEqZero, ir.Fence, ir.Protect)):
+            exited = False
+            break
+        if depth >= d_spec:
+            exited = False
+            break
+        suffix.append(events.Step(step.node, False))
+        depth += 1
+    if exited:
+        suffix.append(events.Step(None, False))
+    if not any(step.node is not None for step in suffix):
+        return None
+    builder = events._Builder(st.acfg, st.merged_aliases, frozenset())
+    builder.start_thread()
+    for step in prefix + suffix:
+        builder.step(step)
+    derived = builder.finish(st.regions)
+    # The site load is the first transient event of the derived structure.
+    site_eid = next(e.eid for e in derived.events if e.transient)
+    derived.bypass_site = site_eid
+    return derived
+
+
+def remap_sources_reference(st, derived, site) -> tuple[int, ...]:
+    """Map a site's stale-source event ids into the derived structure.
+
+    The derived plan keeps the committed prefix steps in order, so an old
+    committed step index maps to its position among committed predecessors.
+    """
+    plan = st.plans[0]
+    thread, site_step = st.step_of[site.read]
+    old_to_new: dict[int, int] = {}
+    new_idx = 0
+    for old_idx in range(site_step):
+        if plan[old_idx].committed:
+            old_to_new[old_idx] = new_idx
+            new_idx += 1
+    new_by_step = {step: eid for eid, step in derived.step_of.items()}
+    out = []
+    for src in site.sources:
+        if src == 0:
+            out.append(0)
+            continue
+        _, old_idx = st.step_of[src]
+        mapped = new_by_step.get((0, old_to_new.get(old_idx, -1)))
+        if mapped is not None:
+            out.append(mapped)
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------

@@ -163,6 +163,36 @@ def test_unknown_class_exits_via_systemexit(gadget):
         main(["check", str(gadget), "--classes", "timing", "--no-timing"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--classes", "timing"], "unknown class 'timing'"),
+    (["enumerate", "--primitives", "stl,meltdown"], "unknown primitive 'meltdown'"),
+    (["check", "--spec-depth", "-1"], "argument --spec-depth: must be at least 0"),
+    (["check", "--w-size", "-3"], "argument --w-size: must be at least 0"),
+    (["check", "--timeout", "-1"], "argument --timeout: must be at least 0"),
+    (["repair", "--timeout", "nan"], "argument --timeout: must be at least 0"),
+    (["check", "--spec-depth", "x"], "argument --spec-depth: invalid int value"),
+])
+def test_bad_option_value_is_a_usage_error(gadget, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(gadget), *argv[1:]])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_corpus_negative_timeout_is_a_usage_error(corpus_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", str(corpus_dir), "--timeout", "-1"])
+    assert exc.value.code == 2
+    assert "argument --timeout: must be at least 0" in capsys.readouterr().err
+
+
+def test_zero_timeout_means_no_deadline(gadget, capsys):
+    code = main(["check", str(gadget), "--engine", "v1", "--no-timing",
+                 "--timeout", "0"])
+    assert code == 1
+    assert "1 leak record(s)" in capsys.readouterr().out
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code = main(["check", str(tmp_path / "absent.lcm"), "--no-timing"])
     assert code == 2

@@ -282,24 +282,36 @@ def corpus_and_random_programs():
         yield oracles.random_multithread(random.Random(seed)), 8
 
 
-def test_every_enumerated_candidate_is_confidential(monkeypatch):
-    # The check runs on every candidate as it is built and has rejected
-    # none so far; this is the evidence for ever dropping it from the build
-    # path.  Should a rejection appear, the runtime check must stay.
-    verdicts = []
-    original = ex.confidential
+def confidential_candidates(src: str, d_spec: int) -> int:
+    """Check every candidate of ``src`` under each primitive, silent stores
+    on, with :func:`executions.confidential`; return how many there were."""
+    graph = cfg.build_acfg(ir.parse(src))
+    checked = 0
+    for prims in ({"branch"}, {"stl"}, {"psf"}, {"branch", "stl", "psf"}):
+        sts = ev.enumerate_event_structures(graph, frozenset(prims), d_spec)
+        for cand in ex.enumerate_candidates(sts, silent_stores=True, d_spec=d_spec):
+            assert ex.confidential(cand, ex.fetch_positions(cand.st))
+            checked += 1
+    return checked
 
-    def recorded(cand, pos):
-        verdicts.append(original(cand, pos))
-        return verdicts[-1]
 
-    monkeypatch.setattr(ex, "confidential", recorded)
+def test_every_enumerated_candidate_is_confidential():
+    # Candidates are confidential by construction (``_build_comx`` argues
+    # why), so enumeration no longer checks them; this test checks every
+    # one.  Should a candidate ever fail, the argument is wrong and the
+    # runtime check must come back.
+    checked = 0
     for src, d_spec in corpus_and_random_programs():
-        graph = cfg.build_acfg(ir.parse(src))
-        for prims in ({"branch"}, {"stl"}, {"psf"}):
-            sts = ev.enumerate_event_structures(graph, frozenset(prims), d_spec)
-            for cand in ex.enumerate_candidates(
-                sts, silent_stores=True, d_spec=d_spec
-            ):
-                assert original(cand, ex.fetch_positions(cand.st))
-    assert verdicts and all(verdicts)
+        checked += confidential_candidates(src, d_spec)
+    assert checked
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["random_single", "random_diamonds", "random_multithread"]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_random_program_candidates_are_confidential(generator, seed, alias):
+    src = getattr(oracles, generator)(random.Random(seed))
+    assert confidential_candidates(("alias (x, y)\n" if alias else "") + src, 8)

@@ -4,7 +4,9 @@ it replaced (``oracles.enumerate_event_structures_reference``).
 The walk forks one builder per branch outcome, so structures share the events
 of their common prefix; the reference builds every structure from the root.
 Both must give the same structures in the same order, field by field, and the
-same derived structure for every bypass site.
+same derived structure for every bypass site: ``derive_bypass`` derives every
+site of a structure in one walk, the reference
+(``oracles.derive_bypass_reference``) one site at a time from the root.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from conftest import CORPUS
 from leakcheck import cfg, ir
 from leakcheck import events as ev
+from leakcheck import executions as ex
 
 PRIMITIVES = (
     frozenset(),
@@ -44,13 +47,17 @@ def assert_walk_matches_reference(src: str, d_spec: int = 8) -> None:
         assert len(got) == len(want)
         for st, ref in zip(got, want):
             assert_same_structure(st, ref)
-            for site in st.sites:
-                derived = ev.derive_bypass(st, site, d_spec)
-                expected = ev.derive_bypass(ref, site, d_spec)
+            derived_all = ev.derive_bypass(st, d_spec)
+            assert len(derived_all) == len(st.sites)
+            for site, derived in zip(st.sites, derived_all):
+                expected = oracles.derive_bypass_reference(ref, site, d_spec)
                 assert (derived is None) == (expected is None)
                 if expected is not None:
                     oracles.silent_marks_reference(expected)
                     assert_same_structure(derived, expected)
+                    assert oracles.remap_sources_reference(
+                        ref, expected, site
+                    ) == site.sources
 
 
 @pytest.mark.parametrize(
@@ -124,3 +131,80 @@ def test_silent_marks_follow_the_committed_path():
         [(False, False), (True, True)],
     ]
     assert_walk_matches_reference(src)
+
+
+def psf_blocks(blocks: int) -> str:
+    """The shape of the psf_bypass benchmark: store-bypass blocks behind a
+    guard, each storing through an index and reloading it into a probe."""
+    lines = ["h1: R g ->r1", "BEQZ r1, end", "r7 <-0"]
+    for k in range(1, blocks + 1):
+        lines += [
+            f"sa{k}: R i{k} ->r2",
+            "r3 <-r2&255",
+            f"sw{k}: W T{k}+r3 <-r2",
+            f"sr{k}: R T{k}+r3 ->r4",
+            f"sp{k}: R P{k}+r4 ->r5",
+            "r7 <-r7+1",
+        ]
+    lines.append("end: skip")
+    return "\n".join(lines) + "\n"
+
+
+def test_derive_bypass_fetches_each_prefix_step_once(monkeypatch):
+    calls = [0]
+    step = ev._Builder.step
+
+    def counted(self, s):
+        calls[0] += 1
+        return step(self, s)
+
+    graph = cfg.build_acfg(ir.parse(psf_blocks(7)))
+    (st,) = [
+        s
+        for s in ev.enumerate_event_structures(graph, frozenset({"psf"}), 25)
+        if s.sites
+    ]
+    assert len(st.sites) >= 6
+    suffixes = sum(
+        sum(not s.committed for s in ref.plans[0])
+        for ref in (oracles.derive_bypass_reference(st, site, 25)
+                    for site in st.sites)
+    )
+    monkeypatch.setattr(ev._Builder, "step", counted)
+    ev.derive_bypass(st, 25)
+    assert 0 < calls[0] <= len(st.plans[0]) + suffixes
+
+
+def test_mixed_primitives_renumber_stale_sources_like_the_reference():
+    # With branch windows fetched before a site, the derived prefix drops
+    # them: its events are renumbered and window-fetched stale sources go.
+    renumbered = 0
+    programs = [path.read_text() for path in sorted(CORPUS.rglob("*.lcm"))
+                if "stress" not in path.parts]
+    programs += [oracles.random_single(random.Random(seed))
+                 for seed in range(8900, 9000)]
+    for src in programs:
+        graph = cfg.build_acfg(ir.parse(src))
+        for prims in ({"branch", "stl"}, {"branch", "psf"}):
+            for st in ev.enumerate_event_structures(graph, frozenset(prims), 8):
+                seen: set = set()
+                want = []
+                for site in st.sites:
+                    ref = oracles.derive_bypass_reference(st, site, 8)
+                    if ref is None:
+                        continue
+                    key = (tuple(s.node for s in ref.plans[0]), site.kind,
+                           st.events[site.read].node_id)
+                    if key not in seen:
+                        seen.add(key)
+                        want.append((ref, oracles.remap_sources_reference(
+                            st, ref, site)))
+                got = ex._bypass_variants(st, 8, set())
+                assert len(got) == len(want)
+                for (derived, site, sources), (ref, ref_sources) in zip(got, want):
+                    oracles.silent_marks_reference(ref)
+                    assert_same_structure(derived, ref)
+                    assert site.read == ref.bypass_site
+                    assert sources == site.sources == ref_sources
+                    renumbered += st.transient_events() != []
+    assert renumbered

@@ -8,7 +8,9 @@ import oracles
 import pytest
 from conftest import CORPUS
 from hypothesis import example, given, settings, strategies as st
-from leakcheck import ir
+from leakcheck import cfg, ir
+from leakcheck import events as ev
+from leakcheck import executions as ex
 from leakcheck import leakage as lk
 from leakcheck import repair as rp
 from leakcheck.events import AnalysisTimeout
@@ -295,3 +297,59 @@ def test_insert_fences_shifts_later_points():
 def test_clean_program_repair_is_a_no_op():
     plan = do_repair("i1: R x ->r1\nW y <-r1\n", classes=UD)
     assert plan.success and plan.fences == [] and plan.iterations == 1
+
+
+def emitted_with_repeats(prog: ir.Program, engine: str, config: lk.EngineConfig):
+    """Every repair element ``analyze`` meets, repeats included: each
+    witness is emitted into a report of its own."""
+    structures = ev.enumerate_event_structures(
+        cfg.build_acfg(prog), frozenset({lk._PRIMITIVES[engine]}), config.d_spec
+    )
+    out = []
+    shared = None
+    for cand in ex.enumerate_candidates(
+        structures, silent_stores=config.silent_stores, d_spec=config.d_spec
+    ):
+        if shared is None or shared.st is not cand.st:
+            shared = lk._Shared(cand.st)
+        for w in lk.detect_leaks(cand, probe=config.probe):
+            w.transmitters = lk.classify_transmitters(
+                cand, sorted(w.transmitter_events()), config.w_size, shared
+            )
+            one = lk.Report(engine=engine, records=[], elements=[], unrepairable=[])
+            lk._emit(cand, w, one, config, set(), shared)
+            out.extend(one.elements)
+    return out
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(CORPUS.rglob("*.lcm")) if "stress" not in p.parts],
+    ids=lambda p: p.stem,
+)
+def test_report_keeps_the_first_occurrence_of_each_element(path):
+    sidecar = json.loads(path.with_suffix(".expect.json").read_text())
+    config = sidecar.get("config", {})
+    config = lk.EngineConfig(
+        d_spec=config.get("d_spec", 250),
+        w_size=config.get("w_size"),
+        classes=frozenset(config.get("classes", ["universal_data"])),
+        scope=config.get("scope", "transient"),
+    )
+    prog = ir.parse(path.read_text())
+    for engine in ("v1", "v4", "psf"):
+        elements = lk.analyze(prog, engine, config).elements
+        everything = emitted_with_repeats(prog, engine, config)
+        assert elements == list(dict.fromkeys(everything))
+        # so repair's goals, in order, and with them its fences, are those
+        # of the elements with repeats
+        assert list(dict.fromkeys(el.points for el in elements)) == list(
+            dict.fromkeys(el.points for el in everything)
+        )
+
+
+def test_stress_program_elements_are_distinct():
+    prog = ir.parse((CORPUS / "stress" / "deep_pipeline.lcm").read_text())
+    elements = lk.analyze(prog, "psf", lk.EngineConfig()).elements
+    assert len(elements) > 1000
+    assert len(elements) == len(set(elements))
