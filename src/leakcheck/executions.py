@@ -398,10 +398,6 @@ def _bypass_variants(
 ) -> list[tuple[EventStructure, Site, tuple[int, ...]]]:
     """One (derived structure, its site, stale sources) per new bypass."""
     out = []
-    # Branch windows fetched before a site (several primitives at once) are
-    # not part of its derived prefix, which renumbers the prefix's events
-    # and drops stale sources fetched in a window.
-    renumbered = len(st.tfo[0]) > len(st.po[0])
     for site, derived in zip(st.sites, ev_mod.derive_bypass(st, d_spec, tick)):
         if derived is None:
             continue
@@ -413,10 +409,11 @@ def _bypass_variants(
         if key in seen:
             continue
         seen.add(key)
-        sources = site.sources
-        if renumbered:
-            ids = {0: 0, **dict(zip(st.po[0], derived.po[0]))}
-            sources = tuple(ids[s] for s in sources if s in ids)
+        # Branch windows fetched before a site (several primitives at once)
+        # are not part of its derived prefix, which renumbers the prefix's
+        # events and drops stale sources fetched in a window.
+        ids = {0: 0, **dict(zip(st.po[0], derived.po[0]))}
+        sources = tuple(ids[s] for s in site.sources if s in ids)
         new_site = Site(
             read=derived.bypass_site, kind=site.kind, sources=sources, last_store=-1
         )

@@ -146,9 +146,6 @@ class Report:
     structures: int = 0
     candidates: int = 0
     graphs: list[tuple[str, str]] = field(default_factory=list)
-    # Every element and unrepairable record appended so far: each is kept
-    # once, at its first occurrence (many witnesses repeat one finding).
-    _emitted: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
@@ -562,6 +559,9 @@ def analyze(
                 title = f"{engine} witness {len(report.graphs) + 1}"
                 report.graphs.append((title, witness_dot(cand, [w], title)))
     report.records = sorted(seen, key=record_sort_key)
+    # Many witnesses repeat one finding: keep each first occurrence.
+    report.elements = list(dict.fromkeys(report.elements))
+    report.unrepairable = list(dict.fromkeys(report.unrepairable))
     return report
 
 
@@ -610,13 +610,10 @@ def _emit(
         seen.add(rec)
         emitted = True
         points = _fence_points(cand, w, best, shared)
-        entry = RepairElement(points, rec) if points else rec
-        if entry not in report._emitted:
-            report._emitted.add(entry)
-            if isinstance(entry, RepairElement):
-                report.elements.append(entry)
-            else:
-                report.unrepairable.append(entry)
+        if points:
+            report.elements.append(RepairElement(points, rec))
+        else:
+            report.unrepairable.append(rec)
     return emitted
 
 

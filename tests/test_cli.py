@@ -82,8 +82,11 @@ def test_enumerate_show_describes_candidates(gadget, capsys):
 
 
 def test_enumerate_rejects_unknown_primitive(gadget, capsys):
-    with pytest.raises(SystemExit):
-        main(["enumerate", str(gadget), "--primitives", "meltdown"])
+    for primitives in ("meltdown", "stl,meltdown"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", str(gadget), "--primitives", primitives])
+        assert exc.value.code == 2
+        assert "unknown primitive 'meltdown'" in capsys.readouterr().err
 
 
 def test_repair_prints_fence_and_program(gadget, capsys):
@@ -158,14 +161,14 @@ def test_irreducible_control_flow_exits_two(tmp_path, capsys):
     )
 
 
-def test_unknown_class_exits_via_systemexit(gadget):
-    with pytest.raises(SystemExit):
+def test_unknown_class_exits_via_systemexit(gadget, capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["check", str(gadget), "--classes", "timing", "--no-timing"])
+    assert exc.value.code == 2
+    assert "unknown class 'timing'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["check", "--classes", "timing"], "unknown class 'timing'"),
-    (["enumerate", "--primitives", "stl,meltdown"], "unknown primitive 'meltdown'"),
     (["check", "--spec-depth", "-1"], "argument --spec-depth: must be at least 0"),
     (["check", "--w-size", "-3"], "argument --w-size: must be at least 0"),
     (["check", "--timeout", "-1"], "argument --timeout: must be at least 0"),

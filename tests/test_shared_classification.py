@@ -43,6 +43,8 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
             transmitters.append(w.transmitters)
             lk._emit(cand, w, report, config, seen)
     report.records = sorted(seen, key=lk.record_sort_key)
+    report.elements = list(dict.fromkeys(report.elements))
+    report.unrepairable = list(dict.fromkeys(report.unrepairable))
     return report, transmitters
 
 
