@@ -24,7 +24,10 @@ Three speculation primitives can extend a structure:
 
 Structures are built along the tree of committed paths: one depth-first
 walk fetches each branch prefix once and forks at every branch, so the
-structures of paths with a common prefix share that prefix's events.
+structures of paths with a common prefix share that prefix's events.  The
+``addr``/``data``/``ctrl`` edges, the sites and the silent-store marks are
+derived as each event is emitted, from state carried along the walk; no
+pass runs over a finished structure.
 
 Sites are recorded on the path structure; :func:`derive_bypass` builds the
 derived structure for every site, in one walk.  Events ``0`` and
@@ -54,14 +57,12 @@ class Site:
     ``sources`` are the stale forwarding choices: event ids of writers that
     precede the load's canonical source in the canonical cache order (the
     initial-state writer ``0`` included) for ``stl``, or fence-free
-    different-location stores for ``psf``.  ``last_store`` is the nearest
-    qualifying store, used by repair to disable the site.
+    different-location stores for ``psf``.
     """
 
     read: int
     kind: str  # "stl" | "psf"
     sources: tuple[int, ...]
-    last_store: int
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,12 @@ def _alias_subsets(aliases: list[tuple[str, str]]) -> list[frozenset[frozenset[s
 
 
 def _window_steps(
-    graph: ACfg, branch_idx: int, start: int, d_spec: int
+    graph: ACfg, branch_idx: int | None, start: int, d_spec: int
 ) -> list[Step]:
-    """Transiently fetch the untaken arm: straight-line, no nesting."""
+    """Transiently fetch straight-line code from ``start``: a branch's
+    untaken arm (``branch_idx`` is the branch's plan index) or a bypass
+    site's re-run (``None``).  Stops before a branch or fence, at the depth
+    budget, or with a squash marker at the program's end."""
     steps: list[Step] = []
     cur = start
     depth = 0
@@ -204,12 +208,6 @@ class _ThreadState:
     def __init__(self) -> None:
         self.taint: dict[str, frozenset[int]] = {}
         self.defslot: dict[str, int] = {}
-
-    def snapshot(self) -> tuple[dict, dict]:
-        return dict(self.taint), dict(self.defslot)
-
-    def restore(self, snap: tuple[dict, dict]) -> None:
-        self.taint, self.defslot = dict(snap[0]), dict(snap[1])
 
     def copy(self) -> _ThreadState:
         new = _ThreadState()
@@ -255,6 +253,17 @@ class _Builder:
     """One structure under construction, fed one fetch (:class:`Step`) at a
     time, thread after thread.
 
+    Every edge, site and mark of the structure is derived as its event is
+    emitted, from state carried along the walk, so :meth:`finish` only adds
+    the final observer (and the fence order of a multi-thread structure):
+
+    * ``addr``/``data`` edges from the register taint;
+    * ``ctrl`` edges from the open committed branches, those with a
+      condition whose region the committed path has not left;
+    * silent marks from the value identities of the committed stores so far;
+    * sites (single-thread structures, under ``stl``/``psf``) from the line
+      writers so far and the committed stores since the last committed fence.
+
     :meth:`fork` copies the containers but not the events in them: structures
     whose committed paths share a prefix share that prefix's :class:`Event`
     objects, so an event never changes once emitted.
@@ -265,11 +274,14 @@ class _Builder:
         graph: ACfg,
         merged: frozenset[frozenset[str]],
         primitives: frozenset[str],
+        regions: dict[int, frozenset[int]],
     ) -> None:
         self.graph = graph
         self.merged = merged
         self.uf = _make_union_find(merged)
         self.primitives = primitives
+        self.regions = regions
+        self.single = len(graph.roots) == 1
         self.events: list[Event] = [Event(0, "TOP", label="⊤")]
         self.plans: list[list[Step]] = []
         self.po: list[list[int]] = []
@@ -277,17 +289,27 @@ class _Builder:
         self.addr: list[tuple[int, int]] = []
         self.addr_gep: list[tuple[int, int]] = []
         self.data: list[tuple[int, int]] = []
+        self.ctrl: list[tuple[int, int]] = []
+        self.sites: tuple[Site, ...] = ()
         self.step_of: dict[int, tuple[int, int]] = {}
         # Value identities of the committed stores so far, per location:
         # silent marks are read from them when the next store is emitted.
         self._stores: dict[str, tuple[tuple, ...]] = {}
+        # The canonical cache's writers of each line so far, in fetch order
+        # (a read miss fills its line and counts as a writer), and the
+        # committed stores since the last committed fence: sites are read
+        # from them when a committed load is emitted.
+        self._want_sites = self.single and bool(primitives & {"stl", "psf"})
+        self._lines: dict[str, tuple[int, ...]] = {}
+        self._unfenced: tuple[int, ...] = ()
         # The current thread's walking state: register taint, the event of
-        # each plan step so far, and the committed state saved while a
-        # transient window runs.
+        # each plan step so far, the committed state saved while a transient
+        # window runs, and the open committed branches.
         self.state = _ThreadState()
         self._eid_at: list[int | None] = []
-        self._saved: tuple[dict, dict] | None = None
+        self._saved: _ThreadState | None = None
         self._in_window: int | None = None
+        self._open: tuple[Event, ...] = ()
 
     def fork(self) -> _Builder:
         new = object.__new__(_Builder)
@@ -299,8 +321,10 @@ class _Builder:
         new.addr = list(self.addr)
         new.addr_gep = list(self.addr_gep)
         new.data = list(self.data)
+        new.ctrl = list(self.ctrl)
         new.step_of = dict(self.step_of)
         new._stores = dict(self._stores)
+        new._lines = dict(self._lines)
         new.state = self.state.copy()
         new._eid_at = list(self._eid_at)
         return new
@@ -328,23 +352,19 @@ class _Builder:
         self._eid_at = []
         self._saved = None
         self._in_window = None
+        self._open = ()
 
     def step(self, step: Step) -> None:
         """Fetch ``step`` as the next step of the current thread's plan."""
-        state = self.state
-        if step.window is not None and step.window != self._in_window:
+        if step.window != self._in_window:
+            # A window runs on a copy of the committed register state, and
+            # the next window or committed step starts from that state again.
             if self._in_window is None:
-                self._saved = state.snapshot()
+                self._saved = self.state.copy()
             else:
                 assert self._saved is not None
-                state.restore(self._saved)
-                self._saved = state.snapshot()
+                self.state = self._saved.copy()
             self._in_window = step.window
-        elif step.window is None and self._in_window is not None:
-            assert self._saved is not None
-            state.restore(self._saved)
-            self._saved = None
-            self._in_window = None
         plan = self.plans[-1]
         plan.append(step)
         self._emit(len(self.plans) - 1, len(plan) - 1, step)
@@ -356,149 +376,137 @@ class _Builder:
 
     def _emit(self, thread: int, step_idx: int, step: Step) -> None:
         state = self.state
-        window_eid = None
-        if step.window is not None:
-            window_eid = self._eid_at[step.window]
+        window = None if step.window is None else self._eid_at[step.window]
         if step.node is None:
             ev = self._fresh(
-                kind="SBOT",
-                thread=thread,
-                transient=True,
-                window=window_eid,
-                label="⊥",
+                kind="SBOT", thread=thread, transient=True, window=window, label="⊥"
             )
+            self._control(ev)
             self.tfo[-1].append(ev.eid)
             self._eid_at.append(None)
             return
         node = self.graph.nodes[step.node]
         op = node.instr.op
-        label = _node_label(node)
-        ev: Event | None = None
-        if isinstance(op, ir.Load):
+        kind: str | None = None
+        fields: dict = {}
+        value_reads: frozenset[int] = frozenset()
+        if isinstance(op, (ir.Load, ir.Store)):
             loc, gep = self.location(op.addr, state)
             addr_reads = state.reads_of(ir.address_regs(op.addr))
-            ev = self._fresh(
-                kind="R",
-                thread=thread,
-                transient=not step.committed,
-                node=node,
-                node_id=step.node,
-                location=loc,
-                gep=gep,
-                window=window_eid,
-                addr_reads=addr_reads,
-                label=label,
-            )
-            for src in addr_reads:
-                self.addr.append((src, ev.eid))
-                if gep:
-                    self.addr_gep.append((src, ev.eid))
-            state.taint[op.dest] = frozenset({ev.eid})
-            state.defslot[op.dest] = step_idx
-        elif isinstance(op, ir.Store):
-            loc, gep = self.location(op.addr, state)
-            addr_reads = state.reads_of(ir.address_regs(op.addr))
-            value_reads = state.reads_of(op.value.regs)
-            # A committed store after a committed same-location store may be
-            # silent (single-thread programs only); definitely so when an
-            # earlier one stores the same value identity: the expression
-            # text and the reaching definition of every register in it.
-            eligible = definite = False
-            if step.committed and len(self.graph.roots) == 1:
-                value_id = (op.value.text, tuple(sorted(
-                    (r, state.defslot.get(r, -1)) for r in op.value.regs)))
-                prior = self._stores.get(loc, ())
-                eligible, definite = bool(prior), value_id in prior
-                self._stores[loc] = prior + (value_id,)
-            ev = self._fresh(
-                kind="W",
-                thread=thread,
-                transient=not step.committed,
-                node=node,
-                node_id=step.node,
-                location=loc,
-                gep=gep,
-                window=window_eid,
-                addr_reads=addr_reads,
-                silent_eligible=eligible,
-                silent_definite=definite,
-                label=label,
-            )
-            for src in addr_reads:
-                self.addr.append((src, ev.eid))
-                if gep:
-                    self.addr_gep.append((src, ev.eid))
-            for src in value_reads:
-                self.data.append((src, ev.eid))
+            fields = {"location": loc, "gep": gep, "addr_reads": addr_reads}
+            if isinstance(op, ir.Load):
+                kind = "R"
+                state.taint[op.dest] = frozenset({len(self.events)})
+                state.defslot[op.dest] = step_idx
+            else:
+                kind = "W"
+                value_reads = state.reads_of(op.value.regs)
+                # A committed store after a committed same-location store
+                # may be silent (single-thread programs only); definitely so
+                # when an earlier one stores the same value identity: the
+                # expression text and the reaching definition of every
+                # register in it.
+                if step.committed and self.single:
+                    value_id = (op.value.text, tuple(sorted(
+                        (r, state.defslot.get(r, -1)) for r in op.value.regs)))
+                    prior = self._stores.get(loc, ())
+                    fields["silent_eligible"] = bool(prior)
+                    fields["silent_definite"] = value_id in prior
+                    self._stores[loc] = prior + (value_id,)
         elif isinstance(op, ir.Alu):
             state.taint[op.dest] = state.reads_of(op.expr.regs)
             state.defslot[op.dest] = step_idx
         elif isinstance(op, ir.BranchEqZero):
-            ev = self._fresh(
-                kind="BR",
-                thread=thread,
-                transient=not step.committed,
-                node=node,
-                node_id=step.node,
-                window=window_eid,
-                cond_reads=state.reads_of([op.cond]),
-                label=label,
-            )
-        elif isinstance(op, ir.Fence):
-            ev = self._fresh(
-                kind="F",
-                thread=thread,
-                transient=not step.committed,
-                node=node,
-                node_id=step.node,
-                fence=op.kind,
-                window=window_eid,
-                label=label,
-            )
-        elif isinstance(op, ir.Protect):
-            ev = self._fresh(
-                kind="F",
-                thread=thread,
-                transient=not step.committed,
-                node=node,
-                node_id=step.node,
-                fence="lfence",
-                window=window_eid,
-                label=label,
-            )
+            kind = "BR"
+            fields = {"cond_reads": state.reads_of([op.cond])}
+        elif isinstance(op, (ir.Fence, ir.Protect)):
+            kind = "F"
+            fields = {"fence": op.kind if isinstance(op, ir.Fence) else "lfence"}
         elif isinstance(op, acfg_mod.AbstractMemOp):
+            kind = "AMO"
             pointers = []
-            addr_reads: frozenset[int] = frozenset()
+            addr_reads = frozenset()
             for reg in op.pointer_args:
                 pointers.append((reg, f"*{reg}@{state.defslot.get(reg, -1)}"))
                 addr_reads |= state.taint.get(reg, frozenset())
-            ev = self._fresh(
-                kind="AMO",
-                thread=thread,
-                transient=not step.committed,
-                node=node,
-                node_id=step.node,
-                window=window_eid,
-                addr_reads=addr_reads,
-                amo_pointers=tuple(pointers),
-                label=label,
-            )
-            for src in addr_reads:
-                self.addr.append((src, ev.eid))
-        # Skip and Jump fetch but produce no event.
-        self._eid_at.append(None if ev is None else ev.eid)
-        if ev is not None:
-            self.step_of[ev.eid] = (thread, step_idx)
-            self.tfo[-1].append(ev.eid)
-            if step.committed:
-                self.po[-1].append(ev.eid)
+            fields = {"addr_reads": addr_reads, "amo_pointers": tuple(pointers)}
+        if kind is None:
+            # Alu, Skip and Jump fetch but produce no event.
+            self._eid_at.append(None)
+            return
+        ev = self._fresh(
+            kind=kind,
+            thread=thread,
+            transient=not step.committed,
+            node=node,
+            node_id=step.node,
+            window=window,
+            label=_node_label(node),
+            **fields,
+        )
+        for src in ev.addr_reads:
+            self.addr.append((src, ev.eid))
+            if ev.gep:
+                self.addr_gep.append((src, ev.eid))
+        for src in value_reads:
+            self.data.append((src, ev.eid))
+        if self._open or kind == "BR":
+            self._control(ev)
+        if self._want_sites and kind in ("R", "W", "F"):
+            self._sites_at(ev)
+        self._eid_at.append(ev.eid)
+        self.step_of[ev.eid] = (thread, step_idx)
+        self.tfo[-1].append(ev.eid)
+        if step.committed:
+            self.po[-1].append(ev.eid)
 
-    def finish(self, regions: dict[int, frozenset[int]] | None) -> EventStructure:
+    def _control(self, ev: Event) -> None:
+        """The ctrl edges into ``ev`` from the open branches whose region
+        holds its node or whose window fetched it."""
+        if not ev.transient:
+            # The ACfg is acyclic, so a committed path that has left a
+            # branch's region never re-enters it.
+            self._open = tuple(
+                br for br in self._open if ev.node_id in self.regions[br.node_id]
+            )
+        for br in self._open:
+            if ev.window == br.eid or ev.node_id in self.regions[br.node_id]:
+                self.ctrl.extend((src, ev.eid) for src in br.cond_reads)
+        if ev.kind == "BR" and not ev.transient and ev.cond_reads:
+            self._open += (ev,)
+
+    def _sites_at(self, ev: Event) -> None:
+        """The sites of load ``ev``, and its (or store or fence ``ev``'s)
+        mark on the line writers and the unfenced committed stores."""
+        if ev.kind == "F":
+            if not ev.transient:
+                self._unfenced = ()
+            return
+        loc = ev.location or ""
+        hist = self._lines.get(loc, (0,))
+        if ev.kind == "W":
+            self._lines[loc] = hist + (ev.eid,)
+            if not ev.transient:
+                self._unfenced += (ev.eid,)
+            return
+        if not ev.transient:
+            # stl: the line's writer is a committed store with no committed
+            # fence since; the earlier writers are the stale sources.
+            if "stl" in self.primitives and hist[-1] in self._unfenced:
+                self.sites += (Site(ev.eid, "stl", hist[:-1]),)
+            if "psf" in self.primitives:
+                others = tuple(
+                    s for s in self._unfenced if self.events[s].location != loc
+                )
+                if others:
+                    self.sites += (Site(ev.eid, "psf", others),)
+        if len(hist) == 1:
+            # First touch: the miss fills the line and becomes its writer.
+            self._lines[loc] = (0, ev.eid)
+
+    def finish(self) -> EventStructure:
         """The structure of the steps so far; the builder is spent."""
         bottom = self._fresh(kind="BOT", label="⊥")
-        sites: tuple[Site, ...] = ()
-        if len(self.plans) == 1:
-            sites = tuple(self._find_sites())
         return EventStructure(
             events=self.events,
             po=self.po,
@@ -508,14 +516,14 @@ class _Builder:
             addr=frozenset(self.addr),
             addr_gep=frozenset(self.addr_gep),
             data=frozenset(self.data),
-            ctrl=self._control_deps(regions) if regions is not None else frozenset(),
+            ctrl=frozenset(self.ctrl),
             fence_pairs=self._fence_order() if len(self.po) > 1 else frozenset(),
-            sites=sites,
+            sites=self.sites,
             merged_aliases=self.merged,
             plans=self.plans,
             acfg=self.graph,
             step_of=self.step_of,
-            regions=regions,
+            regions=self.regions,
         )
 
     def _fence_order(self) -> frozenset[tuple[int, int]]:
@@ -533,90 +541,6 @@ class _Builder:
                     for e2 in after:
                         pairs.add((e1, e2))
         return frozenset(pairs)
-
-    def _control_deps(
-        self, regions: dict[int, frozenset[int]]
-    ) -> frozenset[tuple[int, int]]:
-        ctrl: set[tuple[int, int]] = set()
-        branches = [e for e in self.events if e.kind == "BR" and not e.transient]
-        for br in branches:
-            if not br.cond_reads:
-                continue
-            assert br.node_id is not None
-            region = regions.get(br.node_id, frozenset())
-            for order in self.tfo:
-                if br.eid not in order:
-                    continue
-                pos = order.index(br.eid)
-                for eid in order[pos + 1 :]:
-                    ev = self.events[eid]
-                    if ev.node_id is not None and ev.node_id in region:
-                        for src in br.cond_reads:
-                            ctrl.add((src, eid))
-            for ev in self.events:
-                if ev.transient and ev.window == br.eid:
-                    for src in br.cond_reads:
-                        ctrl.add((src, ev.eid))
-        return frozenset(ctrl)
-
-    def _find_sites(self) -> list[Site]:
-        want_stl = "stl" in self.primitives
-        want_psf = "psf" in self.primitives
-        if not (want_stl or want_psf):
-            return []
-        order = self.tfo[0]
-        committed = self.po[0]
-        sites: list[Site] = []
-        # Canonical cache simulation over fetch order: per-location writer
-        # history (read misses fill and count as writers).
-        history: dict[str, list[int]] = {}
-        committed_stores: list[int] = []
-        for eid in order:
-            ev = self.events[eid]
-            if ev.kind == "AMO" or not ev.is_memory():
-                continue
-            loc = ev.location or ""
-            hist = history.setdefault(loc, [0])
-            if ev.kind == "R" and not ev.transient:
-                if want_stl and len(hist) > 1:
-                    canonical = hist[-1]
-                    if self._qualifies(canonical, eid, committed, require_store=True):
-                        sites.append(
-                            Site(eid, "stl", tuple(hist[:-1]), canonical)
-                        )
-                if want_psf:
-                    others = [
-                        s
-                        for s in committed_stores
-                        if self.events[s].location != loc
-                        and self._qualifies(s, eid, committed)
-                    ]
-                    if others:
-                        sites.append(Site(eid, "psf", tuple(others), others[-1]))
-            if ev.kind == "W":
-                hist.append(eid)
-                if not ev.transient:
-                    committed_stores.append(eid)
-            elif ev.kind == "R" and len(hist) == 1 and hist[0] == 0:
-                # First touch: the miss fills the line and becomes its writer.
-                hist.append(eid)
-        return sites
-
-    def _qualifies(
-        self, store: int, read: int, committed: list[int], require_store: bool = False
-    ) -> bool:
-        if store == 0 or self.events[store].transient:
-            return False
-        if require_store and self.events[store].kind != "W":
-            return False
-        if store not in committed or read not in committed:
-            return False
-        lo, hi = committed.index(store), committed.index(read)
-        if lo >= hi:
-            return False
-        return not any(
-            self.events[e].kind == "F" for e in committed[lo + 1 : hi]
-        )
 
 
 def _walk_paths(
@@ -640,7 +564,7 @@ def _walk_paths(
     committed = [Step(node, True) for node in range(len(graph.nodes))]
     want_windows = "branch" in primitives
     out: list[EventStructure] = []
-    first = _Builder(graph, merged, primitives)
+    first = _Builder(graph, merged, primitives, regions)
     first.start_thread()
     stack: list[tuple[_Builder, int]] = [(first, graph.roots[0])]
     while stack:
@@ -650,7 +574,7 @@ def _walk_paths(
                 tick()
             if node == EXIT:
                 if len(builder.plans) == len(graph.roots):
-                    out.append(builder.finish(regions))
+                    out.append(builder.finish())
                     break
                 builder.start_thread()
                 node = graph.roots[len(builder.plans) - 1]
@@ -709,16 +633,18 @@ def derive_bypass(
 
     One builder fetches the committed steps of the plan once, up to the
     last site (sites are in fetch order).  At each site it forks, and the
-    fork fetches that site's suffix, so no prefix is fetched twice.  When
+    fork fetches that site's suffix, so no prefix is fetched twice.  The
+    committed continuation is straight-line up to its first branch, so the
+    suffix is the window the site's node would open.  When
     ``st`` fetched committed steps only, every derived structure keeps its
     prefix's event ids, stale sources included.  ``tick`` runs once per
     site.
     """
     if not st.sites:
         return []
-    assert st.acfg is not None and len(st.plans) == 1
+    assert st.acfg is not None and st.regions is not None
     plan = st.plans[0]
-    builder = _Builder(st.acfg, st.merged_aliases, frozenset())
+    builder = _Builder(st.acfg, st.merged_aliases, frozenset(), st.regions)
     builder.start_thread()
     walked = 0
     out: list[EventStructure | None] = []
@@ -730,32 +656,15 @@ def derive_bypass(
             if step.committed:
                 builder.step(step)
         walked = site_step
-        suffix: list[Step] = []
-        depth = 0
-        exited = True
-        for step in plan[site_step:]:
-            if not step.committed:
-                continue
-            assert step.node is not None
-            op = st.acfg.nodes[step.node].instr.op
-            if isinstance(op, (ir.BranchEqZero, ir.Fence, ir.Protect)):
-                exited = False
-                break
-            if depth >= d_spec:
-                exited = False
-                break
-            suffix.append(Step(step.node, False))
-            depth += 1
-        if exited:
-            suffix.append(Step(None, False))
-        if not any(step.node is not None for step in suffix):
+        suffix = _window_steps(st.acfg, None, plan[site_step].node, d_spec)
+        if not suffix:
             out.append(None)
             continue
         fork = builder.fork()
         site_eid = len(fork.events)  # the re-run load is the first new event
         for step in suffix:
             fork.step(step)
-        derived = fork.finish(st.regions)
+        derived = fork.finish()
         derived.bypass_site = site_eid
         out.append(derived)
     return out

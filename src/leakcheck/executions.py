@@ -51,13 +51,23 @@ def _kind_loc(
     return (e.kind if e.kind in ("R", "W") else None), e.location
 
 
+def _ordered_pairs(orders) -> frozenset[tuple[int, int]]:
+    """Every (earlier, later) pair of each order."""
+    return frozenset(
+        (w1, w2)
+        for order in orders
+        for i, w1 in enumerate(order)
+        for w2 in order[i + 1 :]
+    )
+
+
 @dataclass
 class Candidate:
     st: EventStructure
     rf: dict[int, int]  # committed read -> writer (0 = initial state)
     co: dict[str, list[int]]  # location -> [0, committed writers...]
     rfx_in: dict[int, int]  # event -> line fill source (silent stores absent)
-    rfx_xstate: dict[int, int | str]  # event -> the xstate its fill edge is on
+    rfx_xstate: dict[int, str]  # event -> the xstate its fill edge is on
     cox: dict[str, list[int]]  # xstate -> [0, line writers in fetch order...]
     xmode: dict[int, str]  # event -> "R" (hit) | "RW" (fill + claim)
     bottom_sources: dict[str, int]  # xstate -> last writer, as read by BOT
@@ -93,20 +103,10 @@ class Candidate:
         return frozenset((w, r) for r, w in self.rf.items())
 
     def co_pairs(self) -> frozenset[tuple[int, int]]:
-        pairs = set()
-        for order in self.co.values():
-            for i, w1 in enumerate(order):
-                for w2 in order[i + 1 :]:
-                    pairs.add((w1, w2))
-        return frozenset(pairs)
+        return _ordered_pairs(self.co.values())
 
     def cox_pairs(self) -> frozenset[tuple[int, int]]:
-        pairs = set()
-        for order in self.cox.values():
-            for i, w1 in enumerate(order):
-                for w2 in order[i + 1 :]:
-                    pairs.add((w1, w2))
-        return frozenset(pairs)
+        return _ordered_pairs(self.cox.values())
 
     def rfx_pairs(self) -> frozenset[tuple[int, int]]:
         pairs = {(src, e) for e, src in self.rfx_in.items()}
@@ -263,7 +263,7 @@ def _build_comx(
     silent: frozenset[int],
     site: Site | None,
     stale_src: int | None,
-) -> tuple[dict[int, int], dict[int, int | str], dict[str, list[int]], dict[int, str], dict[str, int]]:
+) -> tuple[dict[int, int], dict[int, str], dict[str, list[int]], dict[int, str], dict[str, int]]:
     """The cache simulation: fill edges, their xstates, line-writer orders,
     access modes and the lines the final observer reads.
 
@@ -282,7 +282,7 @@ def _build_comx(
       backward only at the site read, which the check exempts.
     """
     rfx_in: dict[int, int] = {}
-    rfx_xstate: dict[int, int | str] = {}
+    rfx_xstate: dict[int, str] = {}
     writers: dict[str, list[int]] = {}
     xmode: dict[int, str] = {}
 
@@ -372,7 +372,7 @@ def confidential(cand: Candidate, pos: dict[int, int]) -> bool:
         edges.update(zip(order, order[1:]))
     by_x: dict[str, list[int]] = {}
     for e, src in cand.rfx_in.items():
-        by_x.setdefault(str(cand.rfx_xstate[e]), []).append(e)
+        by_x.setdefault(cand.rfx_xstate[e], []).append(e)
     for x, order in cand.cox.items():
         members = sorted(
             set(order[1:]) | set(by_x.get(x, [])), key=lambda e: pos.get(e, -1)
@@ -396,7 +396,11 @@ def confidential(cand: Candidate, pos: dict[int, int]) -> bool:
 def _bypass_variants(
     st: EventStructure, d_spec: int, seen: set, tick=None
 ) -> list[tuple[EventStructure, Site, tuple[int, ...]]]:
-    """One (derived structure, its site, stale sources) per new bypass."""
+    """One (derived structure, its site, stale sources) per new bypass.
+
+    A bypass is not new when an earlier structure of the same alias
+    resolution derived the same plan for a site of the same kind and node.
+    """
     out = []
     for site, derived in zip(st.sites, ev_mod.derive_bypass(st, d_spec, tick)):
         if derived is None:
@@ -405,6 +409,7 @@ def _bypass_variants(
             tuple(step.node for step in derived.plans[0]),
             site.kind,
             st.events[site.read].node_id,
+            st.merged_aliases,
         )
         if key in seen:
             continue
@@ -414,9 +419,7 @@ def _bypass_variants(
         # events and drops stale sources fetched in a window.
         ids = {0: 0, **dict(zip(st.po[0], derived.po[0]))}
         sources = tuple(ids[s] for s in site.sources if s in ids)
-        new_site = Site(
-            read=derived.bypass_site, kind=site.kind, sources=sources, last_store=-1
-        )
+        new_site = Site(read=derived.bypass_site, kind=site.kind, sources=sources)
         out.append((derived, new_site, sources))
     return out
 

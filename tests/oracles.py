@@ -247,8 +247,9 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
     Kept verbatim: every committed path of every thread is listed up front,
     planned on its own, and each combination of plans (one per thread) is
     built from the root by a fresh builder, so no two structures share an
-    event.  Silent marks are set after the build, as the replaced code did
-    (:func:`silent_marks_reference`).
+    event.  Silent marks, ctrl edges and sites are set after the build, as
+    the replaced code did (:func:`silent_marks_reference`,
+    :func:`control_deps_reference`, :func:`sites_reference`).
     """
     regions = events._branch_regions(graph)
     subsets = events._alias_subsets(graph.program.aliases)
@@ -265,13 +266,15 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
     structures = []
     for merged in subsets:
         for plan_combo in combos:
-            builder = events._Builder(graph, merged, primitives)
+            builder = events._Builder(graph, merged, primitives, regions)
             for plan in plan_combo:
                 builder.start_thread()
                 for step in plan:
                     builder.step(step)
-            st = builder.finish(regions)
+            st = builder.finish()
             silent_marks_reference(st)
+            st.ctrl = control_deps_reference(st)
+            st.sites = sites_reference(st, primitives)
             structures.append(st)
     return structures
 
@@ -314,10 +317,104 @@ def silent_marks_reference(st) -> None:
         prior.append(eid)
 
 
+def control_deps_reference(st) -> frozenset[tuple[int, int]]:
+    """The ctrl edges of ``st``, by the post-pass that ``events._Builder``
+    replaced with edges derived as each event is emitted, kept verbatim.
+
+    A committed branch with a condition reaches every later event of its
+    thread whose node lies in the branch's region, and every transient
+    event its window fetched.
+    """
+    ctrl: set[tuple[int, int]] = set()
+    branches = [e for e in st.events if e.kind == "BR" and not e.transient]
+    for br in branches:
+        if not br.cond_reads:
+            continue
+        assert br.node_id is not None
+        region = st.regions.get(br.node_id, frozenset())
+        for order in st.tfo:
+            if br.eid not in order:
+                continue
+            pos = order.index(br.eid)
+            for eid in order[pos + 1 :]:
+                ev = st.events[eid]
+                if ev.node_id is not None and ev.node_id in region:
+                    for src in br.cond_reads:
+                        ctrl.add((src, eid))
+        for ev in st.events:
+            if ev.transient and ev.window == br.eid:
+                for src in br.cond_reads:
+                    ctrl.add((src, ev.eid))
+    return frozenset(ctrl)
+
+
+def sites_reference(st, primitives) -> tuple:
+    """The sites of ``st``, by the post-pass that ``events._Builder``
+    replaced with sites derived as each load is emitted, kept verbatim: a
+    canonical cache simulation over fetch order, with a po-index lookup per
+    qualifying store.
+    """
+    want_stl = "stl" in primitives
+    want_psf = "psf" in primitives
+    if len(st.plans) != 1 or not (want_stl or want_psf):
+        return ()
+    order = st.tfo[0]
+    committed = st.po[0]
+    sites = []
+    # Canonical cache simulation over fetch order: per-location writer
+    # history (read misses fill and count as writers).
+    history: dict[str, list[int]] = {}
+    committed_stores: list[int] = []
+    for eid in order:
+        ev = st.events[eid]
+        if ev.kind == "AMO" or not ev.is_memory():
+            continue
+        loc = ev.location or ""
+        hist = history.setdefault(loc, [0])
+        if ev.kind == "R" and not ev.transient:
+            if want_stl and len(hist) > 1:
+                canonical = hist[-1]
+                if _qualifies(st, canonical, eid, committed, require_store=True):
+                    sites.append(events.Site(eid, "stl", tuple(hist[:-1])))
+            if want_psf:
+                others = [
+                    s
+                    for s in committed_stores
+                    if st.events[s].location != loc
+                    and _qualifies(st, s, eid, committed)
+                ]
+                if others:
+                    sites.append(events.Site(eid, "psf", tuple(others)))
+        if ev.kind == "W":
+            hist.append(eid)
+            if not ev.transient:
+                committed_stores.append(eid)
+        elif ev.kind == "R" and len(hist) == 1 and hist[0] == 0:
+            # First touch: the miss fills the line and becomes its writer.
+            hist.append(eid)
+    return tuple(sites)
+
+
+def _qualifies(st, store, read, committed, require_store=False) -> bool:
+    if store == 0 or st.events[store].transient:
+        return False
+    if require_store and st.events[store].kind != "W":
+        return False
+    if store not in committed or read not in committed:
+        return False
+    lo, hi = committed.index(store), committed.index(read)
+    if lo >= hi:
+        return False
+    return not any(
+        st.events[e].kind == "F" for e in committed[lo + 1 : hi]
+    )
+
+
 def derive_bypass_reference(st, site, d_spec: int = 250):
     """The per-site derivation that the one-walk ``events.derive_bypass``
     replaced, kept verbatim: a fresh builder fetches the committed prefix
-    from the root for every site.
+    from the root for every site, and ctrl edges and sites are set after
+    the build.
 
     The derived structure where ``site``'s load re-runs transiently.  The
     committed prefix before the load is kept; the load and the committed
@@ -350,11 +447,13 @@ def derive_bypass_reference(st, site, d_spec: int = 250):
         suffix.append(events.Step(None, False))
     if not any(step.node is not None for step in suffix):
         return None
-    builder = events._Builder(st.acfg, st.merged_aliases, frozenset())
+    builder = events._Builder(st.acfg, st.merged_aliases, frozenset(), st.regions)
     builder.start_thread()
     for step in prefix + suffix:
         builder.step(step)
-    derived = builder.finish(st.regions)
+    derived = builder.finish()
+    derived.ctrl = control_deps_reference(derived)
+    derived.sites = sites_reference(derived, frozenset())
     # The site load is the first transient event of the derived structure.
     site_eid = next(e.eid for e in derived.events if e.transient)
     derived.bypass_site = site_eid
@@ -453,6 +552,58 @@ def random_diamonds(rng: random.Random) -> str:
         lines += [instr() for _ in range(rng.randint(1, 3))]
         lines.append(f"j{k}: skip")
     lines += [instr() for _ in range(rng.randint(1, 3))]
+    return "\n".join(lines) + "\n"
+
+
+def random_nested(rng: random.Random) -> str:
+    """If/else blocks nested at most two deep, an early exit and a loop,
+    over three reused registers.
+
+    The else arms are reached by a ``JMP`` over them, the early
+    ``BEQZ ..., end`` leaves every enclosing region at once, and the loop
+    is unrolled, so committed paths leave branch regions in the ways that
+    sequential diamonds (:func:`random_diamonds`) never do.
+    """
+    regs = ("r1", "r2", "r3")
+    labels = itertools.count()
+
+    def instr() -> str:
+        reg, loc = rng.choice(regs), rng.choice(LOCS)
+        return rng.choice((
+            f"R {loc} ->{reg}",
+            f"R A+{rng.choice(regs)} ->{reg}",
+            f"W {loc} <-{rng.choice(regs)}",
+            f"W {loc} <-{rng.randint(0, 1)}",
+            f"{reg} <-{rng.choice(regs)}&3",
+            rng.choice(("fence", "lfence")),
+        ))
+
+    def block(depth: int) -> list[str]:
+        out = [instr() for _ in range(rng.randint(0, 2))]
+        if depth < 2 and rng.random() < 0.6:
+            k = next(labels)
+            out.append(f"BEQZ {rng.choice(regs)}, else{k}")
+            out += block(depth + 1)
+            out.append(f"JMP join{k}")
+            out.append(f"else{k}: skip")
+            out += block(depth + 1)
+            out.append(f"join{k}: skip")
+        return out
+
+    loop = [
+        "loop: skip",
+        *(instr() for _ in range(rng.randint(1, 2))),
+        f"BEQZ {rng.choice(regs)}, done",
+        instr(),
+        "JMP loop",
+        "done: skip",
+    ]
+    parts = [block(0), [f"BEQZ {rng.choice(regs)}, end"], loop, block(0)]
+    rng.shuffle(parts)
+    lines = [f"R {loc} ->{reg}" for loc, reg in zip(LOCS, regs)]
+    for part in parts:
+        lines += part
+    lines.append("end: skip")
     return "\n".join(lines) + "\n"
 
 

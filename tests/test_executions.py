@@ -315,3 +315,27 @@ def test_every_enumerated_candidate_is_confidential():
 def test_random_program_candidates_are_confidential(generator, seed, alias):
     src = getattr(oracles, generator)(random.Random(seed))
     assert confidential_candidates(("alias (x, y)\n" if alias else "") + src, 8)
+
+
+def test_bypass_dedupe_keeps_every_alias_resolution(monkeypatch):
+    # Under another alias resolution, a derived plan can match an earlier
+    # one node for node while the locations differ, so its bypass
+    # candidates are new: the records must equal those of a dedupe that
+    # starts afresh at every structure.
+    from leakcheck import leakage as lk
+
+    config = lk.EngineConfig(d_spec=8, classes=frozenset(lk.CLASSES), scope="any")
+    original = ex._bypass_variants
+    for generator, seed in (
+        (oracles.random_diamonds, 130),
+        (oracles.random_diamonds, 75),
+        (oracles.random_single, 271),
+    ):
+        prog = ir.parse("alias (x, y)\n" + generator(random.Random(seed)))
+        for engine in ("v4", "psf"):
+            records = lk.analyze(prog, engine, config).records
+            with monkeypatch.context() as m:
+                m.setattr(ex, "_bypass_variants",
+                          lambda st, d_spec, seen, tick=None:
+                          original(st, d_spec, set(), tick))
+                assert lk.analyze(prog, engine, config).records == records

@@ -7,6 +7,9 @@ Both must give the same structures in the same order, field by field, and the
 same derived structure for every bypass site: ``derive_bypass`` derives every
 site of a structure in one walk, the reference
 (``oracles.derive_bypass_reference``) one site at a time from the root.
+The builder derives ctrl edges and sites as each event is emitted; both
+references set them by the post-passes that did so before
+(``oracles.control_deps_reference``, ``oracles.sites_reference``).
 """
 
 from __future__ import annotations
@@ -78,6 +81,11 @@ def test_random_programs_match_reference():
 def test_random_diamonds_match_reference():
     for seed in range(8600, 8800):
         assert_walk_matches_reference(oracles.random_diamonds(random.Random(seed)))
+
+
+def test_random_nested_programs_match_reference():
+    for seed in range(9100, 9300):
+        assert_walk_matches_reference(oracles.random_nested(random.Random(seed)))
 
 
 def test_random_programs_with_aliases_match_reference():
