@@ -141,10 +141,15 @@ def inline_calls(prog: ir.Program, fn: ir.Function) -> list[ANode]:
             w |= ir.instr_defuse(ins.op).writes
         return w - set(f.params)
 
-    def splice(f: ir.Function, m: dict[str, str], suffix: str,
-               depth: dict[str, int]) -> list[ANode]:
-        out: list[ANode] = []
-        for idx, ins in enumerate(f.body):
+    out: list[ANode] = []
+    # One frame per open call: the function, its register map, its label
+    # suffix, the expansion depth per name, and its remaining body.  A call
+    # pushes its callee, so callee nodes land where the call stood, and the
+    # call chain may be deeper than Python's recursion limit.
+    frames = [(fn, {}, "", {fn.name: 1}, enumerate(fn.body))]
+    while frames:
+        f, m, suffix, depth, body = frames[-1]
+        for idx, ins in body:
             op = _rename_op(ins.op, m)
             label = f"{ins.label}{suffix}" if ins.label else None
             if isinstance(op, (ir.BranchEqZero, ir.Jump)):
@@ -182,11 +187,13 @@ def inline_calls(prog: ir.Program, fn: ir.Function) -> list[ANode]:
                 # Keep the call site addressable as a branch target.
                 out.append(ANode(ir.Instr(ir.Skip(), label, ins.line), f.name,
                                  idx, site=suffix))
-            out.extend(splice(callee, cm, f"{suffix}_i{k}",
-                              {**depth, name: depth.get(name, 0) + 1}))
-        return out
-
-    return splice(fn, {}, "", {fn.name: 1})
+            frames.append((callee, cm, f"{suffix}_i{k}",
+                           {**depth, name: depth.get(name, 0) + 1},
+                           enumerate(callee.body)))
+            break
+        else:
+            frames.pop()
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -297,13 +304,19 @@ def find_cycle(edges) -> list[int]:
 def _find_back_edges(succ):
     fwd = {u: [s for s in ss if s != EXIT] for u, ss in enumerate(succ)}
     idom = immediate_dominators(fwd, 0)
+    depth = {0: 0}  # in the dominator tree
+    for n in idom:
+        path = []
+        while n not in depth:
+            path.append(n)
+            n = idom[n]
+        for m in reversed(path):
+            depth[m] = depth[idom[m]] + 1
 
     def dominates(a: int, b: int) -> bool:
-        while a != b:
-            if b == 0:
-                return False
+        while depth[b] > depth[a]:  # a dominates b only from above
             b = idom[b]
-        return True
+        return a == b
 
     edges = [(u, v) for u in idom for v in fwd[u]]
     back = [(u, v) for u, v in edges if dominates(v, u)]

@@ -50,6 +50,10 @@ class AnalysisTimeout(Exception):
     """Raised when a cooperative deadline expires mid-enumeration."""
 
 
+def no_deadline() -> None:
+    """The default ``tick``: there is no deadline to check."""
+
+
 @dataclass(frozen=True)
 class Site:
     """A committed load that a bypass primitive may misforward.
@@ -80,7 +84,6 @@ class Event:
     kind: str  # "R" | "W" | "BR" | "F" | "AMO" | "TOP" | "BOT" | "SBOT"
     thread: int = 0
     transient: bool = False
-    node: ANode | None = None
     node_id: int | None = None
     location: str | None = None
     gep: bool = False  # address is register-indexed (a computed element access)
@@ -438,7 +441,6 @@ class _Builder:
             kind=kind,
             thread=thread,
             transient=not step.committed,
-            node=node,
             node_id=step.node,
             window=window,
             label=_node_label(node),
@@ -570,8 +572,7 @@ def _walk_paths(
     while stack:
         builder, node = stack.pop()
         while True:
-            if tick is not None:
-                tick()
+            tick()
             if node == EXIT:
                 if len(builder.plans) == len(graph.roots):
                     out.append(builder.finish())
@@ -605,11 +606,11 @@ def enumerate_event_structures(
     graph: ACfg,
     primitives: frozenset[str] = frozenset(),
     d_spec: int = 250,
-    tick=None,
+    tick=no_deadline,
 ) -> list[EventStructure]:
     """All event structures of the program: alias resolutions x path choices.
 
-    ``tick`` is an optional callable invoked once per node walked; it may
+    ``tick`` is a callable invoked once per node walked; it may
     raise :class:`AnalysisTimeout` to abandon a long-running enumeration.
     """
     regions = _branch_regions(graph)
@@ -620,7 +621,7 @@ def enumerate_event_structures(
 
 
 def derive_bypass(
-    st: EventStructure, d_spec: int = 250, tick=None
+    st: EventStructure, d_spec: int = 250, tick=no_deadline
 ) -> list[EventStructure | None]:
     """The derived structure of each of ``st``'s sites, in ``st.sites`` order.
 
@@ -649,8 +650,7 @@ def derive_bypass(
     walked = 0
     out: list[EventStructure | None] = []
     for site in st.sites:
-        if tick is not None:
-            tick()
+        tick()
         site_step = st.step_of[site.read][1]
         for step in plan[walked:site_step]:
             if step.committed:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from . import events as ev_mod
 from .cfg import find_cycle
-from .events import AnalysisTimeout, Event, EventStructure, Site
+from .events import AnalysisTimeout, Event, EventStructure, Site, no_deadline
 
 
 class ExecutionError(Exception):
@@ -210,7 +210,7 @@ def _tso_consistent(cand: Candidate) -> bool:
 
 
 def arch_witnesses(
-    st: EventStructure, amo: dict[int, tuple[str, str]], tick=None
+    st: EventStructure, amo: dict[int, tuple[str, str]], tick=no_deadline
 ) -> list[tuple[dict[int, int], dict[str, list[int]]]]:
     """All TSO-consistent (rf, co) pairs; brute force for multi-thread."""
     if len(st.po) == 1:
@@ -240,8 +240,7 @@ def arch_witnesses(
     out = []
     for rf_combo in itertools.product(*rf_opts) if rf_opts else [()]:
         for co_combo in itertools.product(*co_opts) if co_opts else [()]:
-            if tick is not None:
-                tick()
+            tick()
             rf = dict(rf_combo)
             co = dict(co_combo)
             probe = Candidate(
@@ -346,27 +345,15 @@ def fetch_positions(st: EventStructure) -> dict[int, int]:
     return pos
 
 
-def _acyclic(edges, pos: dict[int, int]) -> bool:
-    """Whether the digraph ``edges`` has no cycle.
-
-    Exact: when every edge goes strictly forward in ``pos`` (nodes without a
-    position at -1) no cycle can close, so :func:`find_cycle` runs only when
-    some edge does not.
-    """
-    if all(pos.get(u, -1) < pos.get(v, -1) for u, v in edges):
-        return True
-    return not find_cycle(edges)
-
-
-def confidential(cand: Candidate, pos: dict[int, int]) -> bool:
+def confidential(cand: Candidate) -> bool:
     """The microarchitectural analog of consistency.
 
     The fill/writer orders must compose acyclically with same-line fetch
     order, and any fill edge pointing *against* fetch order (reading a line
     version that a fetch-earlier event should already have replaced) is
-    only justified at a bypass site.  ``pos`` is
-    ``fetch_positions(cand.st)``, shared by the candidates of a structure.
+    only justified at a bypass site.
     """
+    pos = fetch_positions(cand.st)
     edges = {(src, e) for e, src in cand.rfx_in.items()}
     for order in cand.cox.values():
         edges.update(zip(order, order[1:]))
@@ -378,7 +365,7 @@ def confidential(cand: Candidate, pos: dict[int, int]) -> bool:
             set(order[1:]) | set(by_x.get(x, [])), key=lambda e: pos.get(e, -1)
         )
         edges.update(zip(members, members[1:]))
-    if not _acyclic(edges, pos):
+    if find_cycle(edges):
         return False
     site_read = cand.site.read if cand.site is not None else None
     for e, w2 in cand.frx():
@@ -394,7 +381,7 @@ def confidential(cand: Candidate, pos: dict[int, int]) -> bool:
 
 
 def _bypass_variants(
-    st: EventStructure, d_spec: int, seen: set, tick=None
+    st: EventStructure, d_spec: int, seen: set, tick=no_deadline
 ) -> list[tuple[EventStructure, Site, tuple[int, ...]]]:
     """One (derived structure, its site, stale sources) per new bypass.
 
@@ -471,7 +458,7 @@ def enumerate_candidates(
     structures: list[EventStructure],
     silent_stores: bool = False,
     d_spec: int = 250,
-    tick=None,
+    tick=no_deadline,
 ) -> list[Candidate]:
     """All consistent candidates: canonical, silent-store, and bypass ones.
 
@@ -479,15 +466,14 @@ def enumerate_candidates(
     architectural witnesses are computed once per (structure, AMO choice)
     and shared by its bypass and silent-store candidates.
 
-    ``tick`` is an optional callable invoked once per structure, bypass
+    ``tick`` is a callable invoked once per structure, bypass
     site, multi-thread witness combination and batch of candidates built;
     it may raise :class:`AnalysisTimeout` to abandon the enumeration.
     """
     out: list[Candidate] = []
     seen_bypass: set = set()
     for st in structures:
-        if tick is not None:
-            tick()
+        tick()
         variants: list[tuple[EventStructure, Site | None, tuple[int | None, ...]]] = [
             (st, None, (None,))
         ]
@@ -503,14 +489,12 @@ def enumerate_candidates(
                 )
             for src in sources:
                 for amo, arch in zip(amos, archs):
-                    if tick is not None:
-                        tick()
+                    tick()
                     out.extend(
                         _make_candidates(cst, amo, arch, frozenset(), site, src)
                     )
                     for subset in subsets:
-                        if tick is not None:
-                            tick()
+                        tick()
                         out.extend(
                             _make_candidates(cst, amo, arch, subset, None, None)
                         )

@@ -22,6 +22,11 @@ by rf, or by a same-location fill edge from a store).  It is promoted to
 *universal* when the access instruction is itself addr-chain-targeted by an
 upstream read and the access's own fill was not alias-mispredicted.
 
+A witness becomes records along one path, :func:`findings`: the source
+events the scope keeps are classified, the class and ``require_gep``
+filters applied, and each kept event yields one record -- its most severe
+class -- with the fence slots that would kill it.
+
 Engines differ only in the speculation primitive they enumerate: ``v1``
 (branch windows), ``v4`` (store-to-load bypass), ``psf`` (alias-predicted
 store forwarding); ``all`` merges the three reports.
@@ -46,13 +51,6 @@ _SEVERITY = {
     "data": 3,
     "universal_control": 4,
     "universal_data": 5,
-}
-_CLASS_TEXT = {
-    "address": "address/xstate",
-    "data": "data",
-    "control": "control",
-    "universal_data": "universal data",
-    "universal_control": "universal control",
 }
 
 
@@ -79,11 +77,6 @@ class LeakWitness:
     culprit: Culprit
     receiver: int
     sources: tuple[int, ...]  # events whose micro-sourcing realizes the deviation
-    transmitters: list[Transmitter] = field(default_factory=list)
-    # transmitters is unfiltered: every satisfied (event, class) pair
-
-    def transmitter_events(self) -> set[int]:
-        return set(self.sources)
 
 
 def record_sort_key(rec: "Record") -> tuple:
@@ -410,19 +403,13 @@ class _Chains:
 
 
 def classify_transmitters(
-    cand: Candidate,
-    events: list[int],
-    w_size: int | None = None,
-    shared: _Shared | None = None,
-) -> list[Transmitter]:
-    """Every satisfied (event, class) pair, one Transmitter each.
+    cand: Candidate, events: list[int], w_size: int | None, shared: _Shared
+) -> dict[int, list[Transmitter]]:
+    """Every satisfied class of each event, events in ascending order.
 
-    ``shared`` holds what earlier candidates of ``cand.st`` computed;
-    without it nothing is reused (the reference the memoised path is
-    tested against).
+    ``shared`` holds what earlier candidates of ``cand.st`` computed; a
+    fresh one reuses nothing.
     """
-    if shared is None:
-        shared = _Shared(cand.st)
     fwd = _forwarding(cand)
     site = cand.site
     psf_read = site.read if site is not None and site.kind == "psf" else None
@@ -430,11 +417,11 @@ def classify_transmitters(
     chains = shared.chains.get(key)
     if chains is None:
         chains = shared.chains[key] = _Chains(shared, fwd, psf_read, w_size)
-    out: list[Transmitter] = []
+    out: dict[int, list[Transmitter]] = {}
     for t in sorted(events):
         if t not in chains.classified:
             chains.classified[t] = chains.classify(t)
-        out.extend(chains.classified[t])
+        out[t] = chains.classified[t]
     return out
 
 
@@ -447,19 +434,18 @@ def _pick(st: EventStructure, eids: set[int]) -> int:
 
 
 def _fence_points(
-    cand: Candidate, w: LeakWitness, t: Transmitter, shared: _Shared | None = None
+    cand: Candidate, w: LeakWitness, t: Transmitter, shared: _Shared
 ) -> frozenset[tuple[str, int]] | None:
     """Slots strictly between the speculation primitive and the earliest
     transient transmitter among the finding's chain events (the primitive's
     own transient instance does not count -- no slot precedes it).
 
-    The slot set is memoised in ``shared`` when one is given."""
+    The slot set is memoised in ``shared``."""
     st = cand.st
     if st.acfg is None or len(st.plans) != 1:
         return None
     plan = st.plans[0]
     members = [m for m in (t.event, t.access, t.upstream) if m is not None]
-    transmitters = w.transmitter_events()
     if cand.site is not None:
         prim_step = st.step_of[cand.site.read][1]
         prim_instance = cand.site.read
@@ -479,7 +465,7 @@ def _fence_points(
         for m in members
         if st.events[m].transient
         and m != prim_instance
-        and (m in transmitters or m == t.event)
+        and (m in w.sources or m == t.event)
     ]
     if not chain_transient:
         return None
@@ -487,17 +473,14 @@ def _fence_points(
     if emin_step <= prim_step:
         return None
     key = (prim_step, emin_step)
-    if shared is not None and key in shared.slots:
-        return shared.slots[key]
-    nodes = st.acfg.nodes
-    points = frozenset(
-        (nodes[step.node].func, nodes[step.node].index)
-        for step in plan[prim_step + 1 : emin_step + 1]
-        if step.node is not None
-    )
-    if shared is not None:
-        shared.slots[key] = points
-    return points
+    if key not in shared.slots:
+        nodes = st.acfg.nodes
+        shared.slots[key] = frozenset(
+            (nodes[step.node].func, nodes[step.node].index)
+            for step in plan[prim_step + 1 : emin_step + 1]
+            if step.node is not None
+        )
+    return shared.slots[key]
 
 
 # --------------------------------------------------------------------------
@@ -551,13 +534,16 @@ def analyze(
         if shared is None or shared.st is not cand.st:
             shared = _Shared(cand.st)  # the last structure's memos go
         for w in detect_leaks(cand, probe=config.probe):
-            w.transmitters = classify_transmitters(
-                cand, sorted(w.transmitter_events()), config.w_size, shared
-            )
-            emitted = _emit(cand, w, report, config, seen, shared)
-            if emitted and config.collect_graphs:
+            found = findings(cand, w, engine, config, shared)
+            for rec, points in found:
+                seen.add(rec)
+                if points:
+                    report.elements.append(RepairElement(points, rec))
+                else:
+                    report.unrepairable.append(rec)
+            if found and config.collect_graphs:
                 title = f"{engine} witness {len(report.graphs) + 1}"
-                report.graphs.append((title, witness_dot(cand, [w], title)))
+                report.graphs.append((title, witness_dot(cand, w, title)))
     report.records = sorted(seen, key=record_sort_key)
     # Many witnesses repeat one finding: keep each first occurrence.
     report.elements = list(dict.fromkeys(report.elements))
@@ -565,23 +551,27 @@ def analyze(
     return report
 
 
-def _emit(
+def findings(
     cand: Candidate,
     w: LeakWitness,
-    report: Report,
+    engine: str,
     config: EngineConfig,
-    seen: set[Record],
-    shared: _Shared | None = None,
-) -> bool:
-    emitted = False
+    shared: _Shared,
+) -> list[tuple[Record, frozenset[tuple[str, int]] | None]]:
+    """The records of one witness, each with the fence slots that would
+    kill it (None or empty: no slot can).
+
+    Only the source events the scope keeps are classified.  Each keeps its
+    most severe class among those ``config`` admits.
+    """
     st = cand.st
-    by_event: dict[int, list[Transmitter]] = {}
-    for t in w.transmitters:
-        by_event.setdefault(t.event, []).append(t)
-    for eid, entries in sorted(by_event.items()):
-        ev = st.events[eid]
-        if config.scope == "transient" and not ev.transient:
-            continue
+    kept = [
+        e for e in w.sources if config.scope == "any" or st.events[e].transient
+    ]
+    out = []
+    for eid, entries in classify_transmitters(
+        cand, kept, config.w_size, shared
+    ).items():
         eligible = [t for t in entries if t.klass in config.classes]
         if config.require_gep:
             eligible = [
@@ -594,6 +584,7 @@ def _emit(
         if not eligible:
             continue
         best = max(eligible, key=lambda t: _SEVERITY[t.klass])
+        ev = st.events[eid]
         silent = None
         if eid in cand.silent:
             silent = "definite" if ev.silent_definite else "possible"
@@ -604,17 +595,11 @@ def _emit(
             access_label=st.events[best.access].label if best.access is not None else None,
             access_transient=best.access_transient,
             culprit_kind=w.culprit.kind,
-            engine=report.engine,
+            engine=engine,
             silent=silent,
         )
-        seen.add(rec)
-        emitted = True
-        points = _fence_points(cand, w, best, shared)
-        if points:
-            report.elements.append(RepairElement(points, rec))
-        else:
-            report.unrepairable.append(rec)
-    return emitted
+        out.append((rec, _fence_points(cand, w, best, shared)))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -636,8 +621,8 @@ _EDGE_STYLES = {
 }
 
 
-def witness_dot(cand: Candidate, witnesses: list[LeakWitness], title: str) -> str:
-    """A graph of one candidate with its culprit edges dashed and bold."""
+def witness_dot(cand: Candidate, w: LeakWitness, title: str) -> str:
+    """A graph of one witness's candidate, its culprit edge dashed and bold."""
     st = cand.st
     lines = [f'digraph "{title}" {{', "  rankdir=TB;", '  node [shape=box];']
 
@@ -657,17 +642,16 @@ def witness_dot(cand: Candidate, witnesses: list[LeakWitness], title: str) -> st
         if e not in (0, st.bottom) and st.events[e].transient:
             extra = ' style=dashed'
         lines.append(f'  e{e} [label="{label}"{extra}];')
-    culprits = {(w.culprit.kind, w.culprit.edge) for w in witnesses}
-    culprit_edges = {edge for _, edge in culprits}
-    drawn_culprits: set[tuple[int, int]] = set()
+    culprit = w.culprit.edge
+    drawn: set[tuple[int, int]] = set()
 
     def emit(rel: str, pairs) -> None:
         for a, b in sorted(pairs):
             style = _EDGE_STYLES.get(rel, "solid")
             attrs = [f'label="{rel}"', f"style={style}"]
-            if (a, b) in culprit_edges:
+            if (a, b) == culprit:
                 attrs = [f'label="{rel}"', "style=dashed", "penwidth=2", 'color=red']
-                drawn_culprits.add((a, b))
+                drawn.add(culprit)
             lines.append(f"  e{a} -> e{b} [{', '.join(attrs)}];")
 
     for order in st.po:
@@ -691,10 +675,9 @@ def witness_dot(cand: Candidate, witnesses: list[LeakWitness], title: str) -> st
     emit("ctrl", st.ctrl)
     # An observer-rule culprit is an implied architectural edge with no
     # relation of its own; draw it anyway so the finding is visible.
-    for kind, (a, b) in sorted(culprits):
-        if (a, b) in drawn_culprits:
-            continue
-        rel = kind.split("_", 1)[0]
+    if culprit not in drawn:
+        a, b = culprit
+        rel = w.culprit.kind.split("_", 1)[0]
         lines.append(
             f'  e{a} -> e{b} [label="{rel}", style=dashed, penwidth=2, color=red];'
         )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import ir
-from .events import _uf_find
+from .events import _uf_find, no_deadline
 from .leakage import EngineConfig, Record, Report, analyze, record_sort_key
 
 Point = tuple[str, int]
@@ -67,7 +67,9 @@ def _point_key(prog: ir.Program, p: Point) -> tuple[int, int]:
     return (0 if fi == entry else 1 + fi, p[1])
 
 
-def hitting_set(sets: list[frozenset[Point]], order_key, tick=None) -> set[Point]:
+def hitting_set(
+    sets: list[frozenset[Point]], order_key, tick=no_deadline
+) -> set[Point]:
     """Exact minimum hitting set, ties broken toward earlier points.
 
     The result is the first optimal leaf of a plain branch-and-bound that
@@ -85,7 +87,7 @@ def hitting_set(sets: list[frozenset[Point]], order_key, tick=None) -> set[Point
        plus a greedy packing of pairwise-disjoint missed goals (each needs
        a point of its own) cannot beat the best set found.
 
-    ``tick`` is an optional callable invoked once per branch; it may raise
+    ``tick`` is a callable invoked once per branch; it may raise
     :class:`~leakcheck.events.AnalysisTimeout` to abandon the search.
     """
     # Sorted by size (stable, so input order breaks ties): the subsets of a
@@ -121,8 +123,7 @@ def _branch_and_bound(
 
     def bound(chosen: set[Point], remaining: list[frozenset[Point]]) -> None:
         nonlocal best
-        if tick is not None:
-            tick()
+        tick()
         if len(chosen) >= len(best):
             return
         missed = [s for s in remaining if chosen.isdisjoint(s)]

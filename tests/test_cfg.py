@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,3 +166,11 @@ def test_unreachable_self_loop_is_accepted():
     g = build("JMP end\nx: skip\nJMP x\nend: skip\n")
     assert_acfg_invariants(g)
     assert g.succ[2] == [1]  # the unreachable cycle is left as written
+
+
+def test_back_edge_search_is_linear_in_function_length():
+    prog = ir.parse("r1 <-0\n" + "R A+r1 ->r1\n" * 16000)
+    start = time.process_time()
+    g = cfg.build_acfg(prog)
+    assert time.process_time() - start < 1.0
+    assert len(g.nodes) == 16001

@@ -161,6 +161,18 @@ def test_irreducible_control_flow_exits_two(tmp_path, capsys):
     )
 
 
+def test_call_chain_deeper_than_the_recursion_limit_is_inlined(tmp_path, capsys):
+    # main calls f1, f1 calls f2, ..., and f1199 holds the gadget.
+    funcs = [f"func f{i}():\ncall f{i + 1}()\n" for i in range(1, 1199)]
+    f = tmp_path / "deep.lcm"
+    f.write_text("call f1()\n\n" + "\n".join(funcs) + "\nfunc f1199():\n" + GADGET)
+    code = main(["check", str(f), "--engine", "v1", "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.endswith("deep.lcm: 1 leak record(s)\n")
+    assert captured.err == ""
+
+
 def test_unknown_class_exits_via_systemexit(gadget, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", str(gadget), "--classes", "timing", "--no-timing"])

@@ -4,14 +4,13 @@ import json
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import CORPUS
 from leakcheck import cfg, ir
 from leakcheck import events as ev
 from leakcheck import executions as ex
-from leakcheck.cfg import find_cycle
 
 
 def candidates(src: str, prims=frozenset(), **kw):
@@ -248,30 +247,6 @@ def test_aliased_fill_crosses_locations():
 # -- confidentiality ----------------------------------------------------------
 
 
-NODES = st.integers(0, 11)  # 10 and 11 have no fetch position
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    st.permutations(range(10)),
-    st.lists(st.tuples(NODES, NODES, st.booleans()), max_size=16),
-)
-@example(list(range(10)), [(0, 1, False), (1, 2, False), (10, 0, False)])
-@example(list(range(10)), [(0, 2, False), (3, 1, True)])  # backward, acyclic
-@example(list(range(10)), [(0, 1, False), (1, 2, False), (2, 0, True)])
-@example(list(range(10)), [(4, 4, True)])
-def test_forward_edge_shortcut_agrees_with_find_cycle(order, raw):
-    # Edges are turned forward in the position order unless flagged, so
-    # both the shortcut and the fallback to find_cycle are exercised.
-    pos = {n: i for i, n in enumerate(order)}
-    edges = set()
-    for u, v, backward in raw:
-        if not backward and pos.get(u, -1) > pos.get(v, -1):
-            u, v = v, u
-        edges.add((u, v))
-    assert ex._acyclic(edges, pos) == (not find_cycle(edges))
-
-
 def corpus_and_random_programs():
     for path in sorted(CORPUS.rglob("*.lcm")):
         config = json.loads(path.with_suffix(".expect.json").read_text())
@@ -290,7 +265,7 @@ def confidential_candidates(src: str, d_spec: int) -> int:
     for prims in ({"branch"}, {"stl"}, {"psf"}, {"branch", "stl", "psf"}):
         sts = ev.enumerate_event_structures(graph, frozenset(prims), d_spec)
         for cand in ex.enumerate_candidates(sts, silent_stores=True, d_spec=d_spec):
-            assert ex.confidential(cand, ex.fetch_positions(cand.st))
+            assert ex.confidential(cand)
             checked += 1
     return checked
 

@@ -61,6 +61,23 @@ def test_transient_scope_drops_committed_findings():
     }
 
 
+def test_transient_scope_classifies_no_committed_event(corpus_dir, monkeypatch):
+    classified: list[bool] = []
+    original = lk._Chains.classify
+
+    def recorded(self, t):
+        classified.append(self.st.events[t].transient)
+        return original(self, t)
+
+    monkeypatch.setattr(lk._Chains, "classify", recorded)
+    prog = ir.parse((corpus_dir / "gadgets" / "spectre_psf.lcm").read_text())
+    assert lk.analyze(prog, "psf", lk.EngineConfig()).records
+    assert classified and all(classified)
+    classified.clear()
+    lk.analyze(prog, "psf", lk.EngineConfig(scope="any"))
+    assert not all(classified)
+
+
 def test_severity_collapse_keeps_strongest_class():
     report = run(GADGET, scope="any", classes=ALL)
     by_label: dict[str, set[str]] = {}

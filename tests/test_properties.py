@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from leakcheck import cfg, ir
@@ -164,14 +164,17 @@ def test_computed_access_restriction_shrinks_reports(seed, engine):
 
 @given(seeds, engines)
 @settings(max_examples=30, deadline=None)
+# Records sort by label first, so main@1_S precedes main@10 and lines()
+# is out of string order for these two.
+@example(392, "v4")
+@example(694, "v4")
 def test_reports_are_reproducible(seed, engine):
     prog = single(seed)
     conf = lk.EngineConfig(scope="any", classes=frozenset(lk.CLASSES),
                            silent_stores=True)
-    first = lk.analyze(prog, engine, conf).lines()
-    second = lk.analyze(prog, engine, conf).lines()
-    assert first == second
-    assert first == sorted(first)
+    report = lk.analyze(prog, engine, conf)
+    assert report.lines() == lk.analyze(prog, engine, conf).lines()
+    assert report.records == sorted(report.records, key=lk.record_sort_key)
 
 
 @given(seeds, st.booleans())

@@ -300,8 +300,7 @@ def test_clean_program_repair_is_a_no_op():
 
 
 def emitted_with_repeats(prog: ir.Program, engine: str, config: lk.EngineConfig):
-    """Every repair element ``analyze`` meets, repeats included: each
-    witness is emitted into a report of its own."""
+    """Every repair element ``analyze`` meets, repeats included."""
     structures = ev.enumerate_event_structures(
         cfg.build_acfg(prog), frozenset({lk._PRIMITIVES[engine]}), config.d_spec
     )
@@ -313,12 +312,11 @@ def emitted_with_repeats(prog: ir.Program, engine: str, config: lk.EngineConfig)
         if shared is None or shared.st is not cand.st:
             shared = lk._Shared(cand.st)
         for w in lk.detect_leaks(cand, probe=config.probe):
-            w.transmitters = lk.classify_transmitters(
-                cand, sorted(w.transmitter_events()), config.w_size, shared
+            out.extend(
+                lk.RepairElement(points, rec)
+                for rec, points in lk.findings(cand, w, engine, config, shared)
+                if points
             )
-            one = lk.Report(engine=engine, records=[], elements=[], unrepairable=[])
-            lk._emit(cand, w, one, config, set(), shared)
-            out.extend(one.elements)
     return out
 
 

@@ -2,9 +2,9 @@
 
 ``analyze`` memoises classification and fence slots per event structure
 (``leakage._Shared``).  The reference is the same code with nothing shared:
-``classify_transmitters(cand, events, w_size)`` and ``_emit`` without a
-``_Shared``.  Both must give the same transmitters, records and
-repair elements, in order.
+each witness gets a fresh ``_Shared`` for ``classify_transmitters`` and
+``findings``.  Both must give the same transmitters, records and repair
+elements, in order.
 """
 
 from __future__ import annotations
@@ -37,11 +37,21 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
         structures, silent_stores=config.silent_stores, d_spec=config.d_spec
     ):
         for w in lk.detect_leaks(cand, probe=config.probe):
-            w.transmitters = lk.classify_transmitters(
-                cand, sorted(w.transmitter_events()), config.w_size
+            fresh = lk._Shared(cand.st)  # nothing from earlier witnesses
+            kept = [
+                e
+                for e in w.sources
+                if config.scope == "any" or cand.st.events[e].transient
+            ]
+            transmitters.append(
+                lk.classify_transmitters(cand, kept, config.w_size, fresh)
             )
-            transmitters.append(w.transmitters)
-            lk._emit(cand, w, report, config, seen)
+            for rec, points in lk.findings(cand, w, engine, config, fresh):
+                seen.add(rec)
+                if points:
+                    report.elements.append(lk.RepairElement(points, rec))
+                else:
+                    report.unrepairable.append(rec)
     report.records = sorted(seen, key=lk.record_sort_key)
     report.elements = list(dict.fromkeys(report.elements))
     report.unrepairable = list(dict.fromkeys(report.unrepairable))
