@@ -21,6 +21,14 @@ stale writer (store-to-load) or from a different location's store (alias
 prediction); a *silent* store neither fills nor claims its line.  The final
 observer ``BOT`` reads every touched line from its last writer.
 
+Candidates of one bypass site differ only in the site read's fill edge.
+When that fill claims no line (every psf source, and every stl source but
+the untouched line), the stale sources of one site and AMO choice share one
+simulation: the first runs it, each later one copies the fill edges and
+sets the site read's entry (:func:`_refill`), and ``analyze`` detects their
+leaks once.  An stl site's untouched-line source claims the line, so it
+runs its own.
+
 Every candidate is confidential (the microarchitectural analog of
 consistency) by construction, as :func:`_build_comx` argues, so none is
 checked while candidates are built.  :func:`confidential` is the checkable
@@ -30,7 +38,7 @@ definition; the test suite applies it to every candidate it enumerates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import events as ev_mod
 from .cfg import find_cycle
@@ -75,6 +83,9 @@ class Candidate:
     site: Site | None = None  # bypass candidates: site in this structure's ids
     stale_src: int | None = None
     amo: dict[int, tuple[str, str]] = field(default_factory=dict)  # eid -> (kind, loc)
+    # The candidate whose cache simulation this one shares (an earlier
+    # line-neutral stale source, see :func:`_refill`); None when it ran its own.
+    base: Candidate | None = field(default=None, repr=False, compare=False)
     _frx: frozenset[tuple[int, int]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -298,21 +309,13 @@ def _build_comx(
                 # same-line writer (or runs against the untouched line), a
                 # psf site fills from an aliased store's line.
                 assert stale_src is not None
-                if site.kind == "psf":
-                    src_line = st.events[stale_src].location
-                    assert src_line is not None
-                    rfx_in[eid] = stale_src
-                    rfx_xstate[eid] = src_line
+                rfx_in[eid] = stale_src
+                rfx_xstate[eid] = _site_line(st, site, stale_src, x)
+                if _line_neutral(site, stale_src):
                     xmode[eid] = "R"
-                elif stale_src == 0:
-                    rfx_in[eid] = 0
-                    rfx_xstate[eid] = x
+                else:
                     xmode[eid] = "RW"
                     line(x).append(eid)
-                else:
-                    rfx_in[eid] = stale_src
-                    rfx_xstate[eid] = x
-                    xmode[eid] = "R"
                 continue
             if eid in silent:
                 xmode[eid] = "R"  # elided write: no fill edge, no line claim
@@ -336,6 +339,62 @@ def _build_comx(
         x: hist[-1] for x, hist in writers.items() if len(hist) > 1
     }
     return rfx_in, rfx_xstate, writers, xmode, bottom_sources
+
+
+def _line_neutral(site: Site, stale_src: int) -> bool:
+    """Whether the site read's fill from ``stale_src`` claims no line: every
+    psf source, and every stl source but the untouched line ``0``."""
+    return site.kind == "psf" or stale_src != 0
+
+
+def _site_line(st: EventStructure, site: Site, stale_src: int, x: str) -> str:
+    """The line the site read fills from: its own line ``x`` at an stl site,
+    the aliased store's at a psf site."""
+    if site.kind == "stl":
+        return x
+    src_line = st.events[stale_src].location
+    assert src_line is not None
+    return src_line
+
+
+def _refill(base: list[Candidate], stale_src: int) -> list[Candidate]:
+    """The candidates of line-neutral stale source ``stale_src``, sharing the
+    simulation of ``base``: the candidates of an earlier line-neutral source
+    of the same site and AMO choice, one per architectural witness.
+
+    For two line-neutral sources, :func:`_build_comx` differs only in the
+    site read's ``rfx_in`` and ``rfx_xstate`` entries.  The read is a hit
+    either way, so ``xmode`` is the same.  It claims no line, so no later
+    access fills from it, and ``cox`` and ``bottom_sources`` are the same.
+    Only those two dicts are copied, with the read's entries set anew;
+    every other part is the same object.
+
+    The leak witnesses are the same too, up to the candidate they name, so
+    ``analyze`` runs ``detect_leaks`` once per simulation (``base``):
+
+    * the site read is transient, so it is in no ``rf``, ``co`` or ``fr``
+      pair, and ``rf``, ``co`` and the final observer's lines are shared;
+    * ``detect_leaks`` reads ``rfx_in`` and ``frx`` only at committed
+      events, and an event's ``frx`` pairs depend only on its own fill edge
+      and ``cox``.
+    """
+    out = []
+    for b in base:
+        assert b.site is not None and b.base is None
+        read = b.site.read
+        rfx_in = dict(b.rfx_in)
+        rfx_in[read] = stale_src
+        rfx_xstate = dict(b.rfx_xstate)
+        rfx_xstate[read] = _site_line(
+            b.st, b.site, stale_src, _kind_loc(b.st, b.amo, read)[1]
+        )
+        out.append(
+            replace(
+                b, rfx_in=rfx_in, rfx_xstate=rfx_xstate, stale_src=stale_src,
+                base=b,
+            )
+        )
+    return out
 
 
 def fetch_positions(st: EventStructure) -> dict[int, int]:
@@ -426,12 +485,17 @@ def _make_candidates(
     silent: frozenset[int],
     site: Site | None,
     stale_src: int | None,
+    base: list[Candidate] | None = None,
 ) -> list[Candidate]:
     """The candidates over the architectural witnesses ``arch``.
 
     The cache simulation does not depend on the architectural witness, so
     its result is shared by all of them (nothing mutates a candidate).
+    Given ``base``, the candidates share its simulation (:func:`_refill`).
     """
+    if base is not None:
+        assert stale_src is not None
+        return _refill(base, stale_src)
     rfx_in, rfx_x, writers, xmode, bottom = _build_comx(
         st, amo, silent, site, stale_src
     )
@@ -464,7 +528,9 @@ def enumerate_candidates(
 
     The candidates of one structure are contiguous in the result.  The
     architectural witnesses are computed once per (structure, AMO choice)
-    and shared by its bypass and silent-store candidates.
+    and shared by its bypass and silent-store candidates.  The cache
+    simulation is run once per (derived structure, AMO choice) for all the
+    line-neutral stale sources of its site (:func:`_refill`).
 
     ``tick`` is a callable invoked once per structure, bypass
     site, multi-thread witness combination and batch of candidates built;
@@ -487,12 +553,20 @@ def enumerate_candidates(
                 subsets = _nonempty_subsets(
                     [e.eid for e in cst.events if e.silent_eligible]
                 )
+            # AMO choice -> the candidates of the site's first line-neutral
+            # source; the later ones share their simulation.
+            bases: dict[int, list[Candidate]] = {}
             for src in sources:
-                for amo, arch in zip(amos, archs):
+                neutral = site is not None and _line_neutral(site, src)
+                for k, (amo, arch) in enumerate(zip(amos, archs)):
                     tick()
-                    out.extend(
-                        _make_candidates(cst, amo, arch, frozenset(), site, src)
+                    made = _make_candidates(
+                        cst, amo, arch, frozenset(), site, src,
+                        bases.get(k) if neutral else None,
                     )
+                    if neutral:
+                        bases.setdefault(k, made)
+                    out.extend(made)
                     for subset in subsets:
                         tick()
                         out.extend(

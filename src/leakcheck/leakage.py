@@ -260,9 +260,10 @@ class _Shared:
 
     The structure fixes the addr/ctrl edges (indexed here by target), the
     data edges (indexed by store) and the fetch positions.  Classification
-    is memoised per :class:`_Chains` key and fence slot sets per (primitive
-    step, earliest step).  ``analyze`` keeps one per structure and drops
-    it when the candidate loop moves to the next structure.
+    is memoised per :class:`_Chains` key, fence slot sets per (primitive
+    step, earliest step), and leak witnesses and the psf forwarding
+    relation per cache simulation.  ``analyze`` keeps one per structure and
+    drops it when the candidate loop moves to the next structure.
     """
 
     def __init__(self, st: EventStructure) -> None:
@@ -276,6 +277,11 @@ class _Shared:
         self.stored_from = _by_target(st.data)  # store -> reads it stores
         self.chains: dict[tuple, _Chains] = {}
         self.slots: dict[tuple[int, int], frozenset[tuple[str, int]]] = {}
+        # id of a candidate that ran its own simulation -> its witnesses
+        self.witnesses: dict[int, list[LeakWitness]] = {}
+        # id of a psf candidate that ran its own simulation -> (that
+        # candidate, checked so a reused id misses; its forwarding relation)
+        self.forwarding: dict[int, tuple[Candidate, frozenset[tuple[int, int]]]] = {}
 
 
 def _forwarding(cand: Candidate) -> frozenset[tuple[int, int]]:
@@ -410,9 +416,18 @@ def classify_transmitters(
     ``shared`` holds what earlier candidates of ``cand.st`` computed; a
     fresh one reuses nothing.
     """
-    fwd = _forwarding(cand)
     site = cand.site
     psf_read = site.read if site is not None and site.kind == "psf" else None
+    if psf_read is None:
+        fwd = _forwarding(cand)
+    else:
+        # A psf fill crosses lines, so it never forwards: the candidates
+        # that share a psf simulation share its forwarding relation too.
+        owner = cand.base or cand
+        memo = shared.forwarding.get(id(owner))
+        if memo is None or memo[0] is not owner:
+            memo = shared.forwarding[id(owner)] = (owner, _forwarding(owner))
+        fwd = memo[1]
     key = (fwd, psf_read, w_size)
     chains = shared.chains.get(key)
     if chains is None:
@@ -501,6 +516,7 @@ def analyze(
             merged.records.extend(rep.records)
             merged.elements.extend(rep.elements)
             merged.unrepairable.extend(rep.unrepairable)
+            merged.graphs.extend(rep.graphs)
             merged.structures += rep.structures
             merged.candidates += rep.candidates
         merged.records = sorted(set(merged.records), key=record_sort_key)
@@ -533,7 +549,17 @@ def analyze(
         config.tick()
         if shared is None or shared.st is not cand.st:
             shared = _Shared(cand.st)  # the last structure's memos go
-        for w in detect_leaks(cand, probe=config.probe):
+        if cand.base is None:
+            witnesses = detect_leaks(cand, probe=config.probe)
+            shared.witnesses[id(cand)] = witnesses
+        else:
+            # A shared simulation has the same witnesses, up to the
+            # candidate they name (ex_mod._refill argues why).
+            witnesses = [
+                LeakWitness(cand, w.culprit, w.receiver, w.sources)
+                for w in shared.witnesses[id(cand.base)]
+            ]
+        for w in witnesses:
             found = findings(cand, w, engine, config, shared)
             for rec, points in found:
                 seen.add(rec)

@@ -187,22 +187,17 @@ def repair(prog: ir.Program, engine: str, config: EngineConfig) -> RepairPlan:
         return _point_key(prog, p)
 
     inserted: set[Point] = set()
-    unrepairable: list[Record] = []
     report = analyze(prog, engine, config)
     iterations = 0
     all_points: set[Point] = set()
     while report.records and iterations < _MAX_ITERATIONS:
         iterations += 1
         origin = _origin_maps(prog, inserted)
-        goals: list[frozenset[Point]] = []
-        round_unrepairable: list[Record] = []
-        for el in report.elements:
-            goals.append(
-                frozenset((f, origin[f][i]) for f, i in el.points)
-            )
-        round_unrepairable.extend(report.unrepairable)
+        goals = [
+            frozenset((f, origin[f][i]) for f, i in el.points)
+            for el in report.elements
+        ]
         if not goals:
-            unrepairable = sorted(set(round_unrepairable), key=record_sort_key)
             break
         # Many witnesses share a point set; the first occurrence keeps its
         # place, so the search branches exactly as it would on every copy.
@@ -212,13 +207,14 @@ def repair(prog: ir.Program, engine: str, config: EngineConfig) -> RepairPlan:
         inserted |= chosen
         fenced = insert_fences(prog, inserted)
         report = analyze(fenced, engine, config)
-        unrepairable = sorted(set(report.unrepairable), key=record_sort_key)
     fenced = insert_fences(prog, inserted)
     plan = RepairPlan(
         fences=sorted((FencePoint(f, i) for f, i in inserted),
                       key=lambda fp: key((fp.func, fp.index))),
-        residual=list(report.records) if report.records else [],
-        unrepairable=unrepairable,
+        residual=list(report.records),
+        # Every unrepairable record is a record, so a report without
+        # records has none.
+        unrepairable=sorted(set(report.unrepairable), key=record_sort_key),
         iterations=max(iterations, 1),
         program=fenced,
     )

@@ -4,6 +4,7 @@ import json
 
 import oracles
 import pytest
+from conftest import CORPUS
 
 from leakcheck.cli import main
 
@@ -65,6 +66,20 @@ def test_check_writes_witness_graphs(gadget, tmp_path, capsys):
     files = sorted(dots.glob("witness_*.dot"))
     assert files
     assert files[0].read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("name", ["gadgets/spectre_v1.lcm", "pht/pht04.lcm"])
+def test_check_all_engines_writes_each_engines_graphs(name, tmp_path, capsys):
+    def graphs(engine: str) -> list[str]:
+        dots = tmp_path / engine
+        main(["check", str(CORPUS / name), "--engine", engine, "--no-timing",
+              "--dot", str(dots)])
+        return [f.read_text() for f in sorted(dots.glob("witness_*.dot"))]
+
+    merged = graphs("all")
+    capsys.readouterr()
+    assert merged
+    assert merged == graphs("v1") + graphs("v4") + graphs("psf")
 
 
 def test_enumerate_counts(gadget, capsys):
