@@ -26,8 +26,8 @@ When that fill claims no line (every psf source, and every stl source but
 the untouched line), the stale sources of one site and AMO choice share one
 simulation: the first runs it, each later one copies the fill edges and
 sets the site read's entry (:func:`_refill`), and ``analyze`` detects their
-leaks once.  An stl site's untouched-line source claims the line, so it
-runs its own.
+leaks once.  psf sources share the first one's records too.  An stl site's
+untouched-line source claims the line, so it runs its own.
 
 Every candidate is confidential (the microarchitectural analog of
 consistency) by construction, as :func:`_build_comx` argues, so none is
@@ -377,6 +377,12 @@ def _refill(base: list[Candidate], stale_src: int) -> list[Candidate]:
     * ``detect_leaks`` reads ``rfx_in`` and ``frx`` only at committed
       events, and an event's ``frx`` pairs depend only on its own fill edge
       and ``cox``.
+
+    At a psf site the records are the same too, so ``analyze`` computes
+    them for ``base`` only: a psf fill crosses lines, so it forwards no
+    value, and the forwarding relation, site and silent set that
+    classification and fence slots read are the same.  An stl fill
+    forwards its stale store, so stl sources keep their own records.
     """
     out = []
     for b in base:

@@ -242,6 +242,39 @@ def test_thread_programs_are_rejected():
     src = "thread t0:\nW x <-1\nthread t1:\nR x ->r1\n"
     with pytest.raises(ex.ExecutionError):
         run(src)
+    # the merge names the first engine it would have run
+    with pytest.raises(ex.ExecutionError, match="^engine v1 analyzes single-thread"):
+        run(src, engine="all")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["gadgets/spectre_v1.lcm", "gadgets/spectre_v4.lcm",
+     "gadgets/spectre_psf.lcm", "pht/pht04.lcm", "stl/stl06.lcm"],
+)
+def test_all_engines_build_one_acfg_and_merge_the_engines(
+    name, corpus_dir, monkeypatch
+):
+    prog = ir.parse((corpus_dir / name).read_text())
+    config = lk.EngineConfig(scope="any", classes=ALL, collect_graphs=True)
+    subs = [lk.analyze(prog, engine, config) for engine in ("v1", "v4", "psf")]
+    built = []
+    build_acfg = cfg.build_acfg
+    monkeypatch.setattr(cfg, "build_acfg", lambda p: built.append(p) or build_acfg(p))
+    merged = lk.analyze(prog, "all", config)
+    assert built == [prog]
+    assert merged.engine == "all"
+    assert merged.records == sorted(
+        {r for rep in subs for r in rep.records}, key=lk.record_sort_key
+    )
+    for part in ("elements", "unrepairable", "graphs"):
+        assert getattr(merged, part) == [
+            x for rep in subs for x in getattr(rep, part)
+        ], part
+    assert merged.graphs
+    assert (merged.structures, merged.candidates) == (
+        sum(rep.structures for rep in subs), sum(rep.candidates for rep in subs)
+    )
 
 
 def test_speculation_depth_limits_findings():

@@ -3,8 +3,9 @@
 ``analyze`` memoises classification and fence slots per event structure
 (``leakage._Shared``).  The reference is the same code with nothing shared:
 each witness gets a fresh ``_Shared`` for ``classify_transmitters`` and
-``findings``.  Both must give the same transmitters, records and repair
-elements, in order.
+``findings``.  Both must give the same transmitters (but those of psf
+sharers, which ``analyze`` does not classify), records and repair elements,
+in order.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
                 for e in w.sources
                 if config.scope == "any" or cand.st.events[e].transient
             ]
-            transmitters.append(
-                lk.classify_transmitters(cand, kept, config.w_size, fresh)
-            )
+            classified = lk.classify_transmitters(cand, kept, config.w_size, fresh)
+            # analyze classifies nothing for a psf sharer, whose records are
+            # its base's; its records still count below.
+            if cand.base is None or cand.site.kind != "psf":
+                transmitters.append(classified)
             for rec, points in lk.findings(cand, w, engine, config, fresh):
                 seen.add(rec)
                 if points:

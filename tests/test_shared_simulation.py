@@ -2,8 +2,10 @@
 
 The line-neutral stale sources of one site and AMO choice share a cache
 simulation (``executions._refill``), and ``analyze`` runs ``detect_leaks``
-once per simulation.  The reference is the path this replaced: a fresh
-``_build_comx`` and a fresh ``detect_leaks`` for every candidate.
+once per simulation; a psf sharer also takes its base's records.  The
+reference is the path this replaced: a fresh ``_build_comx``, a fresh
+``detect_leaks`` and ``findings`` with a fresh ``_Shared`` for every
+candidate.
 """
 
 from __future__ import annotations
@@ -12,12 +14,21 @@ import random
 from collections import Counter
 
 import oracles
+import pytest
 from conftest import CORPUS
+from leakcheck import cfg, ir
+from leakcheck import events as ev
 from leakcheck import executions as ex
-from leakcheck import ir
 from leakcheck import leakage as lk
 
 RANDOM_SEEDS = range(60)
+
+# spectre_psf with one more store to another location: its psf sites
+# (i3, i4, i5) each have two stale sources, i0 and i2.
+PSF_TWO_SOURCES = (
+    "i0: W D+0 <-7\n"
+    + (CORPUS / "gadgets" / "spectre_psf.lcm").read_text()
+)
 
 
 def programs():
@@ -52,14 +63,27 @@ def analyzed(prog, engine, config, monkeypatch):
     return cands, used
 
 
+def reference_findings(cand, engine, config):
+    """``findings`` of each of ``detect_leaks(cand)``'s witnesses, computed
+    with nothing shared."""
+    shared = lk._Shared(cand.st)
+    return [
+        lk.findings(cand, w, engine, config, shared)
+        for w in lk.detect_leaks(cand, probe=config.probe)
+    ]
+
+
 def test_shared_simulations_match_fresh_ones(monkeypatch):
-    shared = 0
+    shared = psf_sharers = psf_records = 0
     for name, src in programs():
         prog = ir.parse(src)
         for engine in ("v4", "psf"):
             for probe in (True, False):
-                config = lk.EngineConfig(d_spec=8, probe=probe)
+                config = lk.EngineConfig(
+                    d_spec=8, probe=probe, scope="any", classes=frozenset(lk.CLASSES)
+                )
                 cands, used = analyzed(prog, engine, config, monkeypatch)
+                base_found: dict[int, list] = {}  # psf base id -> findings
                 for cand in cands:
                     shared += cand.base is not None
                     rfx_in, rfx_xstate, cox, xmode, bottom = ex._build_comx(
@@ -72,22 +96,36 @@ def test_shared_simulations_match_fresh_ones(monkeypatch):
                         cox, xmode, bottom
                     ), where
                     if cand.base is not None and cand.site.kind == "psf":
-                        # classify_transmitters reuses the base's relation
+                        # A psf sharer's records are its base's: analyze
+                        # never computes them.
+                        psf_sharers += 1
+                        assert id(cand) not in used, where
                         assert lk._forwarding(cand) == lk._forwarding(cand.base)
+                        found = reference_findings(cand, engine, config)
+                        if id(cand.base) not in base_found:
+                            base_found[id(cand.base)] = reference_findings(
+                                cand.base, engine, config
+                            )
+                        assert found == base_found[id(cand.base)], where
+                        psf_records += sum(map(len, found))
+                        continue
                     got = used.get(id(cand), [])
                     assert all(w.cand is cand for w in got), where
                     assert [(w.culprit, w.receiver, w.sources) for w in got] == [
                         (w.culprit, w.receiver, w.sources)
                         for w in lk.detect_leaks(cand, probe=probe)
                     ], where
-    assert shared > 100  # the check saw many shared simulations
+    # The check saw many shared simulations, and psf sharers with records.
+    assert shared > 100 and psf_sharers > 100 and psf_records > 100
 
 
 def test_stress_program_simulates_and_detects_once_per_simulation(monkeypatch):
-    # psf on the stress program: 2382 candidates over 120 simulations.
-    # Counts are deterministic, so they are pinned; no timing bound.
+    # psf on the stress program: 2382 candidates over 120 simulations, and
+    # findings only for the witnesses of the 120 candidates that ran a
+    # simulation (one witness each).  Counts are deterministic, so they are
+    # pinned; no timing bound.
     calls: Counter = Counter()
-    build_comx, detect_leaks = ex._build_comx, lk.detect_leaks
+    build_comx, detect_leaks, findings = ex._build_comx, lk.detect_leaks, lk.findings
 
     def built(*args):
         calls["_build_comx"] += 1
@@ -97,9 +135,47 @@ def test_stress_program_simulates_and_detects_once_per_simulation(monkeypatch):
         calls["detect_leaks"] += 1
         return detect_leaks(*args, **kwargs)
 
+    def found(*args):
+        calls["findings"] += 1
+        return findings(*args)
+
     monkeypatch.setattr(ex, "_build_comx", built)
     monkeypatch.setattr(lk, "detect_leaks", detected)
+    monkeypatch.setattr(lk, "findings", found)
     path = CORPUS / "stress" / "deep_pipeline.lcm"
     report = lk.analyze(ir.parse(path.read_text()), "psf", lk.EngineConfig())
     assert (report.candidates, calls["_build_comx"]) == (2382, 120)
     assert calls["detect_leaks"] == calls["_build_comx"]
+    assert calls["findings"] == 120  # 2382 when every sharer ran findings
+
+
+@pytest.mark.parametrize(
+    "src, sharers",
+    [((CORPUS / "gadgets" / "spectre_psf.lcm").read_text(), False),
+     (PSF_TWO_SOURCES, True)],
+    ids=["spectre_psf", "two_sources"],
+)
+def test_psf_witness_graphs_match_a_findings_pass_per_candidate(src, sharers):
+    config = lk.EngineConfig(
+        collect_graphs=True, scope="any", classes=frozenset(lk.CLASSES)
+    )
+    prog = ir.parse(src)
+    structures = ev.enumerate_event_structures(
+        cfg.build_acfg(prog), frozenset({"psf"}), config.d_spec
+    )
+    graphs: list[tuple[str, str]] = []
+    sharer_graphs = 0
+    for cand in ex.enumerate_candidates(structures, d_spec=config.d_spec):
+        shared = lk._Shared(cand.st)
+        for w in lk.detect_leaks(cand, probe=config.probe):
+            if lk.findings(cand, w, "psf", config, shared):
+                title = f"psf witness {len(graphs) + 1}"
+                graphs.append((title, lk.witness_dot(cand, w, title)))
+                if cand.base is not None:
+                    # the sharer's graph draws its own stale fill edge
+                    sharer_graphs += 1
+                    edge = f'e{cand.stale_src} -> e{cand.site.read} [label="rfx"'
+                    assert edge in graphs[-1][1]
+    assert graphs
+    assert (sharer_graphs > 0) == sharers
+    assert lk.analyze(prog, "psf", config).graphs == graphs
