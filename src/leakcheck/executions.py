@@ -378,11 +378,9 @@ def _refill(base: list[Candidate], stale_src: int) -> list[Candidate]:
       events, and an event's ``frx`` pairs depend only on its own fill edge
       and ``cox``.
 
-    At a psf site the records are the same too, so ``analyze`` computes
-    them for ``base`` only: a psf fill crosses lines, so it forwards no
-    value, and the forwarding relation, site and silent set that
-    classification and fence slots read are the same.  An stl fill
-    forwards its stale store, so stl sources keep their own records.
+    At a psf site ``analyze`` takes the records of ``base`` too: a fill
+    across lines forwards nothing, so classification and fence slots read
+    the same relations.  An stl fill forwards its stale store.
     """
     out = []
     for b in base:

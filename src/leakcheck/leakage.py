@@ -261,10 +261,9 @@ class _Shared:
     The structure fixes the addr/ctrl edges (indexed here by target), the
     data edges (indexed by store) and the fetch positions.  Classification
     is memoised per :class:`_Chains` key, fence slot sets per (primitive
-    step, earliest step), and per bypass simulation the witnesses its
-    sharers read: all of them at an stl site, the ones with findings at a
-    psf site.  ``analyze`` keeps one per structure and drops it when the
-    candidate loop moves to the next structure.
+    step, earliest step), and per cache simulation the witnesses its
+    sharers read (at a psf site, those with findings).  ``analyze`` keeps
+    one per structure and drops it when the loop reaches the next one.
     """
 
     def __init__(self, st: EventStructure) -> None:
@@ -278,7 +277,7 @@ class _Shared:
         self.stored_from = _by_target(st.data)  # store -> reads it stores
         self.chains: dict[tuple, _Chains] = {}
         self.slots: dict[tuple[int, int], frozenset[tuple[str, int]]] = {}
-        # id of a bypass candidate that ran its own simulation -> witnesses
+        # id of a candidate that ran its own simulation -> its witnesses
         self.witnesses: dict[int, list[LeakWitness]] = {}
 
 
@@ -494,78 +493,78 @@ def _fence_points(
 _PRIMITIVES = {"v1": "branch", "v4": "stl", "psf": "psf"}
 
 
-def analyze(
-    prog: ir.Program, engine: str, config: EngineConfig
-) -> Report:
-    """Run one engine (or the merge of all three) over a program.
-
-    ``all`` builds the abstract CFG once and runs each engine on it."""
-    engines = ("v1", "v4", "psf") if engine == "all" else (engine,)
+def analyze(prog: ir.Program, engine: str, config: EngineConfig,
+            graph: cfg_mod.ACfg | None = None) -> Report:
+    """Run one engine (or the merge of all three) over a program, on its
+    ACfg ``graph`` if given: ``all`` builds it once for the three."""
+    graph = graph or cfg_mod.build_acfg(prog)
+    if engine == "all":
+        merged = Report(engine="all", records=[], elements=[], unrepairable=[])
+        for sub in ("v1", "v4", "psf"):
+            rep = analyze(prog, sub, config, graph)
+            merged.records.extend(rep.records)
+            merged.elements.extend(rep.elements)
+            merged.unrepairable.extend(rep.unrepairable)
+            merged.graphs.extend(rep.graphs)
+            merged.structures += rep.structures
+            merged.candidates += rep.candidates
+        merged.records = sorted(set(merged.records), key=record_sort_key)
+        return merged
     if prog.multithread:
         raise ex_mod.ExecutionError(
-            f"engine {engines[0]} analyzes single-thread programs only"
+            f"engine {engine} analyzes single-thread programs only"
         )
-    graph = cfg_mod.build_acfg(prog)
-    report = Report(engine=engine, records=[], elements=[], unrepairable=[])
+    structures = ev_mod.enumerate_event_structures(
+        graph, frozenset({_PRIMITIVES[engine]}), config.d_spec, tick=config.tick
+    )
+    cands = ex_mod.enumerate_candidates(
+        structures,
+        silent_stores=config.silent_stores,
+        d_spec=config.d_spec,
+        tick=config.tick,
+    )
+    report = Report(engine=engine, records=[], elements=[], unrepairable=[],
+                    structures=len(structures), candidates=len(cands))
     seen: set[Record] = set()
-    for sub in engines:
-        structures = ev_mod.enumerate_event_structures(
-            graph, frozenset({_PRIMITIVES[sub]}), config.d_spec, tick=config.tick
-        )
-        cands = ex_mod.enumerate_candidates(
-            structures,
-            silent_stores=config.silent_stores,
-            d_spec=config.d_spec,
-            tick=config.tick,
-        )
-        report.structures += len(structures)
-        report.candidates += len(cands)
-        first_graph = len(report.graphs)  # each engine numbers its own
-
-        def draw(cand: Candidate, w: LeakWitness) -> None:
-            title = f"{sub} witness {len(report.graphs) - first_graph + 1}"
-            report.graphs.append((title, witness_dot(cand, w, title)))
-
-        shared: _Shared | None = None
-        for cand in cands:
-            config.tick()
-            if shared is None or shared.st is not cand.st:
-                shared = _Shared(cand.st)  # the last structure's memos go
-            psf = cand.site is not None and cand.site.kind == "psf"
-            if cand.base is None:
-                witnesses = detect_leaks(cand, probe=config.probe)
-            elif psf:
-                # A psf sharer's records are its base's, already added
-                # (ex_mod._refill argues why); only its graphs are its own.
-                if config.collect_graphs:
-                    for w in shared.witnesses[id(cand.base)]:
-                        draw(cand, LeakWitness(cand, w.culprit, w.receiver, w.sources))
-                continue
-            else:
-                # An stl sharer has its base's witnesses, up to the
-                # candidate they name (ex_mod._refill argues why).
-                witnesses = [
-                    LeakWitness(cand, w.culprit, w.receiver, w.sources)
-                    for w in shared.witnesses[id(cand.base)]
-                ]
-            leaking = []
-            for w in witnesses:
-                found = findings(cand, w, sub, config, shared)
-                for rec, points in found:
-                    seen.add(rec)
-                    if points:
-                        report.elements.append(RepairElement(points, rec))
-                    else:
-                        report.unrepairable.append(rec)
-                if found:
-                    leaking.append(w)
-                    if config.collect_graphs:
-                        draw(cand, w)
-            if cand.site is not None and cand.base is None:
-                shared.witnesses[id(cand)] = leaking if psf else witnesses
+    shared: _Shared | None = None
+    for cand in cands:
+        config.tick()
+        if shared is None or shared.st is not cand.st:
+            shared = _Shared(cand.st)  # the last structure's memos go
+        psf = cand.site is not None and cand.site.kind == "psf"
+        if cand.base is None:
+            witnesses = detect_leaks(cand, probe=config.probe)
+            shared.witnesses[id(cand)] = [] if psf else witnesses
+        elif psf:
+            # Its base added its records (ex_mod._refill); draw its graphs.
+            if config.collect_graphs:
+                for w in shared.witnesses[id(cand.base)]:
+                    w = LeakWitness(cand, w.culprit, w.receiver, w.sources)
+                    title = f"{engine} witness {len(report.graphs) + 1}"
+                    report.graphs.append((title, witness_dot(cand, w, title)))
+            continue
+        else:
+            # An stl sharer has its base's witnesses, up to the
+            # candidate they name (ex_mod._refill argues why).
+            witnesses = [
+                LeakWitness(cand, w.culprit, w.receiver, w.sources)
+                for w in shared.witnesses[id(cand.base)]
+            ]
+        for w in witnesses:
+            found = findings(cand, w, engine, config, shared)
+            for rec, points in found:
+                seen.add(rec)
+                if points:
+                    report.elements.append(RepairElement(points, rec))
+                else:
+                    report.unrepairable.append(rec)
+            if found and psf:  # the witnesses its sharers draw
+                shared.witnesses[id(cand)].append(w)
+            if found and config.collect_graphs:
+                title = f"{engine} witness {len(report.graphs) + 1}"
+                report.graphs.append((title, witness_dot(cand, w, title)))
     report.records = sorted(seen, key=record_sort_key)
-    # Many witnesses repeat one finding: keep each first occurrence.  Each
-    # record names its engine, so no two engines share an element.
+    # Many witnesses repeat one finding: keep each first occurrence.
     report.elements = list(dict.fromkeys(report.elements))
     report.unrepairable = list(dict.fromkeys(report.unrepairable))
     return report

@@ -63,14 +63,15 @@ def analyzed(prog, engine, config, monkeypatch):
     return cands, used
 
 
-def reference_findings(cand, engine, config):
-    """``findings`` of each of ``detect_leaks(cand)``'s witnesses, computed
-    with nothing shared."""
+def reference(cand, engine, config):
+    """``detect_leaks(cand)``'s witnesses as (culprit, receiver, sources),
+    and the ``findings`` of each, computed with nothing shared."""
     shared = lk._Shared(cand.st)
-    return [
-        lk.findings(cand, w, engine, config, shared)
-        for w in lk.detect_leaks(cand, probe=config.probe)
-    ]
+    witnesses = lk.detect_leaks(cand, probe=config.probe)
+    return (
+        [(w.culprit, w.receiver, w.sources) for w in witnesses],
+        [lk.findings(cand, w, engine, config, shared) for w in witnesses],
+    )
 
 
 def test_shared_simulations_match_fresh_ones(monkeypatch):
@@ -83,7 +84,7 @@ def test_shared_simulations_match_fresh_ones(monkeypatch):
                     d_spec=8, probe=probe, scope="any", classes=frozenset(lk.CLASSES)
                 )
                 cands, used = analyzed(prog, engine, config, monkeypatch)
-                base_found: dict[int, list] = {}  # psf base id -> findings
+                base_ref: dict[int, tuple] = {}  # psf base id -> reference
                 for cand in cands:
                     shared += cand.base is not None
                     rfx_in, rfx_xstate, cox, xmode, bottom = ex._build_comx(
@@ -97,16 +98,19 @@ def test_shared_simulations_match_fresh_ones(monkeypatch):
                     ), where
                     if cand.base is not None and cand.site.kind == "psf":
                         # A psf sharer's records are its base's: analyze
-                        # never computes them.
+                        # never computes them.  Its graphs are its base's
+                        # witnesses, rebound: those must match too.
                         psf_sharers += 1
                         assert id(cand) not in used, where
                         assert lk._forwarding(cand) == lk._forwarding(cand.base)
-                        found = reference_findings(cand, engine, config)
-                        if id(cand.base) not in base_found:
-                            base_found[id(cand.base)] = reference_findings(
+                        witnesses, found = reference(cand, engine, config)
+                        if id(cand.base) not in base_ref:
+                            base_ref[id(cand.base)] = reference(
                                 cand.base, engine, config
                             )
-                        assert found == base_found[id(cand.base)], where
+                        base_witnesses, base_found = base_ref[id(cand.base)]
+                        assert witnesses == base_witnesses, where
+                        assert found == base_found, where
                         psf_records += sum(map(len, found))
                         continue
                     got = used.get(id(cand), [])
