@@ -57,6 +57,13 @@ def _names(known: tuple[str, ...], what: str):
     return convert
 
 
+def _primitives(text: str) -> frozenset[str]:
+    names = _names(_PRIM_NAMES, "primitive")(text)
+    if "branch" in names and names & {"stl", "psf"}:
+        raise argparse.ArgumentTypeError("branch does not combine with stl or psf")
+    return names
+
+
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=_ENGINES, default="all")
     p.add_argument("--spec-depth", type=_at_least_zero(int), default=250,
@@ -314,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("enumerate",
                        help="count event structures and consistent candidates")
     p.add_argument("file")
-    p.add_argument("--primitives", type=_names(_PRIM_NAMES, "primitive"),
+    p.add_argument("--primitives", type=_primitives,
                    default="", metavar="LIST",
                    help="speculation primitives: branch,stl,psf (default none)")
     p.add_argument("--show", action="store_true",

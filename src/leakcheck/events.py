@@ -29,16 +29,21 @@ structures of paths with a common prefix share that prefix's events.  The
 derived as each event is emitted, from state carried along the walk; no
 pass runs over a finished structure.
 
-Sites are recorded on the path structure; :func:`derive_bypass` builds the
-derived structure for every site, in one walk.  Events ``0`` and
-``len(events)-1`` are the initial-state writer and the final observer; a
+Sites are recorded on the path structure, which then has no branch windows
+(``branch`` does not combine with ``stl`` or ``psf``).  :func:`derive_bypass`
+makes the derived structure of each site a view over its base, with no
+second walk: the base's own prefix events, transient twins of its events
+from the site to the window's end, and its edges cut there.  Events ``0``
+and ``len(events)-1`` are the initial-state writer and the final observer; a
 transient squash pseudo-event marks speculative fetch running off the end of
 the program.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import TypeVar
 
 from . import cfg as acfg_mod
@@ -127,6 +132,8 @@ class EventStructure:
     # The acfg's branch regions: computed once per enumeration and shared
     # by every structure built from it, derived ones included.
     regions: dict[int, frozenset[int]] | None = field(default=None, repr=False)
+    # Derived structures: the structure they are a view over.
+    base: EventStructure | None = field(default=None, repr=False, compare=False)
 
     def transient_events(self) -> list[int]:
         return [e.eid for e in self.events if e.transient]
@@ -168,31 +175,25 @@ def _alias_subsets(aliases: list[tuple[str, str]]) -> list[frozenset[frozenset[s
     return subsets
 
 
+# The instructions a transient window stops before.
+_CLOSERS = (ir.BranchEqZero, ir.Fence, ir.Protect)
+
+
 def _window_steps(
     graph: ACfg, branch_idx: int | None, start: int, d_spec: int
 ) -> list[Step]:
-    """Transiently fetch straight-line code from ``start``: a branch's
-    untaken arm (``branch_idx`` is the branch's plan index) or a bypass
-    site's re-run (``None``).  Stops before a branch or fence, at the depth
+    """Transiently fetch the untaken arm from ``start`` of the branch at
+    plan index ``branch_idx``.  Stops before a branch or fence, at the depth
     budget, or with a squash marker at the program's end."""
     steps: list[Step] = []
     cur = start
-    depth = 0
-    while True:
-        if cur == EXIT:
-            steps.append(Step(None, False, branch_idx))
-            break
-        op = graph.nodes[cur].instr.op
-        if isinstance(op, ir.BranchEqZero):
-            break
-        if isinstance(op, (ir.Fence, ir.Protect)):
-            break
-        if depth >= d_spec:
-            break
+    while cur != EXIT and len(steps) < d_spec:
+        if isinstance(graph.nodes[cur].instr.op, _CLOSERS):
+            return steps
         steps.append(Step(cur, False, branch_idx))
-        depth += 1
-        succs = graph.succ[cur]
-        cur = succs[0] if succs else EXIT
+        cur = graph.succ[cur][0]
+    if cur == EXIT:
+        steps.append(Step(None, False, branch_idx))
     return steps
 
 
@@ -479,29 +480,27 @@ class _Builder:
 
     def _sites_at(self, ev: Event) -> None:
         """The sites of load ``ev``, and its (or store or fence ``ev``'s)
-        mark on the line writers and the unfenced committed stores."""
+        mark on the line writers and the unfenced stores.  Every event is
+        committed: a structure with sites has no branch windows."""
         if ev.kind == "F":
-            if not ev.transient:
-                self._unfenced = ()
+            self._unfenced = ()
             return
         loc = ev.location or ""
         hist = self._lines.get(loc, (0,))
         if ev.kind == "W":
             self._lines[loc] = hist + (ev.eid,)
-            if not ev.transient:
-                self._unfenced += (ev.eid,)
+            self._unfenced += (ev.eid,)
             return
-        if not ev.transient:
-            # stl: the line's writer is a committed store with no committed
-            # fence since; the earlier writers are the stale sources.
-            if "stl" in self.primitives and hist[-1] in self._unfenced:
-                self.sites += (Site(ev.eid, "stl", hist[:-1]),)
-            if "psf" in self.primitives:
-                others = tuple(
-                    s for s in self._unfenced if self.events[s].location != loc
-                )
-                if others:
-                    self.sites += (Site(ev.eid, "psf", others),)
+        # stl: the line's writer is a store with no fence since; the earlier
+        # writers are the stale sources.
+        if "stl" in self.primitives and hist[-1] in self._unfenced:
+            self.sites += (Site(ev.eid, "stl", hist[:-1]),)
+        if "psf" in self.primitives:
+            others = tuple(
+                s for s in self._unfenced if self.events[s].location != loc
+            )
+            if others:
+                self.sites += (Site(ev.eid, "psf", others),)
         if len(hist) == 1:
             # First touch: the miss fills the line and becomes its writer.
             self._lines[loc] = (0, ev.eid)
@@ -585,11 +584,7 @@ def _walk_paths(
             if len(succs) == 1:
                 node = succs[0]
                 continue
-            window = (
-                want_windows
-                and len(succs) == 2
-                and isinstance(graph.nodes[node].instr.op, ir.BranchEqZero)
-            )
+            window = want_windows and len(succs) == 2  # only a branch has two
             branch_idx = len(builder.plans[-1]) - 1
             forks = [builder] + [builder.fork() for _ in succs[1:]]
             for fork, nxt in zip(forks, succs):
@@ -613,6 +608,8 @@ def enumerate_event_structures(
     ``tick`` is a callable invoked once per node walked; it may
     raise :class:`AnalysisTimeout` to abandon a long-running enumeration.
     """
+    if "branch" in primitives and primitives & {"stl", "psf"}:
+        raise ValueError("branch windows do not combine with stl or psf")
     regions = _branch_regions(graph)
     structures: list[EventStructure] = []
     for merged in _alias_subsets(graph.program.aliases):
@@ -621,7 +618,7 @@ def enumerate_event_structures(
 
 
 def derive_bypass(
-    st: EventStructure, d_spec: int = 250, tick=no_deadline
+    st: EventStructure, d_spec: int = 250, tick=no_deadline, seen: set | None = None
 ) -> list[EventStructure | None]:
     """The derived structure of each of ``st``'s sites, in ``st.sites`` order.
 
@@ -630,41 +627,53 @@ def derive_bypass(
     continuation after it become a transient suffix, truncated at the first
     fence or branch or at the speculation depth (with a squash marker if the
     program's end is reached first).  None when the depth budget leaves no
-    room for the re-run at all.
+    room for the re-run, or when ``seen`` already holds the bypass's key: its
+    plan's nodes, the site's kind and node, the alias resolution.
 
-    One builder fetches the committed steps of the plan once, up to the
-    last site (sites are in fetch order).  At each site it forks, and the
-    fork fetches that site's suffix, so no prefix is fetched twice.  The
-    committed continuation is straight-line up to its first branch, so the
-    suffix is the window the site's node would open.  When
-    ``st`` fetched committed steps only, every derived structure keeps its
-    prefix's event ids, stale sources included.  ``tick`` runs once per
-    site.
+    A structure with sites fetched committed steps only, so each derived
+    structure is a view over ``st`` and no builder runs.  It shares ``st``'s
+    own prefix events and keeps every event id (the site's and its stale
+    sources' included); its suffix events are transient twins of ``st``'s,
+    made once and shared by overlapping windows; its edges, orders, plan and
+    ``step_of`` are ``st``'s, cut at the window's end.  ``tick`` runs once
+    per site.
     """
     if not st.sites:
         return []
-    assert st.acfg is not None and st.regions is not None
-    plan = st.plans[0]
-    builder = _Builder(st.acfg, st.merged_aliases, frozenset(), st.regions)
-    builder.start_thread()
-    walked = 0
+    seen = set() if seen is None else seen
+    plan, order = st.plans[0], st.tfo[0]
+    nodes = tuple(step.node for step in plan)
+    stops = [i for i, node in enumerate(nodes)
+             if isinstance(st.acfg.nodes[node].instr.op, _CLOSERS)] + [len(plan)]
+    step_at = [st.step_of[e][1] for e in order]  # ascending, as eids are
+    rerun = [Step(node, False) for node in nodes]
+    twins: list[Event | None] = [None] * st.bottom
+    squash = Event(st.bottom, "SBOT", transient=True, label="⊥")
     out: list[EventStructure | None] = []
     for site in st.sites:
         tick()
-        site_step = st.step_of[site.read][1]
-        for step in plan[walked:site_step]:
-            if step.committed:
-                builder.step(step)
-        walked = site_step
-        suffix = _window_steps(st.acfg, None, plan[site_step].node, d_spec)
-        if not suffix:
+        start = st.step_of[site.read][1]
+        end = min(stops[bisect_left(stops, start)], start + d_spec)
+        exits = end == len(plan)
+        key = (nodes[:end] + (None,) * exits, site.kind, nodes[start], st.merged_aliases)
+        if end == start or key in seen:
             out.append(None)
             continue
-        fork = builder.fork()
-        site_eid = len(fork.events)  # the re-run load is the first new event
-        for step in suffix:
-            fork.step(step)
-        derived = fork.finish()
-        derived.bypass_site = site_eid
-        out.append(derived)
+        seen.add(key)
+        stop_eid = bisect_left(step_at, end) + 1  # the first eid past the window
+        for e in range(site.read, stop_eid):
+            twins[e] = twins[e] or replace(
+                st.events[e], transient=True, silent_eligible=False, silent_definite=False)
+        events = st.events[: site.read] + twins[site.read : stop_eid]
+        fetched = order[: stop_eid - 1] + [squash.eid] * exits
+        steps = plan[:start] + rerun[start:end] + [Step(None, False)] * exits
+        events += [squash] * exits + [Event(len(events) + exits, "BOT", label="⊥")]
+        addr, addr_gep, data, ctrl = (
+            frozenset(edge for edge in edges if edge[1] < stop_eid)
+            for edges in (st.addr, st.addr_gep, st.data, st.ctrl))
+        out.append(replace(
+            st, events=events, po=[order[: site.read - 1]], tfo=[fetched],
+            bottom=len(events) - 1, addr=addr, addr_gep=addr_gep, data=data,
+            ctrl=ctrl, sites=(), bypass_site=site.read, plans=[steps],
+            step_of=dict(islice(st.step_of.items(), stop_eid - 1)), base=st))
     return out

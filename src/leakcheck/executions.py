@@ -192,26 +192,20 @@ def _tso_consistent(cand: Candidate) -> bool:
     co = cand.co_pairs()
     fr = cand.fr()
 
-    # Per-location sequential consistency.
-    po_loc = set()
-    for tid, order in enumerate(st.po):
+    # Same-location po (per-location SC) and po minus store-to-load (ppo).
+    po_loc, ppo = set(), set()
+    for order in st.po:
         m = [e for e in order if cand.access_kind(e) is not None]
         for i, e1 in enumerate(m):
             for e2 in m[i + 1 :]:
                 if cand.location_of(e1) == cand.location_of(e2):
                     po_loc.add((e1, e2))
+                if (cand.access_kind(e1), cand.access_kind(e2)) != ("W", "R"):
+                    ppo.add((e1, e2))
     if find_cycle(rf | co | fr | po_loc):
         return False
 
     # Causality with the store-to-load relaxation.
-    ppo = set()
-    for tid, order in enumerate(st.po):
-        m = [e for e in order if cand.access_kind(e) is not None]
-        for i, e1 in enumerate(m):
-            for e2 in m[i + 1 :]:
-                if cand.access_kind(e1) == "W" and cand.access_kind(e2) == "R":
-                    continue
-                ppo.add((e1, e2))
     rfe = {
         (w, r)
         for (w, r) in rf
@@ -450,28 +444,11 @@ def _bypass_variants(
 
     A bypass is not new when an earlier structure of the same alias
     resolution derived the same plan for a site of the same kind and node.
+    A derived structure keeps its base's event ids, so the site is the same.
     """
-    out = []
-    for site, derived in zip(st.sites, ev_mod.derive_bypass(st, d_spec, tick)):
-        if derived is None:
-            continue
-        key = (
-            tuple(step.node for step in derived.plans[0]),
-            site.kind,
-            st.events[site.read].node_id,
-            st.merged_aliases,
-        )
-        if key in seen:
-            continue
-        seen.add(key)
-        # Branch windows fetched before a site (several primitives at once)
-        # are not part of its derived prefix, which renumbers the prefix's
-        # events and drops stale sources fetched in a window.
-        ids = {0: 0, **dict(zip(st.po[0], derived.po[0]))}
-        sources = tuple(ids[s] for s in site.sources if s in ids)
-        new_site = Site(read=derived.bypass_site, kind=site.kind, sources=sources)
-        out.append((derived, new_site, sources))
-    return out
+    derived = ev_mod.derive_bypass(st, d_spec, tick, seen)
+    return [(d, site, site.sources) for site, d in zip(st.sites, derived)
+            if d is not None]
 
 
 def _nonempty_subsets(items: list[int]) -> list[frozenset[int]]:

@@ -35,7 +35,8 @@ store forwarding); ``all`` merges the three reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import cfg as cfg_mod
 from . import events as ev_mod
@@ -256,14 +257,17 @@ def _by_target(edges: frozenset[tuple[int, int]]) -> dict[int, list[int]]:
 
 
 class _Shared:
-    """What the candidates of one event structure share.
+    """What the candidates of one event structure ``st``, and of the bypass
+    structures that are views over it, share.
 
-    The structure fixes the addr/ctrl edges (indexed here by target), the
-    data edges (indexed by store) and the fetch positions.  Classification
-    is memoised per :class:`_Chains` key, fence slot sets per (primitive
-    step, earliest step), and per cache simulation the witnesses its
-    sharers read (at a psf site, those with findings).  ``analyze`` keeps
-    one per structure and drops it when the loop reaches the next one.
+    ``st`` fixes the addr/ctrl edges (indexed here by target), the data
+    edges (indexed by store), the fetch positions and the fence slots of
+    its plan steps.  A view (``events.derive_bypass``) has ``st``'s ids,
+    steps and edges up to its window's end, and no lookup passes that end.
+    Classification reads the transient marks, so it is memoised per
+    :class:`_Chains` key for one structure, ``current``, and so are the
+    witnesses its sharers read (at a psf site, those with findings).
+    ``analyze`` keeps one per base.
     """
 
     def __init__(self, st: EventStructure) -> None:
@@ -275,8 +279,19 @@ class _Shared:
             ("ctrl", False): _by_target(st.ctrl),
         }
         self.stored_from = _by_target(st.data)  # store -> reads it stores
+        self.start(st)
+
+    @cached_property
+    def slot_of(self) -> list:
+        """The fence slot of each step of ``st``'s plan (False: a squash)."""
+        nodes = self.st.acfg.nodes
+        return [step.node is not None and (nodes[step.node].func, nodes[step.node].index)
+                for step in self.st.plans[0]]
+
+    def start(self, current: EventStructure) -> None:
+        """Move on to the candidates of ``current``, dropping the last one's."""
+        self.current = current
         self.chains: dict[tuple, _Chains] = {}
-        self.slots: dict[tuple[int, int], frozenset[tuple[str, int]]] = {}
         # id of a candidate that ran its own simulation -> its witnesses
         self.witnesses: dict[int, list[LeakWitness]] = {}
 
@@ -305,11 +320,12 @@ class _Chains:
     edge, every earlier hop is data followed by rf or by a same-location
     store-to-load fill edge.
 
-    The edges and fetch positions are the structure's (:class:`_Shared`).
-    What else the chains depend on is the key: the forwarding relation,
-    the psf site read (its own address is mispredicted, so it is no
-    universal access) and ``w_size``.  Candidates with equal keys get the
-    same transmitters, so each event is classified once per key.
+    The edges and fetch positions are those of the structure, or of the
+    base it is a view over (:class:`_Shared`).  What else the chains
+    depend on is the key: the forwarding relation, the psf site read (its
+    own address is mispredicted, so it is no universal access) and
+    ``w_size``.  Candidates with equal keys get the same transmitters, so
+    each event is classified once per key.
     """
 
     def __init__(
@@ -319,7 +335,7 @@ class _Chains:
         psf_read: int | None,
         w_size: int | None,
     ) -> None:
-        self.st = shared.st
+        self.st = shared.current
         self.into = shared.into
         self.pos = shared.pos
         self.psf_read = psf_read
@@ -441,13 +457,10 @@ def _fence_points(
 ) -> frozenset[tuple[str, int]] | None:
     """Slots strictly between the speculation primitive and the earliest
     transient transmitter among the finding's chain events (the primitive's
-    own transient instance does not count -- no slot precedes it).
-
-    The slot set is memoised in ``shared``."""
+    own transient instance does not count -- no slot precedes it)."""
     st = cand.st
     if st.acfg is None or len(st.plans) != 1:
         return None
-    plan = st.plans[0]
     members = [m for m in (t.event, t.access, t.upstream) if m is not None]
     if cand.site is not None:
         prim_step = st.step_of[cand.site.read][1]
@@ -475,15 +488,7 @@ def _fence_points(
     emin_step = min(st.step_of[m][1] for m in chain_transient)
     if emin_step <= prim_step:
         return None
-    key = (prim_step, emin_step)
-    if key not in shared.slots:
-        nodes = st.acfg.nodes
-        shared.slots[key] = frozenset(
-            (nodes[step.node].func, nodes[step.node].index)
-            for step in plan[prim_step + 1 : emin_step + 1]
-            if step.node is not None
-        )
-    return shared.slots[key]
+    return frozenset(shared.slot_of[prim_step + 1 : emin_step + 1]) - {False}
 
 
 # --------------------------------------------------------------------------
@@ -529,8 +534,11 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
     shared: _Shared | None = None
     for cand in cands:
         config.tick()
-        if shared is None or shared.st is not cand.st:
-            shared = _Shared(cand.st)  # the last structure's memos go
+        base = cand.st.base or cand.st
+        if shared is None or shared.st is not base:
+            shared = _Shared(base)  # the last base's memos go
+        if shared.current is not cand.st:
+            shared.start(cand.st)
         psf = cand.site is not None and cand.site.kind == "psf"
         if cand.base is None:
             witnesses = detect_leaks(cand, probe=config.probe)
@@ -539,17 +547,14 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             # Its base added its records (ex_mod._refill); draw its graphs.
             if config.collect_graphs:
                 for w in shared.witnesses[id(cand.base)]:
-                    w = LeakWitness(cand, w.culprit, w.receiver, w.sources)
+                    w = replace(w, cand=cand)
                     title = f"{engine} witness {len(report.graphs) + 1}"
                     report.graphs.append((title, witness_dot(cand, w, title)))
             continue
         else:
             # An stl sharer has its base's witnesses, up to the
             # candidate they name (ex_mod._refill argues why).
-            witnesses = [
-                LeakWitness(cand, w.culprit, w.receiver, w.sources)
-                for w in shared.witnesses[id(cand.base)]
-            ]
+            witnesses = [replace(w, cand=cand) for w in shared.witnesses[id(cand.base)]]
         for w in witnesses:
             found = findings(cand, w, engine, config, shared)
             for rec, points in found:

@@ -460,31 +460,55 @@ def derive_bypass_reference(st, site, d_spec: int = 250):
     return derived
 
 
-def remap_sources_reference(st, derived, site) -> tuple[int, ...]:
-    """Map a site's stale-source event ids into the derived structure.
+def derive_bypass_builder(st, d_spec: int = 250, tick=events.no_deadline):
+    """The one-walk builder derivation that ``events.derive_bypass`` replaced
+    with views over ``st``, kept verbatim.
 
-    The derived plan keeps the committed prefix steps in order, so an old
-    committed step index maps to its position among committed predecessors.
+    The derived structure of each of ``st``'s sites, in ``st.sites`` order.
+
+    In a derived structure the site's load re-runs transiently: the
+    committed prefix before the load is kept; the load and the committed
+    continuation after it become a transient suffix, truncated at the first
+    fence or branch or at the speculation depth (with a squash marker if the
+    program's end is reached first).  None when the depth budget leaves no
+    room for the re-run at all.
+
+    One builder fetches the committed steps of the plan once, up to the
+    last site (sites are in fetch order).  At each site it forks, and the
+    fork fetches that site's suffix, so no prefix is fetched twice.  The
+    committed continuation is straight-line up to its first branch, so the
+    suffix is the window the site's node would open.  When
+    ``st`` fetched committed steps only, every derived structure keeps its
+    prefix's event ids, stale sources included.  ``tick`` runs once per
+    site.
     """
+    if not st.sites:
+        return []
+    assert st.acfg is not None and st.regions is not None
     plan = st.plans[0]
-    thread, site_step = st.step_of[site.read]
-    old_to_new: dict[int, int] = {}
-    new_idx = 0
-    for old_idx in range(site_step):
-        if plan[old_idx].committed:
-            old_to_new[old_idx] = new_idx
-            new_idx += 1
-    new_by_step = {step: eid for eid, step in derived.step_of.items()}
+    builder = events._Builder(st.acfg, st.merged_aliases, frozenset(), st.regions)
+    builder.start_thread()
+    walked = 0
     out = []
-    for src in site.sources:
-        if src == 0:
-            out.append(0)
+    for site in st.sites:
+        tick()
+        site_step = st.step_of[site.read][1]
+        for step in plan[walked:site_step]:
+            if step.committed:
+                builder.step(step)
+        walked = site_step
+        suffix = events._window_steps(st.acfg, None, plan[site_step].node, d_spec)
+        if not suffix:
+            out.append(None)
             continue
-        _, old_idx = st.step_of[src]
-        mapped = new_by_step.get((0, old_to_new.get(old_idx, -1)))
-        if mapped is not None:
-            out.append(mapped)
-    return tuple(out)
+        fork = builder.fork()
+        site_eid = len(fork.events)  # the re-run load is the first new event
+        for step in suffix:
+            fork.step(step)
+        derived = fork.finish()
+        derived.bypass_site = site_eid
+        out.append(derived)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -97,11 +97,15 @@ def test_enumerate_show_describes_candidates(gadget, capsys):
 
 
 def test_enumerate_rejects_unknown_primitive(gadget, capsys):
-    for primitives in ("meltdown", "stl,meltdown"):
+    for primitives, message in (
+        ("meltdown", "unknown primitive 'meltdown'"),
+        ("stl,meltdown", "unknown primitive 'meltdown'"),
+        ("branch,psf", "branch does not combine with stl or psf"),
+    ):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", str(gadget), "--primitives", primitives])
         assert exc.value.code == 2
-        assert "unknown primitive 'meltdown'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_repair_prints_fence_and_program(gadget, capsys):

@@ -262,7 +262,7 @@ def confidential_candidates(src: str, d_spec: int) -> int:
     on, with :func:`executions.confidential`; return how many there were."""
     graph = cfg.build_acfg(ir.parse(src))
     checked = 0
-    for prims in ({"branch"}, {"stl"}, {"psf"}, {"branch", "stl", "psf"}):
+    for prims in ({"branch"}, {"stl"}, {"psf"}, {"stl", "psf"}):
         sts = ev.enumerate_event_structures(graph, frozenset(prims), d_spec)
         for cand in ex.enumerate_candidates(sts, silent_stores=True, d_spec=d_spec):
             assert ex.confidential(cand)

@@ -4,9 +4,10 @@ it replaced (``oracles.enumerate_event_structures_reference``).
 The walk forks one builder per branch outcome, so structures share the events
 of their common prefix; the reference builds every structure from the root.
 Both must give the same structures in the same order, field by field, and the
-same derived structure for every bypass site: ``derive_bypass`` derives every
-site of a structure in one walk, the reference
-(``oracles.derive_bypass_reference``) one site at a time from the root.
+same derived structure for every bypass site: ``derive_bypass`` builds each
+as a view over its base, the references with a builder, one walk per base
+(``oracles.derive_bypass_builder``) or one site at a time from the root
+(``oracles.derive_bypass_reference``).
 The builder derives ctrl edges and sites as each event is emitted; both
 references set them by the post-passes that did so before
 (``oracles.control_deps_reference``, ``oracles.sites_reference``).
@@ -22,7 +23,6 @@ import pytest
 from conftest import CORPUS
 from leakcheck import cfg, ir
 from leakcheck import events as ev
-from leakcheck import executions as ex
 
 PRIMITIVES = (
     frozenset(),
@@ -42,6 +42,20 @@ def assert_same_structure(got: ev.EventStructure, want: ev.EventStructure):
         assert getattr(got, name) == getattr(want, name), name
 
 
+def assert_views_match_builder(st: ev.EventStructure, d_spec: int) -> None:
+    """``derive_bypass``'s views over ``st`` against the builder derivation
+    they replaced: every field equal, the prefix events ``st``'s own."""
+    views = ev.derive_bypass(st, d_spec)
+    built = oracles.derive_bypass_builder(st, d_spec)
+    assert len(views) == len(built) == len(st.sites)
+    for site, view, want in zip(st.sites, views, built):
+        assert (view is None) == (want is None)
+        if view is not None:
+            assert_same_structure(view, want)
+            assert view.bypass_site == site.read
+            assert all(a is b for a, b in zip(view.events[: site.read], st.events))
+
+
 def assert_walk_matches_reference(src: str, d_spec: int = 8) -> None:
     graph = cfg.build_acfg(ir.parse(src))
     for prims in PRIMITIVES:
@@ -50,17 +64,14 @@ def assert_walk_matches_reference(src: str, d_spec: int = 8) -> None:
         assert len(got) == len(want)
         for st, ref in zip(got, want):
             assert_same_structure(st, ref)
+            assert_views_match_builder(st, d_spec)
             derived_all = ev.derive_bypass(st, d_spec)
-            assert len(derived_all) == len(st.sites)
             for site, derived in zip(st.sites, derived_all):
                 expected = oracles.derive_bypass_reference(ref, site, d_spec)
                 assert (derived is None) == (expected is None)
                 if expected is not None:
                     oracles.silent_marks_reference(expected)
                     assert_same_structure(derived, expected)
-                    assert oracles.remap_sources_reference(
-                        ref, expected, site
-                    ) == site.sources
 
 
 @pytest.mark.parametrize(
@@ -158,14 +169,14 @@ def psf_blocks(blocks: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_derive_bypass_fetches_each_prefix_step_once(monkeypatch):
-    calls = [0]
-    step = ev._Builder.step
+def test_psf_blocks_views_match_builder():
+    graph = cfg.build_acfg(ir.parse(psf_blocks(7)))
+    for prims in (frozenset({"stl"}), frozenset({"psf"})):
+        for st in ev.enumerate_event_structures(graph, prims, 25):
+            assert_views_match_builder(st, 25)
 
-    def counted(self, s):
-        calls[0] += 1
-        return step(self, s)
 
+def test_derive_bypass_runs_no_builder_and_twins_each_event_once(monkeypatch):
     graph = cfg.build_acfg(ir.parse(psf_blocks(7)))
     (st,) = [
         s
@@ -173,41 +184,29 @@ def test_derive_bypass_fetches_each_prefix_step_once(monkeypatch):
         if s.sites
     ]
     assert len(st.sites) >= 6
-    suffixes = sum(
-        sum(not s.committed for s in ref.plans[0])
-        for ref in (oracles.derive_bypass_reference(st, site, 25)
-                    for site in st.sites)
-    )
+    calls = [0]
+    step = ev._Builder.step
+
+    def counted(self, s):
+        calls[0] += 1
+        return step(self, s)
+
     monkeypatch.setattr(ev._Builder, "step", counted)
-    ev.derive_bypass(st, 25)
-    assert 0 < calls[0] <= len(st.plans[0]) + suffixes
+    views = [v for v in ev.derive_bypass(st, 25) if v is not None]
+    assert calls[0] == 0
+    twins: dict[int, set[int]] = {}
+    for view in views:
+        for e in view.events:
+            if e.transient and e.kind != "SBOT":
+                twins.setdefault(e.eid, set()).add(id(e))
+    # The windows overlap, and their twins are one object per base event.
+    assert sum(len(view.transient_events()) for view in views) > len(twins)
+    assert all(len(ids) == 1 for ids in twins.values())
+    assert all(eid < st.bottom for eid in twins)
 
 
-def test_mixed_primitives_renumber_stale_sources_like_the_reference():
-    # With branch windows fetched before a site, the derived prefix drops
-    # them: its events are renumbered and window-fetched stale sources go.
-    renumbered = 0
-    programs = [path.read_text() for path in sorted(CORPUS.rglob("*.lcm"))
-                if "stress" not in path.parts]
-    programs += [oracles.random_single(random.Random(seed))
-                 for seed in range(8900, 9000)]
-    for src in programs:
-        graph = cfg.build_acfg(ir.parse(src))
-        for prims in ({"branch", "stl"}, {"branch", "psf"}):
-            for st in ev.enumerate_event_structures(graph, frozenset(prims), 8):
-                # A structure has at most one site per (load, kind), so
-                # _bypass_variants drops no site of it as already seen.
-                want = [
-                    (ref, oracles.remap_sources_reference(st, ref, site))
-                    for site in st.sites
-                    if (ref := oracles.derive_bypass_reference(st, site, 8))
-                ]
-                got = ex._bypass_variants(st, 8, set())
-                assert len(got) == len(want)
-                for (derived, site, sources), (ref, ref_sources) in zip(got, want):
-                    oracles.silent_marks_reference(ref)
-                    assert_same_structure(derived, ref)
-                    assert site.read == ref.bypass_site
-                    assert sources == site.sources == ref_sources
-                    renumbered += bool(st.transient_events())
-    assert renumbered
+def test_bypass_needs_a_structure_without_branch_windows():
+    graph = cfg.build_acfg(ir.parse(psf_blocks(2)))
+    for prims in ({"branch", "stl"}, {"branch", "psf"}):
+        with pytest.raises(ValueError, match="branch windows"):
+            ev.enumerate_event_structures(graph, frozenset(prims))

@@ -1,6 +1,7 @@
 """The per-structure sharing in ``analyze`` against the unshared path.
 
-``analyze`` memoises classification and fence slots per event structure
+``analyze`` memoises classification per event structure, and shares edge
+indexes and fence slots between a structure and its bypass views
 (``leakage._Shared``).  The reference is the same code with nothing shared:
 each witness gets a fresh ``_Shared`` for ``classify_transmitters`` and
 ``findings``.  Both must give the same transmitters (but those of psf
