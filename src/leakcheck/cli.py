@@ -25,6 +25,7 @@ from .leakage import CLASSES, EngineConfig, Record, analyze
 from .repair import repair
 
 _ENGINES = ("v1", "v4", "psf", "all")
+_SCOPES = ("transient", "any")
 _PRIM_NAMES = ("branch", "stl", "psf")
 
 
@@ -74,7 +75,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    default="universal_data", metavar="LIST",
                    help="comma-separated transmitter classes to report "
                         f"(default universal_data; all = {','.join(CLASSES)})")
-    p.add_argument("--scope", choices=("transient", "any"), default="transient",
+    p.add_argument("--scope", choices=_SCOPES, default="transient",
                    help="report only transient transmitters (default) or all")
     p.add_argument("--require-gep", action="store_true",
                    help="only chains whose final addr hop is a computed "
@@ -103,7 +104,7 @@ def _config(args: argparse.Namespace, collect_graphs: bool = False) -> EngineCon
 
 
 def _load(path: str) -> ir.Program:
-    return ir.parse(Path(path).read_text())
+    return ir.parse(Path(path).read_text(encoding="utf-8"))
 
 
 # --------------------------------------------------------------------------
@@ -192,17 +193,37 @@ class CorpusRow:
     note: str = ""
 
 
+def _one_of(known: tuple, what: str):
+    """A sidecar value check: one of ``known`` (of its type: 1 is no flag)."""
+
+    def convert(value):
+        if value not in known or type(value) is not type(known[0]):
+            raise ValueError(f"invalid {what} {value!r}")
+        return value
+
+    return convert
+
+
+# The sidecar config keys (EngineConfig fields), each checked as its flag is.
+_SIDECAR_KEYS = {
+    "d_spec": lambda v: _at_least_zero(int)(str(v)),
+    "w_size": lambda v: _at_least_zero(int)(str(v)),
+    "classes": lambda v: _names(CLASSES, "class")(",".join(v)),
+    "scope": _one_of(_SCOPES, "scope"),
+    **{key: _one_of((False, True), key)
+       for key in ("require_gep", "silent_stores", "probe")},
+}
+
+
 def _sidecar_config(data: dict, args: argparse.Namespace) -> tuple[str, EngineConfig]:
-    conf = data.get("config", {})
-    classes = frozenset(conf.get("classes", ["universal_data"]))
-    return conf.get("engine", "all"), EngineConfig(
-        d_spec=conf.get("d_spec", 250),
-        w_size=conf.get("w_size"),
-        classes=classes,
-        scope=conf.get("scope", "transient"),
-        require_gep=conf.get("require_gep", False),
-        silent_stores=conf.get("silent_stores", False),
-        probe=conf.get("probe", True),
+    """The engine and config a sidecar names; unset keys keep the defaults."""
+    conf = dict(data.get("config", {}))
+    engine = _one_of(_ENGINES, "engine")(conf.pop("engine", "all"))
+    unknown = sorted(set(conf) - set(_SIDECAR_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    return engine, EngineConfig(
+        **{key: _SIDECAR_KEYS[key](value) for key, value in conf.items()},
         deadline=time.monotonic() + args.timeout if args.timeout else None,
     )
 
@@ -365,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except (cfg_mod.CfgError, ex_mod.ExecutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,6 +42,7 @@ the program.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import TypeVar
@@ -113,7 +114,6 @@ class EventStructure:
     events: list[Event]
     po: list[list[int]]  # committed program events per thread
     tfo: list[list[int]]  # fetched program events per thread (includes squashes)
-    top: int
     bottom: int
     addr: frozenset[tuple[int, int]]
     addr_gep: frozenset[tuple[int, int]]
@@ -125,13 +125,9 @@ class EventStructure:
     fence_pairs: frozenset[tuple[int, int]]
     sites: tuple[Site, ...]
     merged_aliases: frozenset[frozenset[str]]
-    bypass_site: int | None = None  # derived structures: the misforwarded load
-    plans: list[list[Step]] = field(default_factory=list, repr=False)
-    acfg: ACfg | None = field(default=None, repr=False)
-    step_of: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
-    # The acfg's branch regions: computed once per enumeration and shared
-    # by every structure built from it, derived ones included.
-    regions: dict[int, frozenset[int]] | None = field(default=None, repr=False)
+    plans: list[list[Step]] = field(repr=False)  # the fetched steps per thread
+    acfg: ACfg = field(repr=False)
+    step_of: dict[int, tuple[int, int]] = field(repr=False)  # eid -> (thread, step)
     # Derived structures: the structure they are a view over.
     base: EventStructure | None = field(default=None, repr=False, compare=False)
 
@@ -158,10 +154,10 @@ def _uf_find(uf: dict[_K, _K], name: _K) -> _K:
     return root
 
 
-def _make_union_find(pairs: frozenset[frozenset[str]]) -> dict[str, str]:
-    uf: dict[str, str] = {}
-    for pair in pairs:
-        roots = sorted(_uf_find(uf, n) for n in pair)
+def _make_union_find(groups: Iterable[Iterable[_K]]) -> dict[_K, _K]:
+    uf: dict[_K, _K] = {}
+    for group in groups:
+        roots = sorted(_uf_find(uf, n) for n in group)
         for other in roots[1:]:
             uf[other] = roots[0]
     return uf
@@ -512,7 +508,6 @@ class _Builder:
             events=self.events,
             po=self.po,
             tfo=self.tfo,
-            top=0,
             bottom=bottom.eid,
             addr=frozenset(self.addr),
             addr_gep=frozenset(self.addr_gep),
@@ -524,7 +519,6 @@ class _Builder:
             plans=self.plans,
             acfg=self.graph,
             step_of=self.step_of,
-            regions=self.regions,
         )
 
     def _fence_order(self) -> frozenset[tuple[int, int]]:
@@ -674,6 +668,6 @@ def derive_bypass(
         out.append(replace(
             st, events=events, po=[order[: site.read - 1]], tfo=[fetched],
             bottom=len(events) - 1, addr=addr, addr_gep=addr_gep, data=data,
-            ctrl=ctrl, sites=(), bypass_site=site.read, plans=[steps],
+            ctrl=ctrl, sites=(), plans=[steps],
             step_of=dict(islice(st.step_of.items(), stop_eid - 1)), base=st))
     return out

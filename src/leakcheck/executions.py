@@ -4,7 +4,10 @@ A candidate pins down, for one event structure, who reads from whom.  The
 architectural witness is the usual ``(rf, co)`` pair over committed events
 (with ``fr = rf^-1 ; co`` derived); the microarchitectural witness adds, per
 extra-architectural state (one cache line per resolved location), the fill
-edges ``rfx``, the line-writer order ``cox``, and ``frx = rfx^-1 ; cox``.
+edges ``rfx`` and the line-writer order ``cox``.  A candidate stores only
+these four.  ``frx = rfx^-1 ; cox``, the line each fill is on
+(:meth:`Candidate.xstate`) and whether an access claims its line (it is in
+that line's ``cox``) are derived.
 
 Single-thread programs have exactly one TSO witness (each load reads the
 last committed same-location store, coherence follows program order), so we
@@ -75,10 +78,7 @@ class Candidate:
     rf: dict[int, int]  # committed read -> writer (0 = initial state)
     co: dict[str, list[int]]  # location -> [0, committed writers...]
     rfx_in: dict[int, int]  # event -> line fill source (silent stores absent)
-    rfx_xstate: dict[int, str]  # event -> the xstate its fill edge is on
     cox: dict[str, list[int]]  # xstate -> [0, line writers in fetch order...]
-    xmode: dict[int, str]  # event -> "R" (hit) | "RW" (fill + claim)
-    bottom_sources: dict[str, int]  # xstate -> last writer, as read by BOT
     silent: frozenset[int] = frozenset()
     site: Site | None = None  # bypass candidates: site in this structure's ids
     stale_src: int | None = None
@@ -98,6 +98,18 @@ class Candidate:
 
     def location_of(self, eid: int) -> str | None:
         return _kind_loc(self.st, self.amo, eid)[1]
+
+    def xstate(self, eid: int) -> str | None:
+        """The line ``eid``'s fill edge is on: its own location, except at
+        a psf site read, which fills from its stale source's line."""
+        site = self.site
+        if site is not None and eid == site.read and site.kind == "psf":
+            eid = self.stale_src
+        return self.location_of(eid)
+
+    def bottom_sources(self) -> dict[str, int]:
+        """The last writer of each line that has one, as ``BOT`` reads it."""
+        return {x: order[-1] for x, order in self.cox.items() if len(order) > 1}
 
     def fr(self) -> frozenset[tuple[int, int]]:
         pairs = set()
@@ -122,7 +134,7 @@ class Candidate:
     def rfx_pairs(self) -> frozenset[tuple[int, int]]:
         pairs = {(src, e) for e, src in self.rfx_in.items()}
         bottom = self.st.bottom
-        pairs |= {(w, bottom) for w in self.bottom_sources.values()}
+        pairs |= {(w, bottom) for w in self.bottom_sources().values()}
         return frozenset(pairs)
 
     def frx(self) -> frozenset[tuple[int, int]]:
@@ -131,7 +143,7 @@ class Candidate:
         if self._frx is None:
             pairs = set()
             for e, src in self.rfx_in.items():
-                order = self.cox.get(self.rfx_xstate[e])
+                order = self.cox.get(self.xstate(e))
                 if order is None or src not in order:
                     continue
                 for w2 in order[order.index(src) + 1 :]:
@@ -248,10 +260,7 @@ def arch_witnesses(
             tick()
             rf = dict(rf_combo)
             co = dict(co_combo)
-            probe = Candidate(
-                st=st, rf=rf, co=co, rfx_in={}, rfx_xstate={}, cox={},
-                xmode={}, bottom_sources={}, amo=dict(amo),
-            )
+            probe = Candidate(st=st, rf=rf, co=co, rfx_in={}, cox={}, amo=dict(amo))
             if _tso_consistent(probe):
                 out.append((rf, co))
     return out
@@ -267,9 +276,10 @@ def _build_comx(
     silent: frozenset[int],
     site: Site | None,
     stale_src: int | None,
-) -> tuple[dict[int, int], dict[int, str], dict[str, list[int]], dict[int, str], dict[str, int]]:
-    """The cache simulation: fill edges, their xstates, line-writer orders,
-    access modes and the lines the final observer reads.
+) -> tuple[dict[int, int], dict[str, list[int]]]:
+    """The cache simulation: each access's fill source and each line's
+    writers in fetch order (a write, a miss and an stl site read of the
+    untouched line claim the line).
 
     Its result is confidential (:func:`confidential`) by construction:
 
@@ -286,53 +296,26 @@ def _build_comx(
       backward only at the site read, which the check exempts.
     """
     rfx_in: dict[int, int] = {}
-    rfx_xstate: dict[int, str] = {}
-    writers: dict[str, list[int]] = {}
-    xmode: dict[int, str] = {}
-
-    def line(x: str) -> list[int]:
-        return writers.setdefault(x, [0])
-
+    cox: dict[str, list[int]] = {}
     for order in st.tfo:
         for eid in order:
             kind, x = _kind_loc(st, amo, eid)
-            if kind is None:
-                continue
+            if kind is None or eid in silent:
+                continue  # no access, or a silent store: no fill, no claim
             if site is not None and eid == site.read:
                 # The misforwarded load: an stl site forwards from a stale
                 # same-line writer (or runs against the untouched line), a
                 # psf site fills from an aliased store's line.
                 assert stale_src is not None
                 rfx_in[eid] = stale_src
-                rfx_xstate[eid] = _site_line(st, site, stale_src, x)
-                if _line_neutral(site, stale_src):
-                    xmode[eid] = "R"
-                else:
-                    xmode[eid] = "RW"
-                    line(x).append(eid)
+                if not _line_neutral(site, stale_src):
+                    cox.setdefault(x, [0]).append(eid)
                 continue
-            if eid in silent:
-                xmode[eid] = "R"  # elided write: no fill edge, no line claim
-                continue
-            hist = line(x)
-            if kind == "W":
-                rfx_in[eid] = hist[-1]
-                rfx_xstate[eid] = x
-                xmode[eid] = "RW"
+            hist = cox.setdefault(x, [0])
+            rfx_in[eid] = hist[-1]
+            if kind == "W" or len(hist) == 1:
                 hist.append(eid)
-            else:
-                if len(hist) > 1:
-                    rfx_in[eid] = hist[-1]
-                    xmode[eid] = "R"
-                else:
-                    rfx_in[eid] = 0
-                    xmode[eid] = "RW"
-                    hist.append(eid)
-                rfx_xstate[eid] = x
-    bottom_sources = {
-        x: hist[-1] for x, hist in writers.items() if len(hist) > 1
-    }
-    return rfx_in, rfx_xstate, writers, xmode, bottom_sources
+    return rfx_in, cox
 
 
 def _line_neutral(site: Site, stale_src: int) -> bool:
@@ -341,27 +324,17 @@ def _line_neutral(site: Site, stale_src: int) -> bool:
     return site.kind == "psf" or stale_src != 0
 
 
-def _site_line(st: EventStructure, site: Site, stale_src: int, x: str) -> str:
-    """The line the site read fills from: its own line ``x`` at an stl site,
-    the aliased store's at a psf site."""
-    if site.kind == "stl":
-        return x
-    src_line = st.events[stale_src].location
-    assert src_line is not None
-    return src_line
-
-
 def _refill(base: list[Candidate], stale_src: int) -> list[Candidate]:
     """The candidates of line-neutral stale source ``stale_src``, sharing the
     simulation of ``base``: the candidates of an earlier line-neutral source
     of the same site and AMO choice, one per architectural witness.
 
     For two line-neutral sources, :func:`_build_comx` differs only in the
-    site read's ``rfx_in`` and ``rfx_xstate`` entries.  The read is a hit
-    either way, so ``xmode`` is the same.  It claims no line, so no later
-    access fills from it, and ``cox`` and ``bottom_sources`` are the same.
-    Only those two dicts are copied, with the read's entries set anew;
-    every other part is the same object.
+    site read's ``rfx_in`` entry.  The read claims no line either way, so
+    no later access fills from it and ``cox`` is the same.  Only ``rfx_in``
+    is copied, with the read's entry set anew; every other part is the same
+    object.  The read's fill line (:meth:`Candidate.xstate`) follows from
+    the new ``stale_src``.
 
     The leak witnesses are the same too, up to the candidate they name, so
     ``analyze`` runs ``detect_leaks`` once per simulation (``base``):
@@ -379,19 +352,9 @@ def _refill(base: list[Candidate], stale_src: int) -> list[Candidate]:
     out = []
     for b in base:
         assert b.site is not None and b.base is None
-        read = b.site.read
         rfx_in = dict(b.rfx_in)
-        rfx_in[read] = stale_src
-        rfx_xstate = dict(b.rfx_xstate)
-        rfx_xstate[read] = _site_line(
-            b.st, b.site, stale_src, _kind_loc(b.st, b.amo, read)[1]
-        )
-        out.append(
-            replace(
-                b, rfx_in=rfx_in, rfx_xstate=rfx_xstate, stale_src=stale_src,
-                base=b,
-            )
-        )
+        rfx_in[b.site.read] = stale_src
+        out.append(replace(b, rfx_in=rfx_in, stale_src=stale_src, base=b))
     return out
 
 
@@ -416,7 +379,7 @@ def confidential(cand: Candidate) -> bool:
         edges.update(zip(order, order[1:]))
     by_x: dict[str, list[int]] = {}
     for e, src in cand.rfx_in.items():
-        by_x.setdefault(cand.rfx_xstate[e], []).append(e)
+        by_x.setdefault(cand.xstate(e), []).append(e)
     for x, order in cand.cox.items():
         members = sorted(
             set(order[1:]) | set(by_x.get(x, [])), key=lambda e: pos.get(e, -1)
@@ -477,19 +440,14 @@ def _make_candidates(
     if base is not None:
         assert stale_src is not None
         return _refill(base, stale_src)
-    rfx_in, rfx_x, writers, xmode, bottom = _build_comx(
-        st, amo, silent, site, stale_src
-    )
+    rfx_in, cox = _build_comx(st, amo, silent, site, stale_src)
     return [
         Candidate(
             st=st,
             rf=rf,
             co=co,
             rfx_in=rfx_in,
-            rfx_xstate=rfx_x,
-            cox=writers,
-            xmode=xmode,
-            bottom_sources=bottom,
+            cox=cox,
             silent=silent,
             site=site,
             stale_src=stale_src,

@@ -179,9 +179,7 @@ def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
     # Observer rule: the final observer reads every line from its last
     # writer, architecturally only from the initial state.
     if probe:
-        sources = sorted(
-            {w for w in cand.bottom_sources.values() if w != 0}
-        )
+        sources = sorted(set(cand.bottom_sources().values()))
         if sources:
             witness("rf_without_rfx", (0, st.bottom), st.bottom, sources)
 
@@ -272,7 +270,7 @@ class _Shared:
 
     def __init__(self, st: EventStructure) -> None:
         self.st = st
-        self.pos = {e: i for i, e in enumerate(e for o in st.tfo for e in o)}
+        self.pos = ex_mod.fetch_positions(st)
         self.into = {
             ("addr", False): _by_target(st.addr),
             ("addr", True): _by_target(st.addr_gep),
@@ -459,8 +457,6 @@ def _fence_points(
     transient transmitter among the finding's chain events (the primitive's
     own transient instance does not count -- no slot precedes it)."""
     st = cand.st
-    if st.acfg is None or len(st.plans) != 1:
-        return None
     members = [m for m in (t.event, t.access, t.upstream) if m is not None]
     if cand.site is not None:
         prim_step = st.step_of[cand.site.read][1]

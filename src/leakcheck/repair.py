@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import ir
-from .events import _uf_find, no_deadline
+from .events import _make_union_find, _uf_find, no_deadline
 from .leakage import EngineConfig, Record, Report, analyze, record_sort_key
 
 Point = tuple[str, int]
@@ -99,13 +99,7 @@ def hitting_set(
             goals.append(s)
     universe = sorted({p for s in goals for p in s}, key=order_key)
     rank = {p: i for i, p in enumerate(universe)}
-    uf: dict[Point, Point] = {}
-    for s in goals:
-        first, *rest = s
-        for p in rest:
-            a, b = _uf_find(uf, first), _uf_find(uf, p)
-            if a != b:
-                uf[b] = a
+    uf = _make_union_find(goals)
     components: dict[Point, list[frozenset[Point]]] = {}
     for s in goals:
         components.setdefault(_uf_find(uf, next(iter(s))), []).append(s)
@@ -118,18 +112,21 @@ def hitting_set(
 def _branch_and_bound(
     goals: list[frozenset[Point]], rank: dict[Point, int], tick
 ) -> set[Point]:
-    """First optimal leaf of the pivot search over goals sorted by size."""
+    """First optimal leaf of the pivot search over goals sorted by size,
+    depth first on an explicit stack: a component's minimum set may have
+    more points than the interpreter's recursion limit."""
     best = {p for s in goals for p in s}
-
-    def bound(chosen: set[Point], remaining: list[frozenset[Point]]) -> None:
-        nonlocal best
+    # (chosen points, the goals its parent missed)
+    stack: list[tuple[set[Point], list[frozenset[Point]]]] = [(set(), goals)]
+    while stack:
         tick()
+        chosen, remaining = stack.pop()
         if len(chosen) >= len(best):
-            return
+            continue
         missed = [s for s in remaining if chosen.isdisjoint(s)]
         if not missed:
-            best = set(chosen)
-            return
+            best = chosen
+            continue
         packed: set[Point] = set()
         packing = 0
         for s in missed:
@@ -137,12 +134,11 @@ def _branch_and_bound(
                 packed |= s
                 packing += 1
         if len(chosen) + packing >= len(best):
-            return
-        # Branch on the points of the hardest-to-hit set, earliest first.
-        for p in sorted(missed[0], key=rank.__getitem__):
-            bound(chosen | {p}, missed)
-
-    bound(set(), goals)
+            continue
+        # Branch on the points of the hardest-to-hit set, earliest first:
+        # pushed latest first, so the earliest pops first.
+        for p in sorted(missed[0], key=rank.__getitem__, reverse=True):
+            stack.append((chosen | {p}, missed))
     return best
 
 

@@ -141,7 +141,7 @@ def leak_findings(cand, probe: bool = True):
     """
     finds = []
     bottom = cand.st.bottom
-    if probe and any(w != 0 for w in cand.bottom_sources.values()):
+    if probe and any(w != 0 for w in cand.bottom_sources().values()):
         finds.append(("rf_without_rfx", (0, bottom)))
 
     rfx = {(src, e) for e, src in cand.rfx_in.items()}
@@ -273,7 +273,7 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
                     builder.step(step)
             st = builder.finish()
             silent_marks_reference(st)
-            st.ctrl = control_deps_reference(st)
+            st.ctrl = control_deps_reference(st, regions)
             st.sites = sites_reference(st, primitives)
             structures.append(st)
     return structures
@@ -317,9 +317,11 @@ def silent_marks_reference(st) -> None:
         prior.append(eid)
 
 
-def control_deps_reference(st) -> frozenset[tuple[int, int]]:
+def control_deps_reference(st, regions) -> frozenset[tuple[int, int]]:
     """The ctrl edges of ``st``, by the post-pass that ``events._Builder``
     replaced with edges derived as each event is emitted, kept verbatim.
+    ``regions`` are the branch regions of ``st.acfg``
+    (``events._branch_regions``).
 
     A committed branch with a condition reaches every later event of its
     thread whose node lies in the branch's region, and every transient
@@ -331,7 +333,7 @@ def control_deps_reference(st) -> frozenset[tuple[int, int]]:
         if not br.cond_reads:
             continue
         assert br.node_id is not None
-        region = st.regions.get(br.node_id, frozenset())
+        region = regions.get(br.node_id, frozenset())
         for order in st.tfo:
             if br.eid not in order:
                 continue
@@ -410,7 +412,7 @@ def _qualifies(st, store, read, committed, require_store=False) -> bool:
     )
 
 
-def derive_bypass_reference(st, site, d_spec: int = 250):
+def derive_bypass_reference(st, site, regions, d_spec: int = 250):
     """The per-site derivation that the one-walk ``events.derive_bypass``
     replaced, kept verbatim: a fresh builder fetches the committed prefix
     from the root for every site, and ctrl edges and sites are set after
@@ -421,9 +423,10 @@ def derive_bypass_reference(st, site, d_spec: int = 250):
     continuation after it become a transient suffix, truncated at the first
     fence or branch or at the speculation depth (with a squash marker if the
     program's end is reached first).  None when the depth budget leaves no
-    room for the re-run at all.
+    room for the re-run at all.  ``regions`` are the branch regions of
+    ``st.acfg``.
     """
-    assert st.acfg is not None and len(st.plans) == 1
+    assert len(st.plans) == 1
     plan = st.plans[0]
     thread, site_step = st.step_of[site.read]
     prefix = [s for s in plan[:site_step] if s.committed]
@@ -447,20 +450,17 @@ def derive_bypass_reference(st, site, d_spec: int = 250):
         suffix.append(events.Step(None, False))
     if not any(step.node is not None for step in suffix):
         return None
-    builder = events._Builder(st.acfg, st.merged_aliases, frozenset(), st.regions)
+    builder = events._Builder(st.acfg, st.merged_aliases, frozenset(), regions)
     builder.start_thread()
     for step in prefix + suffix:
         builder.step(step)
     derived = builder.finish()
-    derived.ctrl = control_deps_reference(derived)
+    derived.ctrl = control_deps_reference(derived, regions)
     derived.sites = sites_reference(derived, frozenset())
-    # The site load is the first transient event of the derived structure.
-    site_eid = next(e.eid for e in derived.events if e.transient)
-    derived.bypass_site = site_eid
     return derived
 
 
-def derive_bypass_builder(st, d_spec: int = 250, tick=events.no_deadline):
+def derive_bypass_builder(st, regions, d_spec: int = 250, tick=events.no_deadline):
     """The one-walk builder derivation that ``events.derive_bypass`` replaced
     with views over ``st``, kept verbatim.
 
@@ -480,13 +480,12 @@ def derive_bypass_builder(st, d_spec: int = 250, tick=events.no_deadline):
     suffix is the window the site's node would open.  When
     ``st`` fetched committed steps only, every derived structure keeps its
     prefix's event ids, stale sources included.  ``tick`` runs once per
-    site.
+    site.  ``regions`` are the branch regions of ``st.acfg``.
     """
     if not st.sites:
         return []
-    assert st.acfg is not None and st.regions is not None
     plan = st.plans[0]
-    builder = events._Builder(st.acfg, st.merged_aliases, frozenset(), st.regions)
+    builder = events._Builder(st.acfg, st.merged_aliases, frozenset(), regions)
     builder.start_thread()
     walked = 0
     out = []
@@ -502,12 +501,9 @@ def derive_bypass_builder(st, d_spec: int = 250, tick=events.no_deadline):
             out.append(None)
             continue
         fork = builder.fork()
-        site_eid = len(fork.events)  # the re-run load is the first new event
         for step in suffix:
             fork.step(step)
-        derived = fork.finish()
-        derived.bypass_site = site_eid
-        out.append(derived)
+        out.append(fork.finish())
     return out
 
 

@@ -233,6 +233,14 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["parse", "enumerate", "check", "repair"])
+def test_non_utf8_file_exits_two(tmp_path, capsys, command):
+    f = tmp_path / "binary.lcm"
+    f.write_bytes(b"\xff\xfe")
+    assert main([command, str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
 # -- corpus runner ------------------------------------------------------------
 
 
@@ -281,6 +289,24 @@ def test_corpus_runner_checks_culprit_detail(tmp_path, capsys):
     code = main(["corpus", str(tmp_path), "--no-timing"])
     capsys.readouterr()
     assert code == 1  # right record, wrong culprit
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"classes": ["bogus"]}, "unknown class 'bogus'"),
+    ({"scope": "everything"}, "invalid scope 'everything'"),
+    ({"d_spec": -3}, "must be at least 0, got '-3'"),
+    ({"w_size": 2.5}, "invalid int value: '2.5'"),
+    ({"engine": "v9"}, "invalid engine 'v9'"),
+    ({"probe": "no"}, "invalid probe 'no'"),
+    ({"silent_stores": 1}, "invalid silent_stores 1"),
+    ({"spec_depth": 5}, "unknown config key 'spec_depth'"),
+])
+def test_corpus_runner_rejects_bad_sidecar_config(tmp_path, capsys, config, message):
+    write_case(tmp_path, "one", GADGET, {"config": config, "expect": []})
+    code = main(["corpus", str(tmp_path), "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"ERROR  [MISMATCH]  ({message})" in out
 
 
 def test_corpus_runner_empty_dir_exits_two(tmp_path, capsys):

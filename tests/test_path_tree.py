@@ -31,9 +31,8 @@ PRIMITIVES = (
     frozenset({"psf"}),
 )
 FIELDS = (
-    "events", "po", "tfo", "top", "bottom", "addr", "addr_gep", "data",
-    "ctrl", "fence_pairs", "sites", "merged_aliases", "bypass_site", "plans",
-    "step_of", "regions",
+    "events", "po", "tfo", "bottom", "addr", "addr_gep", "data",
+    "ctrl", "fence_pairs", "sites", "merged_aliases", "plans", "step_of",
 )
 
 
@@ -42,32 +41,34 @@ def assert_same_structure(got: ev.EventStructure, want: ev.EventStructure):
         assert getattr(got, name) == getattr(want, name), name
 
 
-def assert_views_match_builder(st: ev.EventStructure, d_spec: int) -> None:
+def assert_views_match_builder(st: ev.EventStructure, regions, d_spec: int) -> None:
     """``derive_bypass``'s views over ``st`` against the builder derivation
     they replaced: every field equal, the prefix events ``st``'s own."""
     views = ev.derive_bypass(st, d_spec)
-    built = oracles.derive_bypass_builder(st, d_spec)
+    built = oracles.derive_bypass_builder(st, regions, d_spec)
     assert len(views) == len(built) == len(st.sites)
     for site, view, want in zip(st.sites, views, built):
         assert (view is None) == (want is None)
         if view is not None:
             assert_same_structure(view, want)
-            assert view.bypass_site == site.read
+            # the site read keeps its id and is the first transient event
+            assert [e.eid for e in view.events if e.transient][0] == site.read
             assert all(a is b for a, b in zip(view.events[: site.read], st.events))
 
 
 def assert_walk_matches_reference(src: str, d_spec: int = 8) -> None:
     graph = cfg.build_acfg(ir.parse(src))
+    regions = ev._branch_regions(graph)
     for prims in PRIMITIVES:
         got = ev.enumerate_event_structures(graph, prims, d_spec)
         want = oracles.enumerate_event_structures_reference(graph, prims, d_spec)
         assert len(got) == len(want)
         for st, ref in zip(got, want):
             assert_same_structure(st, ref)
-            assert_views_match_builder(st, d_spec)
+            assert_views_match_builder(st, regions, d_spec)
             derived_all = ev.derive_bypass(st, d_spec)
             for site, derived in zip(st.sites, derived_all):
-                expected = oracles.derive_bypass_reference(ref, site, d_spec)
+                expected = oracles.derive_bypass_reference(ref, site, regions, d_spec)
                 assert (derived is None) == (expected is None)
                 if expected is not None:
                     oracles.silent_marks_reference(expected)
@@ -171,9 +172,10 @@ def psf_blocks(blocks: int) -> str:
 
 def test_psf_blocks_views_match_builder():
     graph = cfg.build_acfg(ir.parse(psf_blocks(7)))
+    regions = ev._branch_regions(graph)
     for prims in (frozenset({"stl"}), frozenset({"psf"})):
         for st in ev.enumerate_event_structures(graph, prims, 25):
-            assert_views_match_builder(st, 25)
+            assert_views_match_builder(st, regions, 25)
 
 
 def test_derive_bypass_runs_no_builder_and_twins_each_event_once(monkeypatch):

@@ -203,7 +203,8 @@ def test_derived_relations_recompute(seed):
         assert set(cand.fr()) == oracles.derive_fr(cand.rf, cand.co, loc_of)
         for order in cand.cox.values():
             assert order[0] == 0
-        assert set(cand.rfx_in) == set(cand.xmode) - set(cand.silent)
+        accesses = {e for o in cand.st.tfo for e in o if cand.access_kind(e)}
+        assert set(cand.rfx_in) == accesses - cand.silent
 
 
 @given(seeds)

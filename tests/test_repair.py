@@ -159,6 +159,16 @@ def test_hitting_set_honours_the_deadline():
     assert time.monotonic() - start < 1.0
 
 
+def test_hitting_set_search_depth_is_not_bounded_by_the_call_stack():
+    # 2400 chained goals {i, i+1} form one component whose minimum set has
+    # 1200 points, more than the interpreter's recursion limit.  Later
+    # points rank first, so the first leaf is optimal and the bound cuts
+    # every other branch.
+    sets = [frozenset({("m", i), ("m", i + 1)}) for i in range(2400)]
+    chosen = rp.hitting_set(sets, lambda p: -p[1])
+    assert chosen == {("m", i) for i in range(1, 2400, 2)}
+
+
 def two_function_order(p):
     return (0 if p[0] == "main" else 1, p[1])
 
