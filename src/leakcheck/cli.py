@@ -103,7 +103,7 @@ def _config(args: argparse.Namespace, collect_graphs: bool = False) -> EngineCon
     )
 
 
-def _load(path: str) -> ir.Program:
+def _load(path: str | Path) -> ir.Program:
     return ir.parse(Path(path).read_text(encoding="utf-8"))
 
 
@@ -259,9 +259,9 @@ def _format_classes(entries: list[tuple[str, list[str]]]) -> str:
 def _run_one(path: Path, args: argparse.Namespace) -> CorpusRow:
     sidecar = path.with_suffix(".expect.json")
     try:
-        data = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+        data = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else {}
         engine, config = _sidecar_config(data, args)
-        prog = ir.parse(path.read_text())
+        prog = _load(path)
         report = analyze(prog, engine, config)
     except AnalysisTimeout:
         return CorpusRow(path.stem, "?", "TIMEOUT", False, "timeout")

@@ -42,7 +42,7 @@ the program.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import TypeVar
@@ -130,6 +130,12 @@ class EventStructure:
     step_of: dict[int, tuple[int, int]] = field(repr=False)  # eid -> (thread, step)
     # Derived structures: the structure they are a view over.
     base: EventStructure | None = field(default=None, repr=False, compare=False)
+
+    def slots(self) -> list:
+        """The fence slot of each step of the plan (False: a squash)."""
+        nodes = self.acfg.nodes
+        return [step.node is not None and (nodes[step.node].func, nodes[step.node].index)
+                for step in self.plans[0]]
 
     def transient_events(self) -> list[int]:
         return [e.eid for e in self.events if e.transient]
@@ -611,6 +617,46 @@ def enumerate_event_structures(
     return structures
 
 
+def _windows(st: EventStructure, d_spec: int) -> Iterator[tuple[int, bool, int, tuple]]:
+    """Per site: its window's end step, if that ends the program, the first
+    eid past it (the site's read: no room) and its dedupe key."""
+    plan, order = st.plans[0], st.tfo[0]
+    nodes = tuple(step.node for step in plan)
+    stops = [i for i, node in enumerate(nodes)
+             if isinstance(st.acfg.nodes[node].instr.op, _CLOSERS)] + [len(plan)]
+    step_at = [st.step_of[e][1] for e in order]  # ascending, as eids are
+    for site in st.sites:
+        start = st.step_of[site.read][1]
+        end = min(stops[bisect_left(stops, start)], start + d_spec)
+        exits = end == len(plan)
+        key = (nodes[:end] + (None,) * exits, site.kind, nodes[start], st.merged_aliases)
+        yield end, exits, bisect_left(step_at, end) + 1, key
+
+
+def shares_content(graph: ACfg) -> bool:
+    """Whether two paths can give structures of equal content: only if, where
+    they part, both arms run through event-less steps to one node."""
+    def run(node: int) -> int:
+        while node != EXIT and isinstance(graph.nodes[node].instr.op, (ir.Alu, ir.Jump, ir.Skip)):
+            node = graph.succ[node][0]
+        return node
+    return any(len(succs) == 2 and run(succs[0]) == run(succs[1]) for succs in graph.succ)
+
+
+class _ByValue(tuple):
+    __hash__ = tuple.__len__  # lists compared by value; hashing needs copies
+
+
+def content_key(st: EventStructure, d_spec: int, seen: set) -> tuple[tuple, list]:
+    """What ``st``'s records are computed from, but its plan (which places fence
+    slots), with each site's view cut and if ``seen`` holds it; its views' keys."""
+    windows = list(_windows(st, d_spec)) if st.sites else []
+    key = (_ByValue((st.events, st.po, st.tfo)), st.bottom, st.addr, st.addr_gep,
+           st.data, st.ctrl, st.fence_pairs, st.sites, st.merged_aliases,
+           tuple((stop, exits, view in seen) for _, exits, stop, view in windows))
+    return key, [view for site, (*_, stop, view) in zip(st.sites, windows) if stop != site.read]
+
+
 def derive_bypass(
     st: EventStructure, d_spec: int = 250, tick=no_deadline, seen: set | None = None
 ) -> list[EventStructure | None]:
@@ -621,8 +667,8 @@ def derive_bypass(
     continuation after it become a transient suffix, truncated at the first
     fence or branch or at the speculation depth (with a squash marker if the
     program's end is reached first).  None when the depth budget leaves no
-    room for the re-run, or when ``seen`` already holds the bypass's key: its
-    plan's nodes, the site's kind and node, the alias resolution.
+    room for the re-run, or when ``seen`` already holds the bypass's key:
+    its plan's nodes, the site's kind and node, the alias resolution.
 
     A structure with sites fetched committed steps only, so each derived
     structure is a view over ``st`` and no builder runs.  It shares ``st``'s
@@ -636,30 +682,22 @@ def derive_bypass(
         return []
     seen = set() if seen is None else seen
     plan, order = st.plans[0], st.tfo[0]
-    nodes = tuple(step.node for step in plan)
-    stops = [i for i, node in enumerate(nodes)
-             if isinstance(st.acfg.nodes[node].instr.op, _CLOSERS)] + [len(plan)]
-    step_at = [st.step_of[e][1] for e in order]  # ascending, as eids are
-    rerun = [Step(node, False) for node in nodes]
+    rerun = [Step(step.node, False) for step in plan]
     twins: list[Event | None] = [None] * st.bottom
     squash = Event(st.bottom, "SBOT", transient=True, label="⊥")
     out: list[EventStructure | None] = []
-    for site in st.sites:
+    for site, (end, exits, stop_eid, key) in zip(st.sites, _windows(st, d_spec)):
         tick()
-        start = st.step_of[site.read][1]
-        end = min(stops[bisect_left(stops, start)], start + d_spec)
-        exits = end == len(plan)
-        key = (nodes[:end] + (None,) * exits, site.kind, nodes[start], st.merged_aliases)
-        if end == start or key in seen:
+        if stop_eid == site.read or key in seen:
             out.append(None)
             continue
         seen.add(key)
-        stop_eid = bisect_left(step_at, end) + 1  # the first eid past the window
         for e in range(site.read, stop_eid):
             twins[e] = twins[e] or replace(
                 st.events[e], transient=True, silent_eligible=False, silent_definite=False)
         events = st.events[: site.read] + twins[site.read : stop_eid]
         fetched = order[: stop_eid - 1] + [squash.eid] * exits
+        start = st.step_of[site.read][1]
         steps = plan[:start] + rerun[start:end] + [Step(None, False)] * exits
         events += [squash] * exits + [Event(len(events) + exits, "BOT", label="⊥")]
         addr, addr_gep, data, ctrl = (

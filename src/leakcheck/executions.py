@@ -462,6 +462,7 @@ def enumerate_candidates(
     silent_stores: bool = False,
     d_spec: int = 250,
     tick=no_deadline,
+    seen: set | None = None,
 ) -> list[Candidate]:
     """All consistent candidates: canonical, silent-store, and bypass ones.
 
@@ -474,9 +475,10 @@ def enumerate_candidates(
     ``tick`` is a callable invoked once per structure, bypass
     site, multi-thread witness combination and batch of candidates built;
     it may raise :class:`AnalysisTimeout` to abandon the enumeration.
+    ``seen`` holds the bypass keys of earlier calls' structures.
     """
     out: list[Candidate] = []
-    seen_bypass: set = set()
+    seen_bypass = set() if seen is None else seen
     for st in structures:
         tick()
         variants: list[tuple[EventStructure, Site | None, tuple[int | None, ...]]] = [

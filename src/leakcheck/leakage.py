@@ -25,7 +25,7 @@ upstream read and the access's own fill was not alias-mispredicted.
 A witness becomes records along one path, :func:`findings`: the source
 events the scope keeps are classified, the class and ``require_gep``
 filters applied, and each kept event yields one record -- its most severe
-class -- with the fence slots that would kill it.
+class -- with the span where a fence would kill it.
 
 Engines differ only in the speculation primitive they enumerate: ``v1``
 (branch windows), ``v4`` (store-to-load bypass), ``psf`` (alias-predicted
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from . import cfg as cfg_mod
 from . import events as ev_mod
@@ -138,6 +137,7 @@ class Report:
     elements: list[RepairElement]
     unrepairable: list[Record]
     structures: int = 0
+    distinct: int = 0  # structures of distinct content, each analysed once
     candidates: int = 0
     graphs: list[tuple[str, str]] = field(default_factory=list)
 
@@ -258,10 +258,10 @@ class _Shared:
     """What the candidates of one event structure ``st``, and of the bypass
     structures that are views over it, share.
 
-    ``st`` fixes the addr/ctrl edges (indexed here by target), the data
-    edges (indexed by store), the fetch positions and the fence slots of
-    its plan steps.  A view (``events.derive_bypass``) has ``st``'s ids,
-    steps and edges up to its window's end, and no lookup passes that end.
+    ``st`` fixes the addr/ctrl edges (indexed here by target), the data edges
+    (indexed by store) and the fetch positions.  A view (``events.derive_bypass``)
+    has ``st``'s ids, steps and edges up to its window's end, and no lookup
+    passes that end.
     Classification reads the transient marks, so it is memoised per
     :class:`_Chains` key for one structure, ``current``, and so are the
     witnesses its sharers read (at a psf site, those with findings).
@@ -269,7 +269,6 @@ class _Shared:
     """
 
     def __init__(self, st: EventStructure) -> None:
-        self.st = st
         self.pos = ex_mod.fetch_positions(st)
         self.into = {
             ("addr", False): _by_target(st.addr),
@@ -278,13 +277,6 @@ class _Shared:
         }
         self.stored_from = _by_target(st.data)  # store -> reads it stores
         self.start(st)
-
-    @cached_property
-    def slot_of(self) -> list:
-        """The fence slot of each step of ``st``'s plan (False: a squash)."""
-        nodes = self.st.acfg.nodes
-        return [step.node is not None and (nodes[step.node].func, nodes[step.node].index)
-                for step in self.st.plans[0]]
 
     def start(self, current: EventStructure) -> None:
         """Move on to the candidates of ``current``, dropping the last one's."""
@@ -450,41 +442,28 @@ def _pick(st: EventStructure, eids: set[int]) -> int:
 # fence-point computation (consumed by repair)
 
 
-def _fence_points(
-    cand: Candidate, w: LeakWitness, t: Transmitter, shared: _Shared
-) -> frozenset[tuple[str, int]] | None:
-    """Slots strictly between the speculation primitive and the earliest
-    transient transmitter among the finding's chain events (the primitive's
-    own transient instance does not count -- no slot precedes it)."""
+def _span(cand: Candidate, w: LeakWitness, t: Transmitter) -> tuple[int, int] | None:
+    """The finding's primitive and its earliest transient chain event but the
+    primitive's own instance, as event ids; None when no slot lies between."""
     st = cand.st
     members = [m for m in (t.event, t.access, t.upstream) if m is not None]
-    if cand.site is not None:
-        prim_step = st.step_of[cand.site.read][1]
-        prim_instance = cand.site.read
-    else:
-        windows = {
-            st.events[m].window
-            for m in members
-            if st.events[m].transient and st.events[m].window is not None
-        }
-        if not windows:
-            return None
-        branch = min(windows)
-        prim_step = st.step_of[branch][1]
-        prim_instance = None
-    chain_transient = [
-        m
-        for m in members
-        if st.events[m].transient
-        and m != prim_instance
-        and (m in w.sources or m == t.event)
-    ]
-    if not chain_transient:
+    transient = [m for m in members if st.events[m].transient]
+    windows = [st.events[m].window for m in transient if st.events[m].window is not None]
+    if cand.site is None and not windows:
         return None
-    emin_step = min(st.step_of[m][1] for m in chain_transient)
-    if emin_step <= prim_step:
+    prim = cand.site.read if cand.site is not None else min(windows)  # a site or a branch
+    chain = [m for m in transient if m != prim and (m in w.sources or m == t.event)]
+    # A single thread fetches in event id order: the earliest has the least id.
+    if not chain or min(chain) <= prim:
         return None
-    return frozenset(shared.slot_of[prim_step + 1 : emin_step + 1]) - {False}
+    return prim, min(chain)
+
+
+def _fence_points(st: EventStructure, span: tuple | None, slots: list) -> frozenset | None:
+    """The ``slots`` of ``st``'s plan past ``span``'s primitive, up to its end."""
+    if span is None:
+        return None
+    return frozenset(slots[st.step_of[span[0]][1] + 1 : st.step_of[span[1]][1] + 1]) - {False}
 
 
 # --------------------------------------------------------------------------
@@ -497,7 +476,8 @@ _PRIMITIVES = {"v1": "branch", "v4": "stl", "psf": "psf"}
 def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             graph: cfg_mod.ACfg | None = None) -> Report:
     """Run one engine (or the merge of all three) over a program, on its
-    ACfg ``graph`` if given: ``all`` builds it once for the three."""
+    ACfg ``graph`` if given: ``all`` builds it once for the three.  Structures
+    of one content (:func:`events.content_key`) replay the first's findings."""
     graph = graph or cfg_mod.build_acfg(prog)
     if engine == "all":
         merged = Report(engine="all", records=[], elements=[], unrepairable=[])
@@ -508,6 +488,7 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             merged.unrepairable.extend(rep.unrepairable)
             merged.graphs.extend(rep.graphs)
             merged.structures += rep.structures
+            merged.distinct += rep.distinct
             merged.candidates += rep.candidates
         merged.records = sorted(set(merged.records), key=record_sort_key)
         return merged
@@ -518,21 +499,46 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
     structures = ev_mod.enumerate_event_structures(
         graph, frozenset({_PRIMITIVES[engine]}), config.d_spec, tick=config.tick
     )
-    cands = ex_mod.enumerate_candidates(
-        structures,
-        silent_stores=config.silent_stores,
-        d_spec=config.d_spec,
-        tick=config.tick,
-    )
     report = Report(engine=engine, records=[], elements=[], unrepairable=[],
-                    structures=len(structures), candidates=len(cands))
-    seen: set[Record] = set()
-    shared: _Shared | None = None
+                    structures=len(structures))
+    seen, seen_bypass, passes = set(), set(), {}  # records, bypass keys, passes by content
+    keyed = ev_mod.shares_content(graph)
+    for st in structures:
+        key, views = ev_mod.content_key(st, config.d_spec, seen_bypass) if keyed else (id(st), ())
+        done = passes.setdefault(key, [])  # one hash of the key
+        if not done:
+            done += _first_pass(st, engine, config, seen_bypass)
+            report.distinct += 1
+        else:
+            config.tick()
+            seen_bypass.update(views)
+        count, found, drawn = done
+        report.candidates += count
+        slots = st.slots() if any(span for _, span in found) else []
+        for rec, span in found:
+            seen.add(rec)
+            points = _fence_points(st, span, slots)
+            if points:
+                report.elements.append(RepairElement(points, rec))
+            else:
+                report.unrepairable.append(rec)
+        for w in drawn:
+            title = f"{engine} witness {len(report.graphs) + 1}"
+            report.graphs.append((title, witness_dot(w.cand, w, title)))
+    report.records = sorted(seen, key=record_sort_key)
+    # Many witnesses repeat one finding: keep each first occurrence.
+    report.elements = list(dict.fromkeys(report.elements))
+    report.unrepairable = list(dict.fromkeys(report.unrepairable))
+    return report
+
+
+def _first_pass(st: EventStructure, engine: str, config: EngineConfig, seen: set) -> tuple:
+    """The candidate count, records with spans and drawn witnesses of ``st``."""
+    cands = ex_mod.enumerate_candidates(
+        [st], config.silent_stores, config.d_spec, config.tick, seen)
+    found, drawn, shared = [], [], _Shared(st)
     for cand in cands:
         config.tick()
-        base = cand.st.base or cand.st
-        if shared is None or shared.st is not base:
-            shared = _Shared(base)  # the last base's memos go
         if shared.current is not cand.st:
             shared.start(cand.st)
         psf = cand.site is not None and cand.site.kind == "psf"
@@ -542,33 +548,20 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
         elif psf:
             # Its base added its records (ex_mod._refill); draw its graphs.
             if config.collect_graphs:
-                for w in shared.witnesses[id(cand.base)]:
-                    w = replace(w, cand=cand)
-                    title = f"{engine} witness {len(report.graphs) + 1}"
-                    report.graphs.append((title, witness_dot(cand, w, title)))
+                drawn += [replace(w, cand=cand) for w in shared.witnesses[id(cand.base)]]
             continue
         else:
             # An stl sharer has its base's witnesses, up to the
             # candidate they name (ex_mod._refill argues why).
             witnesses = [replace(w, cand=cand) for w in shared.witnesses[id(cand.base)]]
         for w in witnesses:
-            found = findings(cand, w, engine, config, shared)
-            for rec, points in found:
-                seen.add(rec)
-                if points:
-                    report.elements.append(RepairElement(points, rec))
-                else:
-                    report.unrepairable.append(rec)
-            if found and psf:  # the witnesses its sharers draw
+            records = findings(cand, w, engine, config, shared)
+            found += records
+            if records and psf:  # the witnesses its sharers draw
                 shared.witnesses[id(cand)].append(w)
-            if found and config.collect_graphs:
-                title = f"{engine} witness {len(report.graphs) + 1}"
-                report.graphs.append((title, witness_dot(cand, w, title)))
-    report.records = sorted(seen, key=record_sort_key)
-    # Many witnesses repeat one finding: keep each first occurrence.
-    report.elements = list(dict.fromkeys(report.elements))
-    report.unrepairable = list(dict.fromkeys(report.unrepairable))
-    return report
+            if records and config.collect_graphs:
+                drawn.append(w)
+    return len(cands), found, drawn
 
 
 def findings(
@@ -577,9 +570,8 @@ def findings(
     engine: str,
     config: EngineConfig,
     shared: _Shared,
-) -> list[tuple[Record, frozenset[tuple[str, int]] | None]]:
-    """The records of one witness, each with the fence slots that would
-    kill it (None or empty: no slot can).
+) -> list[tuple[Record, tuple[int, int] | None]]:
+    """The records of one witness, each with its span (:func:`_span`).
 
     Only the source events the scope keeps are classified.  Each keeps its
     most severe class among those ``config`` admits.
@@ -618,7 +610,7 @@ def findings(
             engine=engine,
             silent=silent,
         )
-        out.append((rec, _fence_points(cand, w, best, shared)))
+        out.append((rec, _span(cand, w, best)))
     return out
 
 

@@ -25,6 +25,7 @@ programs back through the accumulated insertions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -85,7 +86,8 @@ def hitting_set(
        is the union of each component's first optimal leaf;
     3. inside a component, a subtree is cut when the points chosen so far
        plus a greedy packing of pairwise-disjoint missed goals (each needs
-       a point of its own) cannot beat the best set found.
+       a point of its own) cannot beat the best set found, or before the
+       first leaf, a greedy hitting set, which no optimal leaf exceeds.
 
     ``tick`` is a callable invoked once per branch; it may raise
     :class:`~leakcheck.events.AnalysisTimeout` to abandon the search.
@@ -115,17 +117,23 @@ def _branch_and_bound(
     """First optimal leaf of the pivot search over goals sorted by size,
     depth first on an explicit stack: a component's minimum set may have
     more points than the interpreter's recursion limit."""
-    best = {p for s in goals for p in s}
+    # Cut at the best leaf's size; before any leaf, one past a greedy hitting set's.
+    best, bound, missed = set(), 1, goals
+    while missed:
+        counts = Counter(p for s in missed for p in s)
+        top = max(counts, key=counts.__getitem__)
+        missed = [s for s in missed if top not in s]
+        bound += 1
     # (chosen points, the goals its parent missed)
     stack: list[tuple[set[Point], list[frozenset[Point]]]] = [(set(), goals)]
     while stack:
         tick()
         chosen, remaining = stack.pop()
-        if len(chosen) >= len(best):
+        if len(chosen) >= bound:
             continue
         missed = [s for s in remaining if chosen.isdisjoint(s)]
         if not missed:
-            best = chosen
+            best, bound = chosen, len(chosen)
             continue
         packed: set[Point] = set()
         packing = 0
@@ -133,7 +141,7 @@ def _branch_and_bound(
             if packed.isdisjoint(s):
                 packed |= s
                 packing += 1
-        if len(chosen) + packing >= len(best):
+        if len(chosen) + packing >= bound:
             continue
         # Branch on the points of the hardest-to-hit set, earliest first:
         # pushed latest first, so the earliest pops first.

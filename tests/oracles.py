@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
-from leakcheck import events, ir
+from leakcheck import cfg, events, ir
+from leakcheck import executions as ex
+from leakcheck import leakage as lk
 from leakcheck.cfg import EXIT
 
 
@@ -505,6 +508,86 @@ def derive_bypass_builder(st, regions, d_spec: int = 250, tick=events.no_deadlin
             fork.step(step)
         out.append(fork.finish())
     return out
+
+
+# --------------------------------------------------------------------------
+# analysis
+
+
+def analyze_reference(prog, engine, config, graph=None):
+    """The ``leakage.analyze`` loop that analysing each distinct structure
+    once replaced: one pass over every candidate of every structure.
+
+    Kept as it was but for ``findings``, which now gives each record's span
+    rather than its fence slots: the slots are cut here from the
+    candidate's structure, whose plan is its base's up to its window's end.
+    """
+    graph = graph or cfg.build_acfg(prog)
+    if engine == "all":
+        merged = lk.Report(engine="all", records=[], elements=[], unrepairable=[])
+        for sub in ("v1", "v4", "psf"):
+            rep = analyze_reference(prog, sub, config, graph)
+            merged.records.extend(rep.records)
+            merged.elements.extend(rep.elements)
+            merged.unrepairable.extend(rep.unrepairable)
+            merged.graphs.extend(rep.graphs)
+            merged.structures += rep.structures
+            merged.candidates += rep.candidates
+        merged.records = sorted(set(merged.records), key=lk.record_sort_key)
+        return merged
+    structures = events.enumerate_event_structures(
+        graph, frozenset({lk._PRIMITIVES[engine]}), config.d_spec, tick=config.tick
+    )
+    cands = ex.enumerate_candidates(
+        structures,
+        silent_stores=config.silent_stores,
+        d_spec=config.d_spec,
+        tick=config.tick,
+    )
+    report = lk.Report(engine=engine, records=[], elements=[], unrepairable=[],
+                       structures=len(structures), candidates=len(cands))
+    seen = set()
+    shared = shared_base = None
+    for cand in cands:
+        config.tick()
+        base = cand.st.base or cand.st
+        if shared_base is not base:
+            shared, shared_base = lk._Shared(base), base  # the last base's memos go
+        if shared.current is not cand.st:
+            shared.start(cand.st)
+        psf = cand.site is not None and cand.site.kind == "psf"
+        if cand.base is None:
+            witnesses = lk.detect_leaks(cand, probe=config.probe)
+            shared.witnesses[id(cand)] = [] if psf else witnesses
+        elif psf:
+            # Its base added its records (ex._refill); draw its graphs.
+            if config.collect_graphs:
+                for w in shared.witnesses[id(cand.base)]:
+                    w = replace(w, cand=cand)
+                    title = f"{engine} witness {len(report.graphs) + 1}"
+                    report.graphs.append((title, lk.witness_dot(cand, w, title)))
+            continue
+        else:
+            witnesses = [replace(w, cand=cand) for w in shared.witnesses[id(cand.base)]]
+        slots = cand.st.slots()
+        for w in witnesses:
+            found = lk.findings(cand, w, engine, config, shared)
+            for rec, span in found:
+                seen.add(rec)
+                points = lk._fence_points(cand.st, span, slots)
+                if points:
+                    report.elements.append(lk.RepairElement(points, rec))
+                else:
+                    report.unrepairable.append(rec)
+            if found and psf:
+                shared.witnesses[id(cand)].append(w)
+            if found and config.collect_graphs:
+                title = f"{engine} witness {len(report.graphs) + 1}"
+                report.graphs.append((title, lk.witness_dot(cand, w, title)))
+    report.records = sorted(seen, key=lk.record_sort_key)
+    report.elements = list(dict.fromkeys(report.elements))
+    report.unrepairable = list(dict.fromkeys(report.unrepairable))
+    return report
 
 
 # --------------------------------------------------------------------------

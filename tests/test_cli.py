@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import oracles
 import pytest
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 from leakcheck.cli import main
 
@@ -263,6 +266,33 @@ def test_corpus_runner_passes_on_matching_expectations(tmp_path, capsys):
     assert code == 0
     assert "1 programs, 0 mismatch(es)" in out
     assert "ok" in out
+
+
+def test_corpus_reads_programs_and_sidecars_as_utf8(tmp_path):
+    # Under the C locale with UTF-8 mode off, the locale's encoding is
+    # ASCII; both subcommands read the program and its sidecar as UTF-8.
+    expect = {
+        "about": "démo ⊤",
+        "config": {"engine": "v1", "classes": ["universal_data"]},
+        "expect": [{"label": "i6", "transient": True, "class": "universal_data"}],
+    }
+    program = tmp_path / "one.lcm"
+    program.write_text("; démo ⊤\n" + GADGET, encoding="utf-8")
+    (tmp_path / "one.expect.json").write_text(
+        json.dumps(expect, ensure_ascii=False), encoding="utf-8")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": path}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "leakcheck.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    check = run("check", str(program), "--engine", "v1", "--no-timing")
+    assert (check.returncode, check.stderr) == (1, "")
+    assert "transmitter=i6_S class=universal_data" in check.stdout
+    corpus = run("corpus", str(tmp_path), "--no-timing")
+    assert (corpus.returncode, corpus.stderr) == (0, "")
+    assert "1 programs, 0 mismatch(es)" in corpus.stdout
 
 
 def test_corpus_runner_flags_mismatches(tmp_path, capsys):

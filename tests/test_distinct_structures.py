@@ -1,0 +1,164 @@
+"""``analyze`` analyses each distinct event structure once.
+
+Structures whose paths differ only in event-less steps (ALU, skip, jump)
+have equal content (``events.content_key``): the first of them runs
+candidates, leak detection and classification, and each later one replays
+its records, with fence slots on its own plan, and its witness graphs.  The
+reference is the loop this replaced, one pass over every candidate of every
+structure (``oracles.analyze_reference``).  Both must give the same
+records, repair elements (points and order), unrepairable records, witness
+graphs and structure and candidate counts.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import oracles
+import pytest
+from conftest import CORPUS
+from leakcheck import cfg, ir
+from leakcheck import events as ev
+from leakcheck import executions as ex
+from leakcheck import leakage as lk
+
+ALL = frozenset(lk.CLASSES)
+CONFIGS = (
+    {},
+    {"scope": "any", "classes": ALL},
+    {"scope": "any", "classes": ALL, "silent_stores": True},
+    {"scope": "any", "classes": ALL, "probe": False, "w_size": 3},
+    {"scope": "any", "classes": ALL, "collect_graphs": True},
+)
+
+# Diamonds with ALU-only arms of unequal length around stl/psf blocks.
+# Before a site, the two paths have equal content but different plans, so
+# both derive the site's view and their fence slots differ.  After a site,
+# the two paths share the view's plan up to the window's end, so only the
+# first derives it: their events are equal, their content keys are not.
+GUARDED_BLOCKS = (
+    "r7 <-0\nr8 <-0\na: R g ->r1\nBEQZ r1, j1\nr7 <-r7+1\nr7 <-r7+2\nj1: skip\n"
+    "b: R i ->r2\nr3 <-r2&15\nw: W T+r3 <-r2\nr8 <-r8+1\nrd: R T+r3 ->r4\n"
+    "p: R P+r4 ->r5\nc: R h ->r6\nBEQZ r6, j2\nr7 <-r7+1\nj2: skip\n"
+    "w2: W U <-r6\nrd2: R T+r3 ->r9\nq: R Q+r9 ->r5\n",
+    "r7 <-0\nr8 <-0\na: R g ->r1\nBEQZ r1, j1\nr7 <-r7+1\nj1: skip\n"
+    "w: W x <-r1\nr8 <-r8+1\nr8 <-r8+1\nrd: R y ->r2\nt: R A+r2 ->r3\n"
+    "BEQZ r3, j2\nr7 <-r7+1\nr7 <-r7+1\nj2: skip\n"
+    "w2: W z <-r3\nrd2: R x ->r4\nt2: R B+r4 ->r5\n",
+)
+
+
+def assert_matches_reference(src: str, d_spec: int = 8, configs=CONFIGS) -> None:
+    prog = ir.parse(src)
+    graph = cfg.build_acfg(prog)
+    for conf in configs:
+        config = lk.EngineConfig(d_spec=d_spec, **conf)
+        # "all" merges the three; run it under the first config only.
+        for engine in ("v1", "v4", "psf") + ("all",) * (conf is configs[0]):
+            got = lk.analyze(prog, engine, config, graph)
+            want = oracles.analyze_reference(prog, engine, config, graph)
+            where = (engine, conf)
+            assert got.records == want.records, where
+            assert got.elements == want.elements, where
+            assert got.unrepairable == want.unrepairable, where
+            assert got.graphs == want.graphs, where
+            assert (got.structures, got.candidates) == (
+                want.structures, want.candidates), where
+            assert min(1, got.structures) <= got.distinct <= got.structures
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CORPUS.rglob("*.lcm")), ids=lambda p: p.stem
+)
+def test_corpus_program_matches_reference(path):
+    """Each program under its sidecar's depth and window; the stress
+    program, whose psf graphs take seconds, under the default config."""
+    config = json.loads(path.with_suffix(".expect.json").read_text()).get(
+        "config", {}
+    )
+    assert_matches_reference(
+        path.read_text(),
+        d_spec=config.get("d_spec", 250),
+        configs=CONFIGS[:1] if "stress" in path.parts else CONFIGS,
+    )
+
+
+def test_random_programs_match_reference():
+    for seed in range(40):
+        assert_matches_reference(oracles.random_single(random.Random(seed)))
+    for seed in range(12):
+        assert_matches_reference(oracles.random_diamonds(random.Random(seed)))
+    for seed in range(6):
+        src = oracles.random_nested(random.Random(seed))
+        assert_matches_reference("alias (x, y)\n" + src)
+
+
+def test_sequential_diamonds_match_reference():
+    assert_matches_reference(oracles.sequential_diamonds(6))
+
+
+@pytest.mark.parametrize("src", GUARDED_BLOCKS, ids=["indexed", "direct"])
+def test_diamond_guarded_bypass_blocks_match_reference(src):
+    for d_spec in (2, 3, 8):
+        assert_matches_reference(src, d_spec=d_spec)
+
+
+def test_programs_that_share_no_content_have_distinct_keys():
+    """``analyze`` keys no structure where ``events.shares_content`` says no
+    two paths can have equal content; their keys would all differ."""
+    unkeyed = 0
+    for seed in range(60):
+        for src in (oracles.random_single(random.Random(seed)),
+                    oracles.random_diamonds(random.Random(seed))):
+            graph = cfg.build_acfg(ir.parse(src))
+            if ev.shares_content(graph):
+                continue
+            unkeyed += 1
+            for prims in ({"branch"}, {"stl"}, {"psf"}):
+                seen: set = set()
+                keys = []
+                for st in ev.enumerate_event_structures(graph, frozenset(prims), 8):
+                    keys.append(ev.content_key(st, 8, seen)[0])
+                    ex.enumerate_candidates([st], d_spec=8, seen=seen)
+                assert len(set(keys)) == len(keys), src
+    assert unkeyed > 60
+
+
+# The shape of the benchmark's branch_diamonds: five diamonds, then a v1
+# gadget whose branch splits the 64 structures into two contents.
+BRANCH_DIAMONDS = oracles.sequential_diamonds(5) + (
+    "i2: R y ->r3\nBEQZ r3, end\ni5: R A+r3 ->r4\ni6: R B+r4 ->r5\nend: skip\n"
+)
+
+
+def test_report_counts_distinct_structures():
+    report = lk.analyze(ir.parse(BRANCH_DIAMONDS), "v1", lk.EngineConfig())
+    assert (report.structures, report.distinct) == (64, 2)
+    assert [r.line() for r in report.records] == [
+        "LEAK transmitter=i6_S class=universal_data access=i5_S "
+        "culprit=rf_without_rfx engine=v1"
+    ]
+    prog = ir.parse(oracles.sequential_diamonds(10))
+    report = lk.analyze(prog, "v1", lk.EngineConfig())
+    assert (report.structures, report.distinct) == (1024, 1)
+    report = lk.analyze(prog, "all", lk.EngineConfig())
+    assert (report.structures, report.distinct) == (3 * 1024, 3)
+
+
+def test_leaks_are_detected_once_per_distinct_content(monkeypatch):
+    calls = [0]
+    detect_leaks = lk.detect_leaks
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return detect_leaks(*args, **kwargs)
+
+    monkeypatch.setattr(lk, "detect_leaks", counted)
+    prog = ir.parse(oracles.sequential_diamonds(8))
+    for engine in ("v1", "v4", "psf"):
+        calls[0] = 0
+        report = lk.analyze(prog, engine, lk.EngineConfig())
+        # one candidate per structure, 256 structures of one content
+        assert (report.structures, report.candidates) == (256, 256)
+        assert calls[0] == report.distinct == 1

@@ -169,8 +169,28 @@ def test_hitting_set_search_depth_is_not_bounded_by_the_call_stack():
     assert chosen == {("m", i) for i in range(1, 2400, 2)}
 
 
+def test_hitting_set_on_an_earlier_first_chain_takes_linear_ticks():
+    # 400 chained goals {i, i+1}, earlier points first.  The search's first
+    # leaf takes nearly every point; bounded by that leaf and the packing
+    # alone, the search backtracks through about n^2/4 subtrees.  A greedy
+    # hitting set's size bounds it until the first leaf.
+    sets = [frozenset({("m", i), ("m", i + 1)}) for i in range(400)]
+    ticks = [0]
+
+    def tick():
+        ticks[0] += 1
+
+    chosen = rp.hitting_set(sets, lambda p: p, tick)
+    assert chosen == {("m", i) for i in range(1, 400, 2)}
+    assert ticks[0] <= 2 * len(sets)
+
+
 def two_function_order(p):
     return (0 if p[0] == "main" else 1, p[1])
+
+
+def later_first_order(p):
+    return (0 if p[0] == "main" else 1, -p[1])
 
 
 def _blocks(sizes):
@@ -210,11 +230,13 @@ def goal_lists(draw):
 @example([frozenset({("main", 1), ("main", 2)}),
           frozenset({("main", 2), ("main", 3)}),
           frozenset({("main", 1), ("main", 3)})])
+@example([frozenset({("main", i), ("main", i + 1)}) for i in range(9)])
 @settings(max_examples=400, deadline=None)
 def test_hitting_set_matches_the_plain_search(goals):
-    assert rp.hitting_set(goals, two_function_order) == (
-        oracles.hitting_set_reference(goals, two_function_order)
-    )
+    for order in (two_function_order, later_first_order):
+        assert rp.hitting_set(goals, order) == (
+            oracles.hitting_set_reference(goals, order)
+        )
 
 
 @pytest.mark.parametrize(
@@ -319,14 +341,13 @@ def emitted_with_repeats(prog: ir.Program, engine: str, config: lk.EngineConfig)
     for cand in ex.enumerate_candidates(
         structures, silent_stores=config.silent_stores, d_spec=config.d_spec
     ):
-        if shared is None or shared.st is not cand.st:
-            shared = lk._Shared(cand.st)
+        if shared is None or shared.current is not cand.st:
+            shared, slots = lk._Shared(cand.st), cand.st.slots()
         for w in lk.detect_leaks(cand, probe=config.probe):
-            out.extend(
-                lk.RepairElement(points, rec)
-                for rec, points in lk.findings(cand, w, engine, config, shared)
-                if points
-            )
+            for rec, span in lk.findings(cand, w, engine, config, shared):
+                points = lk._fence_points(cand.st, span, slots)
+                if points:
+                    out.append(lk.RepairElement(points, rec))
     return out
 
 

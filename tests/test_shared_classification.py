@@ -1,12 +1,12 @@
 """The per-structure sharing in ``analyze`` against the unshared path.
 
 ``analyze`` memoises classification per event structure, and shares edge
-indexes and fence slots between a structure and its bypass views
+indexes and fetch positions between a structure and its bypass views
 (``leakage._Shared``).  The reference is the same code with nothing shared:
 each witness gets a fresh ``_Shared`` for ``classify_transmitters`` and
 ``findings``.  Both must give the same transmitters (but those of psf
-sharers, which ``analyze`` does not classify), records and repair elements,
-in order.
+sharers, and of structures whose content an earlier structure had, which
+``analyze`` does not classify), records and repair elements, in order.
 """
 
 from __future__ import annotations
@@ -35,9 +35,19 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
     report = lk.Report(engine=engine, records=[], elements=[], unrepairable=[])
     seen: set[lk.Record] = set()
     transmitters = []
-    for cand in ex.enumerate_candidates(
-        structures, silent_stores=config.silent_stores, d_spec=config.d_spec
-    ):
+    seen_bypass: set = set()
+    contents: set[tuple] = set()
+    candidates = []
+    for st in structures:
+        key, _ = ev.content_key(st, config.d_spec, seen_bypass)
+        first = key not in contents
+        contents.add(key)
+        candidates += [(first, cand) for cand in ex.enumerate_candidates(
+            [st], silent_stores=config.silent_stores, d_spec=config.d_spec,
+            seen=seen_bypass,
+        )]
+    for first, cand in candidates:
+        slots = cand.st.slots()
         for w in lk.detect_leaks(cand, probe=config.probe):
             fresh = lk._Shared(cand.st)  # nothing from earlier witnesses
             kept = [
@@ -47,11 +57,13 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
             ]
             classified = lk.classify_transmitters(cand, kept, config.w_size, fresh)
             # analyze classifies nothing for a psf sharer, whose records are
-            # its base's; its records still count below.
-            if cand.base is None or cand.site.kind != "psf":
+            # its base's, nor for a structure whose content an earlier one
+            # had; their records still count below.
+            if first and (cand.base is None or cand.site.kind != "psf"):
                 transmitters.append(classified)
-            for rec, points in lk.findings(cand, w, engine, config, fresh):
+            for rec, span in lk.findings(cand, w, engine, config, fresh):
                 seen.add(rec)
+                points = lk._fence_points(cand.st, span, slots)
                 if points:
                     report.elements.append(lk.RepairElement(points, rec))
                 else:

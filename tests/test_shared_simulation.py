@@ -49,8 +49,9 @@ def analyzed(prog, engine, config, monkeypatch):
     enumerate_candidates, findings = ex.enumerate_candidates, lk.findings
 
     def enumerated(*args, **kwargs):
-        cands.extend(enumerate_candidates(*args, **kwargs))
-        return cands
+        made = enumerate_candidates(*args, **kwargs)
+        cands.extend(made)
+        return made
 
     def recorded(cand, w, *args):
         used.setdefault(id(cand), []).append(w)
