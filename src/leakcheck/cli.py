@@ -65,10 +65,20 @@ def _primitives(text: str) -> frozenset[str]:
     return names
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=_ENGINES, default="all")
+def _add_walk_flags(p: argparse.ArgumentParser) -> None:
+    """The options of every subcommand that enumerates candidates."""
     p.add_argument("--spec-depth", type=_at_least_zero(int), default=250,
                    metavar="N", help="speculation window depth bound (default 250)")
+    p.add_argument("--silent-stores", action="store_true",
+                   help="model the silent-store optimization")
+    p.add_argument("--timeout", type=_at_least_zero(float), default=60.0,
+                   metavar="SECONDS",
+                   help="per-file analysis budget (default 60, 0 for none)")
+
+
+def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--engine", choices=_ENGINES, default="all")
+    _add_walk_flags(p)
     p.add_argument("--w-size", type=_at_least_zero(int), default=None, metavar="N",
                    help="sliding-window bound on chain member distance")
     p.add_argument("--classes", type=_names(CLASSES, "class"),
@@ -80,13 +90,12 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--require-gep", action="store_true",
                    help="only chains whose final addr hop is a computed "
                         "element access (benign-pointer filter)")
-    p.add_argument("--silent-stores", action="store_true",
-                   help="model the silent-store optimization")
     p.add_argument("--no-probe", action="store_true",
                    help="disable the final cache-probe observer rule")
-    p.add_argument("--timeout", type=_at_least_zero(float), default=60.0,
-                   metavar="SECONDS",
-                   help="per-file analysis budget (default 60, 0 for none)")
+
+
+def _deadline(args: argparse.Namespace) -> float | None:
+    return time.monotonic() + args.timeout if args.timeout else None
 
 
 def _config(args: argparse.Namespace, collect_graphs: bool = False) -> EngineConfig:
@@ -98,7 +107,7 @@ def _config(args: argparse.Namespace, collect_graphs: bool = False) -> EngineCon
         require_gep=args.require_gep,
         silent_stores=args.silent_stores,
         probe=not args.no_probe,
-        deadline=time.monotonic() + args.timeout if args.timeout else None,
+        deadline=_deadline(args),
         collect_graphs=collect_graphs,
     )
 
@@ -122,7 +131,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     prog = _load(args.file)
-    config = _config(args)
+    config = EngineConfig(d_spec=args.spec_depth, silent_stores=args.silent_stores,
+                          deadline=_deadline(args))
     graph = cfg_mod.build_acfg(prog)
     structures = ev_mod.enumerate_event_structures(
         graph, args.primitives, config.d_spec, tick=config.tick
@@ -151,7 +161,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         outdir = Path(args.dot)
         outdir.mkdir(parents=True, exist_ok=True)
         for i, (_, text) in enumerate(report.graphs, start=1):
-            (outdir / f"witness_{i:03d}.dot").write_text(text)
+            (outdir / f"witness_{i:03d}.dot").write_text(text, encoding="utf-8")
     n = len(report.records)
     print(f"{args.file}: {n} leak record(s)" if n else f"{args.file}: no leaks")
     if not args.no_timing:
@@ -174,7 +184,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     print(f"{args.file}: {status}, {len(plan.fences)} fence(s), "
           f"{plan.iterations} iteration(s), {minimal}")
     if args.output:
-        Path(args.output).write_text(ir.pretty(plan.program))
+        Path(args.output).write_text(ir.pretty(plan.program), encoding="utf-8")
     elif plan.fences:
         print(ir.pretty(plan.program), end="")
     return 0 if plan.success else 1
@@ -224,7 +234,7 @@ def _sidecar_config(data: dict, args: argparse.Namespace) -> tuple[str, EngineCo
         raise ValueError(f"unknown config key {unknown[0]!r}")
     return engine, EngineConfig(
         **{key: _SIDECAR_KEYS[key](value) for key, value in conf.items()},
-        deadline=time.monotonic() + args.timeout if args.timeout else None,
+        deadline=_deadline(args),
     )
 
 
@@ -347,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="speculation primitives: branch,stl,psf (default none)")
     p.add_argument("--show", action="store_true",
                    help="print each candidate's relations")
-    _add_engine_flags(p)
+    _add_walk_flags(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("check", help="run detection engines on one program")
@@ -386,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     except (cfg_mod.CfgError, ex_mod.ExecutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:  # unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

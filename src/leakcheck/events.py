@@ -2,13 +2,13 @@
 
 An event structure fixes one committed path through the abstract CFG (one
 outcome per branch), an optional set of transient events fetched beyond it,
-and the static dependency edges between events:
+and the static relations between events:
 
 * ``po``  -- committed program order, per thread;
 * ``tfo`` -- total fetch order, per thread (``po`` plus transient events);
-* ``addr``/``data``/``ctrl`` -- syntactic dependencies derived from a
-  register-taint walk (which earlier loads an address, a stored value, or a
-  branch condition was computed from);
+* ``addr``/``data``/``ctrl`` -- syntactic dependencies from a register-taint
+  walk, held by the event each ends at: the earlier loads its address, its
+  stored value or its enclosing branch conditions were computed from;
 * fence-induced ordering pairs between committed memory events.
 
 Three speculation primitives can extend a structure:
@@ -25,15 +25,15 @@ Three speculation primitives can extend a structure:
 Structures are built along the tree of committed paths: one depth-first
 walk fetches each branch prefix once and forks at every branch, so the
 structures of paths with a common prefix share that prefix's events.  The
-``addr``/``data``/``ctrl`` edges, the sites and the silent-store marks are
-derived as each event is emitted, from state carried along the walk; no
-pass runs over a finished structure.
+dependencies, the sites and the silent-store marks are derived as each
+event is emitted, from state carried along the walk; no pass runs over a
+finished structure.
 
 Sites are recorded on the path structure, which then has no branch windows
 (``branch`` does not combine with ``stl`` or ``psf``).  :func:`derive_bypass`
 makes the derived structure of each site a view over its base, with no
-second walk: the base's own prefix events, transient twins of its events
-from the site to the window's end, and its edges cut there.  Events ``0``
+second walk: the base's own prefix events and transient twins of its events
+from the site to the window's end, each with its dependencies.  Events ``0``
 and ``len(events)-1`` are the initial-state writer and the final observer; a
 transient squash pseudo-event marks speculative fetch running off the end of
 the program.
@@ -97,6 +97,8 @@ class Event:
     window: int | None = None  # eid of the branch this transient fetch belongs to
     cond_reads: frozenset[int] = frozenset()  # BR: loads tainting the condition
     addr_reads: frozenset[int] = frozenset()  # R/W/AMO: loads tainting the address
+    value_reads: frozenset[int] = frozenset()  # W: loads tainting the stored value
+    ctrl_reads: frozenset[int] = frozenset()  # loads tainting an open branch's condition
     amo_pointers: tuple[tuple[str, str], ...] = ()  # AMO: (register, location) choices
     silent_eligible: bool = False
     silent_definite: bool = False
@@ -114,11 +116,6 @@ class EventStructure:
     events: list[Event]
     po: list[list[int]]  # committed program events per thread
     tfo: list[list[int]]  # fetched program events per thread (includes squashes)
-    bottom: int
-    addr: frozenset[tuple[int, int]]
-    addr_gep: frozenset[tuple[int, int]]
-    data: frozenset[tuple[int, int]]
-    ctrl: frozenset[tuple[int, int]]
     # Memory-event pairs a fence orders, read by the multi-thread TSO check
     # only: empty for single-thread structures, whose one witness is
     # canonical.
@@ -130,6 +127,11 @@ class EventStructure:
     step_of: dict[int, tuple[int, int]] = field(repr=False)  # eid -> (thread, step)
     # Derived structures: the structure they are a view over.
     base: EventStructure | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def bottom(self) -> int:
+        """The final observer's event id."""
+        return len(self.events) - 1
 
     def slots(self) -> list:
         """The fence slot of each step of the plan (False: a squash)."""
@@ -263,8 +265,8 @@ class _Builder:
     emitted, from state carried along the walk, so :meth:`finish` only adds
     the final observer (and the fence order of a multi-thread structure):
 
-    * ``addr``/``data`` edges from the register taint;
-    * ``ctrl`` edges from the open committed branches, those with a
+    * an event's ``addr_reads`` and ``value_reads`` from the register taint;
+    * its ``ctrl_reads`` from the open committed branches, those with a
       condition whose region the committed path has not left;
     * silent marks from the value identities of the committed stores so far;
     * sites (single-thread structures, under ``stl``/``psf``) from the line
@@ -292,10 +294,6 @@ class _Builder:
         self.plans: list[list[Step]] = []
         self.po: list[list[int]] = []
         self.tfo: list[list[int]] = []
-        self.addr: list[tuple[int, int]] = []
-        self.addr_gep: list[tuple[int, int]] = []
-        self.data: list[tuple[int, int]] = []
-        self.ctrl: list[tuple[int, int]] = []
         self.sites: tuple[Site, ...] = ()
         self.step_of: dict[int, tuple[int, int]] = {}
         # Value identities of the committed stores so far, per location:
@@ -324,10 +322,6 @@ class _Builder:
         new.plans = [list(plan) for plan in self.plans]
         new.po = [list(order) for order in self.po]
         new.tfo = [list(order) for order in self.tfo]
-        new.addr = list(self.addr)
-        new.addr_gep = list(self.addr_gep)
-        new.data = list(self.data)
-        new.ctrl = list(self.ctrl)
         new.step_of = dict(self.step_of)
         new._stores = dict(self._stores)
         new._lines = dict(self._lines)
@@ -383,11 +377,12 @@ class _Builder:
     def _emit(self, thread: int, step_idx: int, step: Step) -> None:
         state = self.state
         window = None if step.window is None else self._eid_at[step.window]
+        ctrl_reads = self._control(step, window) if self._open else frozenset()
         if step.node is None:
             ev = self._fresh(
-                kind="SBOT", thread=thread, transient=True, window=window, label="⊥"
+                kind="SBOT", thread=thread, transient=True, window=window, label="⊥",
+                ctrl_reads=ctrl_reads,
             )
-            self._control(ev)
             self.tfo[-1].append(ev.eid)
             self._eid_at.append(None)
             return
@@ -395,7 +390,6 @@ class _Builder:
         op = node.instr.op
         kind: str | None = None
         fields: dict = {}
-        value_reads: frozenset[int] = frozenset()
         if isinstance(op, (ir.Load, ir.Store)):
             loc, gep = self.location(op.addr, state)
             addr_reads = state.reads_of(ir.address_regs(op.addr))
@@ -406,7 +400,7 @@ class _Builder:
                 state.defslot[op.dest] = step_idx
             else:
                 kind = "W"
-                value_reads = state.reads_of(op.value.regs)
+                fields["value_reads"] = state.reads_of(op.value.regs)
                 # A committed store after a committed same-location store
                 # may be silent (single-thread programs only); definitely so
                 # when an earlier one stores the same value identity: the
@@ -447,16 +441,11 @@ class _Builder:
             node_id=step.node,
             window=window,
             label=_node_label(node),
+            ctrl_reads=ctrl_reads,
             **fields,
         )
-        for src in ev.addr_reads:
-            self.addr.append((src, ev.eid))
-            if ev.gep:
-                self.addr_gep.append((src, ev.eid))
-        for src in value_reads:
-            self.data.append((src, ev.eid))
-        if self._open or kind == "BR":
-            self._control(ev)
+        if kind == "BR" and step.committed and ev.cond_reads:
+            self._open += (ev,)
         if self._want_sites and kind in ("R", "W", "F"):
             self._sites_at(ev)
         self._eid_at.append(ev.eid)
@@ -465,20 +454,20 @@ class _Builder:
         if step.committed:
             self.po[-1].append(ev.eid)
 
-    def _control(self, ev: Event) -> None:
-        """The ctrl edges into ``ev`` from the open branches whose region
-        holds its node or whose window fetched it."""
-        if not ev.transient:
+    def _control(self, step: Step, window: int | None) -> frozenset[int]:
+        """The condition reads of the open branches whose region holds
+        ``step``'s node or whose window (an eid) fetched it."""
+        if step.committed:
             # The ACfg is acyclic, so a committed path that has left a
             # branch's region never re-enters it.
             self._open = tuple(
-                br for br in self._open if ev.node_id in self.regions[br.node_id]
+                br for br in self._open if step.node in self.regions[br.node_id]
             )
+        out: frozenset[int] = frozenset()
         for br in self._open:
-            if ev.window == br.eid or ev.node_id in self.regions[br.node_id]:
-                self.ctrl.extend((src, ev.eid) for src in br.cond_reads)
-        if ev.kind == "BR" and not ev.transient and ev.cond_reads:
-            self._open += (ev,)
+            if window == br.eid or step.node in self.regions[br.node_id]:
+                out |= br.cond_reads
+        return out
 
     def _sites_at(self, ev: Event) -> None:
         """The sites of load ``ev``, and its (or store or fence ``ev``'s)
@@ -509,16 +498,11 @@ class _Builder:
 
     def finish(self) -> EventStructure:
         """The structure of the steps so far; the builder is spent."""
-        bottom = self._fresh(kind="BOT", label="⊥")
+        self._fresh(kind="BOT", label="⊥")
         return EventStructure(
             events=self.events,
             po=self.po,
             tfo=self.tfo,
-            bottom=bottom.eid,
-            addr=frozenset(self.addr),
-            addr_gep=frozenset(self.addr_gep),
-            data=frozenset(self.data),
-            ctrl=frozenset(self.ctrl),
             fence_pairs=self._fence_order() if len(self.po) > 1 else frozenset(),
             sites=self.sites,
             merged_aliases=self.merged,
@@ -651,8 +635,7 @@ def content_key(st: EventStructure, d_spec: int, seen: set) -> tuple[tuple, list
     """What ``st``'s records are computed from, but its plan (which places fence
     slots), with each site's view cut and if ``seen`` holds it; its views' keys."""
     windows = list(_windows(st, d_spec)) if st.sites else []
-    key = (_ByValue((st.events, st.po, st.tfo)), st.bottom, st.addr, st.addr_gep,
-           st.data, st.ctrl, st.fence_pairs, st.sites, st.merged_aliases,
+    key = (_ByValue((st.events, st.po, st.tfo)), st.fence_pairs, st.sites, st.merged_aliases,
            tuple((stop, exits, view in seen) for _, exits, stop, view in windows))
     return key, [view for site, (*_, stop, view) in zip(st.sites, windows) if stop != site.read]
 
@@ -674,9 +657,9 @@ def derive_bypass(
     structure is a view over ``st`` and no builder runs.  It shares ``st``'s
     own prefix events and keeps every event id (the site's and its stale
     sources' included); its suffix events are transient twins of ``st``'s,
-    made once and shared by overlapping windows; its edges, orders, plan and
-    ``step_of`` are ``st``'s, cut at the window's end.  ``tick`` runs once
-    per site.
+    made once and shared by overlapping windows, each with its original's
+    dependencies; its orders, plan and ``step_of`` are ``st``'s, cut at the
+    window's end.  ``tick`` runs once per site.
     """
     if not st.sites:
         return []
@@ -700,12 +683,8 @@ def derive_bypass(
         start = st.step_of[site.read][1]
         steps = plan[:start] + rerun[start:end] + [Step(None, False)] * exits
         events += [squash] * exits + [Event(len(events) + exits, "BOT", label="⊥")]
-        addr, addr_gep, data, ctrl = (
-            frozenset(edge for edge in edges if edge[1] < stop_eid)
-            for edges in (st.addr, st.addr_gep, st.data, st.ctrl))
         out.append(replace(
             st, events=events, po=[order[: site.read - 1]], tfo=[fetched],
-            bottom=len(events) - 1, addr=addr, addr_gep=addr_gep, data=data,
-            ctrl=ctrl, sites=(), plans=[steps],
+            sites=(), plans=[steps],
             step_of=dict(islice(st.step_of.items(), stop_eid - 1)), base=st))
     return out

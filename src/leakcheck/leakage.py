@@ -247,39 +247,14 @@ def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
 # classification
 
 
-def _by_target(edges: frozenset[tuple[int, int]]) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for a, m in edges:
-        out.setdefault(m, []).append(a)
-    return out
-
-
 class _Shared:
-    """What the candidates of one event structure ``st``, and of the bypass
-    structures that are views over it, share.
-
-    ``st`` fixes the addr/ctrl edges (indexed here by target), the data edges
-    (indexed by store) and the fetch positions.  A view (``events.derive_bypass``)
-    has ``st``'s ids, steps and edges up to its window's end, and no lookup
-    passes that end.
-    Classification reads the transient marks, so it is memoised per
-    :class:`_Chains` key for one structure, ``current``, and so are the
-    witnesses its sharers read (at a psf site, those with findings).
-    ``analyze`` keeps one per base.
+    """What the candidates of one event structure, ``current``, share: the
+    classification memoised per :class:`_Chains` key, and the witnesses its
+    sharers read (at a psf site, those with findings).  ``_first_pass``
+    keeps one per structure.
     """
 
-    def __init__(self, st: EventStructure) -> None:
-        self.pos = ex_mod.fetch_positions(st)
-        self.into = {
-            ("addr", False): _by_target(st.addr),
-            ("addr", True): _by_target(st.addr_gep),
-            ("ctrl", False): _by_target(st.ctrl),
-        }
-        self.stored_from = _by_target(st.data)  # store -> reads it stores
-        self.start(st)
-
-    def start(self, current: EventStructure) -> None:
-        """Move on to the candidates of ``current``, dropping the last one's."""
+    def __init__(self, current: EventStructure) -> None:
         self.current = current
         self.chains: dict[tuple, _Chains] = {}
         # id of a candidate that ran its own simulation -> its witnesses
@@ -310,42 +285,42 @@ class _Chains:
     edge, every earlier hop is data followed by rf or by a same-location
     store-to-load fill edge.
 
-    The edges and fetch positions are those of the structure, or of the
-    base it is a view over (:class:`_Shared`).  What else the chains
-    depend on is the key: the forwarding relation, the psf site read (its
-    own address is mispredicted, so it is no universal access) and
-    ``w_size``.  Candidates with equal keys get the same transmitters, so
-    each event is classified once per key.
+    The edges are the dependencies on the structure's events; its event
+    ids are its fetch order (one thread).  What else the chains depend on
+    is the key: the forwarding relation, the psf site read (its own address
+    is mispredicted, so it is no universal access) and ``w_size``.
+    Candidates with equal keys get the same transmitters, so each event is
+    classified once per key.
     """
 
     def __init__(
         self,
-        shared: _Shared,
+        st: EventStructure,
         fwd: frozenset[tuple[int, int]],
         psf_read: int | None,
         w_size: int | None,
     ) -> None:
-        self.st = shared.current
-        self.into = shared.into
-        self.pos = shared.pos
+        self.st = st
         self.psf_read = psf_read
         self.w_size = w_size
         # data;forward composition: read a -> read r via a store.
         self.value_hop: dict[int, set[int]] = {}
         for w, r in fwd:
-            for a in shared.stored_from.get(w, ()):
+            for a in self.st.events[w].value_reads:
                 self.value_hop.setdefault(r, set()).add(a)
         self.classified: dict[int, list[Transmitter]] = {}  # event -> classes
 
     def _within(self, member: int, anchor: int) -> bool:
-        if self.w_size is None:
-            return True
-        return abs(self.pos[member] - self.pos[anchor]) <= self.w_size
+        return self.w_size is None or abs(member - anchor) <= self.w_size
 
     def sources(self, target: int, final: str, gep_only: bool, anchor: int) -> set[int]:
         """Reads whose value reaches ``target``; final hop addr or ctrl."""
         found: set[int] = set()
-        frontier = list(self.into[(final, gep_only)].get(target, ()))
+        ev = self.st.events[target]
+        if final == "ctrl":
+            frontier = list(ev.ctrl_reads)
+        else:
+            frontier = list(ev.addr_reads) if ev.gep or not gep_only else []
         while frontier:
             a = frontier.pop()
             if a in found or not self._within(a, anchor):
@@ -425,7 +400,7 @@ def classify_transmitters(
     key = (fwd, psf_read, w_size)
     chains = shared.chains.get(key)
     if chains is None:
-        chains = shared.chains[key] = _Chains(shared, fwd, psf_read, w_size)
+        chains = shared.chains[key] = _Chains(shared.current, fwd, psf_read, w_size)
     out: dict[int, list[Transmitter]] = {}
     for t in sorted(events):
         if t not in chains.classified:
@@ -540,7 +515,7 @@ def _first_pass(st: EventStructure, engine: str, config: EngineConfig, seen: set
     for cand in cands:
         config.tick()
         if shared.current is not cand.st:
-            shared.start(cand.st)
+            shared = _Shared(cand.st)
         psf = cand.site is not None and cand.site.kind == "psf"
         if cand.base is None:
             witnesses = detect_leaks(cand, probe=config.probe)
@@ -682,9 +657,9 @@ def witness_dot(cand: Candidate, w: LeakWitness, title: str) -> str:
         cox_imm.update(zip(order, order[1:]))
     emit("cox", cox_imm)
     emit("frx", cand.frx())
-    emit("addr", st.addr)
-    emit("data", st.data)
-    emit("ctrl", st.ctrl)
+    emit("addr", [(a, ev.eid) for ev in st.events for a in ev.addr_reads])
+    emit("data", [(a, ev.eid) for ev in st.events for a in ev.value_reads])
+    emit("ctrl", [(a, ev.eid) for ev in st.events for a in ev.ctrl_reads])
     # An observer-rule culprit is an implied architectural edge with no
     # relation of its own; draw it anyway so the finding is visible.
     if culprit not in drawn:

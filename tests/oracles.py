@@ -276,7 +276,7 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
                     builder.step(step)
             st = builder.finish()
             silent_marks_reference(st)
-            st.ctrl = control_deps_reference(st, regions)
+            set_ctrl_reads(st, control_deps_reference(st, regions))
             st.sites = sites_reference(st, primitives)
             structures.append(st)
     return structures
@@ -351,6 +351,12 @@ def control_deps_reference(st, regions) -> frozenset[tuple[int, int]]:
                 for src in br.cond_reads:
                     ctrl.add((src, ev.eid))
     return frozenset(ctrl)
+
+
+def set_ctrl_reads(st, ctrl) -> None:
+    """Set the ``ctrl_reads`` of each event of ``st`` from the ctrl edges ``ctrl``."""
+    for e in st.events:
+        e.ctrl_reads = frozenset(src for src, eid in ctrl if eid == e.eid)
 
 
 def sites_reference(st, primitives) -> tuple:
@@ -458,7 +464,7 @@ def derive_bypass_reference(st, site, regions, d_spec: int = 250):
     for step in prefix + suffix:
         builder.step(step)
     derived = builder.finish()
-    derived.ctrl = control_deps_reference(derived, regions)
+    set_ctrl_reads(derived, control_deps_reference(derived, regions))
     derived.sites = sites_reference(derived, frozenset())
     return derived
 
@@ -547,14 +553,11 @@ def analyze_reference(prog, engine, config, graph=None):
     report = lk.Report(engine=engine, records=[], elements=[], unrepairable=[],
                        structures=len(structures), candidates=len(cands))
     seen = set()
-    shared = shared_base = None
+    shared = None
     for cand in cands:
         config.tick()
-        base = cand.st.base or cand.st
-        if shared_base is not base:
-            shared, shared_base = lk._Shared(base), base  # the last base's memos go
-        if shared.current is not cand.st:
-            shared.start(cand.st)
+        if shared is None or shared.current is not cand.st:
+            shared = lk._Shared(cand.st)  # the last structure's memos go
         psf = cand.site is not None and cand.site.kind == "psf"
         if cand.base is None:
             witnesses = lk.detect_leaks(cand, probe=config.probe)

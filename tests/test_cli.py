@@ -9,6 +9,7 @@ import oracles
 import pytest
 from conftest import CORPUS, ROOT
 
+from leakcheck import leakage as lk
 from leakcheck.cli import main
 
 GADGET = (
@@ -68,7 +69,19 @@ def test_check_writes_witness_graphs(gadget, tmp_path, capsys):
     capsys.readouterr()
     files = sorted(dots.glob("witness_*.dot"))
     assert files
-    assert files[0].read_text().startswith("digraph")
+    text = files[0].read_text(encoding="utf-8")
+    assert text.startswith("digraph")
+    # i2 (e1) feeds the addresses of i5_S (e3) and i6_S (e4), and its
+    # condition every event of the window, the squash (e5) included.
+    deps = {line.strip() for line in text.splitlines() if ", style=dashed];" in line}
+    assert deps == {f'e{a} -> e{b} [label="{rel}", style=dashed];' for a, b, rel in (
+        (1, 3, "addr"), (3, 4, "addr"), (1, 3, "ctrl"), (1, 4, "ctrl"), (1, 5, "ctrl"))}
+    main(["check", str(CORPUS / "gadgets" / "spectre_v4.lcm"), "--engine", "psf",
+          "--no-timing", "--scope", "any", "--classes", ",".join(lk.CLASSES),
+          "--dot", str(tmp_path / "v4")])
+    capsys.readouterr()
+    graphs = [f.read_text(encoding="utf-8") for f in (tmp_path / "v4").glob("*.dot")]
+    assert any('e1 -> e3 [label="data", style=dashed]' in g for g in graphs)
 
 
 @pytest.mark.parametrize("name", ["gadgets/spectre_v1.lcm", "pht/pht04.lcm"])
@@ -208,6 +221,7 @@ def test_unknown_class_exits_via_systemexit(gadget, capsys):
     (["check", "--timeout", "-1"], "argument --timeout: must be at least 0"),
     (["repair", "--timeout", "nan"], "argument --timeout: must be at least 0"),
     (["check", "--spec-depth", "x"], "argument --spec-depth: invalid int value"),
+    (["enumerate", "--engine", "v1"], "unrecognized arguments: --engine v1"),
 ])
 def test_bad_option_value_is_a_usage_error(gadget, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -268,9 +282,17 @@ def test_corpus_runner_passes_on_matching_expectations(tmp_path, capsys):
     assert "ok" in out
 
 
+def run_in_c_locale(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process under the C locale with UTF-8 mode off,
+    where the locale's encoding is ASCII."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "leakcheck.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_corpus_reads_programs_and_sidecars_as_utf8(tmp_path):
-    # Under the C locale with UTF-8 mode off, the locale's encoding is
-    # ASCII; both subcommands read the program and its sidecar as UTF-8.
+    # Both subcommands read the program and its sidecar as UTF-8.
     expect = {
         "about": "démo ⊤",
         "config": {"engine": "v1", "classes": ["universal_data"]},
@@ -280,19 +302,30 @@ def test_corpus_reads_programs_and_sidecars_as_utf8(tmp_path):
     program.write_text("; démo ⊤\n" + GADGET, encoding="utf-8")
     (tmp_path / "one.expect.json").write_text(
         json.dumps(expect, ensure_ascii=False), encoding="utf-8")
-    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": path}
-
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "leakcheck.cli", *argv],
-                              env=env, capture_output=True, text=True, timeout=60)
-
-    check = run("check", str(program), "--engine", "v1", "--no-timing")
+    check = run_in_c_locale("check", str(program), "--engine", "v1", "--no-timing")
     assert (check.returncode, check.stderr) == (1, "")
     assert "transmitter=i6_S class=universal_data" in check.stdout
-    corpus = run("corpus", str(tmp_path), "--no-timing")
+    corpus = run_in_c_locale("corpus", str(tmp_path), "--no-timing")
     assert (corpus.returncode, corpus.stderr) == (0, "")
     assert "1 programs, 0 mismatch(es)" in corpus.stdout
+
+
+def test_files_are_written_as_utf8_and_stdout_errors_exit_two(gadget, tmp_path):
+    dots = tmp_path / "dots"
+    check = run_in_c_locale("check", str(gadget), "--engine", "v1", "--no-timing",
+                            "--dot", str(dots))
+    assert (check.returncode, check.stderr) == (1, "")
+    assert "⊤" in (dots / "witness_001.dot").read_text(encoding="utf-8")
+    cafe = tmp_path / "cafe.lcm"
+    cafe.write_text(GADGET.replace("i5:", "café:"), encoding="utf-8")
+    fixed = tmp_path / "fixed.lcm"
+    repair = run_in_c_locale("repair", str(cafe), "--engine", "v1", "--output", str(fixed))
+    assert (repair.returncode, repair.stderr) == (0, "")
+    assert "\ncafé: R A+r2 ->r4\n" in fixed.read_text(encoding="utf-8")
+    # The record names the access café_S, which ASCII stdout cannot print.
+    check = run_in_c_locale("check", str(cafe), "--engine", "v1", "--no-timing")
+    assert check.returncode == 2
+    assert check.stderr.startswith("error: 'ascii' codec can't encode")
 
 
 def test_corpus_runner_flags_mismatches(tmp_path, capsys):

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
-import pytest
+import json
+import random
 
+import oracles
+import pytest
+from conftest import CORPUS
 from leakcheck import cfg, ir
 from leakcheck import events as ev
+from leakcheck import executions as ex
 
 BRANCH = frozenset({"branch"})
 STL = frozenset({"stl"})
@@ -127,9 +132,10 @@ def test_dependency_edges_on_known_shape():
     sts = structures(TWO_WAY)
     st = next(s for s in sts if "i5" in {s.events[e].label for e in s.po[0]})
     ev_of = {e.label: e.eid for e in st.events}
-    assert (ev_of["i2"], ev_of["i5"]) in st.addr
-    assert (ev_of["i5"], ev_of["i6"]) in st.addr
-    assert (ev_of["i2"], ev_of["i5"]) in st.addr_gep
+    i5, i6 = st.events[ev_of["i5"]], st.events[ev_of["i6"]]
+    assert ev_of["i2"] in i5.addr_reads
+    assert ev_of["i5"] in i6.addr_reads
+    assert i5.gep
     # branch condition taint
     br = next(e for e in st.events if e.kind == "BR")
     assert br.cond_reads == frozenset({ev_of["i2"]})
@@ -139,7 +145,7 @@ def test_store_value_taint_feeds_data_edge():
     sts = structures("i1: R x ->r1\ni2: W y <-r1&3\n")
     st = sts[0]
     ev_of = {e.label: e.eid for e in st.events}
-    assert (ev_of["i1"], ev_of["i2"]) in st.data
+    assert ev_of["i1"] in st.events[ev_of["i2"]].value_reads
 
 
 def test_alias_declaration_merges_locations():
@@ -161,3 +167,35 @@ def test_timeout_tick_propagates():
         ev.enumerate_event_structures(
             cfg.build_acfg(ir.parse(TWO_WAY)), BRANCH, 250, tick=boom
         )
+
+
+def test_single_thread_event_ids_are_fetch_order():
+    # Classification (``leakage._Chains._within``) and spans
+    # (``leakage._span``) read a single-thread structure's event ids as its
+    # fetch positions, and ``EventStructure.bottom`` is its last event: both
+    # hold by construction, for every structure and every bypass view.
+    programs = []
+    for path in sorted(CORPUS.rglob("*.lcm")):
+        config = json.loads(path.with_suffix(".expect.json").read_text()).get("config", {})
+        programs.append((path.read_text(), config.get("d_spec", 250)))
+    for family, seeds in ((oracles.random_single, range(8000, 8300)),
+                          (oracles.random_diamonds, range(8600, 8800)),
+                          (oracles.random_nested, range(9100, 9300))):
+        programs += [(family(random.Random(seed)), 8) for seed in seeds]
+    structures = views = 0
+    for src, d_spec in programs:
+        graph = cfg.build_acfg(ir.parse(src))
+        if len(graph.roots) != 1:
+            continue
+        for prims in (BRANCH, STL, PSF):
+            for st in ev.enumerate_event_structures(graph, prims, d_spec):
+                derived = [v for v in ev.derive_bypass(st, d_spec) if v is not None]
+                structures, views = structures + 1, views + len(derived)
+                for s in [st, *derived]:
+                    fetched = len(s.events) - 2  # all but the initial writer and observer
+                    assert s.tfo == [list(range(1, fetched + 1))]
+                    pos = ex.fetch_positions(s)
+                    assert all(pos[e] == e - 1 for e in s.tfo[0])
+                    assert [e.kind for e in s.events].count("BOT") == 1
+                    assert s.events[s.bottom].kind == "BOT" and s.events[0].kind == "TOP"
+    assert structures > 10000 and views > 5000

@@ -8,13 +8,14 @@ same derived structure for every bypass site: ``derive_bypass`` builds each
 as a view over its base, the references with a builder, one walk per base
 (``oracles.derive_bypass_builder``) or one site at a time from the root
 (``oracles.derive_bypass_reference``).
-The builder derives ctrl edges and sites as each event is emitted; both
-references set them by the post-passes that did so before
+The builder derives each event's ctrl reads and the sites as each event is
+emitted; both references set them by the post-passes that did so before
 (``oracles.control_deps_reference``, ``oracles.sites_reference``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -30,9 +31,10 @@ PRIMITIVES = (
     frozenset({"stl"}),
     frozenset({"psf"}),
 )
-FIELDS = (
-    "events", "po", "tfo", "bottom", "addr", "addr_gep", "data",
-    "ctrl", "fence_pairs", "sites", "merged_aliases", "plans", "step_of",
+# Every compared field, so a field added to or removed from the structure
+# is compared without an edit here, and the final observer's id.
+FIELDS = tuple(f.name for f in dataclasses.fields(ev.EventStructure) if f.compare) + (
+    "bottom",
 )
 
 
