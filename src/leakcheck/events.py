@@ -29,6 +29,16 @@ dependencies, the sites and the silent-store marks are derived as each
 event is emitted, from state carried along the walk; no pass runs over a
 finished structure.
 
+Where both arms of a branch run through event-less steps to one join node,
+the two forks are merged at the join when everything the walk below it reads
+is equal: plan length, events, orders, sites, the store, line and unfenced
+histories, the open branches, taint and window, and the definition slots of
+the registers that a node reachable from the join reads through an indirect
+address, a stored value or an AMO pointer.  Only one fork walks on; its
+structures are grafted onto the other, which keeps its own plan prefix and
+``step_of``, so ``b`` such diamonds take a walk linear in ``b`` and ``2^b``
+cheap copies, not ``2^b`` walks.
+
 Sites are recorded on the path structure, which then has no branch windows
 (``branch`` does not combine with ``stl`` or ``psf``).  :func:`derive_bypass`
 makes the derived structure of each site a view over its base, with no
@@ -44,7 +54,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from graphlib import TopologicalSorter
 from itertools import islice
+from operator import attrgetter
 from typing import TypeVar
 
 from . import cfg as acfg_mod
@@ -329,6 +341,41 @@ class _Builder:
         new._eid_at = list(self._eid_at)
         return new
 
+    def mergeable(self, other: _Builder, slot_reads: frozenset[str]) -> bool:
+        """Whether the walk from here gives the structures that ``other``'s
+        walk from the same node gives, up to the plan and ``step_of`` before
+        that node (:meth:`graft`): ``slot_reads`` are the registers whose
+        definition slot a node reachable from it reads."""
+        mine, theirs = self.state, other.state
+        return (
+            len(self.plans[-1]) == len(other.plans[-1])
+            and self._in_window == other._in_window
+            and mine.taint == theirs.taint
+            and all(mine.defslot.get(reg) == theirs.defslot.get(reg) for reg in slot_reads)
+            and self._open == other._open
+            and self.sites == other.sites
+            and self._unfenced == other._unfenced
+            and self._lines == other._lines
+            and self._stores == other._stores
+            and self.po == other.po
+            and self.tfo == other.tfo
+            and self.events == other.events
+        )
+
+    def graft(self, leaf: EventStructure) -> EventStructure:
+        """``leaf``, a structure of the walk from a fork :meth:`mergeable`
+        with this builder, as the walk from this builder would give it: this
+        builder's plan and ``step_of`` so far, then ``leaf``'s from the same
+        plan index and event id on."""
+        thread = len(self.plans) - 1
+        plan = self.plans[thread]
+        plans = [*self.plans[:thread], plan + leaf.plans[thread][len(plan):],
+                 *leaf.plans[thread + 1:]]
+        step_of = dict(self.step_of)
+        step_of.update(islice(leaf.step_of.items(), len(step_of), None))
+        return EventStructure(leaf.events, leaf.po, leaf.tfo, leaf.fence_pairs, leaf.sites,
+                              leaf.merged_aliases, plans, leaf.acfg, step_of)
+
     def location(self, addr: ir.Address, state: _ThreadState) -> tuple[str, bool]:
         if isinstance(addr, ir.Direct):
             return _uf_find(self.uf, addr.loc), False
@@ -534,6 +581,7 @@ def _walk_paths(
     primitives: frozenset[str],
     d_spec: int,
     regions: dict[int, frozenset[int]],
+    joins: dict[int, tuple[int, frozenset[str]]],
     tick,
 ) -> list[EventStructure]:
     """The structures of one alias resolution, depth first along the tree of
@@ -545,15 +593,38 @@ def _walk_paths(
     are visited in reversed successor order, which is the structure order of
     listing every path up front.  Only the forks pending on the current path
     are held at a time; ``tick`` runs once per node walked.
+
+    Where both arms of a branch run through event-less steps to one join node
+    (``joins``), each fork also steps its arm up to the join, and the two are
+    merged when the subtree below the join cannot tell them apart
+    (:meth:`_Builder.mergeable`): equal plan lengths, events, orders, sites,
+    store and line histories, unfenced stores, open branches, taint and
+    window, and equal definition slots on the registers whose slot the subtree
+    reads (indirect addresses, stored values, AMO pointers).  The forks may
+    still differ in ``_eid_at``, ``_saved``, the plan and ``step_of`` before
+    the join: later windows index only the branch steps past the join, at the
+    same plan indices in both; and ``_saved`` is dead while committed (the
+    next window saves afresh), which both forks are at the join, as one arm
+    at least steps a committed node and the windows are equal.  Only the fork
+    visited first is walked on; each structure its subtree gives is then
+    grafted onto the other fork (:meth:`_Builder.graft`), in order, with one
+    ``tick`` per graft.
     """
     committed = [Step(node, True) for node in range(len(graph.nodes))]
     want_windows = "branch" in primitives
     out: list[EventStructure] = []
     first = _Builder(graph, merged, primitives, regions)
     first.start_thread()
-    stack: list[tuple[_Builder, int]] = [(first, graph.roots[0])]
+    # (builder, node to walk from, None), or (builder, 0, the index in out
+    # of the first structure to graft onto builder).
+    stack: list[tuple[_Builder, int, int | None]] = [(first, graph.roots[0], None)]
     while stack:
-        builder, node = stack.pop()
+        builder, node, graft_from = stack.pop()
+        if graft_from is not None:
+            for leaf in out[graft_from:]:
+                tick()
+                out.append(builder.graft(leaf))
+            continue
         while True:
             tick()
             if node == EXIT:
@@ -576,7 +647,19 @@ def _walk_paths(
                     untaken = succs[0] if nxt == succs[1] else succs[1]
                     for step in _window_steps(graph, branch_idx, untaken, d_spec):
                         fork.step(step)
-                stack.append((fork, nxt))
+            if node not in joins:
+                stack += [(fork, nxt, None) for fork, nxt in zip(forks, succs)]
+                break
+            join, slot_reads = joins[node]
+            for fork, nxt in zip(forks, succs):
+                while nxt != join:
+                    tick()
+                    fork.step(committed[nxt])
+                    nxt = graph.succ[nxt][0]
+            other, walked = forks
+            merge = other.mergeable(walked, slot_reads)
+            stack += [(other, 0, len(out)) if merge else (other, join, None),
+                      (walked, join, None)]
             break
     return out
 
@@ -594,10 +677,10 @@ def enumerate_event_structures(
     """
     if "branch" in primitives and primitives & {"stl", "psf"}:
         raise ValueError("branch windows do not combine with stl or psf")
-    regions = _branch_regions(graph)
+    regions, joins = _branch_regions(graph), _joins(graph)
     structures: list[EventStructure] = []
     for merged in _alias_subsets(graph.program.aliases):
-        structures += _walk_paths(graph, merged, primitives, d_spec, regions, tick)
+        structures += _walk_paths(graph, merged, primitives, d_spec, regions, joins, tick)
     return structures
 
 
@@ -617,18 +700,51 @@ def _windows(st: EventStructure, d_spec: int) -> Iterator[tuple[int, bool, int, 
         yield end, exits, bisect_left(step_at, end) + 1, key
 
 
-def shares_content(graph: ACfg) -> bool:
-    """Whether two paths can give structures of equal content: only if, where
-    they part, both arms run through event-less steps to one node."""
+def _joins(graph: ACfg) -> dict[int, tuple[int, frozenset[str]]]:
+    """Per two-way branch whose arms both run through event-less steps (ALU,
+    skip, jump) to one node: that join node, and the registers whose reaching
+    definition (``defslot``) a node reachable from it reads, through an
+    indirect address, a stored value or an AMO pointer."""
     def run(node: int) -> int:
         while node != EXIT and isinstance(graph.nodes[node].instr.op, (ir.Alu, ir.Jump, ir.Skip)):
             node = graph.succ[node][0]
         return node
-    return any(len(succs) == 2 and run(succs[0]) == run(succs[1]) for succs in graph.succ)
+    joins = {node: join for node, succs in enumerate(graph.succ)
+             if len(succs) == 2 and (join := run(succs[0])) == run(succs[1])}
+    if not joins:
+        return {}
+    reads: dict[int, frozenset[str]] = {EXIT: frozenset()}
+    # Successors first (the ACfg is acyclic): each node after all it reaches.
+    for node in TopologicalSorter(dict(enumerate(graph.succ))).static_order():
+        if node == EXIT:
+            continue
+        op = graph.nodes[node].instr.op
+        own: set[str] = set()
+        if isinstance(op, (ir.Load, ir.Store)) and isinstance(op.addr, ir.Indirect):
+            own.add(op.addr.reg)
+        if isinstance(op, ir.Store):
+            own.update(op.value.regs)
+        elif isinstance(op, acfg_mod.AbstractMemOp):
+            own.update(op.pointer_args)
+        reads[node] = frozenset(own).union(*(reads[nxt] for nxt in graph.succ[node]))
+    return {node: (join, reads[join]) for node, join in joins.items()}
+
+
+def shares_content(graph: ACfg) -> bool:
+    """Whether two paths can give structures of equal content: only if, where
+    they part, both arms run through event-less steps to one node."""
+    return bool(_joins(graph))
 
 
 class _ByValue(tuple):
-    __hash__ = tuple.__len__  # lists compared by value; hashing needs copies
+    """The events and orders of a structure: compared by value, hashed by the
+    events' nodes (lists are unhashable)."""
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(_node_id, self[0])))
+
+
+_node_id = attrgetter("node_id")
 
 
 def content_key(st: EventStructure, d_spec: int, seen: set) -> tuple[tuple, list]:

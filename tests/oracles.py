@@ -721,6 +721,54 @@ def sequential_diamonds(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def random_joins(rng: random.Random, threads: int = 0) -> str:
+    """Diamonds whose arms run through event-free steps (ALU, skip, jump) to
+    their join, with code after each join that reads the arms' definitions:
+    r1 in a stored value (silent marks read its definition), r2 through an
+    indirect address ``[r2]`` and, single-threaded, r3 as the pointer of an
+    extern call (an AMO); r4 only as an index, so only its taint counts.
+
+    The two forks at such a branch may be merged only when nothing after the
+    join tells them apart, so arms of equal and unequal length, with and
+    without tainted or read definitions, meet every refusal; each thread
+    ends with a read of each kind.  ``threads`` greater than zero gives that
+    many thread blocks, of at most two diamonds each and no calls.
+    """
+    regs = ("r1", "r2", "r3", "r4")
+    labels = itertools.count()
+
+    def define() -> str:
+        # ``r <-r+1`` keeps r's taint: only its definition tells the forks apart.
+        reg = rng.choice(regs)
+        return rng.choice((f"{reg} <-{rng.randint(0, 1)}", f"{reg} <-{rng.choice(regs)}&1",
+                           f"{reg} <-{reg}+1", "skip"))
+
+    def reads(calls: bool) -> list[str]:
+        return ["W x <-r1", f"R [r2] ->{rng.choice(regs)}"] + ["call f(r3)"] * calls
+
+    def body(calls: bool) -> list[str]:
+        lines = [f"R {loc} ->{reg}" for loc, reg in zip(LOCS + ("w",), regs)] + ["W x <-r1"]
+        for _ in range(rng.randint(1, 2 if threads else 4)):
+            lines += rng.sample(reads(calls) + [f"R A+r4 ->{rng.choice(regs)}"],
+                                rng.randint(0, 2))
+            k, cond = next(labels), rng.choice(regs)
+            taken = [define() for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.4:
+                lines += [f"BEQZ {cond}, j{k}", *taken, f"j{k}: skip"]
+            else:
+                untaken = [define() for _ in range(rng.randint(0, 2))]
+                lines += [f"BEQZ {cond}, e{k}", *taken, f"JMP j{k}",
+                          f"e{k}: skip", *untaken, f"j{k}: skip"]
+        return lines + reads(calls)
+
+    if not threads:
+        return "\n".join(["extern f/1", *body(True)]) + "\n"
+    lines = []
+    for t in range(threads):
+        lines += [f"thread t{t}:", *body(False)]
+    return "\n".join(lines) + "\n"
+
+
 def random_multithread(rng: random.Random) -> str:
     """A two-thread litmus shape, at most 3 memory ops per thread."""
     lines = []

@@ -162,3 +162,24 @@ def test_leaks_are_detected_once_per_distinct_content(monkeypatch):
         # one candidate per structure, 256 structures of one content
         assert (report.structures, report.candidates) == (256, 256)
         assert calls[0] == report.distinct == 1
+
+
+def test_distinct_contents_hash_apart(monkeypatch):
+    """Three event-free diamonds, then nine whose arms load: 4096 structures
+    of 512 contents.  Content keys hash by the events' nodes, so a key is
+    compared with the keys of its own content only; under a constant hash it
+    would be compared with every content so far, over a million ``Event``
+    comparisons."""
+    src = oracles.sequential_diamonds(3) + "".join(
+        f"R d{k} ->r1\nBEQZ r1, e{k}\nR a{k} ->r3\ne{k}: skip\n" for k in range(9))
+    calls = [0]
+    eq = ev.Event.__eq__
+
+    def counted(self, other):
+        calls[0] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(ev.Event, "__eq__", counted)
+    report = lk.analyze(ir.parse(src), "v1", lk.EngineConfig())
+    assert (report.structures, report.distinct) == (4096, 512)
+    assert calls[0] <= 4096

@@ -238,6 +238,18 @@ def test_deadline_interrupts_path_enumeration():
     assert time.process_time() - start < 1.0
 
 
+def test_deadline_interrupts_grafting():
+    # 2^22 committed paths whose forks all merge: the walk takes a few
+    # dozen steps, and grafting its one structure onto the 2^22 - 1 other
+    # paths checks the deadline once per graft
+    prog = ir.parse(oracles.sequential_diamonds(22))
+    config = lk.EngineConfig(deadline=time.monotonic() + 0.2)
+    start = time.process_time()
+    with pytest.raises(ev.AnalysisTimeout):
+        lk.analyze(prog, "v1", config)
+    assert time.process_time() - start < 1.0
+
+
 def test_thread_programs_are_rejected():
     src = "thread t0:\nW x <-1\nthread t1:\nR x ->r1\n"
     with pytest.raises(ex.ExecutionError):

@@ -11,6 +11,9 @@ as a view over its base, the references with a builder, one walk per base
 The builder derives each event's ctrl reads and the sites as each event is
 emitted; both references set them by the post-passes that did so before
 (``oracles.control_deps_reference``, ``oracles.sites_reference``).
+Where the walk merges two forks at a join and grafts the structures of one
+onto the other, the reference still builds each path on its own
+(``oracles.random_joins`` is the family that meets each refusal).
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ FIELDS = tuple(f.name for f in dataclasses.fields(ev.EventStructure) if f.compar
 def assert_same_structure(got: ev.EventStructure, want: ev.EventStructure):
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), name
+    # ``derive_bypass`` cuts ``step_of`` by position, so it must be in eid order.
+    assert list(got.step_of) == sorted(got.step_of)
 
 
 def assert_views_match_builder(st: ev.EventStructure, regions, d_spec: int) -> None:
@@ -115,6 +120,50 @@ def test_random_multithread_programs_match_reference():
         assert_walk_matches_reference(
             oracles.random_multithread(random.Random(seed))
         )
+
+
+def test_merged_diamonds_match_reference(monkeypatch):
+    """Forks whose event-free arms meet at a join are merged when nothing
+    after the join tells them apart (``_Builder.mergeable``), and the walked
+    fork's structures are grafted onto the other; the family's arms define
+    registers read later through ``[r]``, in stored values and as AMO
+    pointers, under depth budgets that cut windows short."""
+    verdicts = {True: 0, False: 0}
+    mergeable = ev._Builder.mergeable
+
+    def counted(self, other, slot_reads):
+        verdict = mergeable(self, other, slot_reads)
+        verdicts[verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(ev._Builder, "mergeable", counted)
+    for seed in range(9400, 9500):
+        rng = random.Random(seed)
+        aliases = "alias (x, y)\n" if rng.random() < 0.3 else ""
+        src = aliases + oracles.random_joins(rng, threads=rng.choice((0, 0, 2)))
+        assert_walk_matches_reference(src, d_spec=rng.choice((1, 2, 3, 8)))
+    assert verdicts[True] > 50 and verdicts[False] > 1000
+
+
+def test_walk_steps_grow_linearly_with_sequential_diamonds(monkeypatch):
+    """Under v1 the forks at each of ``sequential_diamonds(n)``'s branches
+    merge, so the walk steps each diamond a fixed number of times: linear in
+    n, where walking every path steps 2^n paths."""
+    calls = [0]
+    step = ev._Builder.step
+
+    def counted(self, s):
+        calls[0] += 1
+        return step(self, s)
+
+    monkeypatch.setattr(ev._Builder, "step", counted)
+    counts = []
+    for n in (4, 8, 12):
+        calls[0] = 0
+        graph = cfg.build_acfg(ir.parse(oracles.sequential_diamonds(n)))
+        assert len(ev.enumerate_event_structures(graph, frozenset({"branch"}))) == 2**n
+        counts.append(calls[0])
+    assert counts[2] - counts[1] == counts[1] - counts[0] < 100
 
 
 def branching_threads(rng: random.Random) -> str:
