@@ -17,7 +17,7 @@ operation over its pointer operands.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import ir
 
@@ -76,6 +76,9 @@ class ACfg:
     succ: list[list[int]]  # EXIT marks function/thread exit
     roots: list[int]
     program: ir.Program
+    # What every event-structure walk of the graph reads (branch regions,
+    # joins, committed steps, labels: ``events._WalkMaps``), made by the first.
+    walk_maps: tuple | None = field(default=None, repr=False, compare=False)
 
 
 # --------------------------------------------------------------------------

@@ -31,13 +31,18 @@ finished structure.
 
 Where both arms of a branch run through event-less steps to one join node,
 the two forks are merged at the join when everything the walk below it reads
-is equal: plan length, events, orders, sites, the store, line and unfenced
-histories, the open branches, taint and window, and the definition slots of
-the registers that a node reachable from the join reads through an indirect
-address, a stored value or an AMO pointer.  Only one fork walks on; its
-structures are grafted onto the other, which keeps its own plan prefix and
-``step_of``, so ``b`` such diamonds take a walk linear in ``b`` and ``2^b``
-cheap copies, not ``2^b`` walks.
+is equal: events, orders, sites, the store, line and unfenced histories, the
+open branches, taint and window, and the definition slots of the registers
+that a node reachable from the join reads through an indirect address, a
+stored value or an AMO pointer.  Their plans must be equally long only where
+a later step would read a plan index: under ``branch``, whose window steps
+carry their branch's index, and where the walk below the join reads a
+definition slot.  Only one fork walks on.  Each structure of its subtree
+becomes a :class:`Graft` for the other fork: a view of that structure with
+the other fork's own plan prefix, whose later plan indices shift by the
+difference in arm length, and whose plan and ``step_of`` are built only when
+read.  So ``b`` such diamonds take a walk linear in ``b`` and ``2^b`` views,
+not ``2^b`` walks or copies.
 
 Sites are recorded on the path structure, which then has no branch windows
 (``branch`` does not combine with ``stl`` or ``psf``).  :func:`derive_bypass`
@@ -54,10 +59,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from graphlib import TopologicalSorter
+from functools import cached_property
 from itertools import islice
 from operator import attrgetter
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from . import cfg as acfg_mod
 from . import ir
@@ -96,6 +101,20 @@ class Step:
     window: int | None = None  # plan index of the branch that opened this fetch
 
 
+# One empty set for every event, register and structure with nothing in it:
+# sets are shared, never copied, as no set changes once made.
+_EMPTY: frozenset = frozenset()
+
+
+def _union(sets: Iterable[frozenset[int]]) -> frozenset[int]:
+    """The union of ``sets``: the one non-empty set itself, if there is one."""
+    out = _EMPTY
+    for got in sets:
+        if got:
+            out = out | got if out else got
+    return out
+
+
 @dataclass
 class Event:
     eid: int
@@ -107,10 +126,10 @@ class Event:
     gep: bool = False  # address is register-indexed (a computed element access)
     fence: str | None = None  # "full" | "lfence" for F events
     window: int | None = None  # eid of the branch this transient fetch belongs to
-    cond_reads: frozenset[int] = frozenset()  # BR: loads tainting the condition
-    addr_reads: frozenset[int] = frozenset()  # R/W/AMO: loads tainting the address
-    value_reads: frozenset[int] = frozenset()  # W: loads tainting the stored value
-    ctrl_reads: frozenset[int] = frozenset()  # loads tainting an open branch's condition
+    cond_reads: frozenset[int] = _EMPTY  # BR: loads tainting the condition
+    addr_reads: frozenset[int] = _EMPTY  # R/W/AMO: loads tainting the address
+    value_reads: frozenset[int] = _EMPTY  # W: loads tainting the stored value
+    ctrl_reads: frozenset[int] = _EMPTY  # loads tainting an open branch's condition
     amo_pointers: tuple[tuple[str, str], ...] = ()  # AMO: (register, location) choices
     silent_eligible: bool = False
     silent_definite: bool = False
@@ -139,6 +158,9 @@ class EventStructure:
     step_of: dict[int, tuple[int, int]] = field(repr=False)  # eid -> (thread, step)
     # Derived structures: the structure they are a view over.
     base: EventStructure | None = field(default=None, repr=False, compare=False)
+    # :func:`_windows` for one ``d_spec``, shared by the content key and the
+    # bypass derivation: (d_spec, windows).
+    window_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def bottom(self) -> int:
@@ -162,6 +184,44 @@ class EventStructure:
         return " | ".join(parts)
 
 
+class Graft(EventStructure):
+    """A structure of a merged fork's walk (:func:`_walk_paths`), as a view of
+    ``leaf``, the structure the other fork's walk gave in its place.
+
+    It shares the leaf's events, orders, sites and fence pairs.  Its plan is
+    the fork's own plan up to the join, then the leaf's from the join on; its
+    ``step_of`` is the fork's, then the leaf's, with the merging thread's
+    steps shifted by ``offset``, the fork's plan length at the join less the
+    walked fork's.  Both are built on first read.  ``cut`` is the first event
+    id past the join: a span from there on has the leaf's fence slots.
+    """
+
+    def __init__(self, leaf: EventStructure, plans: list[list[Step]],
+                 step_of: dict[int, tuple[int, int]], cut: int, offset: int) -> None:
+        self.events, self.po, self.tfo = leaf.events, leaf.po, leaf.tfo
+        self.fence_pairs, self.sites = leaf.fence_pairs, leaf.sites
+        self.merged_aliases, self.acfg = leaf.merged_aliases, leaf.acfg
+        self.leaf, self.cut, self.offset = leaf, cut, offset
+        self._head = plans, step_of
+
+    @cached_property
+    def plans(self) -> list[list[Step]]:  # type: ignore[override]
+        head, _ = self._head
+        thread = len(head) - 1
+        plan, leafs = head[thread], self.leaf.plans
+        return [*head[:thread], plan + leafs[thread][len(plan) - self.offset:],
+                *leafs[thread + 1:]]
+
+    @cached_property
+    def step_of(self) -> dict[int, tuple[int, int]]:  # type: ignore[override]
+        plans, head = self._head
+        merging, offset = len(plans) - 1, self.offset
+        out = dict(head)
+        for eid, (thread, step) in islice(self.leaf.step_of.items(), len(head), None):
+            out[eid] = (thread, step + offset if thread == merging else step)
+        return out
+
+
 _K = TypeVar("_K")
 
 
@@ -183,12 +243,12 @@ def _make_union_find(groups: Iterable[Iterable[_K]]) -> dict[_K, _K]:
     return uf
 
 
-def _alias_subsets(aliases: list[tuple[str, str]]) -> list[frozenset[frozenset[str]]]:
-    subsets: list[frozenset[frozenset[str]]] = [frozenset()]
-    for pair in aliases:
-        merged = frozenset(pair)
-        subsets = subsets + [chosen | {merged} for chosen in subsets]
-    return subsets
+def _alias_subsets(aliases: list[tuple[str, str]]) -> Iterator[frozenset[frozenset[str]]]:
+    """Every subset of the alias pairs, one at a time: subset ``i`` holds pair
+    ``j`` when bit ``j`` of ``i`` is set."""
+    pairs = [frozenset(pair) for pair in aliases]
+    for i in range(1 << len(pairs)):
+        yield frozenset(pair for j, pair in enumerate(pairs) if i >> j & 1)
 
 
 # The instructions a transient window stops before.
@@ -235,10 +295,7 @@ class _ThreadState:
         return new
 
     def reads_of(self, regs) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for reg in regs:
-            out |= self.taint.get(reg, frozenset())
-        return out
+        return _union(self.taint.get(reg, _EMPTY) for reg in regs)
 
 
 def _branch_regions(graph: ACfg) -> dict[int, frozenset[int]]:
@@ -294,13 +351,12 @@ class _Builder:
         graph: ACfg,
         merged: frozenset[frozenset[str]],
         primitives: frozenset[str],
-        regions: dict[int, frozenset[int]],
     ) -> None:
         self.graph = graph
         self.merged = merged
         self.uf = _make_union_find(merged)
         self.primitives = primitives
-        self.regions = regions
+        self.maps = _walk_maps(graph)
         self.single = len(graph.roots) == 1
         self.events: list[Event] = [Event(0, "TOP", label="⊤")]
         self.plans: list[list[Step]] = []
@@ -344,11 +400,15 @@ class _Builder:
     def mergeable(self, other: _Builder, slot_reads: frozenset[str]) -> bool:
         """Whether the walk from here gives the structures that ``other``'s
         walk from the same node gives, up to the plan and ``step_of`` before
-        that node (:meth:`graft`): ``slot_reads`` are the registers whose
-        definition slot a node reachable from it reads."""
+        that node and the shift of the later plan indices (:meth:`graft`):
+        ``slot_reads`` are the registers whose definition slot a node
+        reachable from it reads.  The plans must be equally long where a
+        later step reads a plan index: a ``branch`` window step, or a
+        definition slot (:func:`_walk_paths`)."""
         mine, theirs = self.state, other.state
         return (
-            len(self.plans[-1]) == len(other.plans[-1])
+            (len(self.plans[-1]) == len(other.plans[-1])
+             or not (slot_reads or "branch" in self.primitives))
             and self._in_window == other._in_window
             and mine.taint == theirs.taint
             and all(mine.defslot.get(reg) == theirs.defslot.get(reg) for reg in slot_reads)
@@ -362,19 +422,14 @@ class _Builder:
             and self.events == other.events
         )
 
-    def graft(self, leaf: EventStructure) -> EventStructure:
+    def graft(self, leaf: EventStructure, offset: int) -> Graft:
         """``leaf``, a structure of the walk from a fork :meth:`mergeable`
-        with this builder, as the walk from this builder would give it: this
-        builder's plan and ``step_of`` so far, then ``leaf``'s from the same
-        plan index and event id on."""
-        thread = len(self.plans) - 1
-        plan = self.plans[thread]
-        plans = [*self.plans[:thread], plan + leaf.plans[thread][len(plan):],
-                 *leaf.plans[thread + 1:]]
-        step_of = dict(self.step_of)
-        step_of.update(islice(leaf.step_of.items(), len(step_of), None))
-        return EventStructure(leaf.events, leaf.po, leaf.tfo, leaf.fence_pairs, leaf.sites,
-                              leaf.merged_aliases, plans, leaf.acfg, step_of)
+        with this builder, as the walk from this builder would give it: a
+        view with this builder's plan and ``step_of`` so far, then ``leaf``'s
+        from the same event id on, ``offset`` plan steps further.  The
+        builder walks no further, so the view holds its containers as they
+        are."""
+        return Graft(leaf, self.plans, self.step_of, len(self.events), offset)
 
     def location(self, addr: ir.Address, state: _ThreadState) -> tuple[str, bool]:
         if isinstance(addr, ir.Direct):
@@ -390,7 +445,7 @@ class _Builder:
         state = _ThreadState()
         program = self.graph.program
         for reg in [] if program.multithread else program.entry_function.params:
-            state.taint[reg] = frozenset()
+            state.taint[reg] = _EMPTY
             state.defslot[reg] = -1
         self.state = state
         self.plans.append([])
@@ -424,7 +479,7 @@ class _Builder:
     def _emit(self, thread: int, step_idx: int, step: Step) -> None:
         state = self.state
         window = None if step.window is None else self._eid_at[step.window]
-        ctrl_reads = self._control(step, window) if self._open else frozenset()
+        ctrl_reads = self._control(step, window) if self._open else _EMPTY
         if step.node is None:
             ev = self._fresh(
                 kind="SBOT", thread=thread, transient=True, window=window, label="⊥",
@@ -471,12 +526,9 @@ class _Builder:
             fields = {"fence": op.kind if isinstance(op, ir.Fence) else "lfence"}
         elif isinstance(op, acfg_mod.AbstractMemOp):
             kind = "AMO"
-            pointers = []
-            addr_reads = frozenset()
-            for reg in op.pointer_args:
-                pointers.append((reg, f"*{reg}@{state.defslot.get(reg, -1)}"))
-                addr_reads |= state.taint.get(reg, frozenset())
-            fields = {"addr_reads": addr_reads, "amo_pointers": tuple(pointers)}
+            pointers = tuple((reg, f"*{reg}@{state.defslot.get(reg, -1)}")
+                             for reg in op.pointer_args)
+            fields = {"addr_reads": state.reads_of(op.pointer_args), "amo_pointers": pointers}
         if kind is None:
             # Alu, Skip and Jump fetch but produce no event.
             self._eid_at.append(None)
@@ -487,7 +539,7 @@ class _Builder:
             transient=not step.committed,
             node_id=step.node,
             window=window,
-            label=_node_label(node),
+            label=self.maps.labels[step.node],
             ctrl_reads=ctrl_reads,
             **fields,
         )
@@ -508,13 +560,10 @@ class _Builder:
             # The ACfg is acyclic, so a committed path that has left a
             # branch's region never re-enters it.
             self._open = tuple(
-                br for br in self._open if step.node in self.regions[br.node_id]
+                br for br in self._open if step.node in self.maps.regions[br.node_id]
             )
-        out: frozenset[int] = frozenset()
-        for br in self._open:
-            if window == br.eid or step.node in self.regions[br.node_id]:
-                out |= br.cond_reads
-        return out
+        return _union(br.cond_reads for br in self._open
+                      if window == br.eid or step.node in self.maps.regions[br.node_id])
 
     def _sites_at(self, ev: Event) -> None:
         """The sites of load ``ev``, and its (or store or fence ``ev``'s)
@@ -550,7 +599,7 @@ class _Builder:
             events=self.events,
             po=self.po,
             tfo=self.tfo,
-            fence_pairs=self._fence_order() if len(self.po) > 1 else frozenset(),
+            fence_pairs=self._fence_order() if len(self.po) > 1 else _EMPTY,
             sites=self.sites,
             merged_aliases=self.merged,
             plans=self.plans,
@@ -580,8 +629,6 @@ def _walk_paths(
     merged: frozenset[frozenset[str]],
     primitives: frozenset[str],
     d_spec: int,
-    regions: dict[int, frozenset[int]],
-    joins: dict[int, tuple[int, frozenset[str]]],
     tick,
 ) -> list[EventStructure]:
     """The structures of one alias resolution, depth first along the tree of
@@ -595,35 +642,58 @@ def _walk_paths(
     are held at a time; ``tick`` runs once per node walked.
 
     Where both arms of a branch run through event-less steps to one join node
-    (``joins``), each fork also steps its arm up to the join, and the two are
-    merged when the subtree below the join cannot tell them apart
-    (:meth:`_Builder.mergeable`): equal plan lengths, events, orders, sites,
-    store and line histories, unfenced stores, open branches, taint and
-    window, and equal definition slots on the registers whose slot the subtree
-    reads (indirect addresses, stored values, AMO pointers).  The forks may
-    still differ in ``_eid_at``, ``_saved``, the plan and ``step_of`` before
-    the join: later windows index only the branch steps past the join, at the
-    same plan indices in both; and ``_saved`` is dead while committed (the
-    next window saves afresh), which both forks are at the join, as one arm
-    at least steps a committed node and the windows are equal.  Only the fork
-    visited first is walked on; each structure its subtree gives is then
-    grafted onto the other fork (:meth:`_Builder.graft`), in order, with one
-    ``tick`` per graft.
+    (:attr:`_WalkMaps.joins`), each fork also steps its arm up to the join,
+    and the two are merged when the subtree below the join cannot tell them
+    apart (:meth:`_Builder.mergeable`): equal events, orders, sites, store
+    and line histories, unfenced stores, open branches, taint and window, and
+    equal definition slots on the registers whose slot the subtree reads
+    (indirect addresses, stored values, AMO pointers).  The forks may still
+    differ in ``_eid_at``, ``_saved``, the plan and ``step_of`` before the
+    join: later windows index only the branch steps past the join, at the
+    same plan indices in both (under ``branch`` the plans are equally long,
+    see below); and ``_saved`` is dead while committed (the next window saves
+    afresh), which both forks are at the join, as one arm at least steps a
+    committed node and the windows are equal.  Only the fork visited first is
+    walked on; each structure its subtree gives is then grafted onto the
+    other fork (:meth:`_Builder.graft`), in order, with one ``tick`` per
+    graft.
+
+    The plans may also differ in length at the join, by ``offset`` steps; a
+    graft then shifts its leaf's plan indices past the join by ``offset``, in
+    the merging thread only, as each later thread's plan starts at 0.
+    Nothing the subtree emits depends on that shift:
+
+    * a ``branch`` window step carries its branch's plan index, so under
+      ``branch`` the plans must be equally long;
+    * under ``stl``, ``psf`` or no primitive there are no windows, so no step
+      carries a plan index and ``_eid_at`` is never read;
+    * the only plan indices in events are definition slots (indirect
+      locations, AMO pointers, silent-store value identities), read through
+      the registers in ``slot_reads``, which must then be empty.
+
+    What reads the plan indices of a finished structure moves with them.  A
+    bypass window (:func:`_windows`) runs from its site's index to the next
+    branch or fence or to that index plus ``d_spec``, so it crosses no
+    branch: a window past the join has both ends past it, shifted alike, and
+    one before it ends at the branch, in the prefix both forks share.  Fence
+    slots are cut from each structure's own plan.
     """
-    committed = [Step(node, True) for node in range(len(graph.nodes))]
     want_windows = "branch" in primitives
     out: list[EventStructure] = []
-    first = _Builder(graph, merged, primitives, regions)
+    first = _Builder(graph, merged, primitives)
+    committed, joins = first.maps.committed, first.maps.joins
     first.start_thread()
-    # (builder, node to walk from, None), or (builder, 0, the index in out
-    # of the first structure to graft onto builder).
-    stack: list[tuple[_Builder, int, int | None]] = [(first, graph.roots[0], None)]
+    # (builder, node to walk from, None), or (builder, None, (the index in out
+    # of the first structure to graft onto builder, its offset)).
+    stack: list[tuple[_Builder, int | None, tuple[int, int] | None]] = [
+        (first, graph.roots[0], None)]
     while stack:
-        builder, node, graft_from = stack.pop()
-        if graft_from is not None:
+        builder, node, graft = stack.pop()
+        if graft is not None:
+            graft_from, offset = graft
             for leaf in out[graft_from:]:
                 tick()
-                out.append(builder.graft(leaf))
+                out.append(builder.graft(leaf, offset))
             continue
         while True:
             tick()
@@ -657,9 +727,12 @@ def _walk_paths(
                     fork.step(committed[nxt])
                     nxt = graph.succ[nxt][0]
             other, walked = forks
-            merge = other.mergeable(walked, slot_reads)
-            stack += [(other, 0, len(out)) if merge else (other, join, None),
-                      (walked, join, None)]
+            if other.mergeable(walked, slot_reads):
+                offset = len(other.plans[-1]) - len(walked.plans[-1])
+                stack.append((other, None, (len(out), offset)))
+            else:
+                stack.append((other, join, None))
+            stack.append((walked, join, None))
             break
     return out
 
@@ -677,27 +750,53 @@ def enumerate_event_structures(
     """
     if "branch" in primitives and primitives & {"stl", "psf"}:
         raise ValueError("branch windows do not combine with stl or psf")
-    regions, joins = _branch_regions(graph), _joins(graph)
     structures: list[EventStructure] = []
     for merged in _alias_subsets(graph.program.aliases):
-        structures += _walk_paths(graph, merged, primitives, d_spec, regions, joins, tick)
+        structures += _walk_paths(graph, merged, primitives, d_spec, tick)
     return structures
 
 
-def _windows(st: EventStructure, d_spec: int) -> Iterator[tuple[int, bool, int, tuple]]:
+class _WalkMaps(NamedTuple):
+    """What every walk of one graph reads, whatever its alias resolution or
+    primitives."""
+
+    regions: dict[int, frozenset[int]]  # per branch (:func:`_branch_regions`)
+    joins: dict[int, tuple[int, frozenset[str]]]  # per branch (:func:`_joins`)
+    committed: list[Step]  # per node: its committed fetch
+    labels: list[str]  # per node: its events' label
+
+
+def _walk_maps(graph: ACfg) -> _WalkMaps:
+    """``graph``'s walk maps, derived on its first walk."""
+    if graph.walk_maps is None:
+        graph.walk_maps = _WalkMaps(
+            _branch_regions(graph), _joins(graph),
+            [Step(node, True) for node in range(len(graph.nodes))],
+            [_node_label(node) for node in graph.nodes])
+    return graph.walk_maps
+
+
+def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, int, tuple]]:
     """Per site: its window's end step, if that ends the program, the first
-    eid past it (the site's read: no room) and its dedupe key."""
+    eid past it (the site's read: no room) and its dedupe key.  Computed
+    once per ``d_spec``: :func:`content_key` and :func:`derive_bypass` both
+    read them."""
+    if st.window_memo is not None and st.window_memo[0] == d_spec:
+        return st.window_memo[1]
     plan, order = st.plans[0], st.tfo[0]
     nodes = tuple(step.node for step in plan)
     stops = [i for i, node in enumerate(nodes)
              if isinstance(st.acfg.nodes[node].instr.op, _CLOSERS)] + [len(plan)]
     step_at = [st.step_of[e][1] for e in order]  # ascending, as eids are
+    windows = []
     for site in st.sites:
         start = st.step_of[site.read][1]
         end = min(stops[bisect_left(stops, start)], start + d_spec)
         exits = end == len(plan)
         key = (nodes[:end] + (None,) * exits, site.kind, nodes[start], st.merged_aliases)
-        yield end, exits, bisect_left(step_at, end) + 1, key
+        windows.append((end, exits, bisect_left(step_at, end) + 1, key))
+    st.window_memo = d_spec, windows
+    return windows
 
 
 def _joins(graph: ACfg) -> dict[int, tuple[int, frozenset[str]]]:
@@ -714,26 +813,35 @@ def _joins(graph: ACfg) -> dict[int, tuple[int, frozenset[str]]]:
     if not joins:
         return {}
     reads: dict[int, frozenset[str]] = {EXIT: frozenset()}
-    # Successors first (the ACfg is acyclic): each node after all it reaches.
-    for node in TopologicalSorter(dict(enumerate(graph.succ))).static_order():
-        if node == EXIT:
-            continue
-        op = graph.nodes[node].instr.op
-        own: set[str] = set()
-        if isinstance(op, (ir.Load, ir.Store)) and isinstance(op.addr, ir.Indirect):
-            own.add(op.addr.reg)
-        if isinstance(op, ir.Store):
-            own.update(op.value.regs)
-        elif isinstance(op, acfg_mod.AbstractMemOp):
-            own.update(op.pointer_args)
-        reads[node] = frozenset(own).union(*(reads[nxt] for nxt in graph.succ[node]))
+    # Depth first, each node once all it reaches has its reads (the ACfg is
+    # acyclic).
+    for start in range(len(graph.succ)):
+        stack = [start]
+        while stack:
+            node = stack[-1]
+            todo = [nxt for nxt in graph.succ[node] if nxt not in reads]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if node in reads:
+                continue
+            op = graph.nodes[node].instr.op
+            own: set[str] = set()
+            if isinstance(op, (ir.Load, ir.Store)) and isinstance(op.addr, ir.Indirect):
+                own.add(op.addr.reg)
+            if isinstance(op, ir.Store):
+                own.update(op.value.regs)
+            elif isinstance(op, acfg_mod.AbstractMemOp):
+                own.update(op.pointer_args)
+            reads[node] = frozenset(own).union(*(reads[nxt] for nxt in graph.succ[node]))
     return {node: (join, reads[join]) for node, join in joins.items()}
 
 
 def shares_content(graph: ACfg) -> bool:
     """Whether two paths can give structures of equal content: only if, where
     they part, both arms run through event-less steps to one node."""
-    return bool(_joins(graph))
+    return bool(_walk_maps(graph).joins)
 
 
 class _ByValue(tuple):
@@ -750,10 +858,34 @@ _node_id = attrgetter("node_id")
 def content_key(st: EventStructure, d_spec: int, seen: set) -> tuple[tuple, list]:
     """What ``st``'s records are computed from, but its plan (which places fence
     slots), with each site's view cut and if ``seen`` holds it; its views' keys."""
-    windows = list(_windows(st, d_spec)) if st.sites else []
+    windows = _windows(st, d_spec) if st.sites else []
     key = (_ByValue((st.events, st.po, st.tfo)), st.fence_pairs, st.sites, st.merged_aliases,
            tuple((stop, exits, view in seen) for _, exits, stop, view in windows))
     return key, [view for site, (*_, stop, view) in zip(st.sites, windows) if stop != site.read]
+
+
+def graft_key(st: Graft, leaf_key: tuple) -> tuple:
+    """``st``'s :func:`content_key`, from ``leaf_key``, its leaf's: that very
+    key, with no rehash, when the two are equal.
+
+    They can differ only in which views are marked seen.  A site before the
+    join has the same window in ``st`` as in its leaf, as no window crosses
+    the branch, and the leaf saw it first: in ``st`` each such view with room
+    is seen.  A view past the join names ``st``'s own plan, which only the
+    grafts of its batch share, as their leaves share theirs, so ``st`` sees
+    it as its leaf did.  So grafts need not add their views' keys to the
+    seen set: the keys differ only for the first graft of a batch, whose
+    leaf is the first structure past the join and has seen none of its
+    views there.
+    """
+    sites = st.sites
+    if not sites or sites[0].read >= st.cut:
+        return leaf_key
+    *content, marks = leaf_key
+    before = bisect_left([site.read for site in sites], st.cut)
+    own = tuple((stop, exits, seen or stop != site.read)
+                for (stop, exits, seen), site in zip(marks[:before], sites)) + marks[before:]
+    return leaf_key if own == marks else (*content, own)
 
 
 def derive_bypass(
@@ -799,8 +931,8 @@ def derive_bypass(
         start = st.step_of[site.read][1]
         steps = plan[:start] + rerun[start:end] + [Step(None, False)] * exits
         events += [squash] * exits + [Event(len(events) + exits, "BOT", label="⊥")]
-        out.append(replace(
-            st, events=events, po=[order[: site.read - 1]], tfo=[fetched],
-            sites=(), plans=[steps],
-            step_of=dict(islice(st.step_of.items(), stop_eid - 1)), base=st))
+        out.append(EventStructure(
+            events, [order[: site.read - 1]], [fetched], st.fence_pairs, (),
+            st.merged_aliases, [steps], st.acfg,
+            dict(islice(st.step_of.items(), stop_eid - 1)), base=st))
     return out

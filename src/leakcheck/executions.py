@@ -41,6 +41,7 @@ definition; the test suite applies it to every candidate it enumerates.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 from . import events as ev_mod
@@ -414,12 +415,10 @@ def _bypass_variants(
             if d is not None]
 
 
-def _nonempty_subsets(items: list[int]) -> list[frozenset[int]]:
-    out = []
-    for n in range(1, len(items) + 1):
-        for combo in itertools.combinations(items, n):
-            out.append(frozenset(combo))
-    return out
+def _nonempty_subsets(items: list[int]) -> Iterator[frozenset[int]]:
+    """Every non-empty subset of ``items``, smallest first, one at a time."""
+    return map(frozenset, itertools.chain.from_iterable(
+        itertools.combinations(items, n) for n in range(1, len(items) + 1)))
 
 
 def _make_candidates(
@@ -457,27 +456,27 @@ def _make_candidates(
     ]
 
 
-def enumerate_candidates(
-    structures: list[EventStructure],
+def iter_candidates(
+    structures: Iterable[EventStructure],
     silent_stores: bool = False,
     d_spec: int = 250,
     tick=no_deadline,
     seen: set | None = None,
-) -> list[Candidate]:
-    """All consistent candidates: canonical, silent-store, and bypass ones.
+) -> Iterator[Candidate]:
+    """All consistent candidates: canonical, silent-store, and bypass ones,
+    one at a time, so a caller that drops each may hold none.
 
-    The candidates of one structure are contiguous in the result.  The
-    architectural witnesses are computed once per (structure, AMO choice)
-    and shared by its bypass and silent-store candidates.  The cache
-    simulation is run once per (derived structure, AMO choice) for all the
-    line-neutral stale sources of its site (:func:`_refill`).
+    The candidates of one structure are contiguous.  The architectural
+    witnesses are computed once per (structure, AMO choice) and shared by
+    its bypass and silent-store candidates.  The cache simulation is run
+    once per (derived structure, AMO choice) for all the line-neutral stale
+    sources of its site (:func:`_refill`).
 
     ``tick`` is a callable invoked once per structure, bypass
     site, multi-thread witness combination and batch of candidates built;
     it may raise :class:`AnalysisTimeout` to abandon the enumeration.
     ``seen`` holds the bypass keys of earlier calls' structures.
     """
-    out: list[Candidate] = []
     seen_bypass = set() if seen is None else seen
     for st in structures:
         tick()
@@ -489,11 +488,8 @@ def enumerate_candidates(
         for cst, site, sources in variants:
             amos = _amo_choices(cst)
             archs = [arch_witnesses(cst, amo, tick) for amo in amos]
-            subsets = []
-            if silent_stores and site is None:
-                subsets = _nonempty_subsets(
-                    [e.eid for e in cst.events if e.silent_eligible]
-                )
+            silent = [e.eid for e in cst.events if e.silent_eligible] if (
+                silent_stores and site is None) else []
             # AMO choice -> the candidates of the site's first line-neutral
             # source; the later ones share their simulation.
             bases: dict[int, list[Candidate]] = {}
@@ -507,10 +503,18 @@ def enumerate_candidates(
                     )
                     if neutral:
                         bases.setdefault(k, made)
-                    out.extend(made)
-                    for subset in subsets:
+                    yield from made
+                    for subset in _nonempty_subsets(silent):
                         tick()
-                        out.extend(
-                            _make_candidates(cst, amo, arch, subset, None, None)
-                        )
-    return out
+                        yield from _make_candidates(cst, amo, arch, subset, None, None)
+
+
+def enumerate_candidates(
+    structures: Iterable[EventStructure],
+    silent_stores: bool = False,
+    d_spec: int = 250,
+    tick=no_deadline,
+    seen: set | None = None,
+) -> list[Candidate]:
+    """:func:`iter_candidates`, as a list."""
+    return list(iter_candidates(structures, silent_stores, d_spec, tick, seen))

@@ -257,7 +257,7 @@ class _Shared:
     def __init__(self, current: EventStructure) -> None:
         self.current = current
         self.chains: dict[tuple, _Chains] = {}
-        # id of a candidate that ran its own simulation -> its witnesses
+        # id of a bypass candidate that ran its own simulation -> its witnesses
         self.witnesses: dict[int, list[LeakWitness]] = {}
 
 
@@ -392,8 +392,10 @@ def classify_transmitters(
     """Every satisfied class of each event, events in ascending order.
 
     ``shared`` holds what earlier candidates of ``cand.st`` computed; a
-    fresh one reuses nothing.
+    fresh one reuses nothing.  With no events, nothing is memoised.
     """
+    if not events:
+        return {}
     site = cand.site
     psf_read = site.read if site is not None and site.kind == "psf" else None
     fwd = _forwarding(cand)
@@ -434,7 +436,7 @@ def _span(cand: Candidate, w: LeakWitness, t: Transmitter) -> tuple[int, int] | 
     return prim, min(chain)
 
 
-def _fence_points(st: EventStructure, span: tuple | None, slots: list) -> frozenset | None:
+def _fence_points(st: EventStructure, span: tuple | None, slots: list | None) -> frozenset | None:
     """The ``slots`` of ``st``'s plan past ``span``'s primitive, up to its end."""
     if span is None:
         return None
@@ -452,7 +454,8 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             graph: cfg_mod.ACfg | None = None) -> Report:
     """Run one engine (or the merge of all three) over a program, on its
     ACfg ``graph`` if given: ``all`` builds it once for the three.  Structures
-    of one content (:func:`events.content_key`) replay the first's findings."""
+    of one content (:func:`events.content_key`) replay the first's findings;
+    a graft finds its content through its leaf's (:func:`events.graft_key`)."""
     graph = graph or cfg_mod.build_acfg(prog)
     if engine == "all":
         merged = Report(engine="all", records=[], elements=[], unrepairable=[])
@@ -477,10 +480,18 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
     report = Report(engine=engine, records=[], elements=[], unrepairable=[],
                     structures=len(structures))
     seen, seen_bypass, passes = set(), set(), {}  # records, bypass keys, passes by content
+    # id of a keyed structure -> its content key, pass and per-record fence points
+    replays: dict[int, tuple] = {}
     keyed = ev_mod.shares_content(graph)
     for st in structures:
-        key, views = ev_mod.content_key(st, config.d_spec, seen_bypass) if keyed else (id(st), ())
-        done = passes.setdefault(key, [])  # one hash of the key
+        leaf_done = leaf_points = None
+        if isinstance(st, ev_mod.Graft):  # only where keyed: a graft needs a join
+            leaf_key, leaf_done, leaf_points = replays[id(st.leaf)]
+            key, views = ev_mod.graft_key(st, leaf_key), ()
+            done = leaf_done if key is leaf_key else passes.setdefault(key, [])
+        else:
+            key, views = ev_mod.content_key(st, config.d_spec, seen_bypass) if keyed else (id(st), ())
+            done = passes.setdefault(key, [])  # one hash of the key
         if not done:
             done += _first_pass(st, engine, config, seen_bypass)
             report.distinct += 1
@@ -489,14 +500,25 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             seen_bypass.update(views)
         count, found, drawn = done
         report.candidates += count
-        slots = st.slots() if any(span for _, span in found) else []
-        for rec, span in found:
+        reuse = leaf_points if done is leaf_done else None
+        slots, points = None, []
+        for i, (rec, span) in enumerate(found):
+            if reuse is not None and (span is None or span[0] >= st.cut):
+                # A graft replaying its leaf's pass: a span past the join has
+                # the leaf's fence points, and the leaf kept the record.
+                points.append(reuse[i])
+                continue
             seen.add(rec)
-            points = _fence_points(st, span, slots)
-            if points:
-                report.elements.append(RepairElement(points, rec))
+            if slots is None and span is not None:
+                slots = st.slots()
+            pts = _fence_points(st, span, slots)
+            points.append(pts)
+            if pts:
+                report.elements.append(RepairElement(pts, rec))
             else:
                 report.unrepairable.append(rec)
+        if keyed:
+            replays[id(st)] = key, done, points
         for w in drawn:
             title = f"{engine} witness {len(report.graphs) + 1}"
             report.graphs.append((title, witness_dot(w.cand, w, title)))
@@ -508,18 +530,25 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
 
 
 def _first_pass(st: EventStructure, engine: str, config: EngineConfig, seen: set) -> tuple:
-    """The candidate count, records with spans and drawn witnesses of ``st``."""
-    cands = ex_mod.enumerate_candidates(
-        [st], config.silent_stores, config.d_spec, config.tick, seen)
-    found, drawn, shared = [], [], _Shared(st)
-    for cand in cands:
+    """The candidate count, records with spans and drawn witnesses of ``st``.
+
+    Each candidate is analysed as it is built.  Only a bypass candidate's
+    witnesses are kept, for the later stale sources that share its
+    simulation, so a candidate is dropped once analysed (unless its graph
+    is drawn): many silent-store subsets cost time, not memory.
+    """
+    count, found, drawn, shared = 0, [], [], _Shared(st)
+    for cand in ex_mod.iter_candidates(
+            [st], config.silent_stores, config.d_spec, config.tick, seen):
+        count += 1
         config.tick()
         if shared.current is not cand.st:
             shared = _Shared(cand.st)
         psf = cand.site is not None and cand.site.kind == "psf"
         if cand.base is None:
             witnesses = detect_leaks(cand, probe=config.probe)
-            shared.witnesses[id(cand)] = [] if psf else witnesses
+            if cand.site is not None:
+                shared.witnesses[id(cand)] = [] if psf else witnesses
         elif psf:
             # Its base added its records (ex_mod._refill); draw its graphs.
             if config.collect_graphs:
@@ -536,7 +565,7 @@ def _first_pass(st: EventStructure, engine: str, config: EngineConfig, seen: set
                 shared.witnesses[id(cand)].append(w)
             if records and config.collect_graphs:
                 drawn.append(w)
-    return len(cands), found, drawn
+    return count, found, drawn
 
 
 def findings(

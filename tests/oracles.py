@@ -244,6 +244,26 @@ def _plan_for_path(graph, path: list[int], primitives, d_spec: int):
     return plan
 
 
+def alias_subsets_reference(aliases):
+    """The alias resolutions as the list ``events._alias_subsets`` built before
+    it yielded them one at a time, kept verbatim."""
+    subsets = [frozenset()]
+    for pair in aliases:
+        merged = frozenset(pair)
+        subsets = subsets + [chosen | {merged} for chosen in subsets]
+    return subsets
+
+
+def nonempty_subsets_reference(items):
+    """The silent-store subsets as the list ``executions._nonempty_subsets``
+    built before it yielded them one at a time, kept verbatim."""
+    out = []
+    for n in range(1, len(items) + 1):
+        for combo in itertools.combinations(items, n):
+            out.append(frozenset(combo))
+    return out
+
+
 def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=250):
     """The enumerator that the path-tree walk replaced.
 
@@ -255,7 +275,7 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
     :func:`control_deps_reference`, :func:`sites_reference`).
     """
     regions = events._branch_regions(graph)
-    subsets = events._alias_subsets(graph.program.aliases)
+    subsets = alias_subsets_reference(graph.program.aliases)
     per_root = []
     for root in graph.roots:
         plans = [
@@ -269,7 +289,7 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
     structures = []
     for merged in subsets:
         for plan_combo in combos:
-            builder = events._Builder(graph, merged, primitives, regions)
+            builder = events._Builder(graph, merged, primitives)
             for plan in plan_combo:
                 builder.start_thread()
                 for step in plan:
@@ -459,7 +479,7 @@ def derive_bypass_reference(st, site, regions, d_spec: int = 250):
         suffix.append(events.Step(None, False))
     if not any(step.node is not None for step in suffix):
         return None
-    builder = events._Builder(st.acfg, st.merged_aliases, frozenset(), regions)
+    builder = events._Builder(st.acfg, st.merged_aliases, frozenset())
     builder.start_thread()
     for step in prefix + suffix:
         builder.step(step)
@@ -469,7 +489,7 @@ def derive_bypass_reference(st, site, regions, d_spec: int = 250):
     return derived
 
 
-def derive_bypass_builder(st, regions, d_spec: int = 250, tick=events.no_deadline):
+def derive_bypass_builder(st, d_spec: int = 250, tick=events.no_deadline):
     """The one-walk builder derivation that ``events.derive_bypass`` replaced
     with views over ``st``, kept verbatim.
 
@@ -489,12 +509,12 @@ def derive_bypass_builder(st, regions, d_spec: int = 250, tick=events.no_deadlin
     suffix is the window the site's node would open.  When
     ``st`` fetched committed steps only, every derived structure keeps its
     prefix's event ids, stale sources included.  ``tick`` runs once per
-    site.  ``regions`` are the branch regions of ``st.acfg``.
+    site.
     """
     if not st.sites:
         return []
     plan = st.plans[0]
-    builder = events._Builder(st.acfg, st.merged_aliases, frozenset(), regions)
+    builder = events._Builder(st.acfg, st.merged_aliases, frozenset())
     builder.start_thread()
     walked = 0
     out = []
@@ -721,17 +741,22 @@ def sequential_diamonds(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_joins(rng: random.Random, threads: int = 0) -> str:
+def random_joins(rng: random.Random, threads: int = 0, sites: float = 0.5) -> str:
     """Diamonds whose arms run through event-free steps (ALU, skip, jump) to
-    their join, with code after each join that reads the arms' definitions:
-    r1 in a stored value (silent marks read its definition), r2 through an
-    indirect address ``[r2]`` and, single-threaded, r3 as the pointer of an
-    extern call (an AMO); r4 only as an index, so only its taint counts.
+    their join, with code after each join that either reads the arms'
+    definitions or makes bypass sites only.  The reads are r1 in a stored
+    value (silent marks read its definition), r2 through an indirect address
+    ``[r2]`` and, single-threaded, r3 as the pointer of an extern call (an
+    AMO); r4 is read only as an index, so only its taint counts.  The sites
+    come from a store of a constant and a load of a fixed location, which
+    read no definition.
 
     The two forks at such a branch may be merged only when nothing after the
     join tells them apart, so arms of equal and unequal length, with and
-    without tainted or read definitions, meet every refusal; each thread
-    ends with a read of each kind.  ``threads`` greater than zero gives that
+    without tainted or read definitions, meet every refusal, and arms of
+    unequal length that only sites follow merge under every primitive but
+    ``branch``.  Each thread ends with reads of one of the two sorts, sites
+    with probability ``sites``.  ``threads`` greater than zero gives that
     many thread blocks, of at most two diamonds each and no calls.
     """
     regs = ("r1", "r2", "r3", "r4")
@@ -744,6 +769,9 @@ def random_joins(rng: random.Random, threads: int = 0) -> str:
                            f"{reg} <-{reg}+1", "skip"))
 
     def reads(calls: bool) -> list[str]:
+        if rng.random() < sites:
+            return [f"W {rng.choice(LOCS)} <-{rng.randint(0, 1)}",
+                    f"R {rng.choice(LOCS)} ->{rng.choice(regs)}"]
         return ["W x <-r1", f"R [r2] ->{rng.choice(regs)}"] + ["call f(r3)"] * calls
 
     def body(calls: bool) -> list[str]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -172,6 +173,46 @@ def test_path_enumeration_timeout_exits_two(tmp_path, capsys):
     code = main(["check", str(f), "--engine", "v1", "--timeout", "1"])
     assert code == 2
     assert "analysis timed out" in capsys.readouterr().err
+
+
+def run_capped(path, *argv) -> tuple[subprocess.CompletedProcess, float]:
+    """``leakcheck check path`` in a fresh process capped at 2 s CPU and
+    100 MB of address space, so a stage that outgrows either is killed or
+    fails rather than swapping; and the CPU seconds it took."""
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+        resource.setrlimit(resource.RLIMIT_AS, (100 * 2**20, 100 * 2**20))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "leakcheck.cli", "check", str(path), *argv],
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    return proc, cpu
+
+
+def test_silent_store_subsets_honour_the_timeout(tmp_path):
+    # 25 stores to one location: 24 silent-eligible ones, 2^24 subsets.
+    f = tmp_path / "silent.lcm"
+    f.write_text("W x <-0\n" * 25)
+    proc, cpu = run_capped(f, "--silent-stores", "--timeout", "1", "--no-timing")
+    assert proc.returncode == 2, proc.stderr
+    assert "analysis timed out" in proc.stderr
+    assert cpu < 2
+
+
+def test_alias_subsets_honour_the_timeout(tmp_path):
+    # 20 alias pairs: 2^20 alias resolutions.
+    f = tmp_path / "aliases.lcm"
+    f.write_text("".join(f"alias (a{k}, b{k})\n" for k in range(20))
+                 + "R a0 ->r1\nW b0 <-r1\n")
+    proc, cpu = run_capped(f, "--timeout", "1", "--no-timing")
+    assert proc.returncode == 2, proc.stderr
+    assert "analysis timed out" in proc.stderr
+    assert cpu < 2
 
 
 def test_irreducible_control_flow_exits_two(tmp_path, capsys):

@@ -98,6 +98,33 @@ def test_sequential_diamonds_match_reference():
     assert_matches_reference(oracles.sequential_diamonds(6))
 
 
+def test_random_joins_match_reference(monkeypatch):
+    """Grafts (``events.Graft``) find their content through their leaf's key
+    (``events.graft_key``): the same key where the leaf had seen each view
+    before the join, else the key with those views seen, which an earlier
+    structure may have analysed or the graft analyses first.  The family's
+    arms differ in length before and after bypass sites."""
+    paths = {"replay": 0, "rekeyed": 0, "first": 0}
+    graft_key, first_pass = ev.graft_key, lk._first_pass
+
+    def keyed(st, leaf_key):
+        key = graft_key(st, leaf_key)
+        paths["replay" if key is leaf_key else "rekeyed"] += 1
+        return key
+
+    def counted(st, *args):
+        paths["first"] += isinstance(st, ev.Graft)
+        return first_pass(st, *args)
+
+    monkeypatch.setattr(ev, "graft_key", keyed)
+    monkeypatch.setattr(lk, "_first_pass", counted)
+    for seed in range(30):
+        rng = random.Random(seed)
+        assert_matches_reference(oracles.random_joins(rng, sites=0.9),
+                                 d_spec=rng.choice((1, 2, 3, 8)))
+    assert paths["replay"] > 100 and paths["rekeyed"] > paths["first"] > 5
+
+
 @pytest.mark.parametrize("src", GUARDED_BLOCKS, ids=["indexed", "direct"])
 def test_diamond_guarded_bypass_blocks_match_reference(src):
     for d_spec in (2, 3, 8):

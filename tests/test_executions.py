@@ -172,6 +172,17 @@ def test_silent_subset_requires_opt_in(corpus_dir):
     assert all(not c.silent for c in candidates(src))
 
 
+def test_subsets_are_made_one_at_a_time_in_their_old_order():
+    items = [3, 5, 8, 13, 21]
+    subsets = ex._nonempty_subsets(items)
+    assert not isinstance(subsets, list)
+    assert list(subsets) == oracles.nonempty_subsets_reference(items)
+    pairs = [("x", "y"), ("y", "z"), ("a", "b"), ("x", "y")]
+    resolutions = ev._alias_subsets(pairs)
+    assert not isinstance(resolutions, list)
+    assert list(resolutions) == oracles.alias_subsets_reference(pairs)
+
+
 def _batches_between_ticks(monkeypatch, src, prims, **kw):
     """How many candidate batches were built between consecutive ticks."""
     built = [0]
@@ -343,3 +354,21 @@ def test_psf_stress_analysis_peaks_under_32_mib():
         tracemalloc.stop()
     assert report.candidates == 2382
     assert peak < 32 * 2**20
+
+
+def test_sequential_diamonds_analysis_peaks_under_24_mib():
+    # 16384 structures, all but one grafts: views that share their leaf's
+    # events and build no plan or step_of of their own.  Grafts that copied
+    # both peaked at 34 MiB under v1; unmerged walks at 78 MiB under v4.
+    from leakcheck import leakage as lk
+
+    prog = ir.parse(oracles.sequential_diamonds(14))
+    for engine in ("v1", "v4"):
+        tracemalloc.start()
+        try:
+            report = lk.analyze(prog, engine, lk.EngineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.structures, report.distinct) == (2**14, 1)
+        assert peak <= 24 * 2**20, engine

@@ -48,11 +48,11 @@ def assert_same_structure(got: ev.EventStructure, want: ev.EventStructure):
     assert list(got.step_of) == sorted(got.step_of)
 
 
-def assert_views_match_builder(st: ev.EventStructure, regions, d_spec: int) -> None:
+def assert_views_match_builder(st: ev.EventStructure, d_spec: int) -> None:
     """``derive_bypass``'s views over ``st`` against the builder derivation
     they replaced: every field equal, the prefix events ``st``'s own."""
     views = ev.derive_bypass(st, d_spec)
-    built = oracles.derive_bypass_builder(st, regions, d_spec)
+    built = oracles.derive_bypass_builder(st, d_spec)
     assert len(views) == len(built) == len(st.sites)
     for site, view, want in zip(st.sites, views, built):
         assert (view is None) == (want is None)
@@ -72,7 +72,7 @@ def assert_walk_matches_reference(src: str, d_spec: int = 8) -> None:
         assert len(got) == len(want)
         for st, ref in zip(got, want):
             assert_same_structure(st, ref)
-            assert_views_match_builder(st, regions, d_spec)
+            assert_views_match_builder(st, d_spec)
             derived_all = ev.derive_bypass(st, d_spec)
             for site, derived in zip(st.sites, derived_all):
                 expected = oracles.derive_bypass_reference(ref, site, regions, d_spec)
@@ -127,13 +127,17 @@ def test_merged_diamonds_match_reference(monkeypatch):
     after the join tells them apart (``_Builder.mergeable``), and the walked
     fork's structures are grafted onto the other; the family's arms define
     registers read later through ``[r]``, in stored values and as AMO
-    pointers, under depth budgets that cut windows short."""
-    verdicts = {True: 0, False: 0}
+    pointers, or are followed by bypass sites only, under depth budgets that
+    cut windows short.  Merges fire under every primitive set, and under
+    all but ``branch`` also where the arms differ in length."""
+    verdicts: dict[tuple, int] = {}
     mergeable = ev._Builder.mergeable
 
     def counted(self, other, slot_reads):
         verdict = mergeable(self, other, slot_reads)
-        verdicts[verdict] += 1
+        unequal = len(self.plans[-1]) != len(other.plans[-1])
+        key = (self.primitives, verdict, unequal)
+        verdicts[key] = verdicts.get(key, 0) + 1
         return verdict
 
     monkeypatch.setattr(ev._Builder, "mergeable", counted)
@@ -142,13 +146,24 @@ def test_merged_diamonds_match_reference(monkeypatch):
         aliases = "alias (x, y)\n" if rng.random() < 0.3 else ""
         src = aliases + oracles.random_joins(rng, threads=rng.choice((0, 0, 2)))
         assert_walk_matches_reference(src, d_spec=rng.choice((1, 2, 3, 8)))
-    assert verdicts[True] > 50 and verdicts[False] > 1000
+
+    def count(prims=None, verdict=None, unequal=None) -> int:
+        return sum(n for (p, v, u), n in verdicts.items()
+                   if prims in (None, p) and verdict in (None, v) and unequal in (None, u))
+
+    assert count(verdict=True) > 50 and count(verdict=False) > 1000
+    assert count(frozenset({"branch"}), True, True) == 0
+    for prims in PRIMITIVES:
+        assert count(prims, True) > 10, prims
+        if "branch" not in prims:
+            assert count(prims, True, True) > 5, prims
 
 
 def test_walk_steps_grow_linearly_with_sequential_diamonds(monkeypatch):
-    """Under v1 the forks at each of ``sequential_diamonds(n)``'s branches
-    merge, so the walk steps each diamond a fixed number of times: linear in
-    n, where walking every path steps 2^n paths."""
+    """The forks at each of ``sequential_diamonds(n)``'s branches merge
+    under v1, v4 and psf (under the latter two with arms of unequal length),
+    so the walk steps each diamond a fixed number of times: linear in n,
+    where walking every path steps 2^n paths."""
     calls = [0]
     step = ev._Builder.step
 
@@ -157,13 +172,14 @@ def test_walk_steps_grow_linearly_with_sequential_diamonds(monkeypatch):
         return step(self, s)
 
     monkeypatch.setattr(ev._Builder, "step", counted)
-    counts = []
-    for n in (4, 8, 12):
-        calls[0] = 0
-        graph = cfg.build_acfg(ir.parse(oracles.sequential_diamonds(n)))
-        assert len(ev.enumerate_event_structures(graph, frozenset({"branch"}))) == 2**n
-        counts.append(calls[0])
-    assert counts[2] - counts[1] == counts[1] - counts[0] < 100
+    for prims in ({"branch"}, {"stl"}, {"psf"}):
+        counts = []
+        for n in (4, 8, 12):
+            calls[0] = 0
+            graph = cfg.build_acfg(ir.parse(oracles.sequential_diamonds(n)))
+            assert len(ev.enumerate_event_structures(graph, frozenset(prims))) == 2**n
+            counts.append(calls[0])
+        assert counts[2] - counts[1] == counts[1] - counts[0] < 100, prims
 
 
 def branching_threads(rng: random.Random) -> str:
@@ -223,10 +239,12 @@ def psf_blocks(blocks: int) -> str:
 
 def test_psf_blocks_views_match_builder():
     graph = cfg.build_acfg(ir.parse(psf_blocks(7)))
-    regions = ev._branch_regions(graph)
     for prims in (frozenset({"stl"}), frozenset({"psf"})):
         for st in ev.enumerate_event_structures(graph, prims, 25):
-            assert_views_match_builder(st, regions, 25)
+            # A structure's windows are kept per depth: views of one depth
+            # after those of another are cut at their own depth's ends.
+            for d_spec in (25, 3):
+                assert_views_match_builder(st, d_spec)
 
 
 def test_derive_bypass_runs_no_builder_and_twins_each_event_once(monkeypatch):

@@ -46,19 +46,19 @@ def analyzed(prog, engine, config, monkeypatch):
     to ``findings`` for each of them (by candidate id)."""
     cands: list[ex.Candidate] = []
     used: dict[int, list[lk.LeakWitness]] = {}
-    enumerate_candidates, findings = ex.enumerate_candidates, lk.findings
+    iter_candidates, findings = ex.iter_candidates, lk.findings
 
     def enumerated(*args, **kwargs):
-        made = enumerate_candidates(*args, **kwargs)
-        cands.extend(made)
-        return made
+        for cand in iter_candidates(*args, **kwargs):
+            cands.append(cand)
+            yield cand
 
     def recorded(cand, w, *args):
         used.setdefault(id(cand), []).append(w)
         return findings(cand, w, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(ex, "enumerate_candidates", enumerated)
+        m.setattr(ex, "iter_candidates", enumerated)
         m.setattr(lk, "findings", recorded)
         lk.analyze(prog, engine, config)
     return cands, used
