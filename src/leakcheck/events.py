@@ -101,18 +101,10 @@ class Step:
     window: int | None = None  # plan index of the branch that opened this fetch
 
 
-# One empty set for every event, register and structure with nothing in it:
-# sets are shared, never copied, as no set changes once made.
+# One empty set for every event, register and structure with nothing in it.
+# Sets are shared, never copied, as no set changes once made: a union with
+# one non-empty part is that part.
 _EMPTY: frozenset = frozenset()
-
-
-def _union(sets: Iterable[frozenset[int]]) -> frozenset[int]:
-    """The union of ``sets``: the one non-empty set itself, if there is one."""
-    out = _EMPTY
-    for got in sets:
-        if got:
-            out = out | got if out else got
-    return out
 
 
 @dataclass
@@ -295,7 +287,12 @@ class _ThreadState:
         return new
 
     def reads_of(self, regs) -> frozenset[int]:
-        return _union(self.taint.get(reg, _EMPTY) for reg in regs)
+        out = _EMPTY
+        for reg in regs:
+            got = self.taint.get(reg)
+            if got:
+                out = out | got if out else got
+        return out
 
 
 def _branch_regions(graph: ACfg) -> dict[int, frozenset[int]]:
@@ -562,8 +559,11 @@ class _Builder:
             self._open = tuple(
                 br for br in self._open if step.node in self.maps.regions[br.node_id]
             )
-        return _union(br.cond_reads for br in self._open
-                      if window == br.eid or step.node in self.maps.regions[br.node_id])
+        out = _EMPTY
+        for br in self._open:  # each with condition reads
+            if window == br.eid or step.node in self.maps.regions[br.node_id]:
+                out = out | br.cond_reads if out else br.cond_reads
+        return out
 
     def _sites_at(self, ev: Event) -> None:
         """The sites of load ``ev``, and its (or store or fence ``ev``'s)

@@ -504,7 +504,7 @@ def iter_candidates(
                     if neutral:
                         bases.setdefault(k, made)
                     yield from made
-                    for subset in _nonempty_subsets(silent):
+                    for subset in _nonempty_subsets(silent) if silent else ():
                         tick()
                         yield from _make_candidates(cst, amo, arch, subset, None, None)
 
