@@ -24,6 +24,10 @@ from . import ir
 EXIT = -1
 
 
+def no_deadline() -> None:
+    """The default ``tick``: there is no deadline to check."""
+
+
 class CfgError(Exception):
     """Irreducible control flow or malformed call structure."""
 
@@ -119,13 +123,14 @@ def _rename_op(op: ir.Op, m: dict[str, str]) -> ir.Op:
     return op
 
 
-def inline_calls(prog: ir.Program, fn: ir.Function) -> list[ANode]:
+def inline_calls(prog: ir.Program, fn: ir.Function, tick=no_deadline) -> list[ANode]:
     """Flatten ``fn`` with every call spliced in.
 
     Registers local to a callee are renamed fresh; parameters are
     substituted by the argument registers; labels get a per-instance
     suffix.  Recursive calls are expanded at most twice per function
-    name and then abstracted over all their arguments.
+    name and then abstracted over all their arguments.  ``tick`` runs once
+    per instruction inlined: each level of calls can double the nodes.
     """
     used = [0]
     for f in prog.functions:
@@ -153,6 +158,7 @@ def inline_calls(prog: ir.Program, fn: ir.Function) -> list[ANode]:
     while frames:
         f, m, suffix, depth, body = frames[-1]
         for idx, ins in body:
+            tick()
             op = _rename_op(ins.op, m)
             label = f"{ins.label}{suffix}" if ins.label else None
             if isinstance(op, (ir.BranchEqZero, ir.Jump)):
@@ -366,25 +372,34 @@ def _unroll(nodes, succ, h: int, srcs: list[int]):
     return new_nodes, new_succ
 
 
+def _forward_only(succ: list[list[int]]) -> bool:
+    """Whether every edge runs to a higher index (or to ``EXIT``): then index
+    order is a topological order, so the graph has no cycle."""
+    return all(s > u or s == EXIT for u, ss in enumerate(succ) for s in ss)
+
+
 def summarize_loops(nodes: list[ANode], succ: list[list[int]]):
-    """Unroll every natural loop twice; reject irreducible control flow."""
-    while True:
+    """Unroll every natural loop twice; reject irreducible control flow.  A
+    forward-only graph has neither, so it needs no dominator pass."""
+    while not _forward_only(succ):
         back, offenders = _find_back_edges(succ)
         if offenders:
             names = ", ".join(_node_name(nodes[u]) for u in offenders)
             raise CfgError(f"irreducible control flow involving {names}")
         if not back:
-            return nodes, succ
+            break
         h = min(t for _, t in back)
         srcs = sorted({u for u, t in back if t == h})
         nodes, succ = _unroll(nodes, succ, h, srcs)
+    return nodes, succ
 
 
-def build_acfg(prog: ir.Program) -> ACfg:
+def build_acfg(prog: ir.Program, tick=no_deadline) -> ACfg:
     """Build the acyclic abstract CFG for a program.
 
     Single-thread programs are inlined from the entry function; threads
-    become disjoint subgraphs with one root each.
+    become disjoint subgraphs with one root each.  ``tick`` runs once per
+    instruction inlined (:func:`inline_calls`).
     """
     all_nodes: list[ANode] = []
     all_succ: list[list[int]] = []
@@ -394,7 +409,7 @@ def build_acfg(prog: ir.Program) -> ACfg:
         if prog.multithread:
             flat = [ANode(ins, fn.name, i) for i, ins in enumerate(fn.body)]
         else:
-            flat = inline_calls(prog, fn)
+            flat = inline_calls(prog, fn, tick)
         if not flat:
             continue
         nodes, succ = summarize_loops(*_graphify(flat))

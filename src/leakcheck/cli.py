@@ -133,7 +133,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     prog = _load(args.file)
     config = EngineConfig(d_spec=args.spec_depth, silent_stores=args.silent_stores,
                           deadline=_deadline(args))
-    graph = cfg_mod.build_acfg(prog)
+    graph = cfg_mod.build_acfg(prog, config.tick)
     structures = ev_mod.enumerate_event_structures(
         graph, args.primitives, config.d_spec, tick=config.tick
     )

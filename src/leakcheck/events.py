@@ -66,15 +66,11 @@ from typing import NamedTuple, TypeVar
 
 from . import cfg as acfg_mod
 from . import ir
-from .cfg import ACfg, ANode, EXIT, immediate_dominators
+from .cfg import ACfg, ANode, EXIT, immediate_dominators, no_deadline
 
 
 class AnalysisTimeout(Exception):
     """Raised when a cooperative deadline expires mid-enumeration."""
-
-
-def no_deadline() -> None:
-    """The default ``tick``: there is no deadline to check."""
 
 
 @dataclass(frozen=True)
@@ -296,7 +292,12 @@ class _ThreadState:
 
 
 def _branch_regions(graph: ACfg) -> dict[int, frozenset[int]]:
-    """Nodes control-dependent on each two-way branch (postdominator-bounded)."""
+    """Nodes control-dependent on each branch (postdominator-bounded).  Only
+    branches have regions: a graph with none needs no postdominator pass."""
+    branches = [node for node, nd in enumerate(graph.nodes)
+                if isinstance(nd.instr.op, ir.BranchEqZero)]
+    if not branches:
+        return {}
     pred: dict[int, list[int]] = {}
     for node, succs in enumerate(graph.succ):
         for nxt in succs or [EXIT]:
@@ -304,9 +305,8 @@ def _branch_regions(graph: ACfg) -> dict[int, frozenset[int]]:
     # Postdominators are the dominators of the reversed graph.
     ipdom = immediate_dominators(pred, EXIT)
     regions: dict[int, frozenset[int]] = {}
-    for node, succs in enumerate(graph.succ):
-        if not isinstance(graph.nodes[node].instr.op, ir.BranchEqZero):
-            continue
+    for node in branches:
+        succs = graph.succ[node]
         if len(succs) != 2:
             regions[node] = frozenset()
             continue

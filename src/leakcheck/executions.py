@@ -5,9 +5,11 @@ architectural witness is the usual ``(rf, co)`` pair over committed events
 (with ``fr = rf^-1 ; co`` derived); the microarchitectural witness adds, per
 extra-architectural state (one cache line per resolved location), the fill
 edges ``rfx`` and the line-writer order ``cox``.  A candidate stores only
-these four.  ``frx = rfx^-1 ; cox``, the line each fill is on
-(:meth:`Candidate.xstate`) and whether an access claims its line (it is in
-that line's ``cox``) are derived.
+these four, and the kind and location of each access (AMO choices applied)
+in one table per structure and AMO choice (:func:`access_table`).
+``frx = rfx^-1 ; cox`` (a pair at a time: :meth:`Candidate.in_frx`), the
+line each fill is on (:meth:`Candidate.xstate`) and whether an access
+claims its line (it is in that line's ``cox``) are derived.
 
 Single-thread programs have exactly one TSO witness (each load reads the
 last committed same-location store, coherence follows program order), so we
@@ -53,14 +55,14 @@ class ExecutionError(Exception):
     pass
 
 
-def _kind_loc(
-    st: EventStructure, amo: dict[int, tuple[str, str]], eid: int
-) -> tuple[str | None, str | None]:
-    """Access kind (R, W or None) and location, with AMO choices applied."""
-    e = st.events[eid]
-    if e.kind == "AMO":
-        return amo.get(eid, (None, None))
-    return (e.kind if e.kind in ("R", "W") else None), e.location
+# Per event id: its access kind (R, W or None) and location.
+Accesses = list[tuple[str | None, str | None]]
+
+
+def access_table(st: EventStructure, amo: dict[int, tuple[str, str]]) -> Accesses:
+    """Each event's access kind and location, with AMO choices applied."""
+    return [amo.get(e.eid, (None, None)) if e.kind == "AMO" else
+            (e.kind if e.kind in ("R", "W") else None, e.location) for e in st.events]
 
 
 def _ordered_pairs(orders) -> frozenset[tuple[int, int]]:
@@ -80,6 +82,7 @@ class Candidate:
     co: dict[str, list[int]]  # location -> [0, committed writers...]
     rfx_in: dict[int, int]  # event -> line fill source (silent stores absent)
     cox: dict[str, list[int]]  # xstate -> [0, line writers in fetch order...]
+    access: Accesses = field(repr=False, compare=False)  # per structure and AMO choice
     silent: frozenset[int] = frozenset()
     site: Site | None = None  # bypass candidates: site in this structure's ids
     stale_src: int | None = None
@@ -87,18 +90,15 @@ class Candidate:
     # The candidate whose cache simulation this one shares (an earlier
     # line-neutral stale source, see :func:`_refill`); None when it ran its own.
     base: Candidate | None = field(default=None, repr=False, compare=False)
-    _frx: frozenset[tuple[int, int]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     # -- resolved views ----------------------------------------------------
 
     def access_kind(self, eid: int) -> str | None:
         """R or W as resolved in this candidate (AMO choices applied)."""
-        return _kind_loc(self.st, self.amo, eid)[0]
+        return self.access[eid][0]
 
     def location_of(self, eid: int) -> str | None:
-        return _kind_loc(self.st, self.amo, eid)[1]
+        return self.access[eid][1]
 
     def xstate(self, eid: int) -> str | None:
         """The line ``eid``'s fill edge is on: its own location, except at
@@ -106,7 +106,7 @@ class Candidate:
         site = self.site
         if site is not None and eid == site.read and site.kind == "psf":
             eid = self.stale_src
-        return self.location_of(eid)
+        return self.access[eid][1]
 
     def bottom_sources(self) -> dict[str, int]:
         """The last writer of each line that has one, as ``BOT`` reads it."""
@@ -115,8 +115,7 @@ class Candidate:
     def fr(self) -> frozenset[tuple[int, int]]:
         pairs = set()
         for r, w in self.rf.items():
-            loc = self.location_of(r)
-            order = self.co.get(loc, [0])
+            order = self.co.get(self.access[r][1], [0])
             start = order.index(w) + 1
             for w2 in order[start:]:
                 if w2 != r:
@@ -138,20 +137,17 @@ class Candidate:
         pairs |= {(w, bottom) for w in self.bottom_sources().values()}
         return frozenset(pairs)
 
+    def in_frx(self, e: int, w: int) -> bool:
+        """Whether ``(e, w)`` is in ``frx = rfx^-1 ; cox``: ``w`` is not ``e``
+        and comes after ``e``'s fill source in the order of ``e``'s line."""
+        src = self.rfx_in.get(e)
+        order = self.cox.get(self.xstate(e), ())
+        return w != e and src in order and w in order and order.index(w) > order.index(src)
+
     def frx(self) -> frozenset[tuple[int, int]]:
-        """``rfx^-1 ; cox``, computed on first use (confidential and
-        detect_leaks both read it)."""
-        if self._frx is None:
-            pairs = set()
-            for e, src in self.rfx_in.items():
-                order = self.cox.get(self.xstate(e))
-                if order is None or src not in order:
-                    continue
-                for w2 in order[order.index(src) + 1 :]:
-                    if w2 != e:
-                        pairs.add((e, w2))
-            self._frx = frozenset(pairs)
-        return self._frx
+        """``frx`` in full (``confidential`` and graphs read it)."""
+        return frozenset((e, w) for e in self.rfx_in for w in self.cox.get(self.xstate(e), ())
+                         if self.in_frx(e, w))
 
     def describe(self) -> str:
         bits = [self.st.describe()]
@@ -182,7 +178,7 @@ def _amo_choices(st: EventStructure) -> list[dict[int, tuple[str, str]]]:
 
 
 def canonical_arch(
-    cand_st: EventStructure, amo: dict[int, tuple[str, str]]
+    cand_st: EventStructure, access: Accesses
 ) -> tuple[dict[int, int], dict[str, list[int]]]:
     """The unique single-thread TSO witness: last-writer rf, po-ordered co."""
     rf: dict[int, int] = {}
@@ -190,7 +186,7 @@ def canonical_arch(
     last: dict[str, int] = {}
     for order in cand_st.po:
         for eid in order:
-            kind, loc = _kind_loc(cand_st, amo, eid)
+            kind, loc = access[eid]
             if kind == "R":
                 rf[eid] = last.get(loc, 0)
             elif kind == "W":
@@ -228,17 +224,17 @@ def _tso_consistent(cand: Candidate) -> bool:
 
 
 def arch_witnesses(
-    st: EventStructure, amo: dict[int, tuple[str, str]], tick=no_deadline
+    st: EventStructure, access: Accesses, tick=no_deadline
 ) -> list[tuple[dict[int, int], dict[str, list[int]]]]:
     """All TSO-consistent (rf, co) pairs; brute force for multi-thread."""
     if len(st.po) == 1:
-        return [canonical_arch(st, amo)]
+        return [canonical_arch(st, access)]
 
     reads: list[int] = []
     writes: dict[str, list[int]] = {}
     for order in st.po:
         for eid in order:
-            kind, loc = _kind_loc(st, amo, eid)
+            kind, loc = access[eid]
             if kind == "R":
                 reads.append(eid)
             elif kind == "W":
@@ -249,8 +245,7 @@ def arch_witnesses(
         )
     rf_opts = []
     for r in reads:
-        _, loc = _kind_loc(st, amo, r)
-        rf_opts.append([(r, w) for w in [0] + writes.get(loc, [])])
+        rf_opts.append([(r, w) for w in [0] + writes.get(access[r][1], [])])
     co_opts = [
         [(loc, [0] + list(p)) for p in itertools.permutations(ws)]
         for loc, ws in writes.items()
@@ -261,7 +256,7 @@ def arch_witnesses(
             tick()
             rf = dict(rf_combo)
             co = dict(co_combo)
-            probe = Candidate(st=st, rf=rf, co=co, rfx_in={}, cox={}, amo=dict(amo))
+            probe = Candidate(st=st, rf=rf, co=co, rfx_in={}, cox={}, access=access)
             if _tso_consistent(probe):
                 out.append((rf, co))
     return out
@@ -273,7 +268,7 @@ def arch_witnesses(
 
 def _build_comx(
     st: EventStructure,
-    amo: dict[int, tuple[str, str]],
+    access: Accesses,
     silent: frozenset[int],
     site: Site | None,
     stale_src: int | None,
@@ -300,7 +295,7 @@ def _build_comx(
     cox: dict[str, list[int]] = {}
     for order in st.tfo:
         for eid in order:
-            kind, x = _kind_loc(st, amo, eid)
+            kind, x = access[eid]
             if kind is None or eid in silent:
                 continue  # no access, or a silent store: no fill, no claim
             if site is not None and eid == site.read:
@@ -424,6 +419,7 @@ def _nonempty_subsets(items: list[int]) -> Iterator[frozenset[int]]:
 def _make_candidates(
     st: EventStructure,
     amo: dict[int, tuple[str, str]],
+    access: Accesses,
     arch: list[tuple[dict[int, int], dict[str, list[int]]]],
     silent: frozenset[int],
     site: Site | None,
@@ -439,7 +435,7 @@ def _make_candidates(
     if base is not None:
         assert stale_src is not None
         return _refill(base, stale_src)
-    rfx_in, cox = _build_comx(st, amo, silent, site, stale_src)
+    rfx_in, cox = _build_comx(st, access, silent, site, stale_src)
     return [
         Candidate(
             st=st,
@@ -447,10 +443,11 @@ def _make_candidates(
             co=co,
             rfx_in=rfx_in,
             cox=cox,
+            access=access,
             silent=silent,
             site=site,
             stale_src=stale_src,
-            amo=dict(amo),
+            amo=amo,
         )
         for rf, co in arch
     ]
@@ -466,11 +463,12 @@ def iter_candidates(
     """All consistent candidates: canonical, silent-store, and bypass ones,
     one at a time, so a caller that drops each may hold none.
 
-    The candidates of one structure are contiguous.  The architectural
-    witnesses are computed once per (structure, AMO choice) and shared by
-    its bypass and silent-store candidates.  The cache simulation is run
-    once per (derived structure, AMO choice) for all the line-neutral stale
-    sources of its site (:func:`_refill`).
+    The candidates of one structure are contiguous.  The access table
+    (:func:`access_table`) and the architectural witnesses are computed once
+    per (structure, AMO choice) and shared by its bypass and silent-store
+    candidates.  The cache simulation is run once per (derived structure,
+    AMO choice) for all the line-neutral stale sources of its site
+    (:func:`_refill`).
 
     ``tick`` is a callable invoked once per structure, bypass
     site, multi-thread witness combination and batch of candidates built;
@@ -487,7 +485,8 @@ def iter_candidates(
             variants += _bypass_variants(st, d_spec, seen_bypass, tick)
         for cst, site, sources in variants:
             amos = _amo_choices(cst)
-            archs = [arch_witnesses(cst, amo, tick) for amo in amos]
+            tables = [access_table(cst, amo) for amo in amos]
+            archs = [arch_witnesses(cst, access, tick) for access in tables]
             silent = [e.eid for e in cst.events if e.silent_eligible] if (
                 silent_stores and site is None) else []
             # AMO choice -> the candidates of the site's first line-neutral
@@ -495,10 +494,10 @@ def iter_candidates(
             bases: dict[int, list[Candidate]] = {}
             for src in sources:
                 neutral = site is not None and _line_neutral(site, src)
-                for k, (amo, arch) in enumerate(zip(amos, archs)):
+                for k, (amo, access, arch) in enumerate(zip(amos, tables, archs)):
                     tick()
                     made = _make_candidates(
-                        cst, amo, arch, frozenset(), site, src,
+                        cst, amo, access, arch, frozenset(), site, src,
                         bases.get(k) if neutral else None,
                     )
                     if neutral:
@@ -506,7 +505,7 @@ def iter_candidates(
                     yield from made
                     for subset in _nonempty_subsets(silent) if silent else ():
                         tick()
-                        yield from _make_candidates(cst, amo, arch, subset, None, None)
+                        yield from _make_candidates(cst, amo, access, arch, subset, None, None)
 
 
 def enumerate_candidates(

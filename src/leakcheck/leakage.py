@@ -183,18 +183,9 @@ def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
         if sources:
             witness("rf_without_rfx", (0, st.bottom), st.bottom, sources)
 
-    frx = cand.frx()
-    cox_pos: dict[str, dict[int, int]] = {
-        x: {w: i for i, w in enumerate(order)} for x, order in cand.cox.items()
-    }
-
-    def cox_ordered(w0: int, w1: int) -> bool:
-        for positions in cox_pos.values():
-            if w0 in positions and w1 in positions:
-                if positions[w0] < positions[w1]:
-                    return True
-        return False
-
+    # (a) and (d) ask whether given pairs are in frx, each answered from one
+    # line (Candidate.in_frx).  (a)'s cox pair follows from its frx pair: a
+    # store claims its line right after its fill source (_build_comx).
     for loc, order in cand.co.items():
         stores = [w for w in order if w != 0]
         for i, w0 in enumerate(stores):
@@ -212,7 +203,7 @@ def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
                         dev = actual if actual != 0 else w1
                         witness("co_imm_without_rfx", (w0, w1), w1, [dev])
                 else:
-                    if cox_ordered(w0, w1) and (w0, w1) in frx:
+                    if cand.in_frx(w0, w1):
                         continue
                     if w1 in cand.silent or w0 in cand.silent:
                         dev = w1 if w1 in cand.silent else w0
@@ -232,7 +223,7 @@ def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
             witness("rf_without_rfx", (w, r), r, [actual if actual != 0 else w])
 
     for r, w in sorted(cand.fr()):
-        if (r, w) in frx:
+        if cand.in_frx(r, w):
             continue
         if w in cand.silent:
             witness("fr_without_frx", (r, w), st.bottom, [w])
@@ -265,12 +256,9 @@ def _forwarding(cand: Candidate) -> frozenset[tuple[int, int]]:
     """Value forwarding: architectural rf plus microarchitectural
     same-location fills whose source is a program store."""
     fwd = {(w, r) for r, w in cand.rf.items() if w != 0}
+    access = cand.access
     for e, src in cand.rfx_in.items():
-        if src == 0:
-            continue
-        if cand.access_kind(src) == "W" and (
-            cand.location_of(src) == cand.location_of(e)
-        ):
+        if src != 0 and access[src] == ("W", access[e][1]):
             fwd.add((src, e))
     return frozenset(fwd)
 
@@ -456,7 +444,7 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
     ACfg ``graph`` if given: ``all`` builds it once for the three.  Structures
     of one content (:func:`events.content_key`) replay the first's findings;
     a graft finds its content through its leaf's (:func:`events.graft_key`)."""
-    graph = graph or cfg_mod.build_acfg(prog)
+    graph = graph or cfg_mod.build_acfg(prog, config.tick)
     if engine == "all":
         merged = Report(engine="all", records=[], elements=[], unrepairable=[])
         for sub in ("v1", "v4", "psf"):

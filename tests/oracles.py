@@ -116,6 +116,31 @@ def tso_witnesses(threads, fence_pairs):
     return found
 
 
+def kind_loc(st, amo, eid):
+    """Access kind (R, W or None) and location of event ``eid``, with the AMO
+    choices ``amo`` applied: the per-event lookup that
+    ``executions.access_table`` replaced."""
+    e = st.events[eid]
+    if e.kind == "AMO":
+        return amo.get(eid, (None, None))
+    return (e.kind if e.kind in ("R", "W") else None), e.location
+
+
+def frx_reference(cand) -> frozenset[tuple[int, int]]:
+    """``rfx^-1 ; cox`` as the full set that ``detect_leaks`` once tested
+    membership in, each line found through :func:`kind_loc`."""
+    site, pairs = cand.site, set()
+    for e, src in cand.rfx_in.items():
+        owner = cand.stale_src if site and e == site.read and site.kind == "psf" else e
+        order = cand.cox.get(kind_loc(cand.st, cand.amo, owner)[1])
+        if order is None or src not in order:
+            continue
+        for w2 in order[order.index(src) + 1:]:
+            if w2 != e:
+                pairs.add((e, w2))
+    return frozenset(pairs)
+
+
 def structure_threads(cand):
     """Adapter: a candidate's committed memory events in oracle form."""
     threads = []

@@ -168,6 +168,34 @@ def test_unreachable_self_loop_is_accepted():
     assert g.succ[2] == [1]  # the unreachable cycle is left as written
 
 
+def test_forward_only_graphs_have_no_back_edges(corpus_dir, monkeypatch):
+    # ``summarize_loops`` returns a forward-only graph as it is: the
+    # dominator pass it skips finds no back edge and no offender on any.
+    graphs, summarize = [], cfg.summarize_loops
+    monkeypatch.setattr(cfg, "summarize_loops",
+                        lambda nodes, succ: graphs.append(succ) or summarize(nodes, succ))
+    for path in sorted(corpus_dir.rglob("*.lcm")):
+        build(path.read_text())
+    for seed in range(40):
+        rng = random.Random(seed)
+        for src in (oracles.random_single(rng), oracles.random_diamonds(rng),
+                    oracles.random_nested(rng), oracles.random_joins(rng),
+                    oracles.random_joins(rng, threads=2), oracles.random_multithread(rng)):
+            build(src)
+    forward = [succ for succ in graphs if cfg._forward_only(succ)]
+    assert len(forward) > 100 and len(graphs) - len(forward) > 20
+    for succ in forward:
+        assert cfg._find_back_edges(succ) == ([], [])
+
+
+def test_self_loop_is_unrolled():
+    # A self-loop's edge runs to no higher index: the graph is not forward-only.
+    assert not cfg._forward_only([[0]])
+    g = build("r1 <-0\nx: BEQZ r1, x\nW y <-1\n")
+    assert_acfg_invariants(g)
+    assert texts(g).count("BEQZ r1, x") == 2
+
+
 def test_back_edge_search_is_linear_in_function_length():
     prog = ir.parse("r1 <-0\n" + "R A+r1 ->r1\n" * 16000)
     start = time.process_time()

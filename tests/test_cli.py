@@ -215,6 +215,17 @@ def test_alias_subsets_honour_the_timeout(tmp_path):
     assert cpu < 2
 
 
+def test_call_fanout_honours_the_timeout(tmp_path):
+    # 22 nested functions, each calling the next twice: 2^22 inlined loads.
+    funcs = [f"func f{i}():\ncall f{i + 1}()\ncall f{i + 1}()\n" for i in range(1, 22)]
+    f = tmp_path / "fanout.lcm"
+    f.write_text("call f1()\n\n" + "\n".join(funcs) + "\nfunc f22():\nR x ->r1\n")
+    proc, cpu = run_capped(f, "--timeout", "1", "--no-timing")
+    assert proc.returncode == 2, proc.stderr
+    assert "analysis timed out" in proc.stderr
+    assert cpu < 2
+
+
 def test_irreducible_control_flow_exits_two(tmp_path, capsys):
     f = tmp_path / "irreducible.lcm"
     f.write_text("r1 <-0\nBEQZ r1, b\na: skip\nb: skip\nBEQZ r1, a\n")

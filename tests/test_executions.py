@@ -90,7 +90,7 @@ def test_multithread_enumeration_is_capped():
         cfg.build_acfg(ir.parse("\n".join(lines) + "\n"))
     )
     with pytest.raises(ex.ExecutionError):
-        ex.arch_witnesses(sts[0], {})
+        ex.arch_witnesses(sts[0], ex.access_table(sts[0], {}))
 
 
 # -- cache-state bookkeeping --------------------------------------------------
@@ -308,6 +308,64 @@ def test_every_enumerated_candidate_is_confidential():
 def test_random_program_candidates_are_confidential(generator, seed, alias):
     src = getattr(oracles, generator)(random.Random(seed))
     assert confidential_candidates(("alias (x, y)\n" if alias else "") + src, 8)
+
+
+# -- the candidate kernel -----------------------------------------------------
+
+
+def kernel_programs():
+    """The corpus and three random families, extern calls (AMOs) included,
+    each with its ``d_spec`` and whether to check every event pair (not on
+    the stress program, whose simulations have 37 million: there only each
+    fill's line)."""
+    for path in sorted(CORPUS.rglob("*.lcm")):
+        config = json.loads(path.with_suffix(".expect.json").read_text())
+        yield (path.read_text(), config.get("config", {}).get("d_spec", 250),
+               path.parent.name != "stress")
+    for seed in range(15):
+        rng = random.Random(seed)
+        yield oracles.random_single(rng), 8, True
+        yield oracles.random_joins(rng), 8, True
+        yield oracles.random_multithread(rng), 8, True
+
+
+def frx_by_position(cand, every_pair: bool) -> set[tuple[int, int]]:
+    """The pairs ``in_frx`` admits among every event pair, or among each fill
+    and the writers of its line."""
+    events = range(len(cand.st.events))
+    if every_pair:
+        return {(e, w) for e in events for w in events if cand.in_frx(e, w)}
+    return {(e, w) for e in cand.rfx_in for w in cand.cox.get(cand.xstate(e), ())
+            if cand.in_frx(e, w)}
+
+
+def test_access_tables_and_frx_positions_match_references():
+    # Every candidate's access table is the per-event lookup it replaced, for
+    # every event and AMO choice; ``in_frx`` is membership in the full
+    # ``frx``, for every event pair (:func:`frx_by_position`).  Candidates
+    # that share a table or a simulation are checked once.
+    amos = silent = psf = 0
+    for src, d_spec, every_pair in kernel_programs():
+        graph = cfg.build_acfg(ir.parse(src))
+        for prims in ({"branch"}, {"stl", "psf"}):
+            sts = ev.enumerate_event_structures(graph, frozenset(prims), d_spec)
+            cands = ex.enumerate_candidates(sts, silent_stores=True, d_spec=d_spec)
+            tables, simulations = set(), set()
+            for cand in cands:
+                events = range(len(cand.st.events))
+                if id(cand.access) not in tables:
+                    tables.add(id(cand.access))
+                    amos += bool(cand.amo)
+                    assert cand.access == [
+                        oracles.kind_loc(cand.st, cand.amo, e) for e in events]
+                if id(cand.rfx_in) not in simulations:
+                    simulations.add(id(cand.rfx_in))
+                    silent += bool(cand.silent)
+                    psf += cand.site is not None and cand.site.kind == "psf"
+                    frx = cand.frx()
+                    assert frx == oracles.frx_reference(cand)
+                    assert frx_by_position(cand, every_pair) == frx
+    assert amos > 50 and silent > 50 and psf > 50, (amos, silent, psf)
 
 
 def test_bypass_dedupe_keeps_every_alias_resolution(monkeypatch):

@@ -272,7 +272,7 @@ def test_all_engines_build_one_acfg_and_merge_the_engines(
     subs = [lk.analyze(prog, engine, config) for engine in ("v1", "v4", "psf")]
     built = []
     build_acfg = cfg.build_acfg
-    monkeypatch.setattr(cfg, "build_acfg", lambda p: built.append(p) or build_acfg(p))
+    monkeypatch.setattr(cfg, "build_acfg", lambda p, *tick: built.append(p) or build_acfg(p, *tick))
     merged = lk.analyze(prog, "all", config)
     assert built == [prog]
     assert merged.engine == "all"

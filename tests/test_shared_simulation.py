@@ -89,7 +89,8 @@ def test_shared_simulations_match_fresh_ones(monkeypatch):
                 for cand in cands:
                     shared += cand.base is not None
                     rfx_in, cox = ex._build_comx(
-                        cand.st, cand.amo, cand.silent, cand.site, cand.stale_src
+                        cand.st, ex.access_table(cand.st, cand.amo), cand.silent,
+                        cand.site, cand.stale_src,
                     )
                     where = (name, engine, probe, cand.describe())
                     assert list(cand.rfx_in.items()) == list(rfx_in.items()), where
