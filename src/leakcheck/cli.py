@@ -214,11 +214,21 @@ def _one_of(known: tuple, what: str):
     return convert
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _classes(value) -> frozenset[str]:
+    if not _is_names(value):
+        raise ValueError(f"classes {value!r} is not a list of names")
+    return _names(CLASSES, "class")(",".join(value))
+
+
 # The sidecar config keys (EngineConfig fields), each checked as its flag is.
 _SIDECAR_KEYS = {
     "d_spec": lambda v: _at_least_zero(int)(str(v)),
     "w_size": lambda v: _at_least_zero(int)(str(v)),
-    "classes": lambda v: _names(CLASSES, "class")(",".join(v)),
+    "classes": _classes,
     "scope": _one_of(_SCOPES, "scope"),
     **{key: _one_of((False, True), key)
        for key in ("require_gep", "silent_stores", "probe")},
@@ -227,7 +237,12 @@ _SIDECAR_KEYS = {
 
 def _sidecar_config(data: dict, args: argparse.Namespace) -> tuple[str, EngineConfig]:
     """The engine and config a sidecar names; unset keys keep the defaults."""
-    conf = dict(data.get("config", {}))
+    if not isinstance(data, dict):
+        raise ValueError("the sidecar is not a JSON object")
+    conf = data.get("config", {})
+    if not isinstance(conf, dict):
+        raise ValueError("'config' is not an object")
+    conf = dict(conf)
     engine = _one_of(_ENGINES, "engine")(conf.pop("engine", "all"))
     unknown = sorted(set(conf) - set(_SIDECAR_KEYS))
     if unknown:
@@ -236,6 +251,22 @@ def _sidecar_config(data: dict, args: argparse.Namespace) -> tuple[str, EngineCo
         **{key: _SIDECAR_KEYS[key](value) for key, value in conf.items()},
         deadline=_deadline(args),
     )
+
+
+def _sidecar_expect(data: dict) -> list[dict]:
+    """A sidecar's expected records: objects with a string ``label`` and
+    ``class``, and ``footnotes``, if given, a list of names."""
+    expected = data.get("expect", [])
+    if not isinstance(expected, list):
+        raise ValueError("'expect' is not a list")
+    for n, exp in enumerate(expected, start=1):
+        if not isinstance(exp, dict):
+            raise ValueError(f"expect entry {n} is not an object")
+        if not all(isinstance(exp.get(key), str) for key in ("label", "class")):
+            raise ValueError(f"expect entry {n} needs a string 'label' and 'class'")
+        if not _is_names(exp.get("footnotes", [])):
+            raise ValueError(f"expect entry {n}: 'footnotes' is not a list of names")
+    return expected
 
 
 _FOOTNOTE_MARKS = {"semantic": "¹", "loop": "²"}
@@ -271,13 +302,13 @@ def _run_one(path: Path, args: argparse.Namespace) -> CorpusRow:
     try:
         data = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else {}
         engine, config = _sidecar_config(data, args)
+        expected = _sidecar_expect(data)
         prog = _load(path)
         report = analyze(prog, engine, config)
     except AnalysisTimeout:
         return CorpusRow(path.stem, "?", "TIMEOUT", False, "timeout")
     except Exception as exc:  # parse errors, engine rejections
         return CorpusRow(path.stem, "?", "ERROR", False, str(exc))
-    expected = data.get("expect", [])
     exp_keys = {_expected_key(e) for e in expected}
     got_keys = {_record_key(r) for r in report.records}
     ok = exp_keys == got_keys

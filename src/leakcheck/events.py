@@ -143,9 +143,7 @@ class EventStructure:
     merged_aliases: frozenset[frozenset[str]]
     plans: list[list[Step]] = field(repr=False)  # the fetched steps per thread
     acfg: ACfg = field(repr=False)
-    step_of: dict[int, tuple[int, int]] = field(repr=False)  # eid -> (thread, step)
-    # Derived structures: the structure they are a view over.
-    base: EventStructure | None = field(default=None, repr=False, compare=False)
+    step_of: dict[int, int] = field(repr=False)  # eid -> its step in its thread's plan
     # :func:`_windows` for one ``d_spec``, shared by the content key and the
     # bypass derivation: (d_spec, windows).
     window_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -160,9 +158,6 @@ class EventStructure:
         nodes = self.acfg.nodes
         return [step.node is not None and (nodes[step.node].func, nodes[step.node].index)
                 for step in self.plans[0]]
-
-    def transient_events(self) -> list[int]:
-        return [e.eid for e in self.events if e.transient]
 
     def describe(self) -> str:
         parts = []
@@ -185,7 +180,7 @@ class Graft(EventStructure):
     """
 
     def __init__(self, leaf: EventStructure, plans: list[list[Step]],
-                 step_of: dict[int, tuple[int, int]], cut: int, offset: int) -> None:
+                 step_of: dict[int, int], cut: int, offset: int) -> None:
         self.events, self.po, self.tfo = leaf.events, leaf.po, leaf.tfo
         self.fence_pairs, self.sites = leaf.fence_pairs, leaf.sites
         self.merged_aliases, self.acfg = leaf.merged_aliases, leaf.acfg
@@ -201,12 +196,12 @@ class Graft(EventStructure):
                 *leafs[thread + 1:]]
 
     @cached_property
-    def step_of(self) -> dict[int, tuple[int, int]]:  # type: ignore[override]
+    def step_of(self) -> dict[int, int]:  # type: ignore[override]
         plans, head = self._head
-        merging, offset = len(plans) - 1, self.offset
+        merging, offset, events = len(plans) - 1, self.offset, self.events
         out = dict(head)
-        for eid, (thread, step) in islice(self.leaf.step_of.items(), len(head), None):
-            out[eid] = (thread, step + offset if thread == merging else step)
+        for eid, step in islice(self.leaf.step_of.items(), len(head), None):
+            out[eid] = step + offset if events[eid].thread == merging else step
         return out
 
 
@@ -360,7 +355,7 @@ class _Builder:
         self.po: list[list[int]] = []
         self.tfo: list[list[int]] = []
         self.sites: tuple[Site, ...] = ()
-        self.step_of: dict[int, tuple[int, int]] = {}
+        self.step_of: dict[int, int] = {}
         # Value identities of the committed stores so far, per location:
         # silent marks are read from them when the next store is emitted.
         self._stores: dict[str, tuple[tuple, ...]] = {}
@@ -545,7 +540,7 @@ class _Builder:
         if self._want_sites and kind in ("R", "W", "F"):
             self._sites_at(ev)
         self._eid_at.append(ev.eid)
-        self.step_of[ev.eid] = (thread, step_idx)
+        self.step_of[ev.eid] = step_idx
         self.tfo[-1].append(ev.eid)
         if step.committed:
             self.po[-1].append(ev.eid)
@@ -787,10 +782,10 @@ def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, int, tupl
     nodes = tuple(step.node for step in plan)
     stops = [i for i, node in enumerate(nodes)
              if isinstance(st.acfg.nodes[node].instr.op, _CLOSERS)] + [len(plan)]
-    step_at = [st.step_of[e][1] for e in order]  # ascending, as eids are
+    step_at = [st.step_of[e] for e in order]  # ascending, as eids are
     windows = []
     for site in st.sites:
-        start = st.step_of[site.read][1]
+        start = st.step_of[site.read]
         end = min(stops[bisect_left(stops, start)], start + d_spec)
         exits = end == len(plan)
         key = (nodes[:end] + (None,) * exits, site.kind, nodes[start], st.merged_aliases)
@@ -928,11 +923,11 @@ def derive_bypass(
                 st.events[e], transient=True, silent_eligible=False, silent_definite=False)
         events = st.events[: site.read] + twins[site.read : stop_eid]
         fetched = order[: stop_eid - 1] + [squash.eid] * exits
-        start = st.step_of[site.read][1]
+        start = st.step_of[site.read]
         steps = plan[:start] + rerun[start:end] + [Step(None, False)] * exits
         events += [squash] * exits + [Event(len(events) + exits, "BOT", label="⊥")]
         out.append(EventStructure(
             events, [order[: site.read - 1]], [fetched], st.fence_pairs, (),
             st.merged_aliases, [steps], st.acfg,
-            dict(islice(st.step_of.items(), stop_eid - 1)), base=st))
+            dict(islice(st.step_of.items(), stop_eid - 1))))
     return out

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 
 from . import events as ev_mod
 from .cfg import find_cycle
-from .events import AnalysisTimeout, Event, EventStructure, Site, no_deadline
+from .events import AnalysisTimeout, EventStructure, Site, no_deadline
 
 
 class ExecutionError(Exception):
@@ -93,13 +93,6 @@ class Candidate:
 
     # -- resolved views ----------------------------------------------------
 
-    def access_kind(self, eid: int) -> str | None:
-        """R or W as resolved in this candidate (AMO choices applied)."""
-        return self.access[eid][0]
-
-    def location_of(self, eid: int) -> str | None:
-        return self.access[eid][1]
-
     def xstate(self, eid: int) -> str | None:
         """The line ``eid``'s fill edge is on: its own location, except at
         a psf site read, which fills from its stale source's line."""
@@ -124,12 +117,6 @@ class Candidate:
 
     def rf_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((w, r) for r, w in self.rf.items())
-
-    def co_pairs(self) -> frozenset[tuple[int, int]]:
-        return _ordered_pairs(self.co.values())
-
-    def cox_pairs(self) -> frozenset[tuple[int, int]]:
-        return _ordered_pairs(self.cox.values())
 
     def rfx_pairs(self) -> frozenset[tuple[int, int]]:
         pairs = {(src, e) for e, src in self.rfx_in.items()}
@@ -196,20 +183,20 @@ def canonical_arch(
 
 
 def _tso_consistent(cand: Candidate) -> bool:
-    st = cand.st
+    st, access = cand.st, cand.access
     rf = cand.rf_pairs()
-    co = cand.co_pairs()
+    co = _ordered_pairs(cand.co.values())
     fr = cand.fr()
 
     # Same-location po (per-location SC) and po minus store-to-load (ppo).
     po_loc, ppo = set(), set()
     for order in st.po:
-        m = [e for e in order if cand.access_kind(e) is not None]
+        m = [e for e in order if access[e][0] is not None]
         for i, e1 in enumerate(m):
             for e2 in m[i + 1 :]:
-                if cand.location_of(e1) == cand.location_of(e2):
+                if access[e1][1] == access[e2][1]:
                     po_loc.add((e1, e2))
-                if (cand.access_kind(e1), cand.access_kind(e2)) != ("W", "R"):
+                if (access[e1][0], access[e2][0]) != ("W", "R"):
                     ppo.add((e1, e2))
     if find_cycle(rf | co | fr | po_loc):
         return False
@@ -396,20 +383,6 @@ def confidential(cand: Candidate) -> bool:
 # candidate enumeration
 
 
-def _bypass_variants(
-    st: EventStructure, d_spec: int, seen: set, tick=no_deadline
-) -> list[tuple[EventStructure, Site, tuple[int, ...]]]:
-    """One (derived structure, its site, stale sources) per new bypass.
-
-    A bypass is not new when an earlier structure of the same alias
-    resolution derived the same plan for a site of the same kind and node.
-    A derived structure keeps its base's event ids, so the site is the same.
-    """
-    derived = ev_mod.derive_bypass(st, d_spec, tick, seen)
-    return [(d, site, site.sources) for site, d in zip(st.sites, derived)
-            if d is not None]
-
-
 def _nonempty_subsets(items: list[int]) -> Iterator[frozenset[int]]:
     """Every non-empty subset of ``items``, smallest first, one at a time."""
     return map(frozenset, itertools.chain.from_iterable(
@@ -482,7 +455,11 @@ def iter_candidates(
             (st, None, (None,))
         ]
         if st.sites:
-            variants += _bypass_variants(st, d_spec, seen_bypass, tick)
+            # One per new bypass (:func:`events.derive_bypass`); a derived
+            # structure keeps its base's event ids, so the site is the same.
+            derived = ev_mod.derive_bypass(st, d_spec, tick, seen_bypass)
+            variants += [(d, site, site.sources) for site, d in zip(st.sites, derived)
+                         if d is not None]
         for cst, site, sources in variants:
             amos = _amo_choices(cst)
             tables = [access_table(cst, amo) for amo in amos]

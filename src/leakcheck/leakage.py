@@ -240,14 +240,14 @@ def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
 
 class _Shared:
     """What the candidates of one event structure, ``current``, share: the
-    classification memoised per :class:`_Chains` key, and the witnesses its
-    sharers read (at a psf site, those with findings).  ``_first_pass``
-    keeps one per structure.
+    classification memoised per forwarding relation (:class:`_Chains`), and
+    the witnesses its sharers read (at a psf site, those with findings).
+    ``_first_pass`` keeps one per structure.
     """
 
     def __init__(self, current: EventStructure) -> None:
         self.current = current
-        self.chains: dict[tuple, _Chains] = {}
+        self.chains: dict[frozenset[tuple[int, int]], _Chains] = {}
         # id of a bypass candidate that ran its own simulation -> its witnesses
         self.witnesses: dict[int, list[LeakWitness]] = {}
 
@@ -265,7 +265,8 @@ def _forwarding(cand: Candidate) -> frozenset[tuple[int, int]]:
 
 class _Chains:
     """Backward extended-dependency reachability and the classification
-    it yields, for the candidates of one structure that share a key.
+    it yields, for the candidates of one structure that share a forwarding
+    relation.
 
     ``ext(a, m)`` holds when a read ``a``'s returned value reaches ``m``'s
     address (resp. branch condition feeding ``m``) through alternating
@@ -274,11 +275,10 @@ class _Chains:
     store-to-load fill edge.
 
     The edges are the dependencies on the structure's events; its event
-    ids are its fetch order (one thread).  What else the chains depend on
-    is the key: the forwarding relation, the psf site read (its own address
-    is mispredicted, so it is no universal access) and ``w_size``.
-    Candidates with equal keys get the same transmitters, so each event is
-    classified once per key.
+    ids are its fetch order (one thread).  The chains also read the psf
+    site read (its own address is mispredicted, so it is no universal
+    access) and ``w_size``, each fixed for one structure in one ``analyze``
+    call, so candidates with equal forwarding get the same transmitters.
     """
 
     def __init__(
@@ -301,14 +301,11 @@ class _Chains:
     def _within(self, member: int, anchor: int) -> bool:
         return self.w_size is None or abs(member - anchor) <= self.w_size
 
-    def sources(self, target: int, final: str, gep_only: bool, anchor: int) -> set[int]:
+    def sources(self, target: int, final: str, anchor: int) -> set[int]:
         """Reads whose value reaches ``target``; final hop addr or ctrl."""
         found: set[int] = set()
         ev = self.st.events[target]
-        if final == "ctrl":
-            frontier = list(ev.ctrl_reads)
-        else:
-            frontier = list(ev.addr_reads) if ev.gep or not gep_only else []
+        frontier = list(ev.ctrl_reads if final == "ctrl" else ev.addr_reads)
         while frontier:
             a = frontier.pop()
             if a in found or not self._within(a, anchor):
@@ -318,7 +315,9 @@ class _Chains:
         return found
 
     def classify(self, t: int) -> list[Transmitter]:
-        """Every satisfied class of event ``t``."""
+        """Every satisfied class of event ``t``.  A chain's final addr hop
+        is a computed element access (``gep``) when its target's address is
+        register-indexed."""
         st = self.st
         ev = st.events[t]
         out = [Transmitter(t, "address", ev.transient)]
@@ -326,12 +325,9 @@ class _Chains:
             ("addr", "data", "universal_data"),
             ("ctrl", "control", "universal_control"),
         ):
-            accesses = self.sources(t, final, False, t)
+            accesses = self.sources(t, final, t)
             if not accesses:
                 continue
-            gep_accesses = (
-                self.sources(t, final, True, t) if final == "addr" else set()
-            )
             rep = _pick(st, accesses)
             out.append(
                 Transmitter(
@@ -340,26 +336,19 @@ class _Chains:
                     ev.transient,
                     access=rep,
                     access_transient=st.events[rep].transient,
-                    gep=bool(gep_accesses),
+                    gep=final == "addr" and ev.gep,
                 )
             )
             uni: list[tuple[int, int, bool]] = []
-            for a in sorted(accesses):
+            for a in accesses:
                 if a == self.psf_read:
                     continue
-                upstream = self.sources(a, "addr", False, t)
+                upstream = self.sources(a, "addr", t)
                 upstream.discard(a)
-                if not upstream:
-                    continue
-                upstream_gep = self.sources(a, "addr", True, t)
-                upstream_gep.discard(a)
-                r = _pick(st, upstream)
-                uni.append((a, r, bool(upstream_gep)))
+                if upstream:
+                    uni.append((a, _pick(st, upstream), st.events[a].gep))
             if uni:
-                ordered = sorted(
-                    uni, key=lambda x: (st.events[x[0]].transient, x[0])
-                )
-                a, r, _ = ordered[0]
+                a, r, _ = min(uni, key=lambda x: (st.events[x[0]].transient, x[0]))
                 out.append(
                     Transmitter(
                         t,
@@ -384,13 +373,12 @@ def classify_transmitters(
     """
     if not events:
         return {}
-    site = cand.site
-    psf_read = site.read if site is not None and site.kind == "psf" else None
     fwd = _forwarding(cand)
-    key = (fwd, psf_read, w_size)
-    chains = shared.chains.get(key)
+    chains = shared.chains.get(fwd)
     if chains is None:
-        chains = shared.chains[key] = _Chains(shared.current, fwd, psf_read, w_size)
+        site = cand.site
+        psf_read = site.read if site is not None and site.kind == "psf" else None
+        chains = shared.chains[fwd] = _Chains(shared.current, fwd, psf_read, w_size)
     out: dict[int, list[Transmitter]] = {}
     for t in sorted(events):
         if t not in chains.classified:
@@ -428,7 +416,7 @@ def _fence_points(st: EventStructure, span: tuple | None, slots: list | None) ->
     """The ``slots`` of ``st``'s plan past ``span``'s primitive, up to its end."""
     if span is None:
         return None
-    return frozenset(slots[st.step_of[span[0]][1] + 1 : st.step_of[span[1]][1] + 1]) - {False}
+    return frozenset(slots[st.step_of[span[0]] + 1 : st.step_of[span[1]] + 1]) - {False}
 
 
 # --------------------------------------------------------------------------
@@ -444,6 +432,10 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
     ACfg ``graph`` if given: ``all`` builds it once for the three.  Structures
     of one content (:func:`events.content_key`) replay the first's findings;
     a graft finds its content through its leaf's (:func:`events.graft_key`)."""
+    if prog.multithread:
+        raise ex_mod.ExecutionError(
+            f"engine {engine} analyzes single-thread programs only"
+        )
     graph = graph or cfg_mod.build_acfg(prog, config.tick)
     if engine == "all":
         merged = Report(engine="all", records=[], elements=[], unrepairable=[])
@@ -458,10 +450,6 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             merged.candidates += rep.candidates
         merged.records = sorted(set(merged.records), key=record_sort_key)
         return merged
-    if prog.multithread:
-        raise ex_mod.ExecutionError(
-            f"engine {engine} analyzes single-thread programs only"
-        )
     structures = ev_mod.enumerate_event_structures(
         graph, frozenset({_PRIMITIVES[engine]}), config.d_spec, tick=config.tick
     )
@@ -578,13 +566,8 @@ def findings(
     ).items():
         eligible = [t for t in entries if t.klass in config.classes]
         if config.require_gep:
-            eligible = [
-                t
-                for t in eligible
-                if t.klass == "address"
-                or (t.klass in ("control", "universal_control") and not t.upstream)
-                or t.gep
-            ]
+            # An address record has no chain, a control chain no addr hop.
+            eligible = [t for t in eligible if t.klass in ("address", "control") or t.gep]
         if not eligible:
             continue
         best = max(eligible, key=lambda t: _SEVERITY[t.klass])

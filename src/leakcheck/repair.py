@@ -26,12 +26,12 @@ programs back through the accumulated insertions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import ir
 from .events import _make_union_find, _uf_find, no_deadline
-from .leakage import EngineConfig, Record, Report, analyze, record_sort_key
+from .leakage import EngineConfig, Record, analyze, record_sort_key
 
 Point = tuple[str, int]
 
@@ -61,11 +61,17 @@ class RepairPlan:
         return not self.residual and not self.unrepairable
 
 
-def _point_key(prog: ir.Program, p: Point) -> tuple[int, int]:
+def _point_order(prog: ir.Program):
+    """The sort key of ``prog``'s points: the entry function first, then
+    the others in program order, each by index."""
     order = {f.name: i for i, f in enumerate(prog.functions)}
     entry = order.get(prog.entry, 0)
-    fi = order.get(p[0], len(order))
-    return (0 if fi == entry else 1 + fi, p[1])
+
+    def key(p: Point) -> tuple[int, int]:
+        fi = order.get(p[0], len(order))
+        return (0 if fi == entry else 1 + fi, p[1])
+
+    return key
 
 
 def hitting_set(
@@ -150,15 +156,21 @@ def _branch_and_bound(
     return best
 
 
+def _by_function(points: set[Point]) -> dict[str, list[int]]:
+    """Each function's indices among ``points``, ascending."""
+    by_func: dict[str, list[int]] = {}
+    for f, i in sorted(points):
+        by_func.setdefault(f, []).append(i)
+    return by_func
+
+
 def insert_fences(prog: ir.Program, points: set[Point]) -> ir.Program:
     """A copy of ``prog`` with an lfence before each (function, index)."""
-    by_func: dict[str, list[int]] = {}
-    for f, i in points:
-        by_func.setdefault(f, []).append(i)
+    by_func = _by_function(points)
     functions = []
     for fn in prog.functions:
         body = list(fn.body)
-        for i in sorted(by_func.get(fn.name, ()), reverse=True):
+        for i in reversed(by_func.get(fn.name, ())):
             body.insert(i, ir.Instr(ir.Fence("lfence")))
         functions.append(ir.Function(fn.name, fn.params, body))
     return ir.Program(
@@ -168,13 +180,11 @@ def insert_fences(prog: ir.Program, points: set[Point]) -> ir.Program:
 
 def _origin_maps(prog: ir.Program, inserted: set[Point]) -> dict[str, list[int]]:
     """For each function of the fenced program: fenced index -> original."""
-    by_func: dict[str, list[int]] = {}
-    for f, i in inserted:
-        by_func.setdefault(f, []).append(i)
+    by_func = _by_function(inserted)
     maps: dict[str, list[int]] = {}
     for fn in prog.functions:
         fenced_to_orig: list[int] = []
-        ins_at = sorted(by_func.get(fn.name, ()))
+        ins_at = by_func.get(fn.name, [])
         for orig in range(len(fn.body) + 1):
             # fences inserted before `orig` come first, mapping to `orig`
             fenced_to_orig.extend([orig] * ins_at.count(orig))
@@ -186,10 +196,7 @@ def _origin_maps(prog: ir.Program, inserted: set[Point]) -> dict[str, list[int]]
 
 def repair(prog: ir.Program, engine: str, config: EngineConfig) -> RepairPlan:
     """Insert a minimum set of lfences until the engine reports nothing."""
-
-    def key(p: Point) -> tuple[int, int]:
-        return _point_key(prog, p)
-
+    key = _point_order(prog)
     inserted: set[Point] = set()
     report = analyze(prog, engine, config)
     iterations = 0

@@ -147,9 +147,9 @@ def structure_threads(cand):
     for order in cand.st.po:
         th = []
         for eid in order:
-            kind = cand.access_kind(eid)
+            kind, loc = cand.access[eid]
             if kind is not None:
-                th.append((eid, kind, cand.location_of(eid)))
+                th.append((eid, kind, loc))
         threads.append(th)
     return threads
 
@@ -174,7 +174,8 @@ def leak_findings(cand, probe: bool = True):
 
     rfx = {(src, e) for e, src in cand.rfx_in.items()}
     frx = set(cand.frx())
-    cox_pairs = set(cand.cox_pairs())
+    cox_pairs = {(w0, w1) for order in cand.cox.values()
+                 for i, w0 in enumerate(order) for w1 in order[i + 1:]}
 
     for loc, order in cand.co.items():
         ws = [w for w in order if w != 0]
@@ -341,7 +342,7 @@ def silent_marks_reference(st) -> None:
         e.silent_eligible = e.silent_definite = False
     if len(st.po) != 1:
         return
-    eid_at = {idx: eid for eid, (_, idx) in st.step_of.items()}
+    eid_at = {idx: eid for eid, idx in st.step_of.items()}
     defslot: dict[str, int] = {}
     value_id = {}
     for idx, step in enumerate(st.plans[0]):
@@ -482,7 +483,7 @@ def derive_bypass_reference(st, site, regions, d_spec: int = 250):
     """
     assert len(st.plans) == 1
     plan = st.plans[0]
-    thread, site_step = st.step_of[site.read]
+    site_step = st.step_of[site.read]
     prefix = [s for s in plan[:site_step] if s.committed]
     suffix = []
     depth = 0
@@ -545,7 +546,7 @@ def derive_bypass_builder(st, d_spec: int = 250, tick=events.no_deadline):
     out = []
     for site in st.sites:
         tick()
-        site_step = st.step_of[site.read][1]
+        site_step = st.step_of[site.read]
         for step in plan[walked:site_step]:
             if step.committed:
                 builder.step(step)
@@ -636,6 +637,108 @@ def analyze_reference(prog, engine, config, graph=None):
     report.elements = list(dict.fromkeys(report.elements))
     report.unrepairable = list(dict.fromkeys(report.unrepairable))
     return report
+
+
+class _ChainsReference:
+    """``leakage._Chains`` as it was before the gep flag was read off the
+    transmitter's and each access's own event: four walks per class, one
+    for the chain, one more for its register-indexed (gep) addr hops, and
+    the two again for each access's upstream."""
+
+    def __init__(self, st, fwd, psf_read, w_size) -> None:
+        self.st = st
+        self.psf_read = psf_read
+        self.w_size = w_size
+        self.value_hop: dict[int, set[int]] = {}
+        for w, r in fwd:
+            for a in self.st.events[w].value_reads:
+                self.value_hop.setdefault(r, set()).add(a)
+
+    def _within(self, member: int, anchor: int) -> bool:
+        return self.w_size is None or abs(member - anchor) <= self.w_size
+
+    def sources(self, target: int, final: str, gep_only: bool, anchor: int) -> set[int]:
+        found: set[int] = set()
+        ev = self.st.events[target]
+        if final == "ctrl":
+            frontier = list(ev.ctrl_reads)
+        else:
+            frontier = list(ev.addr_reads) if ev.gep or not gep_only else []
+        while frontier:
+            a = frontier.pop()
+            if a in found or not self._within(a, anchor):
+                continue
+            found.add(a)
+            frontier.extend(self.value_hop.get(a, ()))
+        return found
+
+    def classify(self, t: int) -> list:
+        st = self.st
+        ev = st.events[t]
+        out = [lk.Transmitter(t, "address", ev.transient)]
+        for final, base_klass, universal_klass in (
+            ("addr", "data", "universal_data"),
+            ("ctrl", "control", "universal_control"),
+        ):
+            accesses = self.sources(t, final, False, t)
+            if not accesses:
+                continue
+            gep_accesses = (
+                self.sources(t, final, True, t) if final == "addr" else set()
+            )
+            rep = _pick_reference(st, accesses)
+            out.append(
+                lk.Transmitter(
+                    t,
+                    base_klass,
+                    ev.transient,
+                    access=rep,
+                    access_transient=st.events[rep].transient,
+                    gep=bool(gep_accesses),
+                )
+            )
+            uni: list[tuple[int, int, bool]] = []
+            for a in sorted(accesses):
+                if a == self.psf_read:
+                    continue
+                upstream = self.sources(a, "addr", False, t)
+                upstream.discard(a)
+                if not upstream:
+                    continue
+                upstream_gep = self.sources(a, "addr", True, t)
+                upstream_gep.discard(a)
+                r = _pick_reference(st, upstream)
+                uni.append((a, r, bool(upstream_gep)))
+            if uni:
+                ordered = sorted(
+                    uni, key=lambda x: (st.events[x[0]].transient, x[0])
+                )
+                a, r, _ = ordered[0]
+                out.append(
+                    lk.Transmitter(
+                        t,
+                        universal_klass,
+                        ev.transient,
+                        access=a,
+                        access_transient=st.events[a].transient,
+                        upstream=r,
+                        gep=any(x[2] for x in uni),
+                    )
+                )
+        return out
+
+
+def _pick_reference(st, eids: set[int]) -> int:
+    return min(eids, key=lambda e: (st.events[e].transient, e))
+
+
+def classify_reference(cand, events_: list[int], w_size) -> dict[int, list]:
+    """Every satisfied class of each of ``events_`` in ``cand``, ascending,
+    with nothing memoised (:class:`_ChainsReference`)."""
+    site = cand.site
+    psf_read = site.read if site is not None and site.kind == "psf" else None
+    chains = _ChainsReference(cand.st, lk._forwarding(cand), psf_read, w_size)
+    return {t: chains.classify(t) for t in sorted(events_)}
 
 
 # --------------------------------------------------------------------------

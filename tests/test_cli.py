@@ -10,6 +10,7 @@ import oracles
 import pytest
 from conftest import CORPUS, ROOT
 
+from leakcheck import cfg
 from leakcheck import leakage as lk
 from leakcheck.cli import main
 
@@ -422,6 +423,37 @@ def test_corpus_runner_rejects_bad_sidecar_config(tmp_path, capsys, config, mess
     out = capsys.readouterr().out
     assert code == 1
     assert f"ERROR  [MISMATCH]  ({message})" in out
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ([], "the sidecar is not a JSON object"),
+    ({"config": ["engine"]}, "'config' is not an object"),
+    ({"config": {"classes": "data"}}, "classes 'data' is not a list of names"),
+    ({"expect": {"label": "i6"}}, "'expect' is not a list"),
+    ({"expect": ["i6"]}, "expect entry 1 is not an object"),
+    ({"expect": [{"class": "data"}]}, "expect entry 1 needs a string 'label' and 'class'"),
+    ({"expect": [{"label": "i6", "class": "data", "footnotes": "loop"}]},
+     "expect entry 1: 'footnotes' is not a list of names"),
+])
+def test_corpus_runner_reports_malformed_sidecars(tmp_path, capsys, sidecar, message):
+    write_case(tmp_path, "one", GADGET, sidecar)
+    code = main(["corpus", str(tmp_path), "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"ERROR  [MISMATCH]  ({message})" in out
+
+
+@pytest.mark.parametrize("command", ["check", "repair"])
+@pytest.mark.parametrize("engine", [None, "v4"])
+def test_thread_programs_name_the_requested_engine(tmp_path, capsys, monkeypatch,
+                                                   command, engine):
+    f = tmp_path / "threads.lcm"
+    f.write_text("thread t0:\nW x <-1\nthread t1:\nR x ->r1\n")
+    monkeypatch.setattr(cfg, "build_acfg", None)  # rejected before the ACfg is built
+    code = main([command, str(f)] + (["--engine", engine] if engine else []))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: engine {engine or 'all'} analyzes single-thread programs only\n")
 
 
 def test_corpus_runner_empty_dir_exits_two(tmp_path, capsys):

@@ -52,7 +52,7 @@ def test_window_covers_untaken_arm_and_marks_transient():
     assert events["i5_S"].transient and events["i6_S"].transient
     # po stays the committed path; tfo gains the transient fetches
     assert set(taken.po[0]) < set(taken.tfo[0])
-    trans = set(taken.transient_events())
+    trans = {e.eid for e in taken.events if e.transient}
     assert trans == set(taken.tfo[0]) - set(taken.po[0])
 
 

@@ -110,7 +110,7 @@ def claims(c, e) -> bool:
 def test_line_fill_invariants():
     for c in candidates(GADGET, frozenset({"branch"})):
         # every executed access gets exactly one fill edge unless silent
-        accesses = {e for order in c.st.tfo for e in order if c.access_kind(e)}
+        accesses = {e for order in c.st.tfo for e in order if c.access[e][0]}
         assert set(c.rfx_in) == accesses - c.silent
         for x, order in c.cox.items():
             assert order[0] == 0
@@ -138,7 +138,7 @@ def test_misses_claim_the_line_and_hits_do_not():
 
 def test_fr_and_frx_recomputed_from_parts():
     for c in candidates(GADGET, frozenset({"branch"})):
-        loc_of = {r: c.location_of(r) for r in c.rf}
+        loc_of = {r: c.access[r][1] for r in c.rf}
         assert set(c.fr()) == oracles.derive_fr(c.rf, c.co, loc_of)
         manual = set()
         for e, src in c.rfx_in.items():
@@ -258,7 +258,7 @@ def test_aliased_fill_crosses_locations():
         ids = eids_by_label(c)
         assert c.site.kind == "psf"
         assert c.rfx_in[ids["i3"]] == ids["i2"]
-        assert c.xstate(ids["i3"]) == c.location_of(ids["i2"])
+        assert c.xstate(ids["i3"]) == c.access[ids["i2"]][1]
         assert not claims(c, ids["i3"])
 
 
@@ -376,7 +376,7 @@ def test_bypass_dedupe_keeps_every_alias_resolution(monkeypatch):
     from leakcheck import leakage as lk
 
     config = lk.EngineConfig(d_spec=8, classes=frozenset(lk.CLASSES), scope="any")
-    original = ex._bypass_variants
+    original = ev.derive_bypass
     for generator, seed in (
         (oracles.random_diamonds, 130),
         (oracles.random_diamonds, 75),
@@ -386,9 +386,8 @@ def test_bypass_dedupe_keeps_every_alias_resolution(monkeypatch):
         for engine in ("v4", "psf"):
             records = lk.analyze(prog, engine, config).records
             with monkeypatch.context() as m:
-                m.setattr(ex, "_bypass_variants",
-                          lambda st, d_spec, seen, tick=None:
-                          original(st, d_spec, set(), tick))
+                m.setattr(ev, "derive_bypass",
+                          lambda st, d_spec, tick, seen: original(st, d_spec, tick, set()))
                 assert lk.analyze(prog, engine, config).records == records
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import random
 import time
 
 import oracles
@@ -254,8 +256,8 @@ def test_thread_programs_are_rejected():
     src = "thread t0:\nW x <-1\nthread t1:\nR x ->r1\n"
     with pytest.raises(ex.ExecutionError):
         run(src)
-    # the merge names the first engine it would have run
-    with pytest.raises(ex.ExecutionError, match="^engine v1 analyzes single-thread"):
+    # the merge names itself, and no engine builds the ACfg first
+    with pytest.raises(ex.ExecutionError, match="^engine all analyzes single-thread"):
         run(src, engine="all")
 
 
@@ -311,3 +313,53 @@ def test_window_size_limits_transmitter_distance():
     }
     tight = run(GADGET, scope="any", classes=ALL, w_size=0)
     assert tight.records and {r.klass for r in tight.records} == {"address"}
+
+
+# --------------------------------------------------------------------------
+# classification against the four-walk reference
+
+
+def classification_matches_reference(src: str, d_spec: int = 8) -> list[lk.Transmitter]:
+    """Assert that ``classify_transmitters``, memoised per structure as in
+    ``analyze``, gives what ``oracles.classify_reference`` gives for every
+    source of every witness, under v1, v4 and psf with ``w_size`` None and
+    3; return the transmitters compared."""
+    prog = ir.parse(src)
+    graph = cfg.build_acfg(prog)
+    compared = []
+    for engine in ("v1", "v4", "psf"):
+        structures = ev.enumerate_event_structures(
+            graph, frozenset({lk._PRIMITIVES[engine]}), d_spec)
+        for w_size in (None, 3):
+            shared = None
+            for cand in ex.iter_candidates(structures, d_spec=d_spec):
+                if shared is None or shared.current is not cand.st:
+                    shared = lk._Shared(cand.st)
+                for w in lk.detect_leaks(cand):
+                    got = lk.classify_transmitters(cand, list(w.sources), w_size, shared)
+                    assert got == oracles.classify_reference(cand, w.sources, w_size), (
+                        engine, w_size, cand.describe())
+                    compared += [t for entries in got.values() for t in entries]
+    return compared
+
+
+def test_corpus_classification_matches_reference(corpus_dir):
+    compared = []
+    for path in sorted(corpus_dir.rglob("*.lcm")):
+        config = json.loads(path.with_suffix(".expect.json").read_text()).get("config", {})
+        compared += classification_matches_reference(
+            path.read_text(), config.get("d_spec", 250))
+    # The comparison reaches every class, and gep chains of both kinds.
+    assert {t.klass for t in compared} == set(lk.CLASSES)
+    assert {(t.klass, t.gep) for t in compared} >= {
+        ("data", True), ("data", False), ("universal_data", True),
+        ("universal_data", False)}
+
+
+@pytest.mark.parametrize("family", [
+    oracles.random_single, oracles.random_diamonds,
+    lambda rng: oracles.random_joins(rng, sites=0.9),
+], ids=["single", "diamonds", "joins"])
+def test_random_classification_matches_reference(family):
+    for seed in range(8000, 8150):
+        classification_matches_reference(family(random.Random(seed)))

@@ -49,7 +49,7 @@ def test_transient_events_are_exactly_the_tfo_surplus(seed, prim):
         po = {e for order in struct.po for e in order}
         tfo = {e for order in struct.tfo for e in order}
         assert po <= tfo
-        assert set(struct.transient_events()) == tfo - po
+        assert {e.eid for e in struct.events if e.transient} == tfo - po
         for order in struct.po:
             assert not any(struct.events[e].transient for e in order)
 
@@ -199,11 +199,11 @@ def test_derived_relations_recompute(seed):
     graph = cfg.build_acfg(single(seed))
     sts = ev.enumerate_event_structures(graph, frozenset({"stl"}))
     for cand in ex.enumerate_candidates(sts, silent_stores=True):
-        loc_of = {r: cand.location_of(r) for r in cand.rf}
+        loc_of = {r: cand.access[r][1] for r in cand.rf}
         assert set(cand.fr()) == oracles.derive_fr(cand.rf, cand.co, loc_of)
         for order in cand.cox.values():
             assert order[0] == 0
-        accesses = {e for o in cand.st.tfo for e in o if cand.access_kind(e)}
+        accesses = {e for o in cand.st.tfo for e in o if cand.access[e][0]}
         assert set(cand.rfx_in) == accesses - cand.silent
 
 

@@ -253,10 +253,7 @@ def test_corpus_repair_goals_match_the_plain_search(path):
         scope=config.get("scope", "transient"),
     )
     prog = ir.parse(path.read_text())
-
-    def key(p):
-        return rp._point_key(prog, p)
-
+    key = rp._point_order(prog)
     for engine in ("v1", "v4", "psf"):
         report = lk.analyze(prog, engine, config)
         goals = list(dict.fromkeys(el.points for el in report.elements))
