@@ -132,15 +132,7 @@ def inline_calls(prog: ir.Program, fn: ir.Function, tick=no_deadline) -> list[AN
     name and then abstracted over all their arguments.  ``tick`` runs once
     per instruction inlined: each level of calls can double the nodes.
     """
-    used = [0]
-    for f in prog.functions:
-        for p in f.params:
-            used.append(int(p[1:]))
-        for ins in f.body:
-            du = ir.instr_defuse(ins.op)
-            for r in du.reads | du.writes:
-                used.append(int(r[1:]))
-    fresh = itertools.count(max(used) + 1)
+    fresh = None  # fresh register numbers, past every register the program names
     inst = itertools.count(1)
 
     def locals_of(f: ir.Function) -> set[str]:
@@ -159,6 +151,9 @@ def inline_calls(prog: ir.Program, fn: ir.Function, tick=no_deadline) -> list[AN
         f, m, suffix, depth, body = frames[-1]
         for idx, ins in body:
             tick()
+            if not (m or suffix or isinstance(ins.op, ir.Call)):
+                out.append(ANode(ins, f.name, idx))  # nothing to rename
+                continue
             op = _rename_op(ins.op, m)
             label = f"{ins.label}{suffix}" if ins.label else None
             if isinstance(op, (ir.BranchEqZero, ir.Jump)):
@@ -188,6 +183,13 @@ def inline_calls(prog: ir.Program, fn: ir.Function, tick=no_deadline) -> list[AN
             if len(args) != len(callee.params):
                 raise CfgError(f"line {ins.line}: call to {name!r} with "
                                f"{len(args)} args, expected {len(callee.params)}")
+            if fresh is None:
+                used = [int(r[1:]) for g in prog.functions for r in g.params]
+                for g in prog.functions:
+                    for i in g.body:
+                        du = ir.instr_defuse(i.op)
+                        used += [int(r[1:]) for r in du.reads | du.writes]
+                fresh = itertools.count(max(used, default=0) + 1)
             k = next(inst)
             cm = dict(zip(callee.params, args))
             for r in sorted(locals_of(callee)):

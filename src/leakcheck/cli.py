@@ -71,6 +71,10 @@ def _add_walk_flags(p: argparse.ArgumentParser) -> None:
                    metavar="N", help="speculation window depth bound (default 250)")
     p.add_argument("--silent-stores", action="store_true",
                    help="model the silent-store optimization")
+    _add_timeout(p)
+
+
+def _add_timeout(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=_at_least_zero(float), default=60.0,
                    metavar="SECONDS",
                    help="per-file analysis budget (default 60, 0 for none)")
@@ -123,7 +127,8 @@ def _load(path: str | Path) -> ir.Program:
 def cmd_parse(args: argparse.Namespace) -> int:
     prog = _load(args.file)
     if args.dump_acfg:
-        print(cfg_mod.to_dot(cfg_mod.build_acfg(prog)), end="")
+        tick = EngineConfig(deadline=_deadline(args)).tick
+        print(cfg_mod.to_dot(cfg_mod.build_acfg(prog, tick)), end="")
     else:
         print(ir.pretty(prog), end="")
     return 0
@@ -378,6 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("file")
     p.add_argument("--dump-acfg", action="store_true",
                    help="print the abstract CFG as graphviz dot")
+    _add_timeout(p)
     p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser("enumerate",
@@ -411,8 +417,7 @@ def main(argv: list[str] | None = None) -> int:
                             "expected-outcome sidecars")
     p.add_argument("dir")
     p.add_argument("--no-timing", action="store_true")
-    p.add_argument("--timeout", type=_at_least_zero(float), default=60.0,
-                   metavar="SECONDS")
+    _add_timeout(p)
     p.set_defaults(fn=cmd_corpus)
 
     args = top.parse_args(argv)

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from operator import attrgetter
@@ -66,7 +66,7 @@ from typing import NamedTuple, TypeVar
 
 from . import cfg as acfg_mod
 from . import ir
-from .cfg import ACfg, ANode, EXIT, immediate_dominators, no_deadline
+from .cfg import ACfg, ANode, EXIT, no_deadline
 
 
 class AnalysisTimeout(Exception):
@@ -205,6 +205,29 @@ class Graft(EventStructure):
         return out
 
 
+class _View(EventStructure):
+    """A bypass view (:func:`derive_bypass`), whose plan and ``step_of``, cut
+    from its base's at steps ``start`` and ``end``, are built on first read
+    (``analyze`` cuts fence slots from the base's)."""
+
+    def __init__(self, base: EventStructure, events: list[Event], tfo: list[int],
+                 read: int, start: int, end: int, exits: bool) -> None:
+        self.events, self.po, self.tfo, self.sites = events, [tfo[: read - 1]], [tfo], ()
+        self.fence_pairs, self.merged_aliases = base.fence_pairs, base.merged_aliases
+        self.acfg, self._cut = base.acfg, (base, start, end, exits)
+
+    @cached_property
+    def plans(self) -> list[list[Step]]:  # type: ignore[override]
+        base, start, end, exits = self._cut
+        plan = base.plans[0]
+        return [plan[:start] + [Step(step.node, False) for step in plan[start:end]]
+                + [Step(None, False)] * exits]
+
+    @cached_property
+    def step_of(self) -> dict[int, int]:  # type: ignore[override]
+        return dict(islice(self._cut[0].step_of.items(), len(self.tfo[0]) - self._cut[3]))
+
+
 _K = TypeVar("_K")
 
 
@@ -286,35 +309,57 @@ class _ThreadState:
         return out
 
 
-def _branch_regions(graph: ACfg) -> dict[int, frozenset[int]]:
-    """Nodes control-dependent on each branch (postdominator-bounded).  Only
-    branches have regions: a graph with none needs no postdominator pass."""
+def _topological(graph: ACfg) -> list[int]:
+    """The nodes of the acyclic ``graph`` in a topological order (Kahn)."""
+    indeg = [0] * len(graph.succ)
+    for nxt in (nxt for succs in graph.succ for nxt in succs if nxt != EXIT):
+        indeg[nxt] += 1
+    order = [node for node, d in enumerate(indeg) if not d]
+    for node in order:  # the order grows as nodes become ready
+        for nxt in graph.succ[node]:
+            if nxt != EXIT:
+                indeg[nxt] -= 1
+                if not indeg[nxt]:
+                    order.append(nxt)
+    return order
+
+
+def _branch_regions(graph: ACfg, order: list[int]) -> dict[int, frozenset[int]]:
+    """Nodes control-dependent on each branch (postdominator-bounded), from
+    ``order``, a topological order of ``graph``: a node's immediate
+    postdominator is the meet of its successors', all found in one pass in
+    reverse ``order``, and a branch's region lies between the two in it."""
     branches = [node for node, nd in enumerate(graph.nodes)
                 if isinstance(nd.instr.op, ir.BranchEqZero)]
     if not branches:
         return {}
-    pred: dict[int, list[int]] = {}
-    for node, succs in enumerate(graph.succ):
-        for nxt in succs or [EXIT]:
-            pred.setdefault(nxt, []).append(node)
-    # Postdominators are the dominators of the reversed graph.
-    ipdom = immediate_dominators(pred, EXIT)
+    rank = {EXIT: len(order)}
+    for i, node in enumerate(order):
+        rank[node] = i
+    ipdom: dict[int, int] = {}
+    for node in reversed(order):
+        first, *rest = graph.succ[node]
+        for other in rest:  # walk up to the meet
+            while first != other:
+                while rank[first] < rank[other]:
+                    first = ipdom[first]
+                while rank[other] < rank[first]:
+                    other = ipdom[other]
+        ipdom[node] = first
     regions: dict[int, frozenset[int]] = {}
     for node in branches:
         succs = graph.succ[node]
         if len(succs) != 2:
             regions[node] = frozenset()
             continue
-        stop = ipdom.get(node, EXIT)
-        seen: set[int] = set()
-        stack = [s for s in succs if s != stop]
-        while stack:
-            cur = stack.pop()
-            if cur in seen or cur == stop or cur == EXIT:
-                continue
-            seen.add(cur)
-            stack.extend(s for s in graph.succ[cur] if s != stop)
-        regions[node] = frozenset(seen)
+        stop = ipdom[node]
+        reached = set(succs)
+        for cur in order[rank[node] + 1 : rank[stop]]:
+            if cur in reached:
+                reached.update(graph.succ[cur])
+        reached.discard(stop)
+        reached.discard(EXIT)
+        regions[node] = frozenset(reached)
     return regions
 
 
@@ -764,8 +809,9 @@ class _WalkMaps(NamedTuple):
 def _walk_maps(graph: ACfg) -> _WalkMaps:
     """``graph``'s walk maps, derived on its first walk."""
     if graph.walk_maps is None:
+        order = _topological(graph)
         graph.walk_maps = _WalkMaps(
-            _branch_regions(graph), _joins(graph),
+            _branch_regions(graph, order), _joins(graph, order),
             [Step(node, True) for node in range(len(graph.nodes))],
             [_node_label(node) for node in graph.nodes])
     return graph.walk_maps
@@ -794,11 +840,12 @@ def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, int, tupl
     return windows
 
 
-def _joins(graph: ACfg) -> dict[int, tuple[int, frozenset[str]]]:
+def _joins(graph: ACfg, order: list[int]) -> dict[int, tuple[int, frozenset[str]]]:
     """Per two-way branch whose arms both run through event-less steps (ALU,
     skip, jump) to one node: that join node, and the registers whose reaching
     definition (``defslot``) a node reachable from it reads, through an
-    indirect address, a stored value or an AMO pointer."""
+    indirect address, a stored value or an AMO pointer.  ``order`` is a
+    topological order of ``graph``."""
     def run(node: int) -> int:
         while node != EXIT and isinstance(graph.nodes[node].instr.op, (ir.Alu, ir.Jump, ir.Skip)):
             node = graph.succ[node][0]
@@ -808,28 +855,16 @@ def _joins(graph: ACfg) -> dict[int, tuple[int, frozenset[str]]]:
     if not joins:
         return {}
     reads: dict[int, frozenset[str]] = {EXIT: frozenset()}
-    # Depth first, each node once all it reaches has its reads (the ACfg is
-    # acyclic).
-    for start in range(len(graph.succ)):
-        stack = [start]
-        while stack:
-            node = stack[-1]
-            todo = [nxt for nxt in graph.succ[node] if nxt not in reads]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            if node in reads:
-                continue
-            op = graph.nodes[node].instr.op
-            own: set[str] = set()
-            if isinstance(op, (ir.Load, ir.Store)) and isinstance(op.addr, ir.Indirect):
-                own.add(op.addr.reg)
-            if isinstance(op, ir.Store):
-                own.update(op.value.regs)
-            elif isinstance(op, acfg_mod.AbstractMemOp):
-                own.update(op.pointer_args)
-            reads[node] = frozenset(own).union(*(reads[nxt] for nxt in graph.succ[node]))
+    for node in reversed(order):  # each node once all it reaches has its reads
+        op = graph.nodes[node].instr.op
+        own: set[str] = set()
+        if isinstance(op, (ir.Load, ir.Store)) and isinstance(op.addr, ir.Indirect):
+            own.add(op.addr.reg)
+        if isinstance(op, ir.Store):
+            own.update(op.value.regs)
+        elif isinstance(op, acfg_mod.AbstractMemOp):
+            own.update(op.pointer_args)
+        reads[node] = frozenset(own).union(*(reads[nxt] for nxt in graph.succ[node]))
     return {node: (join, reads[join]) for node, join in joins.items()}
 
 
@@ -902,13 +937,13 @@ def derive_bypass(
     sources' included); its suffix events are transient twins of ``st``'s,
     made once and shared by overlapping windows, each with its original's
     dependencies; its orders, plan and ``step_of`` are ``st``'s, cut at the
-    window's end.  ``tick`` runs once per site.
+    window's end, the last two on first read (:class:`_View`).  ``tick``
+    runs once per site.
     """
     if not st.sites:
         return []
     seen = set() if seen is None else seen
-    plan, order = st.plans[0], st.tfo[0]
-    rerun = [Step(step.node, False) for step in plan]
+    order = st.tfo[0]
     twins: list[Event | None] = [None] * st.bottom
     squash = Event(st.bottom, "SBOT", transient=True, label="⊥")
     out: list[EventStructure | None] = []
@@ -919,15 +954,13 @@ def derive_bypass(
             continue
         seen.add(key)
         for e in range(site.read, stop_eid):
-            twins[e] = twins[e] or replace(
-                st.events[e], transient=True, silent_eligible=False, silent_definite=False)
+            if twins[e] is None:  # every field in order, transient and never silent
+                ev = st.events[e]
+                twins[e] = Event(ev.eid, ev.kind, ev.thread, True, ev.node_id, ev.location, ev.gep,
+                                 ev.fence, ev.window, ev.cond_reads, ev.addr_reads, ev.value_reads,
+                                 ev.ctrl_reads, ev.amo_pointers, False, False, ev.label)
         events = st.events[: site.read] + twins[site.read : stop_eid]
-        fetched = order[: stop_eid - 1] + [squash.eid] * exits
-        start = st.step_of[site.read]
-        steps = plan[:start] + rerun[start:end] + [Step(None, False)] * exits
         events += [squash] * exits + [Event(len(events) + exits, "BOT", label="⊥")]
-        out.append(EventStructure(
-            events, [order[: site.read - 1]], [fetched], st.fence_pairs, (),
-            st.merged_aliases, [steps], st.acfg,
-            dict(islice(st.step_of.items(), stop_eid - 1))))
+        out.append(_View(st, events, order[: stop_eid - 1] + [squash.eid] * exits,
+                         site.read, st.step_of[site.read], end, exits))
     return out

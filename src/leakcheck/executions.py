@@ -26,6 +26,10 @@ stale writer (store-to-load) or from a different location's store (alias
 prediction); a *silent* store neither fills nor claims its line.  The final
 observer ``BOT`` reads every touched line from its last writer.
 
+A bypass candidate's access table, ``(rf, co)`` and cache state at its site
+read are cut from its base structure's canonical candidate, and its cache
+simulation resumes at the read (:func:`_view_candidates`).
+
 Candidates of one bypass site differ only in the site read's fill edge.
 When that fill claims no line (every psf source, and every stl source but
 the untouched line), the stale sources of one site and AMO choice share one
@@ -35,7 +39,7 @@ leaks once.  psf sources share the first one's records too.  An stl site's
 untouched-line source claims the line, so it runs its own.
 
 Every candidate is confidential (the microarchitectural analog of
-consistency) by construction, as :func:`_build_comx` argues, so none is
+consistency) by construction, as :func:`_simulate` argues, so none is
 checked while candidates are built.  :func:`confidential` is the checkable
 definition; the test suite applies it to every candidate it enumerates.
 """
@@ -43,8 +47,9 @@ definition; the test suite applies it to every candidate it enumerates.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import events as ev_mod
 from .cfg import find_cycle
@@ -253,16 +258,15 @@ def arch_witnesses(
 # microarchitectural witness (canonical cache simulation)
 
 
-def _build_comx(
-    st: EventStructure,
-    access: Accesses,
-    silent: frozenset[int],
-    site: Site | None,
-    stale_src: int | None,
+def _simulate(
+    rfx_in: dict[int, int], cox: dict[str, list[int]], access: Accesses, eids: Iterable[int],
+    silent: frozenset[int] = frozenset(), site: Site | None = None, stale_src: int | None = None,
 ) -> tuple[dict[int, int], dict[str, list[int]]]:
-    """The cache simulation: each access's fill source and each line's
-    writers in fetch order (a write, a miss and an stl site read of the
-    untouched line claim the line).
+    """The cache simulation over ``eids`` in fetch order, from the state
+    ``rfx_in``, ``cox`` (extended in place): each access's fill source and
+    each line's writers in fetch order (a write, a miss and an stl site read
+    of the untouched line claim the line).  A canonical candidate runs it
+    from an empty state; a bypass view resumes it at its site read.
 
     Its result is confidential (:func:`confidential`) by construction:
 
@@ -278,26 +282,23 @@ def _build_comx(
       appended after the event was visited, so an ``frx`` pair points
       backward only at the site read, which the check exempts.
     """
-    rfx_in: dict[int, int] = {}
-    cox: dict[str, list[int]] = {}
-    for order in st.tfo:
-        for eid in order:
-            kind, x = access[eid]
-            if kind is None or eid in silent:
-                continue  # no access, or a silent store: no fill, no claim
-            if site is not None and eid == site.read:
-                # The misforwarded load: an stl site forwards from a stale
-                # same-line writer (or runs against the untouched line), a
-                # psf site fills from an aliased store's line.
-                assert stale_src is not None
-                rfx_in[eid] = stale_src
-                if not _line_neutral(site, stale_src):
-                    cox.setdefault(x, [0]).append(eid)
-                continue
-            hist = cox.setdefault(x, [0])
-            rfx_in[eid] = hist[-1]
-            if kind == "W" or len(hist) == 1:
-                hist.append(eid)
+    for eid in eids:
+        kind, x = access[eid]
+        if kind is None or eid in silent:
+            continue  # no access, or a silent store: no fill, no claim
+        if site is not None and eid == site.read:
+            # The misforwarded load: an stl site forwards from a stale
+            # same-line writer (or runs against the untouched line), a
+            # psf site fills from an aliased store's line.
+            assert stale_src is not None
+            rfx_in[eid] = stale_src
+            if not _line_neutral(site, stale_src):
+                cox.setdefault(x, [0]).append(eid)
+            continue
+        hist = cox.setdefault(x, [0])
+        rfx_in[eid] = hist[-1]
+        if kind == "W" or len(hist) == 1:
+            hist.append(eid)
     return rfx_in, cox
 
 
@@ -307,12 +308,12 @@ def _line_neutral(site: Site, stale_src: int) -> bool:
     return site.kind == "psf" or stale_src != 0
 
 
-def _refill(base: list[Candidate], stale_src: int) -> list[Candidate]:
-    """The candidates of line-neutral stale source ``stale_src``, sharing the
-    simulation of ``base``: the candidates of an earlier line-neutral source
-    of the same site and AMO choice, one per architectural witness.
+def _refill(base: Candidate, stale_src: int) -> Candidate:
+    """The candidate of line-neutral stale source ``stale_src``, sharing the
+    simulation of ``base``: the candidate of an earlier line-neutral source
+    of the same site and AMO choice.
 
-    For two line-neutral sources, :func:`_build_comx` differs only in the
+    For two line-neutral sources, :func:`_simulate` differs only in the
     site read's ``rfx_in`` entry.  The read claims no line either way, so
     no later access fills from it and ``cox`` is the same.  Only ``rfx_in``
     is copied, with the read's entry set anew; every other part is the same
@@ -320,25 +321,19 @@ def _refill(base: list[Candidate], stale_src: int) -> list[Candidate]:
     the new ``stale_src``.
 
     The leak witnesses are the same too, up to the candidate they name, so
-    ``analyze`` runs ``detect_leaks`` once per simulation (``base``):
-
-    * the site read is transient, so it is in no ``rf``, ``co`` or ``fr``
-      pair, and ``rf``, ``co`` and the final observer's lines are shared;
-    * ``detect_leaks`` reads ``rfx_in`` and ``frx`` only at committed
-      events, and an event's ``frx`` pairs depend only on its own fill edge
-      and ``cox``.
+    ``analyze`` runs ``detect_leaks`` once per simulation (``base``): a
+    view's witness is the observer rule's alone, and the final observer's
+    lines are shared.
 
     At a psf site ``analyze`` takes the records of ``base`` too: a fill
     across lines forwards nothing, so classification and fence slots read
     the same relations.  An stl fill forwards its stale store.
     """
-    out = []
-    for b in base:
-        assert b.site is not None and b.base is None
-        rfx_in = dict(b.rfx_in)
-        rfx_in[b.site.read] = stale_src
-        out.append(replace(b, rfx_in=rfx_in, stale_src=stale_src, base=b))
-    return out
+    assert base.site is not None and base.base is None
+    rfx_in = dict(base.rfx_in)
+    rfx_in[base.site.read] = stale_src
+    return Candidate(base.st, base.rf, base.co, rfx_in, base.cox, base.access,
+                     base.silent, base.site, stale_src, base.amo, base)
 
 
 def fetch_positions(st: EventStructure) -> dict[int, int]:
@@ -390,40 +385,57 @@ def _nonempty_subsets(items: list[int]) -> Iterator[frozenset[int]]:
 
 
 def _make_candidates(
-    st: EventStructure,
-    amo: dict[int, tuple[str, str]],
-    access: Accesses,
+    st: EventStructure, amo: dict[int, tuple[str, str]], access: Accesses,
     arch: list[tuple[dict[int, int], dict[str, list[int]]]],
-    silent: frozenset[int],
-    site: Site | None,
-    stale_src: int | None,
-    base: list[Candidate] | None = None,
+    state: tuple[dict[int, int], dict[str, list[int]]], eids: Iterable[int],
+    silent: frozenset[int] = frozenset(), site: Site | None = None, stale_src: int | None = None,
 ) -> list[Candidate]:
-    """The candidates over the architectural witnesses ``arch``.
+    """The candidates over the architectural witnesses ``arch``, sharing
+    one cache simulation over ``eids`` from ``state`` (:func:`_simulate`):
+    it does not depend on the witness, and nothing mutates a candidate."""
+    rfx_in, cox = _simulate(*state, access, eids, silent, site, stale_src)
+    return [Candidate(st, rf, co, rfx_in, cox, access, silent, site, stale_src, amo)
+            for rf, co in arch]
 
-    The cache simulation does not depend on the architectural witness, so
-    its result is shared by all of them (nothing mutates a candidate).
-    Given ``base``, the candidates share its simulation (:func:`_refill`).
-    """
-    if base is not None:
-        assert stale_src is not None
-        return _refill(base, stale_src)
-    rfx_in, cox = _build_comx(st, access, silent, site, stale_src)
-    return [
-        Candidate(
-            st=st,
-            rf=rf,
-            co=co,
-            rfx_in=rfx_in,
-            cox=cox,
-            access=access,
-            silent=silent,
-            site=site,
-            stale_src=stale_src,
-            amo=amo,
-        )
-        for rf, co in arch
-    ]
+
+def _before(orders: dict[str, list[int]], eid: int) -> dict[str, list[int]]:
+    """Each order (``0``, then ascending eids) cut before ``eid``; the
+    orders left with no eid are dropped."""
+    return {k: order[:n] for k, order in orders.items() if (n := bisect_left(order, eid)) > 1}
+
+
+def _view_candidates(
+    view: EventStructure, site: Site, stop: int, canonical: list[Candidate], tick
+) -> Iterator[Candidate]:
+    """The candidates of ``view``, the view of ``site`` whose window ends
+    before eid ``stop``: each AMO choice of ``canonical``, its base's
+    canonical candidates, restricted to its events (first occurrence kept)
+    gives its tables and cache state at the site read, in eid order."""
+    read = site.read
+    choices: dict[tuple, Candidate] = {}
+    for base in canonical:
+        choices.setdefault(tuple((e, c) for e, c in base.amo.items() if e < stop), base)
+    tail = [(None, None)] * (len(view.events) - stop)  # a squash, the final observer
+    cuts = [(dict(amo), base.access[:stop] + tail,
+             [({r: w for r, w in base.rf.items() if r < read}, _before(base.co, read))], base)
+            for amo, base in choices.items()]
+    window = view.tfo[0][read - 1:]
+    # choice -> the candidate of the site's first line-neutral source; the
+    # later ones share its simulation.
+    bases: dict[int, Candidate] = {}
+    for src in site.sources:
+        neutral = _line_neutral(site, src)
+        for k, (amo, access, arch, base) in enumerate(cuts):
+            tick()
+            if neutral and k in bases:
+                yield _refill(bases[k], src)
+                continue
+            state = {e: w for e, w in base.rfx_in.items() if e < read}, _before(base.cox, read)
+            (cand,) = _make_candidates(view, amo, access, arch, state, window,
+                                       frozenset(), site, src)
+            if neutral:
+                bases[k] = cand
+            yield cand
 
 
 def iter_candidates(
@@ -436,12 +448,13 @@ def iter_candidates(
     """All consistent candidates: canonical, silent-store, and bypass ones,
     one at a time, so a caller that drops each may hold none.
 
-    The candidates of one structure are contiguous.  The access table
-    (:func:`access_table`) and the architectural witnesses are computed once
-    per (structure, AMO choice) and shared by its bypass and silent-store
-    candidates.  The cache simulation is run once per (derived structure,
-    AMO choice) for all the line-neutral stale sources of its site
-    (:func:`_refill`).
+    The candidates of one structure are contiguous: its canonical and
+    silent-store ones, then those of each bypass view in site order.  The
+    access table (:func:`access_table`) and the architectural witnesses are
+    computed once per (structure, AMO choice) and shared by its silent-store
+    candidates; a view cuts its own from them (:func:`_view_candidates`).
+    The cache simulation is run once per (view, AMO choice) for all the
+    line-neutral stale sources of its site (:func:`_refill`).
 
     ``tick`` is a callable invoked once per structure, bypass
     site, multi-thread witness combination and batch of candidates built;
@@ -451,38 +464,27 @@ def iter_candidates(
     seen_bypass = set() if seen is None else seen
     for st in structures:
         tick()
-        variants: list[tuple[EventStructure, Site | None, tuple[int | None, ...]]] = [
-            (st, None, (None,))
-        ]
-        if st.sites:
-            # One per new bypass (:func:`events.derive_bypass`); a derived
-            # structure keeps its base's event ids, so the site is the same.
-            derived = ev_mod.derive_bypass(st, d_spec, tick, seen_bypass)
-            variants += [(d, site, site.sources) for site, d in zip(st.sites, derived)
-                         if d is not None]
-        for cst, site, sources in variants:
-            amos = _amo_choices(cst)
-            tables = [access_table(cst, amo) for amo in amos]
-            archs = [arch_witnesses(cst, access, tick) for access in tables]
-            silent = [e.eid for e in cst.events if e.silent_eligible] if (
-                silent_stores and site is None) else []
-            # AMO choice -> the candidates of the site's first line-neutral
-            # source; the later ones share their simulation.
-            bases: dict[int, list[Candidate]] = {}
-            for src in sources:
-                neutral = site is not None and _line_neutral(site, src)
-                for k, (amo, access, arch) in enumerate(zip(amos, tables, archs)):
-                    tick()
-                    made = _make_candidates(
-                        cst, amo, access, arch, frozenset(), site, src,
-                        bases.get(k) if neutral else None,
-                    )
-                    if neutral:
-                        bases.setdefault(k, made)
-                    yield from made
-                    for subset in _nonempty_subsets(silent) if silent else ():
-                        tick()
-                        yield from _make_candidates(cst, amo, access, arch, subset, None, None)
+        # One per new bypass (:func:`events.derive_bypass`); a derived
+        # structure keeps its base's event ids, so the site is the same.
+        derived = ev_mod.derive_bypass(st, d_spec, tick, seen_bypass) if st.sites else []
+        amos = _amo_choices(st)
+        tables = [access_table(st, amo) for amo in amos]
+        archs = [arch_witnesses(st, access, tick) for access in tables]
+        silent = [e.eid for e in st.events if e.silent_eligible] if silent_stores else []
+        fetched = [e for order in st.tfo for e in order]
+        canonical = []
+        for amo, access, arch in zip(amos, tables, archs):
+            tick()
+            made = _make_candidates(st, amo, access, arch, ({}, {}), fetched)
+            canonical += made[:1]
+            yield from made
+            for subset in _nonempty_subsets(silent) if silent else ():
+                tick()
+                yield from _make_candidates(st, amo, access, arch, ({}, {}), fetched, subset)
+        for site, view, (_, _, stop, _) in zip(
+                st.sites, derived, ev_mod._windows(st, d_spec) if derived else ()):
+            if view is not None:
+                yield from _view_candidates(view, site, stop, canonical, tick)
 
 
 def enumerate_candidates(

@@ -239,6 +239,8 @@ _ADDR_DIRECT = re.compile(r"^[A-Za-z_]\w*$")
 
 _KEYWORDS = {"thread", "func", "alias", "extern", "call", "fence", "lfence",
              "protect", "skip", "BEQZ", "JMP", "R", "W"}
+_HEADERS = {"alias": _DECL_ALIAS, "extern": _DECL_EXTERN, "thread": _HDR_THREAD,
+            "func": _HDR_FUNC}
 
 
 def _parse_addr(text: str, line: int) -> AddressExpr:
@@ -256,20 +258,30 @@ def _parse_addr(text: str, line: int) -> AddressExpr:
     raise ParseError(f"malformed address expression {text!r}", line)
 
 
-def _parse_instr(text: str, line: int) -> Op:
-    m = _LOAD.match(text)
-    if m:
+# Each opcode's pattern by its leading word (an ALU op leads with its register).
+_PATTERNS = {"R": _LOAD, "W": _STORE, "BEQZ": _BEQZ, "JMP": _JMP, "call": _CALL}
+_WORD = re.compile(r"\w*")
+
+
+def _parse_instr(text: str, word: str, line: int) -> Op:
+    """The instruction ``text``, whose leading word is ``word``: only the
+    pattern of that opcode is tried."""
+    pattern = _PATTERNS.get(word) or (REG_RE.fullmatch(word) and _ALU)
+    m = pattern and pattern.match(text)
+    if m and word == "R":
         return Load(_parse_addr(m.group(1), line), m.group(2))
-    m = _STORE.match(text)
-    if m:
+    if m and word == "W":
         return Store(_parse_addr(m.group(1), line), make_expr(m.group(2).strip()))
-    m = _BEQZ.match(text)
-    if m:
+    if m and word == "BEQZ":
         return BranchEqZero(m.group(1), m.group(2))
-    m = _JMP.match(text)
-    if m:
+    if m and word == "JMP":
         return Jump(m.group(1))
-    m = _ALU.match(text)
+    if m and word == "call":
+        args = tuple(a.strip() for a in (m.group(2) or "").split(",") if a.strip())
+        for a in args:
+            if not REG_RE.fullmatch(a):
+                raise ParseError(f"call argument {a!r} is not a register", line)
+        return Call(m.group(1), args)
     if m:
         return Alu(m.group(1), make_expr(m.group(2).strip()))
     if text == "fence":
@@ -283,13 +295,6 @@ def _parse_instr(text: str, line: int) -> Op:
         if rest and not REG_RE.fullmatch(rest):
             raise ParseError(f"protect takes a register operand, got {rest!r}", line)
         return Protect(rest or None)
-    m = _CALL.match(text)
-    if m:
-        args = tuple(a.strip() for a in (m.group(2) or "").split(",") if a.strip())
-        for a in args:
-            if not REG_RE.fullmatch(a):
-                raise ParseError(f"call argument {a!r} is not a register", line)
-        return Call(m.group(1), args)
     opcode = text.split()[0] if text.split() else text
     raise ParseError(f"unknown opcode or malformed instruction: {opcode!r}", line)
 
@@ -323,24 +328,23 @@ def parse(text: str) -> Program:
         if not stripped:
             continue
 
-        m = _DECL_ALIAS.match(stripped)
-        if m:
+        # Dispatch on the leading word: a header, else a (labelled) instruction.
+        word = _WORD.match(stripped).group()
+        m = word in _HEADERS and _HEADERS[word].match(stripped)
+        if m and word == "alias":
             aliases.append((m.group(1), m.group(2)))
             continue
-        m = _DECL_EXTERN.match(stripped)
-        if m:
+        if m and word == "extern":
             externs[m.group(1)] = int(m.group(2))
             continue
-        m = _HDR_THREAD.match(stripped)
-        if m:
+        if m and word == "thread":
             if functions and not multithread:
                 raise ParseError("cannot mix thread blocks with other code", lineno)
             multithread = True
             saw_header = True
             open_block(Function(m.group(1), (), []))
             continue
-        m = _HDR_FUNC.match(stripped)
-        if m:
+        if m:  # a func header
             if multithread:
                 raise ParseError("cannot mix func blocks with thread blocks", lineno)
             saw_header = True
@@ -353,9 +357,10 @@ def parse(text: str) -> Program:
 
         label = None
         body = stripped
-        m = _LABEL.match(stripped)
+        m = ":" in stripped and _LABEL.match(stripped)
         if m and m.group(1) not in _KEYWORDS:
             label, body = m.group(1), m.group(2).strip()
+            word = _WORD.match(body).group()
         if label and not body:
             if pending_label is not None:
                 raise ParseError(f"two labels ({pending_label!r}, {label!r}) "
@@ -369,7 +374,7 @@ def parse(text: str) -> Program:
             cur = Function("main", (), [])
             functions.append(cur)
 
-        op = _parse_instr(body, lineno)
+        op = _parse_instr(body, word, lineno)
         if multithread and isinstance(op, Call):
             raise ParseError("call is not allowed inside thread blocks", lineno)
         if pending_label is not None:
@@ -454,10 +459,11 @@ def _check_defined_before_use(fn: Function):
     defined: list[set[str] | None] = [None] * n
     defined[0] = set(fn.params)
     labels = {ins.label: j for j, ins in enumerate(fn.body) if ins.label}
+    defuse = [instr_defuse(ins.op) for ins in fn.body]
     work = [0]
     while work:
         i = work.pop()
-        du = instr_defuse(fn.body[i].op)
+        du = defuse[i]
         missing = du.reads - defined[i]
         if missing:
             raise ParseError(

@@ -11,7 +11,8 @@ from a consistent candidate: per candidate we check
 
 plus the observer rule: the final observer architecturally reads only the
 initial state, so any program event sourcing one of its line fills is a
-deviation (gated by ``probe`` -- it is the generic cache probe).
+deviation (gated by ``probe`` -- it is the generic cache probe).  A bypass
+view passes the four checks by construction and runs the observer rule only.
 
 Every program event that fill-sources the receiver is an *address*
 transmitter (its line choice leaks its address).  It is promoted to *data*
@@ -23,9 +24,10 @@ by rf, or by a same-location fill edge from a store).  It is promoted to
 upstream read and the access's own fill was not alias-mispredicted.
 
 A witness becomes records along one path, :func:`findings`: the source
-events the scope keeps are classified, the class and ``require_gep``
-filters applied, and each kept event yields one record -- its most severe
-class -- with the span where a fence would kill it.
+events the scope keeps are classified (walking only the chains an admitted
+class needs), the class and ``require_gep`` filters applied, and each kept
+event yields one record -- its most severe class -- with the span where a
+fence would kill it.
 
 Engines differ only in the speculation primitive they enumerate: ``v1``
 (branch windows), ``v4`` (store-to-load bypass), ``psf`` (alias-predicted
@@ -167,6 +169,9 @@ class EngineConfig:
 
 
 def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
+    """The witnesses of ``cand``: the observer rule's, then the edge checks',
+    which a bypass view passes: its ``rf``/``co``/``fr`` pairs precede its site
+    read, where it is its base's canonical candidate (``ex_mod._view_candidates``)."""
     st = cand.st
     out: list[LeakWitness] = []
 
@@ -182,10 +187,12 @@ def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
         sources = sorted(set(cand.bottom_sources().values()))
         if sources:
             witness("rf_without_rfx", (0, st.bottom), st.bottom, sources)
+    if cand.site is not None:
+        return out
 
     # (a) and (d) ask whether given pairs are in frx, each answered from one
     # line (Candidate.in_frx).  (a)'s cox pair follows from its frx pair: a
-    # store claims its line right after its fill source (_build_comx).
+    # store claims its line right after its fill source (ex_mod._simulate).
     for loc, order in cand.co.items():
         stores = [w for w in order if w != 0]
         for i, w0 in enumerate(stores):
@@ -277,8 +284,9 @@ class _Chains:
     The edges are the dependencies on the structure's events; its event
     ids are its fetch order (one thread).  The chains also read the psf
     site read (its own address is mispredicted, so it is no universal
-    access) and ``w_size``, each fixed for one structure in one ``analyze``
-    call, so candidates with equal forwarding get the same transmitters.
+    access), ``w_size`` and the admitted classes, each fixed for one
+    structure in one ``analyze`` call, so candidates with equal forwarding
+    get the same transmitters.
     """
 
     def __init__(
@@ -287,10 +295,17 @@ class _Chains:
         fwd: frozenset[tuple[int, int]],
         psf_read: int | None,
         w_size: int | None,
+        classes: frozenset[str],
     ) -> None:
         self.st = st
         self.psf_read = psf_read
         self.w_size = w_size
+        # The chain kinds with an admitted class, each with its two classes
+        # (None where not admitted): a kind with neither is not walked.
+        self.halves = [(final, *(k if k in classes else None for k in pair))
+                       for final, pair in (("addr", ("data", "universal_data")),
+                                           ("ctrl", ("control", "universal_control")))
+                       if classes.intersection(pair)]
         # data;forward composition: read a -> read r via a store.
         self.value_hop: dict[int, set[int]] = {}
         for w, r in fwd:
@@ -315,30 +330,23 @@ class _Chains:
         return found
 
     def classify(self, t: int) -> list[Transmitter]:
-        """Every satisfied class of event ``t``.  A chain's final addr hop
-        is a computed element access (``gep``) when its target's address is
-        register-indexed."""
+        """Every satisfied class of event ``t`` among the address class and
+        the admitted ones.  A chain's final addr hop is a computed element
+        access (``gep``) when its target's address is register-indexed."""
         st = self.st
         ev = st.events[t]
         out = [Transmitter(t, "address", ev.transient)]
-        for final, base_klass, universal_klass in (
-            ("addr", "data", "universal_data"),
-            ("ctrl", "control", "universal_control"),
-        ):
+        for final, base_klass, universal_klass in self.halves:
             accesses = self.sources(t, final, t)
             if not accesses:
                 continue
-            rep = _pick(st, accesses)
-            out.append(
-                Transmitter(
-                    t,
-                    base_klass,
-                    ev.transient,
-                    access=rep,
-                    access_transient=st.events[rep].transient,
-                    gep=final == "addr" and ev.gep,
-                )
-            )
+            if base_klass:
+                rep = _pick(st, accesses)
+                out.append(Transmitter(t, base_klass, ev.transient, access=rep,
+                                       access_transient=st.events[rep].transient,
+                                       gep=final == "addr" and ev.gep))
+            if not universal_klass:
+                continue
             uni: list[tuple[int, int, bool]] = []
             for a in accesses:
                 if a == self.psf_read:
@@ -364,12 +372,15 @@ class _Chains:
 
 
 def classify_transmitters(
-    cand: Candidate, events: list[int], w_size: int | None, shared: _Shared
+    cand: Candidate, events: list[int], w_size: int | None, shared: _Shared,
+    classes: frozenset[str] = frozenset(CLASSES),
 ) -> dict[int, list[Transmitter]]:
-    """Every satisfied class of each event, events in ascending order.
+    """Every satisfied class of each event among the address class and
+    ``classes``, events in ascending order.
 
-    ``shared`` holds what earlier candidates of ``cand.st`` computed; a
-    fresh one reuses nothing.  With no events, nothing is memoised.
+    ``shared`` holds what earlier candidates of ``cand.st`` computed, for
+    the same ``w_size`` and ``classes``; a fresh one reuses nothing.  With
+    no events, nothing is memoised.
     """
     if not events:
         return {}
@@ -378,7 +389,7 @@ def classify_transmitters(
     if chains is None:
         site = cand.site
         psf_read = site.read if site is not None and site.kind == "psf" else None
-        chains = shared.chains[fwd] = _Chains(shared.current, fwd, psf_read, w_size)
+        chains = shared.chains[fwd] = _Chains(shared.current, fwd, psf_read, w_size, classes)
     out: dict[int, list[Transmitter]] = {}
     for t in sorted(events):
         if t not in chains.classified:
@@ -562,7 +573,7 @@ def findings(
     ]
     out = []
     for eid, entries in classify_transmitters(
-        cand, kept, config.w_size, shared
+        cand, kept, config.w_size, shared, config.classes
     ).items():
         eligible = [t for t in entries if t.klass in config.classes]
         if config.require_gep:

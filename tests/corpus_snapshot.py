@@ -8,11 +8,14 @@ relative to the repository root, so runs are made from there.
 
 ``python tests/corpus_snapshot.py`` rewrites ``tests/data/corpus_outputs.json``
 from the code as it stands; ``tests/test_corpus_snapshot.py`` compares
-against it.
+against it, and so does ``python tests/corpus_snapshot.py --check``, which
+leaves the file as it is, names each run that differs and exits 1 if any
+does.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -77,8 +80,30 @@ def snapshot() -> dict[str, dict[str, dict]]:
         os.chdir(cwd)
 
 
-if __name__ == "__main__":
+def differing(expected: dict, got: dict) -> list[str]:
+    """The program and arguments of each run whose result differs, or that
+    only one of the two snapshots has."""
+    return [f"{p} :: {k}" for p in sorted(set(expected) | set(got))
+            for k in sorted(set(expected.get(p, {})) | set(got.get(p, {})))
+            if expected.get(p, {}).get(k) != got.get(p, {}).get(k)]
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--check", action="store_true",
+                    help="compare against the snapshot instead of rewriting it")
+    args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
+    got = snapshot()
+    if args.check:
+        differ = differing(json.loads(SNAPSHOT.read_text(encoding="utf-8")), got)
+        print("\n".join(differ) if differ else f"{SNAPSHOT.relative_to(ROOT)}: no run differs")
+        return 1 if differ else 0
     SNAPSHOT.parent.mkdir(exist_ok=True)
-    SNAPSHOT.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    SNAPSHOT.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {SNAPSHOT.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -300,7 +300,7 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
     the replaced code did (:func:`silent_marks_reference`,
     :func:`control_deps_reference`, :func:`sites_reference`).
     """
-    regions = events._branch_regions(graph)
+    regions = branch_regions_reference(graph)
     subsets = alias_subsets_reference(graph.program.aliases)
     per_root = []
     for root in graph.roots:
@@ -940,3 +940,391 @@ def random_multithread(rng: random.Random) -> str:
             if i + 1 < k and rng.random() < 0.3:
                 lines.append("fence")
     return "\n".join(lines) + "\n"
+
+
+# --------------------------------------------------------------------------
+# replaced set-up and simulation routines, kept verbatim as references
+
+
+# ``ir.parse`` before it dispatched each line on its leading word: every
+# pattern tried in turn.
+def _parse_instr_reference(text: str, line: int) -> ir.Op:
+    m = ir._LOAD.match(text)
+    if m:
+        return ir.Load(ir._parse_addr(m.group(1), line), m.group(2))
+    m = ir._STORE.match(text)
+    if m:
+        return ir.Store(ir._parse_addr(m.group(1), line), ir.make_expr(m.group(2).strip()))
+    m = ir._BEQZ.match(text)
+    if m:
+        return ir.BranchEqZero(m.group(1), m.group(2))
+    m = ir._JMP.match(text)
+    if m:
+        return ir.Jump(m.group(1))
+    m = ir._ALU.match(text)
+    if m:
+        return ir.Alu(m.group(1), ir.make_expr(m.group(2).strip()))
+    if text == "fence":
+        return ir.Fence("full")
+    if text == "lfence":
+        return ir.Fence("lfence")
+    if text == "skip":
+        return ir.Skip()
+    if text == "protect" or text.startswith("protect "):
+        rest = text[len("protect"):].strip()
+        if rest and not ir.REG_RE.fullmatch(rest):
+            raise ir.ParseError(f"protect takes a register operand, got {rest!r}", line)
+        return ir.Protect(rest or None)
+    m = ir._CALL.match(text)
+    if m:
+        args = tuple(a.strip() for a in (m.group(2) or "").split(",") if a.strip())
+        for a in args:
+            if not ir.REG_RE.fullmatch(a):
+                raise ir.ParseError(f"call argument {a!r} is not a register", line)
+        return ir.Call(m.group(1), args)
+    opcode = text.split()[0] if text.split() else text
+    raise ir.ParseError(f"unknown opcode or malformed instruction: {opcode!r}", line)
+
+
+def parse_reference(text: str) -> ir.Program:
+    """Parse litmus source into a :class:`ir.Program` and validate it.
+
+    Raises :class:`ir.ParseError` for syntax errors, undefined labels,
+    duplicate labels, and registers read before any assignment on some
+    control-flow path.
+    """
+    aliases: list[tuple[str, str]] = []
+    externs: dict[str, int] = {}
+    functions: list[ir.Function] = []
+    multithread = False
+    cur: ir.Function | None = None
+    pending_label: str | None = None
+    pending_line = 0
+    saw_header = False
+
+    def open_block(fn: ir.Function):
+        nonlocal cur, pending_label
+        if pending_label is not None:
+            raise ir.ParseError(f"dangling label {pending_label!r} before block header",
+                                pending_line)
+        cur = fn
+        functions.append(fn)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split(";", 1)[0].strip()
+        if not stripped:
+            continue
+
+        m = ir._DECL_ALIAS.match(stripped)
+        if m:
+            aliases.append((m.group(1), m.group(2)))
+            continue
+        m = ir._DECL_EXTERN.match(stripped)
+        if m:
+            externs[m.group(1)] = int(m.group(2))
+            continue
+        m = ir._HDR_THREAD.match(stripped)
+        if m:
+            if functions and not multithread:
+                raise ir.ParseError("cannot mix thread blocks with other code", lineno)
+            multithread = True
+            saw_header = True
+            open_block(ir.Function(m.group(1), (), []))
+            continue
+        m = ir._HDR_FUNC.match(stripped)
+        if m:
+            if multithread:
+                raise ir.ParseError("cannot mix func blocks with thread blocks", lineno)
+            saw_header = True
+            params = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
+            for p in params:
+                if not ir.REG_RE.fullmatch(p):
+                    raise ir.ParseError(f"parameter {p!r} is not a register", lineno)
+            open_block(ir.Function(m.group(1), params, []))
+            continue
+
+        label = None
+        body = stripped
+        m = ir._LABEL.match(stripped)
+        if m and m.group(1) not in ir._KEYWORDS:
+            label, body = m.group(1), m.group(2).strip()
+        if label and not body:
+            if pending_label is not None:
+                raise ir.ParseError(f"two labels ({pending_label!r}, {label!r}) "
+                                    "for one instruction", lineno)
+            pending_label, pending_line = label, lineno
+            continue
+
+        if cur is None:
+            if saw_header:
+                raise ir.ParseError("instruction outside any block", lineno)
+            cur = ir.Function("main", (), [])
+            functions.append(cur)
+
+        op = _parse_instr_reference(body, lineno)
+        if multithread and isinstance(op, ir.Call):
+            raise ir.ParseError("call is not allowed inside thread blocks", lineno)
+        if pending_label is not None:
+            if label is not None:
+                raise ir.ParseError(f"two labels ({pending_label!r}, {label!r}) "
+                                    "for one instruction", lineno)
+            label, pending_label = pending_label, None
+        cur.body.append(ir.Instr(op, label, lineno))
+
+    if pending_label is not None:
+        raise ir.ParseError(f"dangling label {pending_label!r} at end of input",
+                            pending_line)
+    if not functions:
+        raise ir.ParseError("empty program", 1)
+
+    names = [f.name for f in functions]
+    if len(set(names)) != len(names):
+        dup = next(n for n in names if names.count(n) > 1)
+        raise ir.ParseError(f"duplicate function or thread name {dup!r}")
+    entry = ""
+    if not multithread:
+        entry = "main" if "main" in names else names[0]
+
+    prog = ir.Program(functions, entry, tuple(aliases), externs, multithread)
+    ir._resolve_labels(prog)
+    for f in prog.functions:
+        _check_defined_before_use_reference(f)
+    return prog
+
+
+def _check_defined_before_use_reference(fn: ir.Function):
+    """Definite-assignment: every register read must be written on all paths."""
+    n = len(fn.body)
+    if n == 0:
+        return
+    # Forward dataflow, intersection over predecessors.
+    defined: list[set[str] | None] = [None] * n
+    defined[0] = set(fn.params)
+    labels = {ins.label: j for j, ins in enumerate(fn.body) if ins.label}
+    work = [0]
+    while work:
+        i = work.pop()
+        du = ir.instr_defuse(fn.body[i].op)
+        missing = du.reads - defined[i]
+        if missing:
+            raise ir.ParseError(
+                f"register {sorted(missing)[0]} may be read before assignment",
+                fn.body[i].line)
+        out = defined[i] | du.writes
+        for j in ir.successors(fn, i, labels):
+            if j >= n:
+                continue
+            if defined[j] is None:
+                defined[j] = set(out)
+                work.append(j)
+            elif not out >= defined[j]:
+                defined[j] &= out
+                work.append(j)
+
+
+# ``cfg.inline_calls`` before it kept the entry function's instructions and
+# numbered fresh registers on the first inlined call.
+def inline_calls_reference(prog: ir.Program, fn: ir.Function, tick=events.no_deadline) -> list:
+    """Flatten ``fn`` with every call spliced in.
+
+    Registers local to a callee are renamed fresh; parameters are
+    substituted by the argument registers; labels get a per-instance
+    suffix.  Recursive calls are expanded at most twice per function
+    name and then abstracted over all their arguments.  ``tick`` runs once
+    per instruction inlined: each level of calls can double the nodes.
+    """
+    used = [0]
+    for f in prog.functions:
+        for p in f.params:
+            used.append(int(p[1:]))
+        for ins in f.body:
+            du = ir.instr_defuse(ins.op)
+            for r in du.reads | du.writes:
+                used.append(int(r[1:]))
+    fresh = itertools.count(max(used) + 1)
+    inst = itertools.count(1)
+
+    def locals_of(f: ir.Function) -> set[str]:
+        w: set[str] = set()
+        for ins in f.body:
+            w |= ir.instr_defuse(ins.op).writes
+        return w - set(f.params)
+
+    out: list[ANode] = []
+    # One frame per open call: the function, its register map, its label
+    # suffix, the expansion depth per name, and its remaining body.  A call
+    # pushes its callee, so callee nodes land where the call stood, and the
+    # call chain may be deeper than Python's recursion limit.
+    frames = [(fn, {}, "", {fn.name: 1}, enumerate(fn.body))]
+    while frames:
+        f, m, suffix, depth, body = frames[-1]
+        for idx, ins in body:
+            tick()
+            op = cfg._rename_op(ins.op, m)
+            label = f"{ins.label}{suffix}" if ins.label else None
+            if isinstance(op, (ir.BranchEqZero, ir.Jump)):
+                op = replace(op, target=op.target + suffix)
+            if not isinstance(op, ir.Call):
+                out.append(cfg.ANode(ir.Instr(op, label, ins.line), f.name, idx,
+                                 site=suffix))
+                continue
+            name, args = op.func, op.args
+            if name in prog.externs:
+                k = prog.externs[name]
+                amo = cfg.AbstractMemOp(name, args[:k])
+                out.append(cfg.ANode(ir.Instr(amo, label, ins.line), f.name, idx,
+                                 site=suffix))
+                continue
+            try:
+                callee = prog.function(name)
+            except KeyError:
+                raise cfg.CfgError(f"line {ins.line}: call to undefined function "
+                               f"{name!r}") from None
+            if depth.get(name, 0) >= 2:
+                # Recursion cut: abstract over all arguments.
+                amo = cfg.AbstractMemOp(name, args)
+                out.append(cfg.ANode(ir.Instr(amo, label, ins.line), f.name, idx,
+                                 site=suffix))
+                continue
+            if len(args) != len(callee.params):
+                raise cfg.CfgError(f"line {ins.line}: call to {name!r} with "
+                               f"{len(args)} args, expected {len(callee.params)}")
+            k = next(inst)
+            cm = dict(zip(callee.params, args))
+            for r in sorted(locals_of(callee)):
+                cm[r] = f"r{next(fresh)}"
+            if label is not None:
+                # Keep the call site addressable as a branch target.
+                out.append(cfg.ANode(ir.Instr(ir.Skip(), label, ins.line), f.name,
+                                 idx, site=suffix))
+            frames.append((callee, cm, f"{suffix}_i{k}",
+                           {**depth, name: depth.get(name, 0) + 1},
+                           enumerate(callee.body)))
+            break
+        else:
+            frames.pop()
+    return out
+
+
+# ``events._branch_regions`` and ``events._joins`` before they shared one
+# topological order: postdominators by the dominator fixpoint of the reversed
+# graph, regions and reads by depth-first search.
+def branch_regions_reference(graph: cfg.ACfg) -> dict[int, frozenset[int]]:
+    """Nodes control-dependent on each branch (postdominator-bounded).  Only
+    branches have regions: a graph with none needs no postdominator pass."""
+    branches = [node for node, nd in enumerate(graph.nodes)
+                if isinstance(nd.instr.op, ir.BranchEqZero)]
+    if not branches:
+        return {}
+    pred: dict[int, list[int]] = {}
+    for node, succs in enumerate(graph.succ):
+        for nxt in succs or [EXIT]:
+            pred.setdefault(nxt, []).append(node)
+    # Postdominators are the dominators of the reversed graph.
+    ipdom = cfg.immediate_dominators(pred, EXIT)
+    regions: dict[int, frozenset[int]] = {}
+    for node in branches:
+        succs = graph.succ[node]
+        if len(succs) != 2:
+            regions[node] = frozenset()
+            continue
+        stop = ipdom.get(node, EXIT)
+        seen: set[int] = set()
+        stack = [s for s in succs if s != stop]
+        while stack:
+            cur = stack.pop()
+            if cur in seen or cur == stop or cur == EXIT:
+                continue
+            seen.add(cur)
+            stack.extend(s for s in graph.succ[cur] if s != stop)
+        regions[node] = frozenset(seen)
+    return regions
+
+
+def joins_reference(graph: cfg.ACfg) -> dict[int, tuple[int, frozenset[str]]]:
+    """Per two-way branch whose arms both run through event-less steps (ALU,
+    skip, jump) to one node: that join node, and the registers whose reaching
+    definition (``defslot``) a node reachable from it reads, through an
+    indirect address, a stored value or an AMO pointer."""
+    def run(node: int) -> int:
+        while node != EXIT and isinstance(graph.nodes[node].instr.op, (ir.Alu, ir.Jump, ir.Skip)):
+            node = graph.succ[node][0]
+        return node
+    joins = {node: join for node, succs in enumerate(graph.succ)
+             if len(succs) == 2 and (join := run(succs[0])) == run(succs[1])}
+    if not joins:
+        return {}
+    reads: dict[int, frozenset[str]] = {EXIT: frozenset()}
+    # Depth first, each node once all it reaches has its reads (the ACfg is
+    # acyclic).
+    for start in range(len(graph.succ)):
+        stack = [start]
+        while stack:
+            node = stack[-1]
+            todo = [nxt for nxt in graph.succ[node] if nxt not in reads]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if node in reads:
+                continue
+            op = graph.nodes[node].instr.op
+            own: set[str] = set()
+            if isinstance(op, (ir.Load, ir.Store)) and isinstance(op.addr, ir.Indirect):
+                own.add(op.addr.reg)
+            if isinstance(op, ir.Store):
+                own.update(op.value.regs)
+            elif isinstance(op, cfg.AbstractMemOp):
+                own.update(op.pointer_args)
+            reads[node] = frozenset(own).union(*(reads[nxt] for nxt in graph.succ[node]))
+    return {node: (join, reads[join]) for node, join in joins.items()}
+
+
+# ``executions._simulate`` as it was, always from an empty state over the
+# whole fetch order.
+def build_comx_reference(
+    st: events.EventStructure,
+    access: ex.Accesses,
+    silent: frozenset[int],
+    site: events.Site | None,
+    stale_src: int | None,
+) -> tuple[dict[int, int], dict[str, list[int]]]:
+    """The cache simulation: each access's fill source and each line's
+    writers in fetch order (a write, a miss and an stl site read of the
+    untouched line claim the line).
+
+    Its result is confidential (:func:`executions.confidential`) by construction:
+
+    * events are visited in fetch order, and each fill edge comes from the
+      line's writer so far (``0`` when untouched) while each line writer is
+      appended to its order, so every ``rfx_in`` and ``cox`` edge points
+      forward in fetch order (``0`` first, ``BOT`` last), and so do the
+      same-line fetch-order edges; edges that all point forward close no
+      cycle;
+    * a bypass site's stale source precedes the site in fetch order, so its
+      fill edge points forward too;
+    * every writer after an event's fill source in that line's order was
+      appended after the event was visited, so an ``frx`` pair points
+      backward only at the site read, which the check exempts.
+    """
+    rfx_in: dict[int, int] = {}
+    cox: dict[str, list[int]] = {}
+    for order in st.tfo:
+        for eid in order:
+            kind, x = access[eid]
+            if kind is None or eid in silent:
+                continue  # no access, or a silent store: no fill, no claim
+            if site is not None and eid == site.read:
+                # The misforwarded load: an stl site forwards from a stale
+                # same-line writer (or runs against the untouched line), a
+                # psf site fills from an aliased store's line.
+                assert stale_src is not None
+                rfx_in[eid] = stale_src
+                if not ex._line_neutral(site, stale_src):
+                    cox.setdefault(x, [0]).append(eid)
+                continue
+            hist = cox.setdefault(x, [0])
+            rfx_in[eid] = hist[-1]
+            if kind == "W" or len(hist) == 1:
+                hist.append(eid)
+    return rfx_in, cox

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import CORPUS
 from leakcheck import cfg, ir
 from leakcheck.cfg import EXIT
 
@@ -202,3 +203,27 @@ def test_back_edge_search_is_linear_in_function_length():
     g = cfg.build_acfg(prog)
     assert time.process_time() - start < 1.0
     assert len(g.nodes) == 16001
+
+
+def test_inlining_matches_reference():
+    # The entry function's instructions are kept as they are, and fresh
+    # registers are numbered on the first inlined call: the nodes are those
+    # the renaming pass made.
+    srcs = [path.read_text() for path in sorted(CORPUS.rglob("*.lcm"))] + [
+        "func f(r1):\nR A+r1 ->r2\nBEQZ r2, out\nW x <-r2\nout: skip\n"
+        "func main():\nr5 <-0\nc: call f(r5)\ncall f(r5)\nloop: BEQZ r5, loop\n",
+        "extern e/1\nfunc g(r1):\ncall g(r1)\ncall e(r1)\nR [r1] ->r3\n"
+        "func main(r7):\ncall g(r7)\nW y <-r7\n",
+    ]
+    for seed in range(20):
+        srcs.append(oracles.random_joins(random.Random(seed)))
+    kept = 0
+    for src in srcs:
+        prog = ir.parse(src)
+        if prog.multithread:
+            continue
+        fn = prog.entry_function
+        got = cfg.inline_calls(prog, fn)
+        assert got == oracles.inline_calls_reference(prog, fn)
+        kept += sum(any(node.instr is ins for ins in fn.body) for node in got)
+    assert kept

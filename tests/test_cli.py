@@ -176,8 +176,8 @@ def test_path_enumeration_timeout_exits_two(tmp_path, capsys):
     assert "analysis timed out" in capsys.readouterr().err
 
 
-def run_capped(path, *argv) -> tuple[subprocess.CompletedProcess, float]:
-    """``leakcheck check path`` in a fresh process capped at 2 s CPU and
+def run_capped(path, *argv, command="check") -> tuple[subprocess.CompletedProcess, float]:
+    """``leakcheck command path`` in a fresh process capped at 2 s CPU and
     100 MB of address space, so a stage that outgrows either is killed or
     fails rather than swapping; and the CPU seconds it took."""
     def cap() -> None:
@@ -187,7 +187,7 @@ def run_capped(path, *argv) -> tuple[subprocess.CompletedProcess, float]:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run([sys.executable, "-m", "leakcheck.cli", "check", str(path), *argv],
+    proc = subprocess.run([sys.executable, "-m", "leakcheck.cli", command, str(path), *argv],
                           env=env, preexec_fn=cap, capture_output=True, text=True,
                           timeout=60)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -216,12 +216,23 @@ def test_alias_subsets_honour_the_timeout(tmp_path):
     assert cpu < 2
 
 
-def test_call_fanout_honours_the_timeout(tmp_path):
-    # 22 nested functions, each calling the next twice: 2^22 inlined loads.
+def fanout(tmp_path):
+    """22 nested functions, each calling the next twice: 2^22 inlined loads."""
     funcs = [f"func f{i}():\ncall f{i + 1}()\ncall f{i + 1}()\n" for i in range(1, 22)]
     f = tmp_path / "fanout.lcm"
     f.write_text("call f1()\n\n" + "\n".join(funcs) + "\nfunc f22():\nR x ->r1\n")
-    proc, cpu = run_capped(f, "--timeout", "1", "--no-timing")
+    return f
+
+
+def test_call_fanout_honours_the_timeout(tmp_path):
+    proc, cpu = run_capped(fanout(tmp_path), "--timeout", "1", "--no-timing")
+    assert proc.returncode == 2, proc.stderr
+    assert "analysis timed out" in proc.stderr
+    assert cpu < 2
+
+
+def test_acfg_dump_honours_the_timeout(tmp_path):
+    proc, cpu = run_capped(fanout(tmp_path), "--dump-acfg", "--timeout", "1", command="parse")
     assert proc.returncode == 2, proc.stderr
     assert "analysis timed out" in proc.stderr
     assert cpu < 2

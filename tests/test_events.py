@@ -199,3 +199,27 @@ def test_single_thread_event_ids_are_fetch_order():
                     assert [e.kind for e in s.events].count("BOT") == 1
                     assert s.events[s.bottom].kind == "BOT" and s.events[0].kind == "TOP"
     assert structures > 10000 and views > 5000
+
+
+def test_regions_and_joins_match_the_dominator_reference():
+    # One topological order gives the postdominators, regions and join reads
+    # that a dominator fixpoint and depth-first searches gave, on graphs in
+    # and out of index order (unrolled loops run back to lower indices).
+    srcs = [path.read_text() for path in sorted(CORPUS.rglob("*.lcm"))]
+    for seed in range(40):
+        rng = random.Random(seed)
+        srcs += [oracles.random_diamonds(rng), oracles.random_nested(rng),
+                 oracles.random_joins(rng), oracles.random_joins(rng, threads=2),
+                 oracles.random_multithread(rng), oracles.sequential_diamonds(seed % 6)]
+    unrolled = 0
+    for src in srcs:
+        graph = cfg.build_acfg(ir.parse(src))
+        order = ev._topological(graph)
+        assert sorted(order) == list(range(len(graph.nodes)))
+        rank = {node: i for i, node in enumerate(order)}
+        assert all(rank[u] < rank[v] for u, succs in enumerate(graph.succ)
+                   for v in succs if v != cfg.EXIT)
+        assert ev._branch_regions(graph, order) == oracles.branch_regions_reference(graph)
+        assert ev._joins(graph, order) == oracles.joins_reference(graph)
+        unrolled += not cfg._forward_only(graph.succ)
+    assert unrolled > 20

@@ -368,6 +368,42 @@ def test_access_tables_and_frx_positions_match_references():
     assert amos > 50 and silent > 50 and psf > 50, (amos, silent, psf)
 
 
+def test_views_cut_from_their_base_match_fresh_ones():
+    # A bypass candidate's access table, (rf, co) and cache simulation, cut
+    # from its base's canonical candidate and resumed at the site read,
+    # equal those built afresh for its view, maps in the same order; its AMO
+    # choices are the view's own, in order; and the four edge checks find
+    # nothing on it, so the observer rule's is its only witness.
+    from leakcheck import leakage as lk
+
+    views = amos = 0
+    for src, d_spec, _ in kernel_programs():
+        graph = cfg.build_acfg(ir.parse(src))
+        sts = ev.enumerate_event_structures(graph, frozenset({"stl", "psf"}), d_spec)
+        choices: dict[tuple, tuple] = {}  # (view, stale source) -> view, AMO choices
+        for cand in ex.enumerate_candidates(sts, d_spec=d_spec):
+            if cand.site is None:
+                continue
+            views += 1
+            amos += bool(cand.amo)
+            choices.setdefault((id(cand.st), cand.stale_src), (cand.st, []))[1].append(cand.amo)
+            access = ex.access_table(cand.st, cand.amo)
+            assert cand.access == access
+            rf, co = ex.canonical_arch(cand.st, access)
+            assert list(cand.rf.items()) == list(rf.items())
+            assert list(cand.co.items()) == list(co.items())
+            rfx_in, cox = oracles.build_comx_reference(
+                cand.st, access, cand.silent, cand.site, cand.stale_src)
+            assert list(cand.rfx_in.items()) == list(rfx_in.items())
+            assert list(cand.cox.items()) == list(cox.items())
+            found = oracles.leak_findings(cand)
+            assert set(found) <= {("rf_without_rfx", (0, cand.st.bottom))}
+            assert [(w.culprit.kind, w.culprit.edge) for w in lk.detect_leaks(cand)] == found
+        for view, got in choices.values():
+            assert got == ex._amo_choices(view)
+    assert views > 500 and amos > 50, (views, amos)
+
+
 def test_bypass_dedupe_keeps_every_alias_resolution(monkeypatch):
     # Under another alias resolution, a derived plan can match an earlier
     # one node for node while the locations differ, so its bypass

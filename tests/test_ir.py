@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import random
 import time
 
+import oracles
 import pytest
+from conftest import CORPUS
+from hypothesis import given, settings, strategies as st
 
 from leakcheck import ir
 
@@ -125,3 +129,58 @@ def test_definite_assignment_check_is_linear_in_function_length():
     prog = ir.parse(src)
     assert time.process_time() - start < 1.0
     assert len(prog.entry_function.body) == 6401
+
+
+# -- the parser against the one it replaced -----------------------------------
+
+
+def parsed(parse, text: str):
+    """``parse(text)`` printed back, or its error's message and line."""
+    try:
+        return ir.pretty(parse(text))
+    except ir.ParseError as exc:
+        return exc.msg, exc.line
+
+
+def test_parser_matches_reference_on_corpus_and_random_families():
+    texts = [path.read_text() for path in sorted(CORPUS.rglob("*.lcm"))]
+    for seed in range(40):
+        rng = random.Random(seed)
+        texts += [oracles.random_single(rng), oracles.random_diamonds(rng),
+                  oracles.random_nested(rng), oracles.random_joins(rng),
+                  oracles.random_joins(rng, threads=2), oracles.random_multithread(rng)]
+    for text in texts:
+        assert parsed(ir.parse, text) == parsed(oracles.parse_reference, text)
+        assert isinstance(parsed(ir.parse, text), str)
+
+
+# Fragments of well- and ill-formed lines: opcodes and headers, operands,
+# punctuation, a non-ASCII digit and letter, and comments.
+FRAGMENTS = ["R", "W", "BEQZ", "JMP", "call", "fence", "lfence", "skip", "protect",
+             "alias", "extern", "thread", "func", "r1", "r2", "r١", "rx", "x", "é",
+             "A+r1", "A+3", "[r1]", "[ r2 ]", "L1", "1", "3", "done", "main", "f",
+             ":", ",", "(", ")", "()", "<-", "->", "/", "+", ";", "; c", "_", "r1&r2"]
+LINE = st.lists(st.tuples(st.sampled_from(["", "", " ", "  ", "\t"]),
+                          st.sampled_from(FRAGMENTS)), max_size=6).map(
+    lambda parts: "".join(sep + word for sep, word in parts))
+# A line led by an opcode or header word, optionally labelled.
+LED = st.tuples(st.sampled_from(["", "", "a: ", "b:", "R: ", "done :"]),
+                st.sampled_from(FRAGMENTS[:16]), st.sampled_from(["", " ", "\t"]), LINE).map("".join)
+# Instruction and header shapes with an operand drawn from the fragments.
+SHAPED = st.tuples(st.sampled_from(["R {} ->r2", "R x ->{}", "W {} <-r1", "W x <-{}", "{} <-r1",
+                                    "BEQZ {}, done", "BEQZ r1, {}", "JMP {}", "call f({})",
+                                    "call {}", "func g({}):", "protect {}", "alias ({}, y)",
+                                    "extern {}/2", "thread {}:", "{}: skip", "{}:"]),
+                   st.sampled_from(FRAGMENTS)).map(lambda shape: shape[0].format(shape[1]))
+VALID = st.sampled_from(["r1 <-0", "R x ->r2", "W A+r1 <-r2", "BEQZ r1, done", "done: skip",
+                         "JMP done", "func f(r1):", "call f(r1)", "extern f/1",
+                         "alias (x, y)", "thread t0:", "lfence", "protect r1"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(LINE, LED, SHAPED, VALID), min_size=1, max_size=4), st.booleans())
+def test_parser_matches_reference_on_malformed_lines(lines, framed):
+    # Framed, the lines sit between definitions of r1 and r2 and a ``done``
+    # label, so one line in error is what makes the program fail.
+    text = "\n".join(["r1 <-0\nr2 <-0", *lines, "done: skip"] if framed else lines) + "\n"
+    assert parsed(ir.parse, text) == parsed(oracles.parse_reference, text)

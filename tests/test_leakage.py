@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
 
 import oracles
 import pytest
+from conftest import CORPUS
 
 from leakcheck import cfg, ir
 from leakcheck import events as ev
@@ -363,3 +365,31 @@ def test_corpus_classification_matches_reference(corpus_dir):
 def test_random_classification_matches_reference(family):
     for seed in range(8000, 8150):
         classification_matches_reference(family(random.Random(seed)))
+
+
+def test_admitted_classes_keep_what_all_classes_give():
+    # With only some classes admitted, classification skips a chain kind,
+    # or its universal walk, that no admitted class needs: each source keeps
+    # every admitted class, so its most severe, that all five give it.
+    subsets = [frozenset(c) for n in range(1, 6) for c in itertools.combinations(lk.CLASSES, n)]
+    srcs = [p.read_text() for p in sorted(CORPUS.rglob("*.lcm")) if p.parent.name != "stress"]
+    for seed in range(6):
+        rng = random.Random(seed)
+        srcs += [oracles.random_single(rng), oracles.random_joins(rng, sites=0.9)]
+    kept = set()
+    for src in srcs:
+        graph = cfg.build_acfg(ir.parse(src))
+        for prim in ("branch", "stl", "psf"):
+            structures = ev.enumerate_event_structures(graph, frozenset({prim}), 8)
+            for cand in ex.iter_candidates(structures, d_spec=8):
+                for w in lk.detect_leaks(cand):
+                    full = lk.classify_transmitters(cand, list(w.sources), None, lk._Shared(cand.st))
+                    for classes in subsets:
+                        got = lk.classify_transmitters(
+                            cand, list(w.sources), None, lk._Shared(cand.st), classes)
+                        for t, entries in full.items():
+                            admitted = [x for x in entries if x.klass in classes]
+                            assert [x for x in got[t] if x.klass in classes] == admitted
+                            best = max(admitted, key=lambda x: lk._SEVERITY[x.klass], default=None)
+                            kept.add(best and best.klass)
+    assert kept == {None, *lk.CLASSES}

@@ -65,7 +65,7 @@ def assert_views_match_builder(st: ev.EventStructure, d_spec: int) -> None:
 
 def assert_walk_matches_reference(src: str, d_spec: int = 8) -> None:
     graph = cfg.build_acfg(ir.parse(src))
-    regions = ev._branch_regions(graph)
+    regions = oracles.branch_regions_reference(graph)
     for prims in PRIMITIVES:
         got = ev.enumerate_event_structures(graph, prims, d_spec)
         want = oracles.enumerate_event_structures_reference(graph, prims, d_spec)

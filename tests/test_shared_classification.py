@@ -55,7 +55,8 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
                 for e in w.sources
                 if config.scope == "any" or cand.st.events[e].transient
             ]
-            classified = lk.classify_transmitters(cand, kept, config.w_size, fresh)
+            classified = lk.classify_transmitters(
+                cand, kept, config.w_size, fresh, config.classes)
             # analyze classifies nothing for a psf sharer, whose records are
             # its base's, nor for a structure whose content an earlier one
             # had; their records still count below.
@@ -88,9 +89,9 @@ def assert_shared_matches_reference(
     original = lk.classify_transmitters
     shared_transmitters = []
 
-    def recorded(cand, events, w_size=None, shared=None):
-        assert shared is not None
-        shared_transmitters.append(original(cand, events, w_size, shared))
+    def recorded(cand, events, w_size=None, shared=None, classes=None):
+        assert shared is not None and classes is not None
+        shared_transmitters.append(original(cand, events, w_size, shared, classes))
         return shared_transmitters[-1]
 
     for engine in ("v1", "v4", "psf"):
@@ -153,9 +154,9 @@ def test_branch_regions_are_computed_once_per_analysis(monkeypatch):
     calls = [0]
     original = ev._branch_regions
 
-    def counted(graph):
+    def counted(*args):
         calls[0] += 1
-        return original(graph)
+        return original(*args)
 
     monkeypatch.setattr(ev, "_branch_regions", counted)
     prog = ir.parse((CORPUS / "stress" / "deep_pipeline.lcm").read_text())

@@ -3,9 +3,9 @@
 The line-neutral stale sources of one site and AMO choice share a cache
 simulation (``executions._refill``), and ``analyze`` runs ``detect_leaks``
 once per simulation; a psf sharer also takes its base's records.  The
-reference is the path this replaced: a fresh ``_build_comx``, a fresh
-``detect_leaks`` and ``findings`` with a fresh ``_Shared`` for every
-candidate.
+reference is the path this replaced: a fresh simulation of the whole
+structure (``oracles.build_comx_reference``), a fresh ``detect_leaks`` and
+``findings`` with a fresh ``_Shared`` for every candidate.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def test_shared_simulations_match_fresh_ones(monkeypatch):
                 base_ref: dict[int, tuple] = {}  # psf base id -> reference
                 for cand in cands:
                     shared += cand.base is not None
-                    rfx_in, cox = ex._build_comx(
+                    rfx_in, cox = oracles.build_comx_reference(
                         cand.st, ex.access_table(cand.st, cand.amo), cand.silent,
                         cand.site, cand.stale_src,
                     )
@@ -125,14 +125,15 @@ def test_shared_simulations_match_fresh_ones(monkeypatch):
 def test_stress_program_simulates_and_detects_once_per_simulation(monkeypatch):
     # psf on the stress program: 2382 candidates over 120 simulations, and
     # findings only for the witnesses of the 120 candidates that ran a
-    # simulation (one witness each).  Counts are deterministic, so they are
-    # pinned; no timing bound.
+    # simulation (one witness each).  A simulation counts wherever it
+    # starts: from an empty state or resumed at a site read.  Counts are
+    # deterministic, so they are pinned; no timing bound.
     calls: Counter = Counter()
-    build_comx, detect_leaks, findings = ex._build_comx, lk.detect_leaks, lk.findings
+    simulate, detect_leaks, findings = ex._simulate, lk.detect_leaks, lk.findings
 
     def built(*args):
-        calls["_build_comx"] += 1
-        return build_comx(*args)
+        calls["_simulate"] += 1
+        return simulate(*args)
 
     def detected(*args, **kwargs):
         calls["detect_leaks"] += 1
@@ -142,13 +143,13 @@ def test_stress_program_simulates_and_detects_once_per_simulation(monkeypatch):
         calls["findings"] += 1
         return findings(*args)
 
-    monkeypatch.setattr(ex, "_build_comx", built)
+    monkeypatch.setattr(ex, "_simulate", built)
     monkeypatch.setattr(lk, "detect_leaks", detected)
     monkeypatch.setattr(lk, "findings", found)
     path = CORPUS / "stress" / "deep_pipeline.lcm"
     report = lk.analyze(ir.parse(path.read_text()), "psf", lk.EngineConfig())
-    assert (report.candidates, calls["_build_comx"]) == (2382, 120)
-    assert calls["detect_leaks"] == calls["_build_comx"]
+    assert (report.candidates, calls["_simulate"]) == (2382, 120)
+    assert calls["detect_leaks"] == calls["_simulate"]
     assert calls["findings"] == 120  # 2382 when every sharer ran findings
 
 
