@@ -29,20 +29,19 @@ dependencies, the sites and the silent-store marks are derived as each
 event is emitted, from state carried along the walk; no pass runs over a
 finished structure.
 
-Where both arms of a branch run through event-less steps to one join node,
-the two forks are merged at the join when everything the walk below it reads
-is equal: events, orders, sites, the store, line and unfenced histories, the
-open branches, taint and window, and the definition slots of the registers
-that a node reachable from the join reads through an indirect address, a
-stored value or an AMO pointer.  Their plans must be equally long only where
-a later step would read a plan index: under ``branch``, whose window steps
-carry their branch's index, and where the walk below the join reads a
-definition slot.  Only one fork walks on.  Each structure of its subtree
-becomes a :class:`Graft` for the other fork: a view of that structure with
-the other fork's own plan prefix, whose later plan indices shift by the
-difference in arm length, and whose plan and ``step_of`` are built only when
-read.  So ``b`` such diamonds take a walk linear in ``b`` and ``2^b`` views,
-not ``2^b`` walks or copies.
+No event and no walking state holds a plan index: a window step names its
+branch by event id, and a register definition is named by its node and the
+window that fetched it.  Where both arms of a branch run through event-less
+steps to one join node, the two forks are merged at the join when what the
+walk below it reads and the arms can change is equal: events, open branches,
+taint, and the definitions of the registers that a node reachable from the
+join reads through an indirect address, a stored value or an AMO pointer.
+Only one fork walks on.  Each structure of its subtree becomes a
+:class:`Graft` for the other fork: a view of that structure with the other
+fork's own plan prefix, whose later plan indices shift by the difference in
+arm length, and whose plan and ``step_of`` are built only when read.  So
+``b`` such diamonds take a walk linear in ``b`` and ``2^b`` views, not
+``2^b`` walks or copies.
 
 Sites are recorded on the path structure, which then has no branch windows
 (``branch`` does not combine with ``stl`` or ``psf``).  :func:`derive_bypass`
@@ -94,7 +93,7 @@ class Step:
 
     node: int | None  # None = transient squash (ran off the program's end)
     committed: bool
-    window: int | None = None  # plan index of the branch that opened this fetch
+    window: int | None = None  # eid of the branch whose window this fetch is in
 
 
 # One empty set for every event, register and structure with nothing in it.
@@ -262,20 +261,20 @@ _CLOSERS = (ir.BranchEqZero, ir.Fence, ir.Protect)
 
 
 def _window_steps(
-    graph: ACfg, branch_idx: int | None, start: int, d_spec: int
+    graph: ACfg, branch: int | None, start: int, d_spec: int
 ) -> list[Step]:
-    """Transiently fetch the untaken arm from ``start`` of the branch at
-    plan index ``branch_idx``.  Stops before a branch or fence, at the depth
+    """Transiently fetch the untaken arm from ``start`` of the branch with
+    event id ``branch``.  Stops before a branch or fence, at the depth
     budget, or with a squash marker at the program's end."""
     steps: list[Step] = []
     cur = start
     while cur != EXIT and len(steps) < d_spec:
         if isinstance(graph.nodes[cur].instr.op, _CLOSERS):
             return steps
-        steps.append(Step(cur, False, branch_idx))
+        steps.append(Step(cur, False, branch))
         cur = graph.succ[cur][0]
     if cur == EXIT:
-        steps.append(Step(None, False, branch_idx))
+        steps.append(Step(None, False, branch))
     return steps
 
 
@@ -289,15 +288,19 @@ def _node_label(node: ANode) -> str:
 
 
 class _ThreadState:
-    """Register taint and definition slots while walking one thread's plan."""
+    """Register taint and reaching definitions while walking one thread's
+    plan.  A definition is named by its node and its step's window (None
+    when committed): a node is fetched at most once on a committed path and
+    at most once in each window, and each window has its own branch, so
+    within a thread the name is unique, and no two threads share a node."""
 
     def __init__(self) -> None:
         self.taint: dict[str, frozenset[int]] = {}
-        self.defslot: dict[str, int] = {}
+        self.defs: dict[str, tuple[int, int | None]] = {}
 
     def copy(self) -> _ThreadState:
         new = _ThreadState()
-        new.taint, new.defslot = dict(self.taint), dict(self.defslot)
+        new.taint, new.defs = dict(self.taint), dict(self.defs)
         return new
 
     def reads_of(self, regs) -> frozenset[int]:
@@ -411,13 +414,9 @@ class _Builder:
         self._want_sites = self.single and bool(primitives & {"stl", "psf"})
         self._lines: dict[str, tuple[int, ...]] = {}
         self._unfenced: tuple[int, ...] = ()
-        # The current thread's walking state: register taint, the event of
-        # each plan step so far, the committed state saved while a transient
-        # window runs, and the open committed branches.
+        # The current thread's walking state: register taint and
+        # definitions, and the open committed branches.
         self.state = _ThreadState()
-        self._eid_at: list[int | None] = []
-        self._saved: _ThreadState | None = None
-        self._in_window: int | None = None
         self._open: tuple[Event, ...] = ()
 
     def fork(self) -> _Builder:
@@ -431,31 +430,25 @@ class _Builder:
         new._stores = dict(self._stores)
         new._lines = dict(self._lines)
         new.state = self.state.copy()
-        new._eid_at = list(self._eid_at)
         return new
 
-    def mergeable(self, other: _Builder, slot_reads: frozenset[str]) -> bool:
+    def mergeable(self, other: _Builder, reads: frozenset[str]) -> bool:
         """Whether the walk from here gives the structures that ``other``'s
-        walk from the same node gives, up to the plan and ``step_of`` before
-        that node and the shift of the later plan indices (:meth:`graft`):
-        ``slot_reads`` are the registers whose definition slot a node
-        reachable from it reads.  The plans must be equally long where a
-        later step reads a plan index: a ``branch`` window step, or a
-        definition slot (:func:`_walk_paths`)."""
+        walk from the same join node gives, up to the plan and ``step_of``
+        before that node and the shift of the later plan indices
+        (:meth:`graft`): ``reads`` are the registers whose definition a node
+        reachable from the join reads.
+
+        Only what the two arms can set apart is compared.  The arms emit no
+        event and a window's events are transient, so ``po`` and the store
+        history are equal at every join; sites and the line and unfenced
+        histories are too, as a walk with sites has no windows; and ``tfo``
+        is equal whenever the events are.  The tests assert all of these."""
         mine, theirs = self.state, other.state
         return (
-            (len(self.plans[-1]) == len(other.plans[-1])
-             or not (slot_reads or "branch" in self.primitives))
-            and self._in_window == other._in_window
-            and mine.taint == theirs.taint
-            and all(mine.defslot.get(reg) == theirs.defslot.get(reg) for reg in slot_reads)
+            mine.taint == theirs.taint
+            and all(mine.defs.get(reg) == theirs.defs.get(reg) for reg in reads)
             and self._open == other._open
-            and self.sites == other.sites
-            and self._unfenced == other._unfenced
-            and self._lines == other._lines
-            and self._stores == other._stores
-            and self.po == other.po
-            and self.tfo == other.tfo
             and self.events == other.events
         )
 
@@ -476,37 +469,28 @@ class _Builder:
                 return _uf_find(self.uf, f"{addr.base}.{addr.index}"), False
             return _uf_find(self.uf, addr.base), True
         # Indirect: identity keyed by the reaching definition of the pointer.
-        return f"*{addr.reg}@{state.defslot.get(addr.reg, -1)}", False
+        return f"*{addr.reg}@{state.defs.get(addr.reg)}", False
 
     def start_thread(self) -> None:
-        state = _ThreadState()
-        program = self.graph.program
-        for reg in [] if program.multithread else program.entry_function.params:
-            state.taint[reg] = _EMPTY
-            state.defslot[reg] = -1
-        self.state = state
+        self.state = _ThreadState()
         self.plans.append([])
         self.po.append([])
         self.tfo.append([])
-        self._eid_at = []
-        self._saved = None
-        self._in_window = None
         self._open = ()
 
     def step(self, step: Step) -> None:
         """Fetch ``step`` as the next step of the current thread's plan."""
-        if step.window != self._in_window:
-            # A window runs on a copy of the committed register state, and
-            # the next window or committed step starts from that state again.
-            if self._in_window is None:
-                self._saved = self.state.copy()
-            else:
-                assert self._saved is not None
-                self.state = self._saved.copy()
-            self._in_window = step.window
         plan = self.plans[-1]
         plan.append(step)
         self._emit(len(self.plans) - 1, len(plan) - 1, step)
+
+    def window(self, steps: list[Step]) -> None:
+        """Fetch a branch window's ``steps`` on a copy of the committed
+        register state, which the next step starts from again."""
+        committed, self.state = self.state, self.state.copy()
+        for step in steps:
+            self.step(step)
+        self.state = committed
 
     def _fresh(self, **kw) -> Event:
         ev = Event(eid=len(self.events), **kw)
@@ -514,16 +498,14 @@ class _Builder:
         return ev
 
     def _emit(self, thread: int, step_idx: int, step: Step) -> None:
-        state = self.state
-        window = None if step.window is None else self._eid_at[step.window]
-        ctrl_reads = self._control(step, window) if self._open else _EMPTY
+        state, window = self.state, step.window
+        ctrl_reads = self._control(step) if self._open else _EMPTY
         if step.node is None:
             ev = self._fresh(
                 kind="SBOT", thread=thread, transient=True, window=window, label="⊥",
                 ctrl_reads=ctrl_reads,
             )
             self.tfo[-1].append(ev.eid)
-            self._eid_at.append(None)
             return
         node = self.graph.nodes[step.node]
         op = node.instr.op
@@ -536,7 +518,7 @@ class _Builder:
             if isinstance(op, ir.Load):
                 kind = "R"
                 state.taint[op.dest] = frozenset({len(self.events)})
-                state.defslot[op.dest] = step_idx
+                state.defs[op.dest] = step.node, window
             else:
                 kind = "W"
                 fields["value_reads"] = state.reads_of(op.value.regs)
@@ -547,14 +529,14 @@ class _Builder:
                 # register in it.
                 if step.committed and self.single:
                     value_id = (op.value.text, tuple(sorted(
-                        (r, state.defslot.get(r, -1)) for r in op.value.regs)))
+                        (r, state.defs.get(r)) for r in op.value.regs)))
                     prior = self._stores.get(loc, ())
                     fields["silent_eligible"] = bool(prior)
                     fields["silent_definite"] = value_id in prior
                     self._stores[loc] = prior + (value_id,)
         elif isinstance(op, ir.Alu):
             state.taint[op.dest] = state.reads_of(op.expr.regs)
-            state.defslot[op.dest] = step_idx
+            state.defs[op.dest] = step.node, window
         elif isinstance(op, ir.BranchEqZero):
             kind = "BR"
             fields = {"cond_reads": state.reads_of([op.cond])}
@@ -563,12 +545,10 @@ class _Builder:
             fields = {"fence": op.kind if isinstance(op, ir.Fence) else "lfence"}
         elif isinstance(op, acfg_mod.AbstractMemOp):
             kind = "AMO"
-            pointers = tuple((reg, f"*{reg}@{state.defslot.get(reg, -1)}")
-                             for reg in op.pointer_args)
+            pointers = tuple((reg, f"*{reg}@{state.defs.get(reg)}") for reg in op.pointer_args)
             fields = {"addr_reads": state.reads_of(op.pointer_args), "amo_pointers": pointers}
         if kind is None:
             # Alu, Skip and Jump fetch but produce no event.
-            self._eid_at.append(None)
             return
         ev = self._fresh(
             kind=kind,
@@ -584,15 +564,14 @@ class _Builder:
             self._open += (ev,)
         if self._want_sites and kind in ("R", "W", "F"):
             self._sites_at(ev)
-        self._eid_at.append(ev.eid)
         self.step_of[ev.eid] = step_idx
         self.tfo[-1].append(ev.eid)
         if step.committed:
             self.po[-1].append(ev.eid)
 
-    def _control(self, step: Step, window: int | None) -> frozenset[int]:
+    def _control(self, step: Step) -> frozenset[int]:
         """The condition reads of the open branches whose region holds
-        ``step``'s node or whose window (an eid) fetched it."""
+        ``step``'s node or whose window fetched it."""
         if step.committed:
             # The ACfg is acyclic, so a committed path that has left a
             # branch's region never re-enters it.
@@ -601,7 +580,7 @@ class _Builder:
             )
         out = _EMPTY
         for br in self._open:  # each with condition reads
-            if window == br.eid or step.node in self.maps.regions[br.node_id]:
+            if step.window == br.eid or step.node in self.maps.regions[br.node_id]:
                 out = out | br.cond_reads if out else br.cond_reads
         return out
 
@@ -684,39 +663,24 @@ def _walk_paths(
     Where both arms of a branch run through event-less steps to one join node
     (:attr:`_WalkMaps.joins`), each fork also steps its arm up to the join,
     and the two are merged when the subtree below the join cannot tell them
-    apart (:meth:`_Builder.mergeable`): equal events, orders, sites, store
-    and line histories, unfenced stores, open branches, taint and window, and
-    equal definition slots on the registers whose slot the subtree reads
-    (indirect addresses, stored values, AMO pointers).  The forks may still
-    differ in ``_eid_at``, ``_saved``, the plan and ``step_of`` before the
-    join: later windows index only the branch steps past the join, at the
-    same plan indices in both (under ``branch`` the plans are equally long,
-    see below); and ``_saved`` is dead while committed (the next window saves
-    afresh), which both forks are at the join, as one arm at least steps a
-    committed node and the windows are equal.  Only the fork visited first is
+    apart (:meth:`_Builder.mergeable`).  Only the fork visited first is
     walked on; each structure its subtree gives is then grafted onto the
     other fork (:meth:`_Builder.graft`), in order, with one ``tick`` per
     graft.
 
-    The plans may also differ in length at the join, by ``offset`` steps; a
-    graft then shifts its leaf's plan indices past the join by ``offset``, in
-    the merging thread only, as each later thread's plan starts at 0.
-    Nothing the subtree emits depends on that shift:
-
-    * a ``branch`` window step carries its branch's plan index, so under
-      ``branch`` the plans must be equally long;
-    * under ``stl``, ``psf`` or no primitive there are no windows, so no step
-      carries a plan index and ``_eid_at`` is never read;
-    * the only plan indices in events are definition slots (indirect
-      locations, AMO pointers, silent-store value identities), read through
-      the registers in ``slot_reads``, which must then be empty.
-
-    What reads the plan indices of a finished structure moves with them.  A
-    bypass window (:func:`_windows`) runs from its site's index to the next
-    branch or fence or to that index plus ``d_spec``, so it crosses no
-    branch: a window past the join has both ends past it, shifted alike, and
-    one before it ends at the branch, in the prefix both forks share.  Fence
-    slots are cut from each structure's own plan.
+    The plans may differ in length at the join, by ``offset`` steps; a graft
+    then shifts its leaf's plan indices past the join by ``offset``, in the
+    merging thread only, as each later thread's plan starts at 0.  Nothing
+    the subtree emits depends on that shift, as only ``plans`` and
+    ``step_of`` hold plan indices: a window step names its branch by event
+    id, the same in both forks past the join, and a definition is named by
+    its node and window.  What reads the plan indices of a finished
+    structure moves with them.  A bypass window (:func:`_windows`) runs from
+    its site's index to the next branch or fence or to that index plus
+    ``d_spec``, so it crosses no branch: a window past the join has both ends
+    past it, shifted alike, and one before it ends at the branch, in the
+    prefix both forks share.  Fence slots are cut from each structure's own
+    plan.
     """
     want_windows = "branch" in primitives
     out: list[EventStructure] = []
@@ -750,24 +714,23 @@ def _walk_paths(
                 node = succs[0]
                 continue
             window = want_windows and len(succs) == 2  # only a branch has two
-            branch_idx = len(builder.plans[-1]) - 1
+            branch = len(builder.events) - 1
             forks = [builder] + [builder.fork() for _ in succs[1:]]
             for fork, nxt in zip(forks, succs):
                 if window:
                     untaken = succs[0] if nxt == succs[1] else succs[1]
-                    for step in _window_steps(graph, branch_idx, untaken, d_spec):
-                        fork.step(step)
+                    fork.window(_window_steps(graph, branch, untaken, d_spec))
             if node not in joins:
                 stack += [(fork, nxt, None) for fork, nxt in zip(forks, succs)]
                 break
-            join, slot_reads = joins[node]
+            join, reads = joins[node]
             for fork, nxt in zip(forks, succs):
                 while nxt != join:
                     tick()
                     fork.step(committed[nxt])
                     nxt = graph.succ[nxt][0]
             other, walked = forks
-            if other.mergeable(walked, slot_reads):
+            if other.mergeable(walked, reads):
                 offset = len(other.plans[-1]) - len(walked.plans[-1])
                 stack.append((other, None, (len(out), offset)))
             else:
@@ -843,9 +806,9 @@ def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, int, tupl
 def _joins(graph: ACfg, order: list[int]) -> dict[int, tuple[int, frozenset[str]]]:
     """Per two-way branch whose arms both run through event-less steps (ALU,
     skip, jump) to one node: that join node, and the registers whose reaching
-    definition (``defslot``) a node reachable from it reads, through an
-    indirect address, a stored value or an AMO pointer.  ``order`` is a
-    topological order of ``graph``."""
+    definition a node reachable from it reads, through an indirect address, a
+    stored value or an AMO pointer.  ``order`` is a topological order of
+    ``graph``."""
     def run(node: int) -> int:
         while node != EXIT and isinstance(graph.nodes[node].instr.op, (ir.Alu, ir.Jump, ir.Skip)):
             node = graph.succ[node][0]

@@ -298,7 +298,9 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
     built from the root by a fresh builder, so no two structures share an
     event.  Silent marks, ctrl edges and sites are set after the build, as
     the replaced code did (:func:`silent_marks_reference`,
-    :func:`control_deps_reference`, :func:`sites_reference`).
+    :func:`control_deps_reference`, :func:`sites_reference`).  The plans name
+    each window's branch by plan index, the builder by event id: each window
+    is mapped as it is fed, as one block.
     """
     regions = branch_regions_reference(graph)
     subsets = alias_subsets_reference(graph.program.aliases)
@@ -318,8 +320,14 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
             builder = events._Builder(graph, merged, primitives)
             for plan in plan_combo:
                 builder.start_thread()
-                for step in plan:
-                    builder.step(step)
+                eid_at = {}
+                for idx, group in itertools.groupby(enumerate(plan), lambda s: s[1].window):
+                    if idx is None:
+                        for i, step in group:
+                            builder.step(step)
+                            eid_at[i] = len(builder.events) - 1
+                    else:
+                        builder.window([replace(step, window=eid_at[idx]) for _, step in group])
             st = builder.finish()
             silent_marks_reference(st)
             set_ctrl_reads(st, control_deps_reference(st, regions))
@@ -880,12 +888,12 @@ def random_joins(rng: random.Random, threads: int = 0, sites: float = 0.5) -> st
     read no definition.
 
     The two forks at such a branch may be merged only when nothing after the
-    join tells them apart, so arms of equal and unequal length, with and
-    without tainted or read definitions, meet every refusal, and arms of
-    unequal length that only sites follow merge under every primitive but
-    ``branch``.  Each thread ends with reads of one of the two sorts, sites
-    with probability ``sites``.  ``threads`` greater than zero gives that
-    many thread blocks, of at most two diamonds each and no calls.
+    join tells them apart, so arms with and without tainted or read
+    definitions meet every refusal, and arms of equal and unequal length
+    merge under every primitive set.  Each thread ends with reads of one of
+    the two sorts, sites with probability ``sites``.  ``threads`` greater
+    than zero gives that many thread blocks, of at most two diamonds each
+    and no calls.
     """
     regs = ("r1", "r2", "r3", "r4")
     labels = itertools.count()
@@ -1244,8 +1252,8 @@ def branch_regions_reference(graph: cfg.ACfg) -> dict[int, frozenset[int]]:
 def joins_reference(graph: cfg.ACfg) -> dict[int, tuple[int, frozenset[str]]]:
     """Per two-way branch whose arms both run through event-less steps (ALU,
     skip, jump) to one node: that join node, and the registers whose reaching
-    definition (``defslot``) a node reachable from it reads, through an
-    indirect address, a stored value or an AMO pointer."""
+    definition a node reachable from it reads, through an indirect address, a
+    stored value or an AMO pointer."""
     def run(node: int) -> int:
         while node != EXIT and isinstance(graph.nodes[node].instr.op, (ir.Alu, ir.Jump, ir.Skip)):
             node = graph.succ[node][0]

@@ -81,6 +81,15 @@ def test_witness_sets_match_exhaustive_oracle(litmus_dir, fixture):
     assert {oracles.arch_projection(c) for c in cands} == expected
 
 
+def test_indirect_accesses_of_two_threads_never_alias():
+    """An indirect location is named by the node that defined its register,
+    so each thread's ``[r1]`` is its own location, wherever in its thread's
+    plan the definition sits: one candidate, with no rf between threads."""
+    for head in ("", "skip\n"):
+        src = f"thread t0:\nr1 <-0\nW [r1] <-1\nthread t1:\n{head}r1 <-0\nR [r1] ->r2\n"
+        assert len(candidates(src)) == 1, head
+
+
 def test_multithread_enumeration_is_capped():
     lines = ["thread t0:"]
     lines += [f"W x <-{k}" for k in range(6)]

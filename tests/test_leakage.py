@@ -51,6 +51,25 @@ def test_guarded_double_load_full_record_set():
     assert {r.engine for r in report.records} == {"v1"}
 
 
+def test_window_and_committed_definitions_name_two_locations():
+    """The branch's window fetches ``R A+r4 ->r2`` before the committed path
+    does, and each fetch defines r2 anew: ``[r2]`` names one location per
+    definition, so the committed ``R [r2]`` misses its own line instead of
+    hitting the one the window's ``R [r2]`` filled, and leaks its committed
+    access."""
+    src = ("R x ->r1\nR w ->r4\nBEQZ r1, e0\nJMP j0\ne0: skip\nj0: skip\n"
+           "R A+r4 ->r2\nR [r2] ->r1\n")
+    report = run(src, scope="any", classes=ALL)
+    assert keys(report) == {
+        ("main@0", False, "address", None, None),
+        ("main@1", False, "address", None, None),
+        ("main@6", True, "data", "main@1", False),
+        ("main@7", False, "universal_data", "main@6", False),
+        ("main@7", True, "universal_data", "main@6", True),
+    }
+    assert {r.culprit_kind for r in report.records} == {"rf_without_rfx"}
+
+
 def test_protect_on_an_unrelated_register_acts_as_lfence():
     assert run(GADGET).records
     protected = GADGET.replace("BEQZ r2, end\n", "BEQZ r2, end\nprotect r9\n")
