@@ -15,6 +15,7 @@ from dataclasses import replace
 from leakcheck import cfg, events, ir
 from leakcheck import executions as ex
 from leakcheck import leakage as lk
+from leakcheck import repair as rp
 from leakcheck.cfg import EXIT
 
 
@@ -229,6 +230,20 @@ def hitting_set_reference(sets, order_key, tick=None):
 
     bound(set(), sets)
     return best[0]
+
+
+def verify_minimal_reference(prog, engine, config, fences) -> bool:
+    """The subset search that ``repair._verify_minimal`` replaced.
+
+    Its loop is kept as it was: no strict subset of the chosen fences also
+    silences the engine, 2^n - 1 re-analyses for n fences.
+    """
+    for k in range(len(fences)):
+        for subset in itertools.combinations(sorted(fences), k):
+            candidate = rp.insert_fences(prog, set(subset))
+            if not lk.analyze(candidate, engine, config).records:
+                return False
+    return True
 
 
 # --------------------------------------------------------------------------

@@ -216,6 +216,18 @@ def test_alias_subsets_honour_the_timeout(tmp_path):
     assert cpu < 2
 
 
+def test_independent_gadgets_repair_is_checked_minimal_within_the_cap(tmp_path):
+    # 8 independent v1 gadgets: a subset search over the 8 fences would
+    # re-analyse 255 programs; the drop-one check takes 8.
+    f = tmp_path / "gadgets.lcm"
+    f.write_text("".join(f"R y{k} ->r3\nBEQZ r3, end{k}\nR A{k}+r3 ->r4\n"
+                         f"R B{k}+r4 ->r5\nend{k}: skip\n" for k in range(8)))
+    proc, cpu = run_capped(f, "--engine", "v1", command="repair")
+    assert proc.returncode == 0, proc.stderr
+    assert "8 fence(s), 1 iteration(s), minimal" in proc.stdout
+    assert cpu < 2
+
+
 def fanout(tmp_path):
     """22 nested functions, each calling the next twice: 2^22 inlined loads."""
     funcs = [f"func f{i}():\ncall f{i + 1}()\ncall f{i + 1}()\n" for i in range(1, 22)]

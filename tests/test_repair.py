@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -302,6 +303,69 @@ def test_forty_independent_windows_repair_in_under_a_second():
     assert len(plan.fences) == 40
     assert [sum(f.index in r for f in plan.fences) for r in ranges] == [1] * 40
     assert not lk.analyze(plan.program, "v4", lk.EngineConfig()).records
+
+
+def test_minimality_check_analyses_once_per_fence(monkeypatch):
+    src, _ = independent_v4_windows(3)
+    prog, config = ir.parse(src), lk.EngineConfig()
+    fences = {(f.func, f.index) for f in rp.repair(prog, "v4", config).fences}
+    assert len(fences) == 3
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lk.analyze(*args)
+
+    monkeypatch.setattr(rp, "analyze", counted)
+    assert rp._verify_minimal(prog, "v4", config, fences) is True
+    assert len(calls) == 3
+
+
+def single_thread_programs():
+    """The corpus's single-thread programs but the stress one, and 20 seeds
+    of each single-thread random family."""
+    for path in sorted(CORPUS.rglob("*.lcm")):
+        prog = ir.parse(path.read_text())
+        if "stress" not in path.parts and not prog.multithread:
+            yield prog
+    for family in (oracles.random_joins, oracles.random_diamonds,
+                   oracles.random_single):
+        for seed in range(20):
+            yield ir.parse(family(random.Random(seed)))
+
+
+MINIMALITY_CONFIGS = (
+    lk.EngineConfig(),
+    lk.EngineConfig(scope="any", classes=frozenset(lk.CLASSES)),
+    lk.EngineConfig(classes=frozenset(lk.CLASSES)),
+    lk.EngineConfig(classes=frozenset({"data", "universal_data"}), d_spec=3),
+)
+
+
+def test_drop_one_minimality_matches_the_subset_search():
+    # Adding a fence can add a record (see ``_verify_minimal``), so this
+    # asserts upward closure only within each repair's chosen fences.
+    checked = 0
+    for prog in single_thread_programs():
+        for engine, config in itertools.product(("v1", "v4", "psf"),
+                                                MINIMALITY_CONFIGS):
+            plan = rp.repair(prog, engine, config)
+            fences = {(f.func, f.index) for f in plan.fences}
+            if not plan.success or not 1 <= len(fences) <= 6:
+                continue
+            silencing = {
+                subset
+                for k in range(len(fences) + 1)
+                for subset in map(frozenset, itertools.combinations(fences, k))
+                if not lk.analyze(rp.insert_fences(prog, subset), engine,
+                                  config).records
+            }
+            assert all(s | {p} in silencing for s in silencing for p in fences)
+            assert rp._verify_minimal(prog, engine, config, fences) == (
+                oracles.verify_minimal_reference(prog, engine, config, fences)
+            )
+            checked += 1
+    assert checked >= 100
 
 
 def test_psf_stress_repair_succeeds_within_the_default_budget():
