@@ -29,19 +29,19 @@ dependencies, the sites and the silent-store marks are derived as each
 event is emitted, from state carried along the walk; no pass runs over a
 finished structure.
 
-No event and no walking state holds a plan index: a window step names its
-branch by event id, and a register definition is named by its node and the
-window that fetched it.  Where both arms of a branch run through event-less
-steps to one join node, the two forks are merged at the join when what the
-walk below it reads and the arms can change is equal: events, open branches,
-taint, and the definitions of the registers that a node reachable from the
-join reads through an indirect address, a stored value or an AMO pointer.
-Only one fork walks on.  Each structure of its subtree becomes a
-:class:`Graft` for the other fork: a view of that structure with the other
-fork's own plan prefix, whose later plan indices shift by the difference in
-arm length, and whose plan and ``step_of`` are built only when read.  So
-``b`` such diamonds take a walk linear in ``b`` and ``2^b`` views, not
-``2^b`` walks or copies.
+Each event keeps the nodes fetched for it (its own, then the event-less ones
+after it), from which fence slots and bypass windows are read; no event and
+no walking state holds a fetch position: a window step names its branch by
+event id, and a register definition is named by its node and the window that
+fetched it.  Where both arms of a branch run through event-less steps to
+one join node, the two forks are merged at the join when what the walk below
+it reads and the arms can change is equal: events, open branches, taint, and
+the definitions of the registers that a node reachable from the join reads
+through an indirect address, a stored value or an AMO pointer.  Only one
+fork walks on.  Each structure of its subtree becomes a :class:`Graft` for
+the other fork: a view of that structure whose fetched nodes are the other
+fork's up to the join, built only when read.  So ``b`` such diamonds take a
+walk linear in ``b`` and ``2^b`` views, not ``2^b`` walks or copies.
 
 Sites are recorded on the path structure, which then has no branch windows
 (``branch`` does not combine with ``stl`` or ``psf``).  :func:`derive_bypass`
@@ -59,7 +59,6 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple, TypeVar
 
@@ -89,7 +88,7 @@ class Site:
 
 @dataclass(frozen=True)
 class Step:
-    """One fetch in a structure plan: an ACfg node, or a squash marker."""
+    """One fetch of a walk: an ACfg node, or a squash marker."""
 
     node: int | None  # None = transient squash (ran off the program's end)
     committed: bool
@@ -140,9 +139,13 @@ class EventStructure:
     fence_pairs: frozenset[tuple[int, int]]
     sites: tuple[Site, ...]
     merged_aliases: frozenset[frozenset[str]]
-    plans: list[list[Step]] = field(repr=False)  # the fetched steps per thread
+    # Per event: the nodes fetched for it, its own first (None for a
+    # squash), then the event-less ones (ALU, skip, jump) fetched after it up
+    # to its thread's next event; () for the initial writer and the final
+    # observer.  A thread's event-less nodes before its first event are not
+    # kept: no fence slot span starts there.
+    fetched: list[tuple[int | None, ...]] = field(repr=False)
     acfg: ACfg = field(repr=False)
-    step_of: dict[int, int] = field(repr=False)  # eid -> its step in its thread's plan
     # :func:`_windows` for one ``d_spec``, shared by the content key and the
     # bypass derivation: (d_spec, windows).
     window_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -151,12 +154,6 @@ class EventStructure:
     def bottom(self) -> int:
         """The final observer's event id."""
         return len(self.events) - 1
-
-    def slots(self) -> list:
-        """The fence slot of each step of the plan (False: a squash)."""
-        nodes = self.acfg.nodes
-        return [step.node is not None and (nodes[step.node].func, nodes[step.node].index)
-                for step in self.plans[0]]
 
     def describe(self) -> str:
         parts = []
@@ -170,61 +167,21 @@ class Graft(EventStructure):
     """A structure of a merged fork's walk (:func:`_walk_paths`), as a view of
     ``leaf``, the structure the other fork's walk gave in its place.
 
-    It shares the leaf's events, orders, sites and fence pairs.  Its plan is
-    the fork's own plan up to the join, then the leaf's from the join on; its
-    ``step_of`` is the fork's, then the leaf's, with the merging thread's
-    steps shifted by ``offset``, the fork's plan length at the join less the
-    walked fork's.  Both are built on first read.  ``cut`` is the first event
-    id past the join: a span from there on has the leaf's fence slots.
+    It shares the leaf's events, orders, sites and fence pairs.  ``cut`` is
+    the id of the event the join emits: the fork's own ``fetched`` has that
+    many entries, and from there on the leaf's are the graft's, so the graft's
+    ``fetched`` is the two joined, built on first read.
     """
 
-    def __init__(self, leaf: EventStructure, plans: list[list[Step]],
-                 step_of: dict[int, int], cut: int, offset: int) -> None:
+    def __init__(self, leaf: EventStructure, head: list[tuple[int | None, ...]]) -> None:
         self.events, self.po, self.tfo = leaf.events, leaf.po, leaf.tfo
         self.fence_pairs, self.sites = leaf.fence_pairs, leaf.sites
         self.merged_aliases, self.acfg = leaf.merged_aliases, leaf.acfg
-        self.leaf, self.cut, self.offset = leaf, cut, offset
-        self._head = plans, step_of
+        self.leaf, self.cut, self._head = leaf, len(head), head
 
     @cached_property
-    def plans(self) -> list[list[Step]]:  # type: ignore[override]
-        head, _ = self._head
-        thread = len(head) - 1
-        plan, leafs = head[thread], self.leaf.plans
-        return [*head[:thread], plan + leafs[thread][len(plan) - self.offset:],
-                *leafs[thread + 1:]]
-
-    @cached_property
-    def step_of(self) -> dict[int, int]:  # type: ignore[override]
-        plans, head = self._head
-        merging, offset, events = len(plans) - 1, self.offset, self.events
-        out = dict(head)
-        for eid, step in islice(self.leaf.step_of.items(), len(head), None):
-            out[eid] = step + offset if events[eid].thread == merging else step
-        return out
-
-
-class _View(EventStructure):
-    """A bypass view (:func:`derive_bypass`), whose plan and ``step_of``, cut
-    from its base's at steps ``start`` and ``end``, are built on first read
-    (``analyze`` cuts fence slots from the base's)."""
-
-    def __init__(self, base: EventStructure, events: list[Event], tfo: list[int],
-                 read: int, start: int, end: int, exits: bool) -> None:
-        self.events, self.po, self.tfo, self.sites = events, [tfo[: read - 1]], [tfo], ()
-        self.fence_pairs, self.merged_aliases = base.fence_pairs, base.merged_aliases
-        self.acfg, self._cut = base.acfg, (base, start, end, exits)
-
-    @cached_property
-    def plans(self) -> list[list[Step]]:  # type: ignore[override]
-        base, start, end, exits = self._cut
-        plan = base.plans[0]
-        return [plan[:start] + [Step(step.node, False) for step in plan[start:end]]
-                + [Step(None, False)] * exits]
-
-    @cached_property
-    def step_of(self) -> dict[int, int]:  # type: ignore[override]
-        return dict(islice(self._cut[0].step_of.items(), len(self.tfo[0]) - self._cut[3]))
+    def fetched(self) -> list[tuple[int | None, ...]]:  # type: ignore[override]
+        return self._head + self.leaf.fetched[self.cut:]
 
 
 _K = TypeVar("_K")
@@ -289,7 +246,7 @@ def _node_label(node: ANode) -> str:
 
 class _ThreadState:
     """Register taint and reaching definitions while walking one thread's
-    plan.  A definition is named by its node and its step's window (None
+    fetches.  A definition is named by its node and its step's window (None
     when committed): a node is fetched at most once on a committed path and
     at most once in each window, and each window has its own branch, so
     within a thread the name is unique, and no two threads share a node."""
@@ -399,11 +356,10 @@ class _Builder:
         self.maps = _walk_maps(graph)
         self.single = len(graph.roots) == 1
         self.events: list[Event] = [Event(0, "TOP", label="⊤")]
-        self.plans: list[list[Step]] = []
+        self.fetched: list[tuple[int | None, ...]] = [()]
         self.po: list[list[int]] = []
         self.tfo: list[list[int]] = []
         self.sites: tuple[Site, ...] = ()
-        self.step_of: dict[int, int] = {}
         # Value identities of the committed stores so far, per location:
         # silent marks are read from them when the next store is emitted.
         self._stores: dict[str, tuple[tuple, ...]] = {}
@@ -423,10 +379,9 @@ class _Builder:
         new = object.__new__(_Builder)
         new.__dict__.update(self.__dict__)
         new.events = list(self.events)
-        new.plans = [list(plan) for plan in self.plans]
+        new.fetched = list(self.fetched)
         new.po = [list(order) for order in self.po]
         new.tfo = [list(order) for order in self.tfo]
-        new.step_of = dict(self.step_of)
         new._stores = dict(self._stores)
         new._lines = dict(self._lines)
         new.state = self.state.copy()
@@ -434,10 +389,9 @@ class _Builder:
 
     def mergeable(self, other: _Builder, reads: frozenset[str]) -> bool:
         """Whether the walk from here gives the structures that ``other``'s
-        walk from the same join node gives, up to the plan and ``step_of``
-        before that node and the shift of the later plan indices
-        (:meth:`graft`): ``reads`` are the registers whose definition a node
-        reachable from the join reads.
+        walk from the same join node gives, up to the nodes fetched before
+        that node (:meth:`graft`): ``reads`` are the registers whose
+        definition a node reachable from the join reads.
 
         Only what the two arms can set apart is compared.  The arms emit no
         event and a window's events are transient, so ``po`` and the store
@@ -452,14 +406,13 @@ class _Builder:
             and self.events == other.events
         )
 
-    def graft(self, leaf: EventStructure, offset: int) -> Graft:
+    def graft(self, leaf: EventStructure) -> Graft:
         """``leaf``, a structure of the walk from a fork :meth:`mergeable`
         with this builder, as the walk from this builder would give it: a
-        view with this builder's plan and ``step_of`` so far, then ``leaf``'s
-        from the same event id on, ``offset`` plan steps further.  The
-        builder walks no further, so the view holds its containers as they
-        are."""
-        return Graft(leaf, self.plans, self.step_of, len(self.events), offset)
+        view with this builder's ``fetched`` so far, then ``leaf``'s from the
+        event the join emits on.  The builder walks no further, so the view
+        holds its ``fetched`` as it is."""
+        return Graft(leaf, self.fetched)
 
     def location(self, addr: ir.Address, state: _ThreadState) -> tuple[str, bool]:
         if isinstance(addr, ir.Direct):
@@ -473,16 +426,9 @@ class _Builder:
 
     def start_thread(self) -> None:
         self.state = _ThreadState()
-        self.plans.append([])
         self.po.append([])
         self.tfo.append([])
         self._open = ()
-
-    def step(self, step: Step) -> None:
-        """Fetch ``step`` as the next step of the current thread's plan."""
-        plan = self.plans[-1]
-        plan.append(step)
-        self._emit(len(self.plans) - 1, len(plan) - 1, step)
 
     def window(self, steps: list[Step]) -> None:
         """Fetch a branch window's ``steps`` on a copy of the committed
@@ -492,18 +438,20 @@ class _Builder:
             self.step(step)
         self.state = committed
 
-    def _fresh(self, **kw) -> Event:
+    def _fresh(self, fetched: tuple[int | None, ...], **kw) -> Event:
         ev = Event(eid=len(self.events), **kw)
         self.events.append(ev)
+        self.fetched.append(fetched)
         return ev
 
-    def _emit(self, thread: int, step_idx: int, step: Step) -> None:
-        state, window = self.state, step.window
+    def step(self, step: Step) -> None:
+        """Fetch ``step`` as the current thread's next step."""
+        state, window, thread = self.state, step.window, len(self.po) - 1
         ctrl_reads = self._control(step) if self._open else _EMPTY
         if step.node is None:
             ev = self._fresh(
-                kind="SBOT", thread=thread, transient=True, window=window, label="⊥",
-                ctrl_reads=ctrl_reads,
+                (None,), kind="SBOT", thread=thread, transient=True, window=window,
+                label="⊥", ctrl_reads=ctrl_reads,
             )
             self.tfo[-1].append(ev.eid)
             return
@@ -548,9 +496,13 @@ class _Builder:
             pointers = tuple((reg, f"*{reg}@{state.defs.get(reg)}") for reg in op.pointer_args)
             fields = {"addr_reads": state.reads_of(op.pointer_args), "amo_pointers": pointers}
         if kind is None:
-            # Alu, Skip and Jump fetch but produce no event.
+            # Alu, Skip and Jump fetch but produce no event: their node joins
+            # the fetched nodes of the thread's last event, if it has one.
+            if self.tfo[-1]:
+                self.fetched[-1] += (step.node,)
             return
         ev = self._fresh(
+            (step.node,),
             kind=kind,
             thread=thread,
             transient=not step.committed,
@@ -564,7 +516,6 @@ class _Builder:
             self._open += (ev,)
         if self._want_sites and kind in ("R", "W", "F"):
             self._sites_at(ev)
-        self.step_of[ev.eid] = step_idx
         self.tfo[-1].append(ev.eid)
         if step.committed:
             self.po[-1].append(ev.eid)
@@ -613,7 +564,7 @@ class _Builder:
 
     def finish(self) -> EventStructure:
         """The structure of the steps so far; the builder is spent."""
-        self._fresh(kind="BOT", label="⊥")
+        self._fresh((), kind="BOT", label="⊥")
         return EventStructure(
             events=self.events,
             po=self.po,
@@ -621,9 +572,8 @@ class _Builder:
             fence_pairs=self._fence_order() if len(self.po) > 1 else _EMPTY,
             sites=self.sites,
             merged_aliases=self.merged,
-            plans=self.plans,
+            fetched=self.fetched,
             acfg=self.graph,
-            step_of=self.step_of,
         )
 
     def _fence_order(self) -> frozenset[tuple[int, int]]:
@@ -668,45 +618,39 @@ def _walk_paths(
     other fork (:meth:`_Builder.graft`), in order, with one ``tick`` per
     graft.
 
-    The plans may differ in length at the join, by ``offset`` steps; a graft
-    then shifts its leaf's plan indices past the join by ``offset``, in the
-    merging thread only, as each later thread's plan starts at 0.  Nothing
-    the subtree emits depends on that shift, as only ``plans`` and
-    ``step_of`` hold plan indices: a window step names its branch by event
-    id, the same in both forks past the join, and a definition is named by
-    its node and window.  What reads the plan indices of a finished
-    structure moves with them.  A bypass window (:func:`_windows`) runs from
-    its site's index to the next branch or fence or to that index plus
-    ``d_spec``, so it crosses no branch: a window past the join has both ends
-    past it, shifted alike, and one before it ends at the branch, in the
-    prefix both forks share.  Fence slots are cut from each structure's own
-    plan.
+    The arms may fetch different event-less nodes, which join the fetched
+    nodes of the last event before the join.  The join is the first node of
+    the arms that is not event-less, so it emits the next event, or ends the
+    thread, whose next thread keeps no nodes before its first event.  So no
+    event's fetched nodes span the join: a graft's are the other fork's
+    before it and its leaf's from it on.  Nothing the subtree emits depends
+    on the arms, as a window step names its branch by event id, the same in
+    both forks past the join, and a definition is named by its node and
+    window.
     """
     want_windows = "branch" in primitives
     out: list[EventStructure] = []
     first = _Builder(graph, merged, primitives)
     committed, joins = first.maps.committed, first.maps.joins
     first.start_thread()
-    # (builder, node to walk from, None), or (builder, None, (the index in out
-    # of the first structure to graft onto builder, its offset)).
-    stack: list[tuple[_Builder, int | None, tuple[int, int] | None]] = [
-        (first, graph.roots[0], None)]
+    # (builder, node to walk from, None), or (builder, None, the index in out
+    # of the first structure to graft onto builder).
+    stack: list[tuple[_Builder, int | None, int | None]] = [(first, graph.roots[0], None)]
     while stack:
-        builder, node, graft = stack.pop()
-        if graft is not None:
-            graft_from, offset = graft
+        builder, node, graft_from = stack.pop()
+        if graft_from is not None:
             for leaf in out[graft_from:]:
                 tick()
-                out.append(builder.graft(leaf, offset))
+                out.append(builder.graft(leaf))
             continue
         while True:
             tick()
             if node == EXIT:
-                if len(builder.plans) == len(graph.roots):
+                if len(builder.po) == len(graph.roots):
                     out.append(builder.finish())
                     break
                 builder.start_thread()
-                node = graph.roots[len(builder.plans) - 1]
+                node = graph.roots[len(builder.po) - 1]
                 continue
             builder.step(committed[node])
             succs = graph.succ[node]
@@ -731,8 +675,7 @@ def _walk_paths(
                     nxt = graph.succ[nxt][0]
             other, walked = forks
             if other.mergeable(walked, reads):
-                offset = len(other.plans[-1]) - len(walked.plans[-1])
-                stack.append((other, None, (len(out), offset)))
+                stack.append((other, None, len(out)))
             else:
                 stack.append((other, join, None))
             stack.append((walked, join, None))
@@ -780,25 +723,29 @@ def _walk_maps(graph: ACfg) -> _WalkMaps:
     return graph.walk_maps
 
 
-def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, int, tuple]]:
-    """Per site: its window's end step, if that ends the program, the first
-    eid past it (the site's read: no room) and its dedupe key.  Computed
-    once per ``d_spec``: :func:`content_key` and :func:`derive_bypass` both
-    read them."""
+def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, tuple, tuple]]:
+    """Per site: the first eid past its window (the site's read: no room), if
+    the window ends the program, the fetched nodes of its last event that it
+    holds, and its dedupe key.  A window walks the fetched nodes from the
+    site's read: it stops before a branch or fence, whose node is its event's
+    first, or after ``d_spec`` nodes.  Computed once per ``d_spec``:
+    :func:`content_key` and :func:`derive_bypass` both read them."""
     if st.window_memo is not None and st.window_memo[0] == d_spec:
         return st.window_memo[1]
-    plan, order = st.plans[0], st.tfo[0]
-    nodes = tuple(step.node for step in plan)
-    stops = [i for i, node in enumerate(nodes)
-             if isinstance(st.acfg.nodes[node].instr.op, _CLOSERS)] + [len(plan)]
-    step_at = [st.step_of[e] for e in order]  # ascending, as eids are
+    fetched, nodes, bottom = st.fetched, st.acfg.nodes, st.bottom
     windows = []
     for site in st.sites:
-        start = st.step_of[site.read]
-        end = min(stops[bisect_left(stops, start)], start + d_spec)
-        exits = end == len(plan)
-        key = (nodes[:end] + (None,) * exits, site.kind, nodes[start], st.merged_aliases)
-        windows.append((end, exits, bisect_left(step_at, end) + 1, key))
+        stop, room = site.read, d_spec
+        while (stop < bottom and room > 0
+               and not isinstance(nodes[fetched[stop][0]].instr.op, _CLOSERS)):
+            room -= len(fetched[stop])
+            stop += 1
+        # Below zero, ``room`` counts the last event's nodes past the window.
+        last = fetched[stop - 1][:room] if room < 0 else fetched[stop - 1]
+        exits = stop == bottom and room >= 0
+        key = (tuple(fetched[1 : stop - 1]) + (last,), exits, site.kind,
+               st.events[site.read].node_id, st.merged_aliases)
+        windows.append((stop, exits, last, key))
     st.window_memo = d_spec, windows
     return windows
 
@@ -849,12 +796,13 @@ _node_id = attrgetter("node_id")
 
 
 def content_key(st: EventStructure, d_spec: int, seen: set) -> tuple[tuple, list]:
-    """What ``st``'s records are computed from, but its plan (which places fence
-    slots), with each site's view cut and if ``seen`` holds it; its views' keys."""
+    """What ``st``'s records are computed from, but its fetched nodes (which
+    place fence slots), with each site's view cut and if ``seen`` holds it;
+    its views' keys."""
     windows = _windows(st, d_spec) if st.sites else []
     key = (_ByValue((st.events, st.po, st.tfo)), st.fence_pairs, st.sites, st.merged_aliases,
-           tuple((stop, exits, view in seen) for _, exits, stop, view in windows))
-    return key, [view for site, (*_, stop, view) in zip(st.sites, windows) if stop != site.read]
+           tuple((stop, exits, view in seen) for stop, exits, _, view in windows))
+    return key, [view for site, (stop, *_, view) in zip(st.sites, windows) if stop != site.read]
 
 
 def graft_key(st: Graft, leaf_key: tuple) -> tuple:
@@ -864,8 +812,8 @@ def graft_key(st: Graft, leaf_key: tuple) -> tuple:
     They can differ only in which views are marked seen.  A site before the
     join has the same window in ``st`` as in its leaf, as no window crosses
     the branch, and the leaf saw it first: in ``st`` each such view with room
-    is seen.  A view past the join names ``st``'s own plan, which only the
-    grafts of its batch share, as their leaves share theirs, so ``st`` sees
+    is seen.  A view past the join names ``st``'s own fetched nodes, which only
+    the grafts of its batch share, as their leaves share theirs, so ``st`` sees
     it as its leaf did.  So grafts need not add their views' keys to the
     seen set: the keys differ only for the first graft of a batch, whose
     leaf is the first structure past the join and has seen none of its
@@ -892,16 +840,16 @@ def derive_bypass(
     fence or branch or at the speculation depth (with a squash marker if the
     program's end is reached first).  None when the depth budget leaves no
     room for the re-run, or when ``seen`` already holds the bypass's key:
-    its plan's nodes, the site's kind and node, the alias resolution.
+    the nodes fetched up to the window's end, the site's kind and node, the
+    alias resolution.
 
     A structure with sites fetched committed steps only, so each derived
     structure is a view over ``st`` and no builder runs.  It shares ``st``'s
     own prefix events and keeps every event id (the site's and its stale
     sources' included); its suffix events are transient twins of ``st``'s,
     made once and shared by overlapping windows, each with its original's
-    dependencies; its orders, plan and ``step_of`` are ``st``'s, cut at the
-    window's end, the last two on first read (:class:`_View`).  ``tick``
-    runs once per site.
+    dependencies; its orders and fetched nodes are ``st``'s, cut at the
+    window's end.  ``tick`` runs once per site.
     """
     if not st.sites:
         return []
@@ -910,20 +858,22 @@ def derive_bypass(
     twins: list[Event | None] = [None] * st.bottom
     squash = Event(st.bottom, "SBOT", transient=True, label="⊥")
     out: list[EventStructure | None] = []
-    for site, (end, exits, stop_eid, key) in zip(st.sites, _windows(st, d_spec)):
+    for site, (stop, exits, last, key) in zip(st.sites, _windows(st, d_spec)):
         tick()
-        if stop_eid == site.read or key in seen:
+        if stop == site.read or key in seen:
             out.append(None)
             continue
         seen.add(key)
-        for e in range(site.read, stop_eid):
+        for e in range(site.read, stop):
             if twins[e] is None:  # every field in order, transient and never silent
                 ev = st.events[e]
                 twins[e] = Event(ev.eid, ev.kind, ev.thread, True, ev.node_id, ev.location, ev.gep,
                                  ev.fence, ev.window, ev.cond_reads, ev.addr_reads, ev.value_reads,
                                  ev.ctrl_reads, ev.amo_pointers, False, False, ev.label)
-        events = st.events[: site.read] + twins[site.read : stop_eid]
+        events = st.events[: site.read] + twins[site.read : stop]
         events += [squash] * exits + [Event(len(events) + exits, "BOT", label="⊥")]
-        out.append(_View(st, events, order[: stop_eid - 1] + [squash.eid] * exits,
-                         site.read, st.step_of[site.read], end, exits))
+        fetched = st.fetched[: stop - 1] + [last] + [(None,)] * exits + [()]
+        out.append(EventStructure(
+            events, [order[: site.read - 1]], [order[: stop - 1] + [squash.eid] * exits],
+            st.fence_pairs, (), st.merged_aliases, fetched, st.acfg))
     return out

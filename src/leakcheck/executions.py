@@ -481,7 +481,7 @@ def iter_candidates(
             for subset in _nonempty_subsets(silent) if silent else ():
                 tick()
                 yield from _make_candidates(st, amo, access, arch, ({}, {}), fetched, subset)
-        for site, view, (_, _, stop, _) in zip(
+        for site, view, (stop, *_) in zip(
                 st.sites, derived, ev_mod._windows(st, d_spec) if derived else ()):
             if view is not None:
                 yield from _view_candidates(view, site, stop, canonical, tick)

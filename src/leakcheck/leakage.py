@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from . import cfg as cfg_mod
 from . import events as ev_mod
@@ -423,11 +424,15 @@ def _span(cand: Candidate, w: LeakWitness, t: Transmitter) -> tuple[int, int] | 
     return prim, min(chain)
 
 
-def _fence_points(st: EventStructure, span: tuple | None, slots: list | None) -> frozenset | None:
-    """The ``slots`` of ``st``'s plan past ``span``'s primitive, up to its end."""
+def _fence_points(st: EventStructure, span: tuple | None) -> frozenset | None:
+    """The fence slots of the nodes ``st`` fetched after ``span``'s
+    primitive, up to its end's own node (a squash has none)."""
     if span is None:
         return None
-    return frozenset(slots[st.step_of[span[0]] + 1 : st.step_of[span[1]] + 1]) - {False}
+    prim, end = span
+    fetched, nodes = st.fetched, st.acfg.nodes
+    run = chain(fetched[prim][1:], *fetched[prim + 1 : end], fetched[end][:1])
+    return frozenset((nodes[n].func, nodes[n].index) for n in run if n is not None)
 
 
 # --------------------------------------------------------------------------
@@ -488,7 +493,7 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
         count, found, drawn = done
         report.candidates += count
         reuse = leaf_points if done is leaf_done else None
-        slots, points = None, []
+        points = []
         for i, (rec, span) in enumerate(found):
             if reuse is not None and (span is None or span[0] >= st.cut):
                 # A graft replaying its leaf's pass: a span past the join has
@@ -496,9 +501,7 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
                 points.append(reuse[i])
                 continue
             seen.add(rec)
-            if slots is None and span is not None:
-                slots = st.slots()
-            pts = _fence_points(st, span, slots)
+            pts = _fence_points(st, span)
             points.append(pts)
             if pts:
                 report.elements.append(RepairElement(pts, rec))

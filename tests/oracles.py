@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import replace
 
 from leakcheck import cfg, events, ir
@@ -316,6 +317,11 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
     :func:`control_deps_reference`, :func:`sites_reference`).  The plans name
     each window's branch by plan index, the builder by event id: each window
     is mapped as it is fed, as one block.
+
+    Each structure keeps its plans (one per thread) as ``plans``, and each
+    event's step in its thread's plan, read as it is fed, as ``step_of``:
+    the plan-based references (:func:`fence_points_reference`,
+    :func:`windows_reference`, :func:`fetched_reference`) read them.
     """
     regions = branch_regions_reference(graph)
     subsets = alias_subsets_reference(graph.program.aliases)
@@ -333,17 +339,27 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
     for merged in subsets:
         for plan_combo in combos:
             builder = events._Builder(graph, merged, primitives)
+            step_of = {}
             for plan in plan_combo:
                 builder.start_thread()
                 eid_at = {}
                 for idx, group in itertools.groupby(enumerate(plan), lambda s: s[1].window):
                     if idx is None:
                         for i, step in group:
+                            fed = len(builder.events)
                             builder.step(step)
                             eid_at[i] = len(builder.events) - 1
+                            if len(builder.events) > fed:
+                                step_of[fed] = i
                     else:
+                        fed, group = len(builder.events), list(group)
                         builder.window([replace(step, window=eid_at[idx]) for _, step in group])
+                        # A window fetches each node (and the squash) once.
+                        at = {step.node: i for i, step in group}
+                        for ev in builder.events[fed:]:
+                            step_of[ev.eid] = at[ev.node_id]
             st = builder.finish()
+            st.plans, st.step_of = plan_combo, step_of
             silent_marks_reference(st)
             set_ctrl_reads(st, control_deps_reference(st, regions))
             st.sites = sites_reference(st, primitives)
@@ -436,7 +452,7 @@ def sites_reference(st, primitives) -> tuple:
     """
     want_stl = "stl" in primitives
     want_psf = "psf" in primitives
-    if len(st.plans) != 1 or not (want_stl or want_psf):
+    if len(st.po) != 1 or not (want_stl or want_psf):
         return ()
     order = st.tfo[0]
     committed = st.po[0]
@@ -502,7 +518,9 @@ def derive_bypass_reference(st, site, regions, d_spec: int = 250):
     fence or branch or at the speculation depth (with a squash marker if the
     program's end is reached first).  None when the depth budget leaves no
     room for the re-run at all.  ``regions`` are the branch regions of
-    ``st.acfg``.
+    ``st.acfg``.  ``st`` is a structure of
+    :func:`enumerate_event_structures_reference`, and the derived structure
+    keeps its plan and ``step_of`` as those do.
     """
     assert len(st.plans) == 1
     plan = st.plans[0]
@@ -530,11 +548,16 @@ def derive_bypass_reference(st, site, regions, d_spec: int = 250):
         return None
     builder = events._Builder(st.acfg, st.merged_aliases, frozenset())
     builder.start_thread()
-    for step in prefix + suffix:
+    step_of = {}
+    for i, step in enumerate(prefix + suffix):
+        fed = len(builder.events)
         builder.step(step)
+        if len(builder.events) > fed:
+            step_of[fed] = i
     derived = builder.finish()
     set_ctrl_reads(derived, control_deps_reference(derived, regions))
     derived.sites = sites_reference(derived, frozenset())
+    derived.plans, derived.step_of = [prefix + suffix], step_of
     return derived
 
 
@@ -558,7 +581,7 @@ def derive_bypass_builder(st, d_spec: int = 250, tick=events.no_deadline):
     suffix is the window the site's node would open.  When
     ``st`` fetched committed steps only, every derived structure keeps its
     prefix's event ids, stale sources included.  ``tick`` runs once per
-    site.
+    site.  ``st`` is a structure of :func:`enumerate_event_structures_reference`.
     """
     if not st.sites:
         return []
@@ -585,6 +608,67 @@ def derive_bypass_builder(st, d_spec: int = 250, tick=events.no_deadline):
     return out
 
 
+def fetched_reference(st) -> list[tuple]:
+    """Each event's fetched nodes, read off the plans and ``step_of`` of
+    ``st``, a structure of :func:`enumerate_event_structures_reference`: an
+    event's step starts its entry, and each later step of its thread with
+    no event joins it.  Steps of a thread before its first event join none.
+    """
+    out: list[tuple] = [()] * len(st.events)
+    eid_at = {(st.events[eid].thread, idx): eid for eid, idx in st.step_of.items()}
+    for thread, plan in enumerate(st.plans):
+        current = None
+        for idx, step in enumerate(plan):
+            eid = eid_at.get((thread, idx))
+            if eid is not None:
+                current, out[eid] = eid, (step.node,)
+            elif current is not None:
+                out[current] += (step.node,)
+    return out
+
+
+def slots_reference(st) -> list:
+    """``EventStructure.slots``, which the per-event fetched nodes replaced,
+    kept verbatim: the fence slot of each step of ``st``'s plan (False: a
+    squash).  ``st`` is as for :func:`fetched_reference`."""
+    nodes = st.acfg.nodes
+    return [step.node is not None and (nodes[step.node].func, nodes[step.node].index)
+            for step in st.plans[0]]
+
+
+def fence_points_reference(st, span, slots):
+    """The plan slice that ``leakage._fence_points`` replaced with a walk of
+    each event's fetched nodes, kept verbatim: the ``slots``
+    (:func:`slots_reference`) of ``st``'s plan past ``span``'s primitive, up
+    to its end."""
+    if span is None:
+        return None
+    return frozenset(slots[st.step_of[span[0]] + 1 : st.step_of[span[1]] + 1]) - {False}
+
+
+def windows_reference(st, d_spec: int) -> list[tuple]:
+    """The plan-based ``events._windows`` that a walk of each event's fetched
+    nodes replaced, kept verbatim but for its memo.  ``st`` is as for
+    :func:`fetched_reference`.
+
+    Per site: its window's end step, if that ends the program, the first
+    eid past it (the site's read: no room) and its dedupe key.
+    """
+    plan, order = st.plans[0], st.tfo[0]
+    nodes = tuple(step.node for step in plan)
+    stops = [i for i, node in enumerate(nodes)
+             if isinstance(st.acfg.nodes[node].instr.op, events._CLOSERS)] + [len(plan)]
+    step_at = [st.step_of[e] for e in order]  # ascending, as eids are
+    windows = []
+    for site in st.sites:
+        start = st.step_of[site.read]
+        end = min(stops[bisect_left(stops, start)], start + d_spec)
+        exits = end == len(plan)
+        key = (nodes[:end] + (None,) * exits, site.kind, nodes[start], st.merged_aliases)
+        windows.append((end, exits, bisect_left(step_at, end) + 1, key))
+    return windows
+
+
 # --------------------------------------------------------------------------
 # analysis
 
@@ -594,8 +678,11 @@ def analyze_reference(prog, engine, config, graph=None):
     once replaced: one pass over every candidate of every structure.
 
     Kept as it was but for ``findings``, which now gives each record's span
-    rather than its fence slots: the slots are cut here from the
-    candidate's structure, whose plan is its base's up to its window's end.
+    rather than its fence slots, and for the structures, which come from
+    :func:`enumerate_event_structures_reference` with their plans: the slots
+    are cut here from the plan of the structure each candidate came from
+    (:func:`fence_points_reference`), which a bypass view's equals up to its
+    window's end.
     """
     graph = graph or cfg.build_acfg(prog)
     if engine == "all":
@@ -610,20 +697,26 @@ def analyze_reference(prog, engine, config, graph=None):
             merged.candidates += rep.candidates
         merged.records = sorted(set(merged.records), key=lk.record_sort_key)
         return merged
-    structures = events.enumerate_event_structures(
-        graph, frozenset({lk._PRIMITIVES[engine]}), config.d_spec, tick=config.tick
+    structures = enumerate_event_structures_reference(
+        graph, frozenset({lk._PRIMITIVES[engine]}), config.d_spec
     )
-    cands = ex.enumerate_candidates(
-        structures,
-        silent_stores=config.silent_stores,
-        d_spec=config.d_spec,
-        tick=config.tick,
-    )
+    seen_bypass: set = set()
+    cands = [
+        (st, cand)
+        for st in structures
+        for cand in ex.iter_candidates(
+            [st],
+            silent_stores=config.silent_stores,
+            d_spec=config.d_spec,
+            tick=config.tick,
+            seen=seen_bypass,
+        )
+    ]
     report = lk.Report(engine=engine, records=[], elements=[], unrepairable=[],
                        structures=len(structures), candidates=len(cands))
     seen = set()
     shared = None
-    for cand in cands:
+    for st, cand in cands:
         config.tick()
         if shared is None or shared.current is not cand.st:
             shared = lk._Shared(cand.st)  # the last structure's memos go
@@ -641,12 +734,12 @@ def analyze_reference(prog, engine, config, graph=None):
             continue
         else:
             witnesses = [replace(w, cand=cand) for w in shared.witnesses[id(cand.base)]]
-        slots = cand.st.slots()
+        slots = slots_reference(st)
         for w in witnesses:
             found = lk.findings(cand, w, engine, config, shared)
             for rec, span in found:
                 seen.add(rec)
-                points = lk._fence_points(cand.st, span, slots)
+                points = fence_points_reference(st, span, slots)
                 if points:
                     report.elements.append(lk.RepairElement(points, rec))
                 else:

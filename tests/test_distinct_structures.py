@@ -3,11 +3,11 @@
 Structures whose paths differ only in event-less steps (ALU, skip, jump)
 have equal content (``events.content_key``): the first of them runs
 candidates, leak detection and classification, and each later one replays
-its records, with fence slots on its own plan, and its witness graphs.  The
-reference is the loop this replaced, one pass over every candidate of every
-structure (``oracles.analyze_reference``).  Both must give the same
-records, repair elements (points and order), unrepairable records, witness
-graphs and structure and candidate counts.
+its records, with fence slots from its own fetched nodes, and its witness
+graphs.  The reference is the loop this replaced, one pass over every
+candidate of every structure (``oracles.analyze_reference``).  Both must
+give the same records, repair elements (points and order), unrepairable
+records, witness graphs and structure and candidate counts.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ CONFIGS = (
 )
 
 # Diamonds with ALU-only arms of unequal length around stl/psf blocks.
-# Before a site, the two paths have equal content but different plans, so
-# both derive the site's view and their fence slots differ.  After a site,
-# the two paths share the view's plan up to the window's end, so only the
-# first derives it: their events are equal, their content keys are not.
+# Before a site, the two paths have equal content but different fetched
+# nodes, so both derive the site's view and their fence slots differ.  After
+# a site, the two paths fetch the view's nodes alike up to the window's end,
+# so only the first derives it: their events are equal, their content keys
+# are not.
 GUARDED_BLOCKS = (
     "r7 <-0\nr8 <-0\na: R g ->r1\nBEQZ r1, j1\nr7 <-r7+1\nr7 <-r7+2\nj1: skip\n"
     "b: R i ->r2\nr3 <-r2&15\nw: W T+r3 <-r2\nr8 <-r8+1\nrd: R T+r3 ->r4\n"

@@ -460,8 +460,9 @@ def test_psf_stress_analysis_peaks_under_32_mib():
 
 def test_sequential_diamonds_analysis_peaks_under_24_mib():
     # 16384 structures, all but one grafts: views that share their leaf's
-    # events and build no plan or step_of of their own.  Grafts that copied
-    # both peaked at 34 MiB under v1; unmerged walks at 78 MiB under v4.
+    # events and build no fetched nodes of their own unless read.  Grafts
+    # that copied their plans peaked at 34 MiB under v1; unmerged walks at
+    # 78 MiB under v4.
     from leakcheck import leakage as lk
 
     prog = ir.parse(oracles.sequential_diamonds(14))

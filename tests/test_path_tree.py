@@ -14,6 +14,10 @@ emitted; both references set them by the post-passes that did so before
 Where the walk merges two forks at a join and grafts the structures of one
 onto the other, the reference still builds each path on its own
 (``oracles.random_joins`` is the family that meets each refusal).
+Each event's fetched nodes, and the fence points and bypass windows read
+from them, are checked against the plans the reference keeps
+(``oracles.fetched_reference``, ``oracles.fence_points_reference``,
+``oracles.windows_reference``).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import pytest
 from conftest import CORPUS
 from leakcheck import cfg, ir
 from leakcheck import events as ev
+from leakcheck import leakage as lk
 
 PRIMITIVES = (
     frozenset(),
@@ -44,15 +49,16 @@ FIELDS = tuple(f.name for f in dataclasses.fields(ev.EventStructure) if f.compar
 def assert_same_structure(got: ev.EventStructure, want: ev.EventStructure):
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), name
-    # ``derive_bypass`` cuts ``step_of`` by position, so it must be in eid order.
-    assert list(got.step_of) == sorted(got.step_of)
+    assert len(got.fetched) == len(got.events)
 
 
-def assert_views_match_builder(st: ev.EventStructure, d_spec: int) -> None:
+def assert_views_match_builder(st: ev.EventStructure, ref: ev.EventStructure,
+                               d_spec: int) -> None:
     """``derive_bypass``'s views over ``st`` against the builder derivation
-    they replaced: every field equal, the prefix events ``st``'s own."""
+    they replaced, run on ``ref``, the reference's structure of ``st``'s
+    path: every field equal, the prefix events ``st``'s own."""
     views = ev.derive_bypass(st, d_spec)
-    built = oracles.derive_bypass_builder(st, d_spec)
+    built = oracles.derive_bypass_builder(ref, d_spec)
     assert len(views) == len(built) == len(st.sites)
     for site, view, want in zip(st.sites, views, built):
         assert (view is None) == (want is None)
@@ -63,6 +69,32 @@ def assert_views_match_builder(st: ev.EventStructure, d_spec: int) -> None:
             assert all(a is b for a, b in zip(view.events[: site.read], st.events))
 
 
+def assert_fence_points_match_reference(st: ev.EventStructure, ref: ev.EventStructure):
+    """``_fence_points`` against the plan slice it replaced, on every span
+    from a branch or a site's read to a later event of thread 0."""
+    slots = oracles.slots_reference(ref)
+    reads = {site.read for site in st.sites}
+    thread0 = [e for e in ref.step_of if st.events[e].thread == 0]
+    for i, prim in enumerate(thread0):
+        if prim in reads or st.events[prim].kind == "BR":
+            for end in thread0[i + 1 :]:
+                span = prim, end
+                assert lk._fence_points(st, span) == oracles.fence_points_reference(
+                    ref, span, slots), span
+
+
+def assert_windows_match_reference(st, ref, d_spec: int, keys: dict) -> None:
+    """``_windows`` against the plan-based one it replaced: the same first
+    eid past each window and the same ``exits``.  ``keys`` maps each key to
+    the other's, over the structures of one walk, so a key that meets two
+    of the other's fails: both partition the windows alike."""
+    got, want = ev._windows(st, d_spec), oracles.windows_reference(ref, d_spec)
+    assert [w[:2] for w in got] == [(stop, exits) for _, exits, stop, _ in want]
+    for (*_, mine), (*_, theirs) in zip(got, want):
+        assert keys.setdefault(("new", mine), theirs) == theirs
+        assert keys.setdefault(("old", theirs), mine) == mine
+
+
 def assert_walk_matches_reference(src: str, d_spec: int = 8) -> None:
     graph = cfg.build_acfg(ir.parse(src))
     regions = oracles.branch_regions_reference(graph)
@@ -70,9 +102,14 @@ def assert_walk_matches_reference(src: str, d_spec: int = 8) -> None:
         got = ev.enumerate_event_structures(graph, prims, d_spec)
         want = oracles.enumerate_event_structures_reference(graph, prims, d_spec)
         assert len(got) == len(want)
+        keys: dict = {}
         for st, ref in zip(got, want):
             assert_same_structure(st, ref)
-            assert_views_match_builder(st, d_spec)
+            assert st.fetched == oracles.fetched_reference(ref)
+            assert_fence_points_match_reference(st, ref)
+            if st.sites:  # a structure with branch windows has none
+                assert_windows_match_reference(st, ref, d_spec, keys)
+            assert_views_match_builder(st, ref, d_spec)
             derived_all = ev.derive_bypass(st, d_spec)
             for site, derived in zip(st.sites, derived_all):
                 expected = oracles.derive_bypass_reference(ref, site, regions, d_spec)
@@ -80,6 +117,7 @@ def assert_walk_matches_reference(src: str, d_spec: int = 8) -> None:
                 if expected is not None:
                     oracles.silent_marks_reference(expected)
                     assert_same_structure(derived, expected)
+                    assert derived.fetched == oracles.fetched_reference(expected)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +178,7 @@ def test_merged_diamonds_match_reference(monkeypatch):
         assert self._unfenced == other._unfenced
         assert self.tfo == other.tfo or self.events != other.events
         verdict = mergeable(self, other, reads)
-        unequal = len(self.plans[-1]) != len(other.plans[-1])
+        unequal = sum(map(len, self.fetched)) != sum(map(len, other.fetched))
         key = (self.primitives, verdict, unequal)
         verdicts[key] = verdicts.get(key, 0) + 1
         return verdict
@@ -185,6 +223,54 @@ def test_walk_steps_grow_linearly_with_sequential_diamonds(monkeypatch):
                 assert len(ev.enumerate_event_structures(graph, frozenset(prims))) == 2**n
                 counts.append(calls[0])
             assert counts[2] - counts[1] == counts[1] - counts[0] < 100, (prims, tail)
+
+
+def test_grafts_take_their_fork_head_and_their_leafs_entries():
+    """A graft's fetched nodes are its fork's up to the event the join emits
+    (``cut``), as on the reference's path, then its leaf's own entries: no
+    entry spans the join, which is the arms' first node with an event."""
+    sources = [oracles.sequential_diamonds(6)] + [
+        oracles.random_joins(random.Random(seed), threads=threads)
+        for seed in range(9400, 9440) for threads in (0, 2)]
+    grafts = 0
+    for src in sources:
+        graph = cfg.build_acfg(ir.parse(src))
+        for prims in PRIMITIVES:
+            got = ev.enumerate_event_structures(graph, prims, 3)
+            want = oracles.enumerate_event_structures_reference(graph, prims, 3)
+            for st, ref in zip(got, want):
+                if not isinstance(st, ev.Graft):
+                    continue
+                grafts += 1
+                leafs = st.leaf.fetched
+                assert len(st.fetched) == len(leafs)
+                assert all(a is b for a, b in zip(st.fetched[st.cut:], leafs[st.cut:]))
+                assert st.fetched[: st.cut] == oracles.fetched_reference(ref)[: st.cut]
+    assert grafts > 500
+
+
+def test_join_at_a_threads_exit_keeps_no_leading_steps_of_the_next():
+    """Thread t0's arms run to its end, so the join is the exit and t1's
+    first event is the graft's ``cut``.  t1's event-less steps before that
+    event are kept nowhere: not with t0's last event, nor with the initial
+    writer."""
+    src = ("thread t0:\nR x ->r1\nr2 <-0\nBEQZ r1, end\nr2 <-1\nr2 <-2\nend: skip\n"
+           "thread t1:\nr3 <-0\nr3 <-r3+1\nW y <-r3\nr3 <-r3+2\n")
+    graph = cfg.build_acfg(ir.parse(src))
+    leading = [graph.roots[1], graph.succ[graph.roots[1]][0]]
+    assert all(isinstance(graph.nodes[n].instr.op, ir.Alu) for n in leading)
+    for prims in (frozenset(), frozenset({"branch"})):
+        got = ev.enumerate_event_structures(graph, prims)
+        want = oracles.enumerate_event_structures_reference(graph, prims)
+        assert [type(st) for st in got] == [ev.EventStructure, ev.Graft]
+        for st, ref in zip(got, want):
+            write = next(e.eid for e in st.events if e.thread == 1 and e.kind == "W")
+            assert st.fetched == oracles.fetched_reference(ref)
+            assert st.fetched[0] == st.fetched[-1] == ()
+            assert st.fetched[write][0] == st.events[write].node_id
+            assert not set(leading) & {n for run in st.fetched for n in run}
+        assert got[1].cut == write
+        assert got[1].fetched[: write] != got[0].fetched[: write]
 
 
 def branching_threads(rng: random.Random) -> str:
@@ -245,11 +331,12 @@ def psf_blocks(blocks: int) -> str:
 def test_psf_blocks_views_match_builder():
     graph = cfg.build_acfg(ir.parse(psf_blocks(7)))
     for prims in (frozenset({"stl"}), frozenset({"psf"})):
-        for st in ev.enumerate_event_structures(graph, prims, 25):
+        for st, ref in zip(ev.enumerate_event_structures(graph, prims, 25),
+                           oracles.enumerate_event_structures_reference(graph, prims, 25)):
             # A structure's windows are kept per depth: views of one depth
             # after those of another are cut at their own depth's ends.
             for d_spec in (25, 3):
-                assert_views_match_builder(st, d_spec)
+                assert_views_match_builder(st, ref, d_spec)
 
 
 def test_derive_bypass_runs_no_builder_and_twins_each_event_once(monkeypatch):

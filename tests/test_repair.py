@@ -403,10 +403,10 @@ def emitted_with_repeats(prog: ir.Program, engine: str, config: lk.EngineConfig)
         structures, silent_stores=config.silent_stores, d_spec=config.d_spec
     ):
         if shared is None or shared.current is not cand.st:
-            shared, slots = lk._Shared(cand.st), cand.st.slots()
+            shared = lk._Shared(cand.st)
         for w in lk.detect_leaks(cand, probe=config.probe):
             for rec, span in lk.findings(cand, w, engine, config, shared):
-                points = lk._fence_points(cand.st, span, slots)
+                points = lk._fence_points(cand.st, span)
                 if points:
                     out.append(lk.RepairElement(points, rec))
     return out

@@ -47,7 +47,6 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
             seen=seen_bypass,
         )]
     for first, cand in candidates:
-        slots = cand.st.slots()
         for w in lk.detect_leaks(cand, probe=config.probe):
             fresh = lk._Shared(cand.st)  # nothing from earlier witnesses
             kept = [
@@ -64,7 +63,7 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
                 transmitters.append(classified)
             for rec, span in lk.findings(cand, w, engine, config, fresh):
                 seen.add(rec)
-                points = lk._fence_points(cand.st, span, slots)
+                points = lk._fence_points(cand.st, span)
                 if points:
                     report.elements.append(lk.RepairElement(points, rec))
                 else:
