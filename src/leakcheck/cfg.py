@@ -80,8 +80,8 @@ class ACfg:
     succ: list[list[int]]  # EXIT marks function/thread exit
     roots: list[int]
     program: ir.Program
-    # What every event-structure walk of the graph reads (branch regions,
-    # joins, committed steps, labels: ``events._WalkMaps``), made by the first.
+    # What every event-structure walk of the graph reads (regions, joins,
+    # steps, decoded instructions: ``events._WalkMaps``), made by the first.
     walk_maps: tuple | None = field(default=None, repr=False, compare=False)
 
 

@@ -29,6 +29,10 @@ dependencies, the sites and the silent-store marks are derived as each
 event is emitted, from state carried along the walk; no pass runs over a
 finished structure.
 
+Each node's instruction is decoded once per graph, on its first walk, into a
+flat record (:class:`_Op`) that each fetch of it reads; its location is
+resolved under an alias choice once per walk.
+
 Each event keeps the nodes fetched for it (its own, then the event-less ones
 after it), from which fence slots and bypass windows are read; no event and
 no walking state holds a fetch position: a window step names its branch by
@@ -86,8 +90,7 @@ class Site:
     sources: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One fetch of a walk: an ACfg node, or a squash marker."""
 
     node: int | None  # None = transient squash (ran off the program's end)
@@ -213,20 +216,17 @@ def _alias_subsets(aliases: list[tuple[str, str]]) -> Iterator[frozenset[frozens
         yield frozenset(pair for j, pair in enumerate(pairs) if i >> j & 1)
 
 
-# The instructions a transient window stops before.
-_CLOSERS = (ir.BranchEqZero, ir.Fence, ir.Protect)
-
-
 def _window_steps(
     graph: ACfg, branch: int | None, start: int, d_spec: int
 ) -> list[Step]:
     """Transiently fetch the untaken arm from ``start`` of the branch with
     event id ``branch``.  Stops before a branch or fence, at the depth
     budget, or with a squash marker at the program's end."""
+    ops = _walk_maps(graph).ops
     steps: list[Step] = []
     cur = start
     while cur != EXIT and len(steps) < d_spec:
-        if isinstance(graph.nodes[cur].instr.op, _CLOSERS):
+        if ops[cur].closes:
             return steps
         steps.append(Step(cur, False, branch))
         cur = graph.succ[cur][0]
@@ -242,6 +242,50 @@ def _node_label(node: ANode) -> str:
     if node.copy and any(c != 1 for c in node.copy):
         base += "~" + ".".join(str(c) for c in node.copy)
     return base
+
+
+class _Op(NamedTuple):
+    """One ACfg node's instruction as each fetch of it reads it (:func:`_decode`)."""
+
+    kind: str | None  # its events' kind, "ALU", or None: no event and no definition
+    label: str  # its events' label
+    closes: bool  # a branch or fence: a transient window stops before it
+    loc: str | None = None  # R/W: a direct or indexed location, before alias resolution
+    gep: bool = False  # R/W: the address is register-indexed
+    ptr: str | None = None  # R/W: the pointer register of an indirect address
+    addr_regs: tuple[str, ...] = ()  # R/W: the address's registers; AMO: its pointers
+    dest: str | None = None  # R, ALU: the register defined
+    regs: tuple[str, ...] = ()  # W: the value's registers; ALU: the expression's; BR: the condition
+    text: str = ""  # W: the stored value's text
+    fence: str | None = None  # F: "full" | "lfence"
+
+
+def _decode(node: ANode) -> _Op:
+    """``node``'s instruction, decoded once per graph (:func:`_walk_maps`)."""
+    op, label = node.instr.op, _node_label(node)
+    if isinstance(op, ir.Alu):
+        return _Op("ALU", label, False, None, False, None, (), op.dest, op.expr.regs)
+    if isinstance(op, (ir.Load, ir.Store)):
+        addr, loc, gep, ptr, regs = op.addr, None, False, None, ()
+        if isinstance(addr, ir.Direct):
+            loc = addr.loc
+        elif isinstance(addr, ir.Indirect):
+            ptr, regs = addr.reg, (addr.reg,)
+        elif isinstance(addr.index, int):
+            loc = f"{addr.base}.{addr.index}"
+        else:
+            loc, gep, regs = addr.base, True, (addr.index,)
+        if isinstance(op, ir.Load):
+            return _Op("R", label, False, loc, gep, ptr, regs, op.dest)
+        return _Op("W", label, False, loc, gep, ptr, regs, None, op.value.regs, op.value.text)
+    if isinstance(op, ir.BranchEqZero):
+        return _Op("BR", label, True, None, False, None, (), None, (op.cond,))
+    if isinstance(op, (ir.Fence, ir.Protect)):
+        fence = op.kind if isinstance(op, ir.Fence) else "lfence"
+        return _Op("F", label, True, None, False, None, (), None, (), "", fence)
+    if isinstance(op, acfg_mod.AbstractMemOp):
+        return _Op("AMO", label, False, None, False, None, op.pointer_args)
+    return _Op(None, label, False)  # skip, jump
 
 
 class _ThreadState:
@@ -351,9 +395,11 @@ class _Builder:
     ) -> None:
         self.graph = graph
         self.merged = merged
-        self.uf = _make_union_find(merged)
         self.primitives = primitives
         self.maps = _walk_maps(graph)
+        # Per node: its direct or indexed location under ``merged``, or None.
+        uf = _make_union_find(merged)
+        self.locs = [op.loc and _uf_find(uf, op.loc) for op in self.maps.ops]
         self.single = len(graph.roots) == 1
         self.events: list[Event] = [Event(0, "TOP", label="⊤")]
         self.fetched: list[tuple[int | None, ...]] = [()]
@@ -376,7 +422,7 @@ class _Builder:
         self._open: tuple[Event, ...] = ()
 
     def fork(self) -> _Builder:
-        new = object.__new__(_Builder)
+        new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.events = list(self.events)
         new.fetched = list(self.fetched)
@@ -414,16 +460,6 @@ class _Builder:
         holds its ``fetched`` as it is."""
         return Graft(leaf, self.fetched)
 
-    def location(self, addr: ir.Address, state: _ThreadState) -> tuple[str, bool]:
-        if isinstance(addr, ir.Direct):
-            return _uf_find(self.uf, addr.loc), False
-        if isinstance(addr, ir.Indexed):
-            if isinstance(addr.index, int):
-                return _uf_find(self.uf, f"{addr.base}.{addr.index}"), False
-            return _uf_find(self.uf, addr.base), True
-        # Indirect: identity keyed by the reaching definition of the pointer.
-        return f"*{addr.reg}@{state.defs.get(addr.reg)}", False
-
     def start_thread(self) -> None:
         self.state = _ThreadState()
         self.po.append([])
@@ -438,87 +474,65 @@ class _Builder:
             self.step(step)
         self.state = committed
 
-    def _fresh(self, fetched: tuple[int | None, ...], **kw) -> Event:
-        ev = Event(eid=len(self.events), **kw)
-        self.events.append(ev)
-        self.fetched.append(fetched)
-        return ev
-
     def step(self, step: Step) -> None:
         """Fetch ``step`` as the current thread's next step."""
-        state, window, thread = self.state, step.window, len(self.po) - 1
+        node, committed, window = step
         ctrl_reads = self._control(step) if self._open else _EMPTY
-        if step.node is None:
-            ev = self._fresh(
-                (None,), kind="SBOT", thread=thread, transient=True, window=window,
-                label="⊥", ctrl_reads=ctrl_reads,
-            )
-            self.tfo[-1].append(ev.eid)
+        eid = len(self.events)
+        if node is None:
+            self.events.append(Event(eid, "SBOT", len(self.po) - 1, True, window=window,
+                                     ctrl_reads=ctrl_reads, label="⊥"))
+            self.fetched.append((None,))
+            self.tfo[-1].append(eid)
             return
-        node = self.graph.nodes[step.node]
-        op = node.instr.op
-        kind: str | None = None
-        fields: dict = {}
-        if isinstance(op, (ir.Load, ir.Store)):
-            loc, gep = self.location(op.addr, state)
-            addr_reads = state.reads_of(ir.address_regs(op.addr))
-            fields = {"location": loc, "gep": gep, "addr_reads": addr_reads}
-            if isinstance(op, ir.Load):
-                kind = "R"
-                state.taint[op.dest] = frozenset({len(self.events)})
-                state.defs[op.dest] = step.node, window
+        op, state = self.maps.ops[node], self.state
+        kind = op.kind
+        if kind is None or kind == "ALU":
+            if kind:
+                state.taint[op.dest] = state.reads_of(op.regs)
+                state.defs[op.dest] = node, window
+            # No event: the node joins the fetched nodes of the thread's
+            # last event, if it has one.
+            if self.tfo[-1]:
+                self.fetched[-1] += (node,)
+            return
+        loc, cond, addr, value, pointers, eligible, definite = (
+            None, _EMPTY, _EMPTY, _EMPTY, (), False, False)
+        if kind == "R" or kind == "W":
+            # An indirect location is keyed by the pointer's reaching definition.
+            loc = self.locs[node] or f"*{op.ptr}@{state.defs.get(op.ptr)}"
+            addr = state.reads_of(op.addr_regs)
+            if kind == "R":
+                state.taint[op.dest] = frozenset((eid,))
+                state.defs[op.dest] = node, window
             else:
-                kind = "W"
-                fields["value_reads"] = state.reads_of(op.value.regs)
+                value = state.reads_of(op.regs)
                 # A committed store after a committed same-location store
                 # may be silent (single-thread programs only); definitely so
                 # when an earlier one stores the same value identity: the
                 # expression text and the reaching definition of every
                 # register in it.
-                if step.committed and self.single:
-                    value_id = (op.value.text, tuple(sorted(
-                        (r, state.defs.get(r)) for r in op.value.regs)))
+                if committed and self.single:
+                    value_id = (op.text, tuple(sorted((r, state.defs.get(r)) for r in op.regs)))
                     prior = self._stores.get(loc, ())
-                    fields["silent_eligible"] = bool(prior)
-                    fields["silent_definite"] = value_id in prior
+                    eligible, definite = bool(prior), value_id in prior
                     self._stores[loc] = prior + (value_id,)
-        elif isinstance(op, ir.Alu):
-            state.taint[op.dest] = state.reads_of(op.expr.regs)
-            state.defs[op.dest] = step.node, window
-        elif isinstance(op, ir.BranchEqZero):
-            kind = "BR"
-            fields = {"cond_reads": state.reads_of([op.cond])}
-        elif isinstance(op, (ir.Fence, ir.Protect)):
-            kind = "F"
-            fields = {"fence": op.kind if isinstance(op, ir.Fence) else "lfence"}
-        elif isinstance(op, acfg_mod.AbstractMemOp):
-            kind = "AMO"
-            pointers = tuple((reg, f"*{reg}@{state.defs.get(reg)}") for reg in op.pointer_args)
-            fields = {"addr_reads": state.reads_of(op.pointer_args), "amo_pointers": pointers}
-        if kind is None:
-            # Alu, Skip and Jump fetch but produce no event: their node joins
-            # the fetched nodes of the thread's last event, if it has one.
-            if self.tfo[-1]:
-                self.fetched[-1] += (step.node,)
-            return
-        ev = self._fresh(
-            (step.node,),
-            kind=kind,
-            thread=thread,
-            transient=not step.committed,
-            node_id=step.node,
-            window=window,
-            label=self.maps.labels[step.node],
-            ctrl_reads=ctrl_reads,
-            **fields,
-        )
-        if kind == "BR" and step.committed and ev.cond_reads:
+        elif kind == "BR":
+            cond = state.reads_of(op.regs)
+        elif kind == "AMO":
+            addr = state.reads_of(op.addr_regs)
+            pointers = tuple((reg, f"*{reg}@{state.defs.get(reg)}") for reg in op.addr_regs)
+        ev = Event(eid, kind, len(self.po) - 1, not committed, node, loc, op.gep, op.fence, window,
+                   cond, addr, value, ctrl_reads, pointers, eligible, definite, op.label)
+        self.events.append(ev)
+        self.fetched.append((node,))
+        if kind == "BR" and committed and cond:
             self._open += (ev,)
         if self._want_sites and kind in ("R", "W", "F"):
             self._sites_at(ev)
-        self.tfo[-1].append(ev.eid)
-        if step.committed:
-            self.po[-1].append(ev.eid)
+        self.tfo[-1].append(eid)
+        if committed:
+            self.po[-1].append(eid)
 
     def _control(self, step: Step) -> frozenset[int]:
         """The condition reads of the open branches whose region holds
@@ -564,7 +578,8 @@ class _Builder:
 
     def finish(self) -> EventStructure:
         """The structure of the steps so far; the builder is spent."""
-        self._fresh((), kind="BOT", label="⊥")
+        self.events.append(Event(len(self.events), "BOT", label="⊥"))
+        self.fetched.append(())
         return EventStructure(
             events=self.events,
             po=self.po,
@@ -709,7 +724,7 @@ class _WalkMaps(NamedTuple):
     regions: dict[int, frozenset[int]]  # per branch (:func:`_branch_regions`)
     joins: dict[int, tuple[int, frozenset[str]]]  # per branch (:func:`_joins`)
     committed: list[Step]  # per node: its committed fetch
-    labels: list[str]  # per node: its events' label
+    ops: list[_Op]  # per node: its decoded instruction
 
 
 def _walk_maps(graph: ACfg) -> _WalkMaps:
@@ -719,7 +734,7 @@ def _walk_maps(graph: ACfg) -> _WalkMaps:
         graph.walk_maps = _WalkMaps(
             _branch_regions(graph, order), _joins(graph, order),
             [Step(node, True) for node in range(len(graph.nodes))],
-            [_node_label(node) for node in graph.nodes])
+            [_decode(node) for node in graph.nodes])
     return graph.walk_maps
 
 
@@ -732,12 +747,11 @@ def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, tuple, tu
     :func:`content_key` and :func:`derive_bypass` both read them."""
     if st.window_memo is not None and st.window_memo[0] == d_spec:
         return st.window_memo[1]
-    fetched, nodes, bottom = st.fetched, st.acfg.nodes, st.bottom
+    fetched, ops, bottom = st.fetched, _walk_maps(st.acfg).ops, st.bottom
     windows = []
     for site in st.sites:
         stop, room = site.read, d_spec
-        while (stop < bottom and room > 0
-               and not isinstance(nodes[fetched[stop][0]].instr.op, _CLOSERS)):
+        while stop < bottom and room > 0 and not ops[fetched[stop][0]].closes:
             room -= len(fetched[stop])
             stop += 1
         # Below zero, ``room`` counts the last event's nodes past the window.

@@ -26,7 +26,7 @@ programs back through the accumulated insertions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import ir
 from .events import _make_union_find, _uf_find, no_deadline
@@ -35,6 +35,7 @@ from .leakage import EngineConfig, Record, analyze, record_sort_key
 Point = tuple[str, int]
 
 _MAX_ITERATIONS = 10
+_JUMPS = (ir.BranchEqZero, ir.Jump)
 
 
 @dataclass(frozen=True)
@@ -164,13 +165,27 @@ def _by_function(points: set[Point]) -> dict[str, list[int]]:
 
 
 def insert_fences(prog: ir.Program, points: set[Point]) -> ir.Program:
-    """A copy of ``prog`` with an lfence before each (function, index)."""
+    """A copy of ``prog`` with an lfence before each (function, index).  A
+    fence before a jump target takes a label no instruction has, and the
+    jumps go to it, so every path to the target runs through its fence."""
     by_func = _by_function(points)
+    taken = {ins.label for fn in prog.functions for ins in fn.body if ins.label}
     functions = []
     for fn in prog.functions:
+        targets = {ins.op.target for ins in fn.body if isinstance(ins.op, _JUMPS)}
         body = list(fn.body)
+        moved: dict[str, str] = {}
         for i in reversed(by_func.get(fn.name, ())):
-            body.insert(i, ir.Instr(ir.Fence("lfence")))
+            label = fn.body[i].label
+            if label in targets:
+                fresh = f"{label}_fence"
+                while fresh in taken:
+                    fresh += "_"
+                taken.add(fresh)
+                moved[label] = fresh
+            body.insert(i, ir.Instr(ir.Fence("lfence"), moved.get(label)))
+        body = [ir.Instr(replace(ins.op, target=moved[ins.op.target]), ins.label, ins.line)
+                if isinstance(ins.op, _JUMPS) and ins.op.target in moved else ins for ins in body]
         functions.append(ir.Function(fn.name, fn.params, body))
     return ir.Program(
         functions, prog.entry, prog.aliases, dict(prog.externs), prog.multithread

@@ -306,6 +306,116 @@ def nonempty_subsets_reference(items):
     return out
 
 
+# The instructions a transient window stops before.
+_CLOSERS = (ir.BranchEqZero, ir.Fence, ir.Protect)
+
+
+class ReferenceBuilder(events._Builder):
+    """``events._Builder`` with the per-fetch emitter that decoding each node
+    once per graph (``events._decode``) replaced, kept verbatim but for the
+    label, read by ``events._node_label``: each fetch dispatches on the
+    node's instruction type, resolves its location through the alias
+    union-find, and passes the event's fields as keywords.  The references
+    below build with it, so each event the walk emits is compared, field by
+    field, with this emission."""
+
+    def __init__(self, graph, merged, primitives) -> None:
+        super().__init__(graph, merged, primitives)
+        self.uf = events._make_union_find(merged)
+
+    def location(self, addr, state) -> tuple[str, bool]:
+        if isinstance(addr, ir.Direct):
+            return events._uf_find(self.uf, addr.loc), False
+        if isinstance(addr, ir.Indexed):
+            if isinstance(addr.index, int):
+                return events._uf_find(self.uf, f"{addr.base}.{addr.index}"), False
+            return events._uf_find(self.uf, addr.base), True
+        # Indirect: identity keyed by the reaching definition of the pointer.
+        return f"*{addr.reg}@{state.defs.get(addr.reg)}", False
+
+    def _fresh(self, fetched, **kw):
+        ev = events.Event(eid=len(self.events), **kw)
+        self.events.append(ev)
+        self.fetched.append(fetched)
+        return ev
+
+    def step(self, step) -> None:
+        """Fetch ``step`` as the current thread's next step."""
+        state, window, thread = self.state, step.window, len(self.po) - 1
+        ctrl_reads = self._control(step) if self._open else events._EMPTY
+        if step.node is None:
+            ev = self._fresh(
+                (None,), kind="SBOT", thread=thread, transient=True, window=window,
+                label="⊥", ctrl_reads=ctrl_reads,
+            )
+            self.tfo[-1].append(ev.eid)
+            return
+        node = self.graph.nodes[step.node]
+        op = node.instr.op
+        kind: str | None = None
+        fields: dict = {}
+        if isinstance(op, (ir.Load, ir.Store)):
+            loc, gep = self.location(op.addr, state)
+            addr_reads = state.reads_of(ir.address_regs(op.addr))
+            fields = {"location": loc, "gep": gep, "addr_reads": addr_reads}
+            if isinstance(op, ir.Load):
+                kind = "R"
+                state.taint[op.dest] = frozenset({len(self.events)})
+                state.defs[op.dest] = step.node, window
+            else:
+                kind = "W"
+                fields["value_reads"] = state.reads_of(op.value.regs)
+                # A committed store after a committed same-location store
+                # may be silent (single-thread programs only); definitely so
+                # when an earlier one stores the same value identity: the
+                # expression text and the reaching definition of every
+                # register in it.
+                if step.committed and self.single:
+                    value_id = (op.value.text, tuple(sorted(
+                        (r, state.defs.get(r)) for r in op.value.regs)))
+                    prior = self._stores.get(loc, ())
+                    fields["silent_eligible"] = bool(prior)
+                    fields["silent_definite"] = value_id in prior
+                    self._stores[loc] = prior + (value_id,)
+        elif isinstance(op, ir.Alu):
+            state.taint[op.dest] = state.reads_of(op.expr.regs)
+            state.defs[op.dest] = step.node, window
+        elif isinstance(op, ir.BranchEqZero):
+            kind = "BR"
+            fields = {"cond_reads": state.reads_of([op.cond])}
+        elif isinstance(op, (ir.Fence, ir.Protect)):
+            kind = "F"
+            fields = {"fence": op.kind if isinstance(op, ir.Fence) else "lfence"}
+        elif isinstance(op, cfg.AbstractMemOp):
+            kind = "AMO"
+            pointers = tuple((reg, f"*{reg}@{state.defs.get(reg)}") for reg in op.pointer_args)
+            fields = {"addr_reads": state.reads_of(op.pointer_args), "amo_pointers": pointers}
+        if kind is None:
+            # Alu, Skip and Jump fetch but produce no event: their node joins
+            # the fetched nodes of the thread's last event, if it has one.
+            if self.tfo[-1]:
+                self.fetched[-1] += (step.node,)
+            return
+        ev = self._fresh(
+            (step.node,),
+            kind=kind,
+            thread=thread,
+            transient=not step.committed,
+            node_id=step.node,
+            window=window,
+            label=events._node_label(node),
+            ctrl_reads=ctrl_reads,
+            **fields,
+        )
+        if kind == "BR" and step.committed and ev.cond_reads:
+            self._open += (ev,)
+        if self._want_sites and kind in ("R", "W", "F"):
+            self._sites_at(ev)
+        self.tfo[-1].append(ev.eid)
+        if step.committed:
+            self.po[-1].append(ev.eid)
+
+
 def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=250):
     """The enumerator that the path-tree walk replaced.
 
@@ -338,7 +448,7 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
     structures = []
     for merged in subsets:
         for plan_combo in combos:
-            builder = events._Builder(graph, merged, primitives)
+            builder = ReferenceBuilder(graph, merged, primitives)
             step_of = {}
             for plan in plan_combo:
                 builder.start_thread()
@@ -353,7 +463,7 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
                                 step_of[fed] = i
                     else:
                         fed, group = len(builder.events), list(group)
-                        builder.window([replace(step, window=eid_at[idx]) for _, step in group])
+                        builder.window([step._replace(window=eid_at[idx]) for _, step in group])
                         # A window fetches each node (and the squash) once.
                         at = {step.node: i for i, step in group}
                         for ev in builder.events[fed:]:
@@ -546,7 +656,7 @@ def derive_bypass_reference(st, site, regions, d_spec: int = 250):
         suffix.append(events.Step(None, False))
     if not any(step.node is not None for step in suffix):
         return None
-    builder = events._Builder(st.acfg, st.merged_aliases, frozenset())
+    builder = ReferenceBuilder(st.acfg, st.merged_aliases, frozenset())
     builder.start_thread()
     step_of = {}
     for i, step in enumerate(prefix + suffix):
@@ -586,7 +696,7 @@ def derive_bypass_builder(st, d_spec: int = 250, tick=events.no_deadline):
     if not st.sites:
         return []
     plan = st.plans[0]
-    builder = events._Builder(st.acfg, st.merged_aliases, frozenset())
+    builder = ReferenceBuilder(st.acfg, st.merged_aliases, frozenset())
     builder.start_thread()
     walked = 0
     out = []
@@ -657,7 +767,7 @@ def windows_reference(st, d_spec: int) -> list[tuple]:
     plan, order = st.plans[0], st.tfo[0]
     nodes = tuple(step.node for step in plan)
     stops = [i for i, node in enumerate(nodes)
-             if isinstance(st.acfg.nodes[node].instr.op, events._CLOSERS)] + [len(plan)]
+             if isinstance(st.acfg.nodes[node].instr.op, _CLOSERS)] + [len(plan)]
     step_at = [st.step_of[e] for e in order]  # ascending, as eids are
     windows = []
     for site in st.sites:

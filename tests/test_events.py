@@ -9,6 +9,7 @@ from conftest import CORPUS
 from leakcheck import cfg, ir
 from leakcheck import events as ev
 from leakcheck import executions as ex
+from leakcheck import leakage as lk
 
 BRANCH = frozenset({"branch"})
 STL = frozenset({"stl"})
@@ -223,3 +224,28 @@ def test_regions_and_joins_match_the_dominator_reference():
         assert ev._joins(graph, order) == oracles.joins_reference(graph)
         unrolled += not cfg._forward_only(graph.succ)
     assert unrolled > 20
+
+
+def test_each_node_is_decoded_once_per_graph(monkeypatch):
+    """Every walk of a graph, under every engine and alias resolution, and
+    every fork and window of it, reads the records of the graph's first."""
+    calls = {"decode": 0, "walk": 0}
+    decode, walk = ev._decode, ev._walk_paths
+
+    def counted_decode(node):
+        calls["decode"] += 1
+        return decode(node)
+
+    def counted_walk(*args):
+        calls["walk"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(ev, "_decode", counted_decode)
+    monkeypatch.setattr(ev, "_walk_paths", counted_walk)
+    prog = ir.parse("alias (y, c0)\nalias (A, B)\n" + oracles.sequential_diamonds(4)
+                    + TWO_WAY.replace("r2", "r3"))
+    graph = cfg.build_acfg(prog)
+    report = lk.analyze(prog, "all", lk.EngineConfig(), graph)
+    assert calls["walk"] == 12  # 4 alias resolutions under each of v1, v4 and psf
+    assert report.structures > 200 and report.records
+    assert calls["decode"] == len(graph.nodes)

@@ -11,6 +11,11 @@ as a view over its base, the references with a builder, one walk per base
 The builder derives each event's ctrl reads and the sites as each event is
 emitted; both references set them by the post-passes that did so before
 (``oracles.control_deps_reference``, ``oracles.sites_reference``).
+The walk's builder reads each node's record decoded once per graph; every
+reference builds with ``oracles.ReferenceBuilder``, which dispatches on the
+instruction at each fetch as the builder did before, so each event's every
+field (location, ``gep``, reads, AMO pointers, kind, label) is compared
+with that emission.
 Where the walk merges two forks at a join and grafts the structures of one
 onto the other, the reference still builds each path on its own
 (``oracles.random_joins`` is the family that meets each refusal).

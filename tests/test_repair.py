@@ -387,6 +387,33 @@ def test_insert_fences_shifts_later_points():
     assert ops[2] == ir.Fence("lfence") == ops[4]
 
 
+def test_fence_before_a_jump_target_takes_the_jumps():
+    """A fence before a jump target gets a label no instruction has (here
+    ``j_fence`` is taken), and the jumps to the target go to the fence, so
+    every path to the target runs through it; a fence before an instruction
+    no jump targets stays unlabelled."""
+    prog = ir.parse("R c ->r1\nBEQZ r1, j\nJMP j\nj_fence: skip\nj: skip\nR x ->r2\n")
+    fenced = rp.insert_fences(prog, {("main", 4), ("main", 5)})
+    body = fenced.functions[0].body
+    assert [str(ins) for ins in body] == [
+        "R c ->r1", "BEQZ r1, j_fence_", "JMP j_fence_", "j_fence: skip",
+        "j_fence_: lfence", "j: skip", "lfence", "R x ->r2"]
+    assert ir.pretty(ir.parse(ir.pretty(fenced))) == ir.pretty(fenced)
+    assert str(prog.functions[0].body[1]) == "BEQZ r1, j"  # the input is untouched
+
+
+def test_diamonds_before_a_gadget_repair_in_one_iteration():
+    """Each diamond's window ends at its join label: a fence placed there
+    before the jump went around it, so every re-analysis found the same
+    leaks and the repair spent all its iterations."""
+    src = oracles.sequential_diamonds(3) + GADGET.replace("r2", "r3")
+    classes = frozenset({"address", "data", "control", "universal_data", "universal_control"})
+    plan = do_repair(src, classes=classes)
+    assert plan.success and plan.iterations == 1 and plan.minimal is True
+    assert [str(f) for f in plan.fences] == ["main:4", "main:8", "main:12", "main:15"]
+    assert not lk.analyze(plan.program, "v1", lk.EngineConfig(classes=classes)).records
+
+
 def test_clean_program_repair_is_a_no_op():
     plan = do_repair("i1: R x ->r1\nW y <-r1\n", classes=UD)
     assert plan.success and plan.fences == [] and plan.iterations == 1
