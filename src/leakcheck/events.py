@@ -51,7 +51,8 @@ Sites are recorded on the path structure, which then has no branch windows
 (``branch`` does not combine with ``stl`` or ``psf``).  :func:`derive_bypass`
 makes the derived structure of each site a view over its base, with no
 second walk: the base's own prefix events and transient twins of its events
-from the site to the window's end, each with its dependencies.  Events ``0``
+from the site to the window's end, each with its dependencies; its dedupe
+key names the nodes fetched before the site by an interned id.  Events ``0``
 and ``len(events)-1`` are the initial-state writer and the final observer; a
 transient squash pseudo-event marks speculative fetch running off the end of
 the program.
@@ -725,6 +726,7 @@ class _WalkMaps(NamedTuple):
     joins: dict[int, tuple[int, frozenset[str]]]  # per branch (:func:`_joins`)
     committed: list[Step]  # per node: its committed fetch
     ops: list[_Op]  # per node: its decoded instruction
+    prefixes: dict[tuple[int, tuple], int]  # ids of fetched prefixes (:func:`_windows`)
 
 
 def _walk_maps(graph: ACfg) -> _WalkMaps:
@@ -734,7 +736,7 @@ def _walk_maps(graph: ACfg) -> _WalkMaps:
         graph.walk_maps = _WalkMaps(
             _branch_regions(graph, order), _joins(graph, order),
             [Step(node, True) for node in range(len(graph.nodes))],
-            [_decode(node) for node in graph.nodes])
+            [_decode(node) for node in graph.nodes], {})
     return graph.walk_maps
 
 
@@ -744,12 +746,16 @@ def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, tuple, tu
     holds, and its dedupe key.  A window walks the fetched nodes from the
     site's read: it stops before a branch or fence, whose node is its event's
     first, or after ``d_spec`` nodes.  Computed once per ``d_spec``:
-    :func:`content_key` and :func:`derive_bypass` both read them."""
+    :func:`content_key` and :func:`derive_bypass` both read them.  A key holds
+    the window's nodes after an id of those before: equal ids, equal nodes."""
     if st.window_memo is not None and st.window_memo[0] == d_spec:
         return st.window_memo[1]
-    fetched, ops, bottom = st.fetched, _walk_maps(st.acfg).ops, st.bottom
-    windows = []
+    fetched, bottom, maps = st.fetched, st.bottom, _walk_maps(st.acfg)
+    ops, ids, windows, prefix, at = maps.ops, maps.prefixes, [], 0, 1
     for site in st.sites:
+        for e in range(at, site.read):  # ``prefix`` becomes the id of fetched[1 : site.read]
+            prefix = ids.setdefault((prefix, fetched[e]), len(ids) + 1)
+        at = site.read
         stop, room = site.read, d_spec
         while stop < bottom and room > 0 and not ops[fetched[stop][0]].closes:
             room -= len(fetched[stop])
@@ -757,8 +763,8 @@ def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, tuple, tu
         # Below zero, ``room`` counts the last event's nodes past the window.
         last = fetched[stop - 1][:room] if room < 0 else fetched[stop - 1]
         exits = stop == bottom and room >= 0
-        key = (tuple(fetched[1 : stop - 1]) + (last,), exits, site.kind,
-               st.events[site.read].node_id, st.merged_aliases)
+        own = (*fetched[site.read : stop - 1], last) if stop > site.read else ()
+        key = (prefix, own, exits, site.kind, st.events[site.read].node_id, st.merged_aliases)
         windows.append((stop, exits, last, key))
     st.window_memo = d_spec, windows
     return windows

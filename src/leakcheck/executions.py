@@ -26,9 +26,10 @@ stale writer (store-to-load) or from a different location's store (alias
 prediction); a *silent* store neither fills nor claims its line.  The final
 observer ``BOT`` reads every touched line from its last writer.
 
-A bypass candidate's access table, ``(rf, co)`` and cache state at its site
-read are cut from its base structure's canonical candidate, and its cache
-simulation resumes at the read (:func:`_view_candidates`).
+A bypass candidate (:class:`View`) simulates only its window.  Before its
+site read it is its base structure's canonical candidate, whose cache state
+one sweep per structure advances from one site read to the next, in eid
+order, so a view's own work covers its window, not its prefix.
 
 Candidates of one bypass site differ only in the site read's fill edge.
 When that fill claims no line (every psf source, and every stl source but
@@ -95,6 +96,7 @@ class Candidate:
     # The candidate whose cache simulation this one shares (an earlier
     # line-neutral stale source, see :func:`_refill`); None when it ran its own.
     base: Candidate | None = field(default=None, repr=False, compare=False)
+    sweep = None  # not a field: a bypass candidate's prefix state (:class:`View`)
 
     # -- resolved views ----------------------------------------------------
 
@@ -109,6 +111,10 @@ class Candidate:
     def bottom_sources(self) -> dict[str, int]:
         """The last writer of each line that has one, as ``BOT`` reads it."""
         return {x: order[-1] for x, order in self.cox.items() if len(order) > 1}
+
+    def observed(self) -> tuple[int, ...]:
+        """The program events ``BOT`` reads a line from, ascending."""
+        return tuple(sorted(set(self.bottom_sources().values())))
 
     def fr(self) -> frozenset[tuple[int, int]]:
         pairs = set()
@@ -157,16 +163,9 @@ class Candidate:
 
 
 def _amo_choices(st: EventStructure) -> list[dict[int, tuple[str, str]]]:
-    amos = [e for e in st.events if e.kind == "AMO" and e.amo_pointers]
-    if not amos:
-        return [{}]
-    per_event = []
-    for e in amos:
-        opts = [
-            (kind, loc) for (reg, loc) in e.amo_pointers for kind in ("R", "W")
-        ]
-        per_event.append([(e.eid, opt) for opt in opts])
-    return [dict(combo) for combo in itertools.product(*per_event)]
+    per_event = [[(e.eid, (kind, loc)) for _, loc in e.amo_pointers for kind in ("R", "W")]
+                 for e in st.events if e.kind == "AMO" and e.amo_pointers]
+    return [dict(combo) for combo in itertools.product(*per_event)] if per_event else [{}]
 
 
 def canonical_arch(
@@ -266,7 +265,8 @@ def _simulate(
     ``rfx_in``, ``cox`` (extended in place): each access's fill source and
     each line's writers in fetch order (a write, a miss and an stl site read
     of the untouched line claim the line).  A canonical candidate runs it
-    from an empty state; a bypass view resumes it at its site read.
+    from an empty state; a bypass view over its window, from the state of
+    the window's lines at its site read.
 
     Its result is confidential (:func:`confidential`) by construction:
 
@@ -308,17 +308,17 @@ def _line_neutral(site: Site, stale_src: int) -> bool:
     return site.kind == "psf" or stale_src != 0
 
 
-def _refill(base: Candidate, stale_src: int) -> Candidate:
+def _refill(base: View, stale_src: int) -> View:
     """The candidate of line-neutral stale source ``stale_src``, sharing the
     simulation of ``base``: the candidate of an earlier line-neutral source
     of the same site and AMO choice.
 
     For two line-neutral sources, :func:`_simulate` differs only in the
     site read's ``rfx_in`` entry.  The read claims no line either way, so
-    no later access fills from it and ``cox`` is the same.  Only ``rfx_in``
-    is copied, with the read's entry set anew; every other part is the same
-    object.  The read's fill line (:meth:`Candidate.xstate`) follows from
-    the new ``stale_src``.
+    no later access fills from it and ``cox`` is the same.  Only the
+    window's fills are copied, with the read's entry set anew; every other
+    part is the same object.  The read's fill line
+    (:meth:`Candidate.xstate`) follows from the new ``stale_src``.
 
     The leak witnesses are the same too, up to the candidate they name, so
     ``analyze`` runs ``detect_leaks`` once per simulation (``base``): a
@@ -329,11 +329,11 @@ def _refill(base: Candidate, stale_src: int) -> Candidate:
     across lines forwards nothing, so classification and fence slots read
     the same relations.  An stl fill forwards its stale store.
     """
-    assert base.site is not None and base.base is None
-    rfx_in = dict(base.rfx_in)
-    rfx_in[base.site.read] = stale_src
-    return Candidate(base.st, base.rf, base.co, rfx_in, base.cox, base.access,
-                     base.silent, base.site, stale_src, base.amo, base)
+    assert base.base is None
+    fills = dict(base.fills)
+    fills[base.site.read] = stale_src
+    return View(base.st, base.access, base.site, stale_src, base.amo, base.sweep, base.tops,
+                fills, base.lines, base)
 
 
 def fetch_positions(st: EventStructure) -> dict[int, int]:
@@ -386,53 +386,100 @@ def _nonempty_subsets(items: list[int]) -> Iterator[frozenset[int]]:
 
 def _make_candidates(
     st: EventStructure, amo: dict[int, tuple[str, str]], access: Accesses,
-    arch: list[tuple[dict[int, int], dict[str, list[int]]]],
-    state: tuple[dict[int, int], dict[str, list[int]]], eids: Iterable[int],
-    silent: frozenset[int] = frozenset(), site: Site | None = None, stale_src: int | None = None,
+    arch: list[tuple[dict[int, int], dict[str, list[int]]]], eids: Iterable[int],
+    silent: frozenset[int] = frozenset(),
 ) -> list[Candidate]:
     """The candidates over the architectural witnesses ``arch``, sharing
-    one cache simulation over ``eids`` from ``state`` (:func:`_simulate`):
-    it does not depend on the witness, and nothing mutates a candidate."""
-    rfx_in, cox = _simulate(*state, access, eids, silent, site, stale_src)
-    return [Candidate(st, rf, co, rfx_in, cox, access, silent, site, stale_src, amo)
-            for rf, co in arch]
+    one cache simulation over ``eids`` (:func:`_simulate`): it does not
+    depend on the witness, and nothing mutates a candidate."""
+    rfx_in, cox = _simulate({}, {}, access, eids, silent)
+    return [Candidate(st, rf, co, rfx_in, cox, access, silent, amo=amo) for rf, co in arch]
 
 
-def _before(orders: dict[str, list[int]], eid: int) -> dict[str, list[int]]:
-    """Each order (``0``, then ascending eids) cut before ``eid``; the
-    orders left with no eid are dropped."""
-    return {k: order[:n] for k, order in orders.items() if (n := bisect_left(order, eid)) > 1}
+class _Sweep:
+    """The cache state of a structure's canonical candidate ``canon``,
+    advanced in eid order from one site read to the next (sites ascend):
+    each line's writer so far, and those writers, ascending."""
+
+    def __init__(self, canon: Candidate) -> None:
+        self.canon, self.at = canon, 1
+        self.last: dict[str, int] = {}
+        self.tops: dict[int, None] = {}
+
+    def advance(self, read: int) -> tuple[int, ...]:
+        """Advance to ``read``; the writers the final observer would read."""
+        access, last, tops = self.canon.access, self.last, self.tops
+        for e in range(self.at, read):
+            kind, x = access[e]
+            if kind == "W" or kind == "R" and x not in last:  # as :func:`_simulate` claims
+                tops.pop(last.get(x), None)
+                last[x] = e
+                tops[e] = None
+        self.at = read
+        return tuple(tops)
+
+
+class View(Candidate):
+    """A bypass candidate: its sweep at the site read, then its window's own
+    simulation, ``fills`` and ``lines`` (a line the prefix wrote starts as
+    ``[0, its writer]``).  The full ``rf``, ``co``, ``rfx_in`` and ``cox``,
+    which only graphs and tests read, are built on first read afresh."""
+
+    def __init__(self, st: EventStructure, access: Accesses, site: Site, stale_src: int,
+                 amo: dict, sweep: _Sweep, tops: tuple[int, ...], fills: dict[int, int],
+                 lines: dict[str, list[int]], base: View | None = None) -> None:
+        self.st, self.access, self.silent, self.site = st, access, frozenset(), site
+        self.stale_src, self.amo, self.base = stale_src, amo, base
+        self.sweep, self.tops, self.fills, self.lines = sweep, tops, fills, lines
+
+    def __getattr__(self, name: str):
+        if name not in ("rf", "co", "rfx_in", "cox"):
+            raise AttributeError(name)
+        self.rf, self.co = canonical_arch(self.st, self.access)
+        self.rfx_in, self.cox = _simulate({}, {}, self.access, self.st.tfo[0], frozenset(),
+                                          self.site, self.stale_src)
+        return getattr(self, name)
+
+    def observed(self) -> tuple[int, ...]:
+        """The sweep's writers but those of the lines the window took over,
+        then the window's own."""
+        read, kept, own = self.site.read, list(self.tops), []
+        for hist in self.lines.values():
+            if hist[-1] >= read:
+                own.append(hist[-1])
+                if hist[1] < read:
+                    del kept[bisect_left(kept, hist[1])]
+        own.sort()
+        return (*kept, *own)
 
 
 def _view_candidates(
-    view: EventStructure, site: Site, stop: int, canonical: list[Candidate], tick
+    view: EventStructure, site: Site, stop: int, sweeps: list[_Sweep], tick
 ) -> Iterator[Candidate]:
     """The candidates of ``view``, the view of ``site`` whose window ends
-    before eid ``stop``: each AMO choice of ``canonical``, its base's
-    canonical candidates, restricted to its events (first occurrence kept)
-    gives its tables and cache state at the site read, in eid order."""
+    before eid ``stop``: each AMO choice of its base's ``sweeps``, restricted
+    to its events (first kept), gives its access table and window's lines."""
     read = site.read
-    choices: dict[tuple, Candidate] = {}
-    for base in canonical:
-        choices.setdefault(tuple((e, c) for e, c in base.amo.items() if e < stop), base)
+    choices: dict[tuple, _Sweep] = {}
+    for sweep in sweeps:
+        choices.setdefault(tuple((e, c) for e, c in sweep.canon.amo.items() if e < stop), sweep)
     tail = [(None, None)] * (len(view.events) - stop)  # a squash, the final observer
-    cuts = [(dict(amo), base.access[:stop] + tail,
-             [({r: w for r, w in base.rf.items() if r < read}, _before(base.co, read))], base)
-            for amo, base in choices.items()]
+    cuts = [(dict(amo), sweep.canon.access[:stop] + tail, sweep, sweep.advance(read))
+            for amo, sweep in choices.items()]
     window = view.tfo[0][read - 1:]
     # choice -> the candidate of the site's first line-neutral source; the
     # later ones share its simulation.
-    bases: dict[int, Candidate] = {}
+    bases: dict[int, View] = {}
     for src in site.sources:
         neutral = _line_neutral(site, src)
-        for k, (amo, access, arch, base) in enumerate(cuts):
+        for k, (amo, access, sweep, tops) in enumerate(cuts):
             tick()
             if neutral and k in bases:
                 yield _refill(bases[k], src)
                 continue
-            state = {e: w for e, w in base.rfx_in.items() if e < read}, _before(base.cox, read)
-            (cand,) = _make_candidates(view, amo, access, arch, state, window,
-                                       frozenset(), site, src)
+            lines = {x: [0, sweep.last[x]] for e in window if (x := access[e][1]) in sweep.last}
+            fills, lines = _simulate({}, lines, access, window, frozenset(), site, src)
+            cand = View(view, access, site, src, amo, sweep, tops, fills, lines)
             if neutral:
                 bases[k] = cand
             yield cand
@@ -452,7 +499,7 @@ def iter_candidates(
     silent-store ones, then those of each bypass view in site order.  The
     access table (:func:`access_table`) and the architectural witnesses are
     computed once per (structure, AMO choice) and shared by its silent-store
-    candidates; a view cuts its own from them (:func:`_view_candidates`).
+    candidates; a view slices its table from them (:func:`_view_candidates`).
     The cache simulation is run once per (view, AMO choice) for all the
     line-neutral stale sources of its site (:func:`_refill`).
 
@@ -475,16 +522,18 @@ def iter_candidates(
         canonical = []
         for amo, access, arch in zip(amos, tables, archs):
             tick()
-            made = _make_candidates(st, amo, access, arch, ({}, {}), fetched)
+            made = _make_candidates(st, amo, access, arch, fetched)
             canonical += made[:1]
             yield from made
             for subset in _nonempty_subsets(silent) if silent else ():
                 tick()
-                yield from _make_candidates(st, amo, access, arch, ({}, {}), fetched, subset)
+                yield from _make_candidates(st, amo, access, arch, fetched, subset)
+        sweeps: list[_Sweep] = []  # built at the first view
         for site, view, (stop, *_) in zip(
                 st.sites, derived, ev_mod._windows(st, d_spec) if derived else ()):
             if view is not None:
-                yield from _view_candidates(view, site, stop, canonical, tick)
+                sweeps = sweeps or [_Sweep(cand) for cand in canonical]
+                yield from _view_candidates(view, site, stop, sweeps, tick)
 
 
 def enumerate_candidates(

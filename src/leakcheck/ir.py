@@ -410,7 +410,8 @@ def _resolve_labels(prog: Program):
 
     A numeric target is a 1-based index into the enclosing function's
     instruction list; the target instruction gets a synthesized label
-    ``L<n>`` if it has none.
+    ``L<n>`` if it has none, with ``_`` appended while another instruction
+    has that label.
     """
     for fn in prog.functions:
         labels: dict[str, int] = {}
@@ -430,6 +431,8 @@ def _resolve_labels(prog: Program):
                 dest = fn.body[n - 1]
                 if dest.label is None:
                     dest.label = f"L{n}"
+                    while dest.label in labels:
+                        dest.label += "_"
                     labels[dest.label] = n - 1
                 ins.op = replace(ins.op, target=dest.label)
             elif tgt not in labels:

@@ -37,6 +37,7 @@ store forwarding); ``all`` merges the three reports.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -112,11 +113,7 @@ class Record:
         name = f"{self.label}_S" if self.transient else self.label
         bits = [f"transmitter={name}", f"class={self.klass}"]
         if self.access_label is not None:
-            acc = (
-                f"{self.access_label}_S"
-                if self.access_transient
-                else self.access_label
-            )
+            acc = f"{self.access_label}_S" if self.access_transient else self.access_label
             bits.append(f"access={acc}")
         bits.append(f"culprit={self.culprit_kind}")
         if self.silent:
@@ -172,20 +169,17 @@ class EngineConfig:
 def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
     """The witnesses of ``cand``: the observer rule's, then the edge checks',
     which a bypass view passes: its ``rf``/``co``/``fr`` pairs precede its site
-    read, where it is its base's canonical candidate (``ex_mod._view_candidates``)."""
+    read, where it is its base's canonical candidate (``ex_mod.View``)."""
     st = cand.st
     out: list[LeakWitness] = []
 
     def witness(kind: str, edge, receiver, deviators: list[int]) -> None:
-        out.append(
-            LeakWitness(cand, Culprit(kind, tuple(edge)), receiver,
-                        tuple(deviators))
-        )
+        out.append(LeakWitness(cand, Culprit(kind, tuple(edge)), receiver, tuple(deviators)))
 
     # Observer rule: the final observer reads every line from its last
     # writer, architecturally only from the initial state.
     if probe:
-        sources = sorted(set(cand.bottom_sources().values()))
+        sources = cand.observed()
         if sources:
             witness("rf_without_rfx", (0, st.bottom), st.bottom, sources)
     if cand.site is not None:
@@ -255,17 +249,19 @@ class _Shared:
 
     def __init__(self, current: EventStructure) -> None:
         self.current = current
-        self.chains: dict[frozenset[tuple[int, int]], _Chains] = {}
+        self.chains: dict[tuple, _Chains] = {}
         # id of a bypass candidate that ran its own simulation -> its witnesses
         self.witnesses: dict[int, list[LeakWitness]] = {}
 
 
 def _forwarding(cand: Candidate) -> frozenset[tuple[int, int]]:
-    """Value forwarding: architectural rf plus microarchitectural
-    same-location fills whose source is a program store."""
-    fwd = {(w, r) for r, w in cand.rf.items() if w != 0}
+    """Value forwarding into the events ``cand`` simulated itself (a view's
+    window): architectural rf plus microarchitectural same-location fills
+    whose source is a program store.  A view has no rf there."""
+    view = cand.sweep is not None
+    fwd = set() if view else {(w, r) for r, w in cand.rf.items() if w != 0}
     access = cand.access
-    for e, src in cand.rfx_in.items():
+    for e, src in (cand.fills if view else cand.rfx_in).items():
         if src != 0 and access[src] == ("W", access[e][1]):
             fwd.add((src, e))
     return frozenset(fwd)
@@ -283,11 +279,12 @@ class _Chains:
     store-to-load fill edge.
 
     The edges are the dependencies on the structure's events; its event
-    ids are its fetch order (one thread).  The chains also read the psf
-    site read (its own address is mispredicted, so it is no universal
-    access), ``w_size`` and the admitted classes, each fixed for one
-    structure in one ``analyze`` call, so candidates with equal forwarding
-    get the same transmitters.
+    ids are its fetch order (one thread).  A view's ``prefix`` is its site read
+    and its canonical candidate, whose value hops its earlier reads take.  The
+    chains also read the psf site read (its own address is mispredicted, so it
+    is no universal access), ``w_size`` and the admitted classes, each fixed
+    for one structure in one ``analyze`` call, so candidates with equal
+    forwarding get the same transmitters.
     """
 
     def __init__(
@@ -297,6 +294,7 @@ class _Chains:
         psf_read: int | None,
         w_size: int | None,
         classes: frozenset[str],
+        prefix: tuple[int, Candidate] | None = None,
     ) -> None:
         self.st = st
         self.psf_read = psf_read
@@ -312,6 +310,7 @@ class _Chains:
         for w, r in fwd:
             for a in self.st.events[w].value_reads:
                 self.value_hop.setdefault(r, set()).add(a)
+        self.cut, self.canon = prefix or (0, None)
         self.classified: dict[int, list[Transmitter]] = {}  # event -> classes
 
     def _within(self, member: int, anchor: int) -> bool:
@@ -327,8 +326,18 @@ class _Chains:
             if a in found or not self._within(a, anchor):
                 continue
             found.add(a)
-            frontier.extend(self.value_hop.get(a, ()))  # a's value came via a store
+            # a's value came via a store
+            frontier.extend(self.value_hop.get(a, ()) if a >= self.cut else self._prefix_hop(a))
         return found
+
+    def _prefix_hop(self, a: int) -> frozenset[int]:
+        """The value hops into ``a``, a read before the view's site read."""
+        canon, events = self.canon, self.st.events
+        w, src = canon.rf.get(a, 0), canon.rfx_in.get(a, 0)
+        hop = events[w].value_reads if w else frozenset()
+        if src != 0 and canon.access[src] == ("W", canon.access[a][1]):
+            hop = hop | events[src].value_reads
+        return hop
 
     def classify(self, t: int) -> list[Transmitter]:
         """Every satisfied class of event ``t`` among the address class and
@@ -385,12 +394,13 @@ def classify_transmitters(
     """
     if not events:
         return {}
-    fwd = _forwarding(cand)
-    chains = shared.chains.get(fwd)
+    sweep, fwd = cand.sweep, _forwarding(cand)
+    chains = shared.chains.get((sweep, fwd))
     if chains is None:
         site = cand.site
         psf_read = site.read if site is not None and site.kind == "psf" else None
-        chains = shared.chains[fwd] = _Chains(shared.current, fwd, psf_read, w_size, classes)
+        chains = shared.chains[sweep, fwd] = _Chains(
+            shared.current, fwd, psf_read, w_size, classes, sweep and (site.read, sweep.canon))
     out: dict[int, list[Transmitter]] = {}
     for t in sorted(events):
         if t not in chains.classified:
@@ -407,9 +417,10 @@ def _pick(st: EventStructure, eids: set[int]) -> int:
 # fence-point computation (consumed by repair)
 
 
-def _span(cand: Candidate, w: LeakWitness, t: Transmitter) -> tuple[int, int] | None:
+def _span(cand: Candidate, sources: list[int], t: Transmitter) -> tuple[int, int] | None:
     """The finding's primitive and its earliest transient chain event but the
-    primitive's own instance, as event ids; None when no slot lies between."""
+    primitive's own instance, as event ids; None when no slot lies between.
+    ``sources`` are the witness's sources the scope keeps."""
     st = cand.st
     members = [m for m in (t.event, t.access, t.upstream) if m is not None]
     transient = [m for m in members if st.events[m].transient]
@@ -417,7 +428,7 @@ def _span(cand: Candidate, w: LeakWitness, t: Transmitter) -> tuple[int, int] | 
     if cand.site is None and not windows:
         return None
     prim = cand.site.read if cand.site is not None else min(windows)  # a site or a branch
-    chain = [m for m in transient if m != prim and (m in w.sources or m == t.event)]
+    chain = [m for m in transient if m != prim and (m in sources or m == t.event)]
     # A single thread fetches in event id order: the earliest has the least id.
     if not chain or min(chain) <= prim:
         return None
@@ -570,10 +581,11 @@ def findings(
     Only the source events the scope keeps are classified.  Each keeps its
     most severe class among those ``config`` admits.
     """
-    st = cand.st
-    kept = [
-        e for e in w.sources if config.scope == "any" or st.events[e].transient
-    ]
+    st, sources = cand.st, w.sources
+    if config.scope != "any" and cand.site is not None:
+        # A view's sources ascend; those before its site read are committed.
+        sources = sources[bisect_left(sources, cand.site.read):]
+    kept = [e for e in sources if config.scope == "any" or st.events[e].transient]
     out = []
     for eid, entries in classify_transmitters(
         cand, kept, config.w_size, shared, config.classes
@@ -599,7 +611,7 @@ def findings(
             engine=engine,
             silent=silent,
         )
-        out.append((rec, _span(cand, w, best)))
+        out.append((rec, _span(cand, kept, best)))
     return out
 
 
@@ -607,19 +619,8 @@ def findings(
 # witness graph output
 
 
-_EDGE_STYLES = {
-    "po": "solid",
-    "tfo": "dotted",
-    "rf": "solid",
-    "co": "solid",
-    "fr": "solid",
-    "rfx": "solid",
-    "cox": "solid",
-    "frx": "solid",
-    "addr": "dashed",
-    "data": "dashed",
-    "ctrl": "dashed",
-}
+# Every other relation is drawn solid.
+_EDGE_STYLES = {"tfo": "dotted", "addr": "dashed", "data": "dashed", "ctrl": "dashed"}
 
 
 def witness_dot(cand: Candidate, w: LeakWitness, title: str) -> str:
@@ -627,22 +628,9 @@ def witness_dot(cand: Candidate, w: LeakWitness, title: str) -> str:
     st = cand.st
     lines = [f'digraph "{title}" {{', "  rankdir=TB;", '  node [shape=box];']
 
-    def name(e: int) -> str:
-        if e == 0:
-            return "⊤"
-        if e == st.bottom:
-            return "⊥"
-        return st.events[e].display()
-
-    shown: set[int] = {0, st.bottom}
-    for order in st.tfo:
-        shown.update(order)
-    for e in sorted(shown):
-        label = name(e)
-        extra = ""
-        if e not in (0, st.bottom) and st.events[e].transient:
-            extra = ' style=dashed'
-        lines.append(f'  e{e} [label="{label}"{extra}];')
+    for e in sorted({0, st.bottom, *chain.from_iterable(st.tfo)}):  # ⊤, ⊥ and the fetched
+        extra = " style=dashed" if st.events[e].transient else ""
+        lines.append(f'  e{e} [label="{st.events[e].display()}"{extra}];')
     culprit = w.culprit.edge
     drawn: set[tuple[int, int]] = set()
 
@@ -660,16 +648,10 @@ def witness_dot(cand: Candidate, w: LeakWitness, title: str) -> str:
     for order in st.tfo:
         emit("tfo", zip(order, order[1:]))
     emit("rf", cand.rf_pairs())
-    co_imm = set()
-    for order in cand.co.values():
-        co_imm.update(zip(order, order[1:]))
-    emit("co", co_imm)
+    emit("co", {pair for order in cand.co.values() for pair in zip(order, order[1:])})
     emit("fr", cand.fr())
     emit("rfx", cand.rfx_pairs())
-    cox_imm = set()
-    for order in cand.cox.values():
-        cox_imm.update(zip(order, order[1:]))
-    emit("cox", cox_imm)
+    emit("cox", {pair for order in cand.cox.values() for pair in zip(order, order[1:])})
     emit("frx", cand.frx())
     emit("addr", [(a, ev.eid) for ev in st.events for a in ev.addr_reads])
     emit("data", [(a, ev.eid) for ev in st.events for a in ev.value_reads])
@@ -679,8 +661,6 @@ def witness_dot(cand: Candidate, w: LeakWitness, title: str) -> str:
     if culprit not in drawn:
         a, b = culprit
         rel = w.culprit.kind.split("_", 1)[0]
-        lines.append(
-            f'  e{a} -> e{b} [label="{rel}", style=dashed, penwidth=2, color=red];'
-        )
+        lines.append(f'  e{a} -> e{b} [label="{rel}", style=dashed, penwidth=2, color=red];')
     lines.append("}")
     return "\n".join(lines)

@@ -215,6 +215,7 @@ def repair(prog: ir.Program, engine: str, config: EngineConfig) -> RepairPlan:
     report = analyze(prog, engine, config)
     iterations = 0
     all_points: set[Point] = set()
+    fenced = None
     while report.records and iterations < _MAX_ITERATIONS:
         iterations += 1
         origin = _origin_maps(prog, inserted)
@@ -231,7 +232,8 @@ def repair(prog: ir.Program, engine: str, config: EngineConfig) -> RepairPlan:
         inserted |= chosen
         fenced = insert_fences(prog, inserted)
         report = analyze(fenced, engine, config)
-    fenced = insert_fences(prog, inserted)
+    if fenced is None:  # no iteration fenced anything
+        fenced = insert_fences(prog, inserted)
     plan = RepairPlan(
         fences=sorted((FencePoint(f, i) for f, i in inserted),
                       key=lambda fp: key((fp.func, fp.index))),

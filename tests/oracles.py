@@ -779,6 +779,38 @@ def windows_reference(st, d_spec: int) -> list[tuple]:
     return windows
 
 
+def prefix_windows_reference(st, d_spec: int) -> list[tuple]:
+    """``events._windows`` as it was before the nodes fetched before a
+    site's read were interned, kept verbatim but for its memo: each key
+    copies every fetched node from eid 1 to the window's end."""
+    fetched, ops, bottom = st.fetched, events._walk_maps(st.acfg).ops, st.bottom
+    windows = []
+    for site in st.sites:
+        stop, room = site.read, d_spec
+        while stop < bottom and room > 0 and not ops[fetched[stop][0]].closes:
+            room -= len(fetched[stop])
+            stop += 1
+        # Below zero, ``room`` counts the last event's nodes past the window.
+        last = fetched[stop - 1][:room] if room < 0 else fetched[stop - 1]
+        exits = stop == bottom and room >= 0
+        key = (tuple(fetched[1 : stop - 1]) + (last,), exits, site.kind,
+               st.events[site.read].node_id, st.merged_aliases)
+        windows.append((stop, exits, last, key))
+    return windows
+
+
+def bypass_dedupe_reference(st, d_spec: int, seen: set) -> list[bool]:
+    """Per site of ``st``: whether ``events.derive_bypass`` gives no view,
+    under the full-prefix keys of :func:`prefix_windows_reference`, with
+    ``seen`` holding those of earlier structures."""
+    out = []
+    for site, (stop, _, _, key) in zip(st.sites, prefix_windows_reference(st, d_spec)):
+        out.append(stop == site.read or key in seen)
+        if not out[-1]:
+            seen.add(key)
+    return out
+
+
 # --------------------------------------------------------------------------
 # analysis
 
@@ -963,8 +995,49 @@ def classify_reference(cand, events_: list[int], w_size) -> dict[int, list]:
     with nothing memoised (:class:`_ChainsReference`)."""
     site = cand.site
     psf_read = site.read if site is not None and site.kind == "psf" else None
-    chains = _ChainsReference(cand.st, lk._forwarding(cand), psf_read, w_size)
+    chains = _ChainsReference(cand.st, forwarding_reference(cand), psf_read, w_size)
     return {t: chains.classify(t) for t in sorted(events_)}
+
+
+def forwarding_reference(cand) -> frozenset[tuple[int, int]]:
+    """``leakage._forwarding`` as it was before a view forwarded as its
+    canonical base before its site read, kept verbatim: architectural rf
+    plus microarchitectural same-location fills whose source is a program
+    store, over the whole candidate."""
+    fwd = {(w, r) for r, w in cand.rf.items() if w != 0}
+    access = cand.access
+    for e, src in cand.rfx_in.items():
+        if src != 0 and access[src] == ("W", access[e][1]):
+            fwd.add((src, e))
+    return frozenset(fwd)
+
+
+def chains_reference(cand, w_size, classes=frozenset(lk.CLASSES)):
+    """The ``leakage._Chains`` of ``cand`` built from its whole forwarding
+    relation (:func:`forwarding_reference`), every value hop its own."""
+    site = cand.site
+    psf_read = site.read if site is not None and site.kind == "psf" else None
+    return lk._Chains(cand.st, forwarding_reference(cand), psf_read, w_size, classes)
+
+
+def before_reference(orders: dict[str, list[int]], eid: int) -> dict[str, list[int]]:
+    """``executions._before``, which the sweep replaced, kept verbatim: each
+    order (``0``, then ascending eids) cut before ``eid``; the orders left
+    with no eid are dropped."""
+    return {k: order[:n] for k, order in orders.items() if (n := bisect_left(order, eid)) > 1}
+
+
+def view_tables_reference(cand):
+    """A bypass view's ``(rf, co, rfx_in, cox)`` as ``executions`` built them
+    before the sweep: its base's canonical candidate (``cand.sweep.canon``)
+    cut before the site read by the per-view dictcomps and
+    :func:`before_reference`, then the window simulated from that state."""
+    base, read = cand.sweep.canon, cand.site.read
+    rf = {r: w for r, w in base.rf.items() if r < read}
+    state = {e: w for e, w in base.rfx_in.items() if e < read}, before_reference(base.cox, read)
+    rfx_in, cox = ex._simulate(*state, cand.access, cand.st.tfo[0][read - 1:], frozenset(),
+                               cand.site, cand.stale_src)
+    return rf, before_reference(base.co, read), rfx_in, cox
 
 
 # --------------------------------------------------------------------------
@@ -1092,6 +1165,19 @@ def sequential_diamonds(n: int) -> str:
     lines = ["r2 <-0"]
     for k in range(n):
         lines += [f"R c{k} ->r1", f"BEQZ r1, j{k}", "r2 <-r2+1", f"j{k}: skip"]
+    return "\n".join(lines) + "\n"
+
+
+def bypass_blocks(n: int) -> str:
+    """``n`` store-bypass blocks behind one guard, the shape of
+    ``corpus/stress/deep_pipeline.lcm``: one structure with sites whose
+    committed prefix grows with every block, one stl site per block, and
+    psf sites whose stale sources are the earlier blocks' stores."""
+    lines = ["h1: R flag ->r9", "BEQZ r9, end", "r5 <-0", "r6 <-1"]
+    for k in range(n):
+        lines += [f"sa{k}: R i{k} ->r1", "r2 <-r1&4095", f"sw{k}: W t{k}+r2 <-r1",
+                  f"sr{k}: R t{k}+r2 ->r3", f"sp{k}: R p{k}+r3 ->r4"] + ["r6 <-r6+r5"] * 4
+    lines.append("end: skip")
     return "\n".join(lines) + "\n"
 
 

@@ -99,6 +99,13 @@ def test_sequential_diamonds_match_reference():
     assert_matches_reference(oracles.sequential_diamonds(6))
 
 
+@pytest.mark.parametrize("n", (6, 7, 8))
+def test_bypass_blocks_match_reference(n):
+    """The long-prefix family, under every config (the stress program, its
+    shape at 40 blocks, runs under the first only)."""
+    assert_matches_reference(oracles.bypass_blocks(n), d_spec=25)
+
+
 def test_random_joins_match_reference(monkeypatch):
     """Grafts (``events.Graft``) find their content through their leaf's key
     (``events.graft_key``): the same key where the leaf had seen each view

@@ -323,10 +323,10 @@ def test_random_program_candidates_are_confidential(generator, seed, alias):
 
 
 def kernel_programs():
-    """The corpus and three random families, extern calls (AMOs) included,
-    each with its ``d_spec`` and whether to check every event pair (not on
-    the stress program, whose simulations have 37 million: there only each
-    fill's line)."""
+    """The corpus, three random families, extern calls (AMOs) included, and
+    the long-prefix block family, each with its ``d_spec`` and whether to
+    check every event pair (not on the stress program, whose simulations
+    have 37 million: there only each fill's line)."""
     for path in sorted(CORPUS.rglob("*.lcm")):
         config = json.loads(path.with_suffix(".expect.json").read_text())
         yield (path.read_text(), config.get("config", {}).get("d_spec", 250),
@@ -336,6 +336,8 @@ def kernel_programs():
         yield oracles.random_single(rng), 8, True
         yield oracles.random_joins(rng), 8, True
         yield oracles.random_multithread(rng), 8, True
+    for n in (6, 7, 8):
+        yield oracles.bypass_blocks(n), 25, True
 
 
 def frx_by_position(cand, every_pair: bool) -> set[tuple[int, int]]:

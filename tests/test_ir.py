@@ -9,6 +9,7 @@ from conftest import CORPUS
 from hypothesis import given, settings, strategies as st
 
 from leakcheck import ir
+from leakcheck.cli import main
 
 
 def test_load_store_alu_forms():
@@ -41,6 +42,25 @@ def test_numeric_branch_target_resolves_to_synthesized_label():
     body = prog.entry_function.body
     assert body[1].op.target == "L4"
     assert body[3].label == "L4"
+
+
+def test_synthesized_label_skips_a_label_in_use(tmp_path, capsys):
+    # Line 6 is the target, and line 3 already has the label L6: the target
+    # gets a label of its own, the program round-trips, and check reports
+    # the gadget's leak.
+    src = ("i1: R y ->r3\nBEQZ r3, 6\nL6: skip\ni5: R A+r3 ->r4\n"
+           "i6: R B+r4 ->r5\nskip\n")
+    body = ir.parse(src).entry_function.body
+    assert [ins.label for ins in body] == ["i1", None, "L6", "i5", "i6", "L6_"]
+    assert body[1].op.target == "L6_"
+    text = ir.pretty(ir.parse(src))
+    assert ir.pretty(ir.parse(text)) == text
+    path = tmp_path / "numeric.lcm"
+    path.write_text(src)
+    assert main(["check", str(path), "--engine", "v1", "--no-timing"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "LEAK transmitter=i6_S class=universal_data access=i5_S "
+        "culprit=rf_without_rfx engine=v1")
 
 
 def test_fence_protect_call_extern_alias():
