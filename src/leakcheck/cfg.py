@@ -32,8 +32,8 @@ class CfgError(Exception):
     """Irreducible control flow or malformed call structure."""
 
 
-@dataclass(frozen=True)
-class AbstractMemOp:
+@dataclass(unsafe_hash=True, slots=True)
+class AbstractMemOp(ir.Decoded):
     """Summary of an unknown callee over its pointer operands.
 
     Stands for one memory access that may be a load or a store through
@@ -43,12 +43,16 @@ class AbstractMemOp:
 
     func: str
     pointer_args: tuple[str, ...]
+    tag, writes = "AMO", ()
+
+    def __post_init__(self):
+        self.reads = self.pointer_args
 
     def __str__(self):
         return f"abstract {self.func}({', '.join(self.pointer_args)})"
 
 
-@dataclass
+@dataclass(slots=True)
 class ANode:
     """One acfg node: a (possibly transformed) instruction plus provenance.
 
@@ -136,10 +140,7 @@ def inline_calls(prog: ir.Program, fn: ir.Function, tick=no_deadline) -> list[AN
     inst = itertools.count(1)
 
     def locals_of(f: ir.Function) -> set[str]:
-        w: set[str] = set()
-        for ins in f.body:
-            w |= ir.instr_defuse(ins.op).writes
-        return w - set(f.params)
+        return {r for ins in f.body for r in ins.op.writes} - set(f.params)
 
     out: list[ANode] = []
     # One frame per open call: the function, its register map, its label
@@ -151,14 +152,14 @@ def inline_calls(prog: ir.Program, fn: ir.Function, tick=no_deadline) -> list[AN
         f, m, suffix, depth, body = frames[-1]
         for idx, ins in body:
             tick()
-            if not (m or suffix or isinstance(ins.op, ir.Call)):
+            if not (m or suffix or ins.op.tag == "CALL"):
                 out.append(ANode(ins, f.name, idx))  # nothing to rename
                 continue
             op = _rename_op(ins.op, m)
             label = f"{ins.label}{suffix}" if ins.label else None
-            if isinstance(op, (ir.BranchEqZero, ir.Jump)):
+            if op.tag == "BR" or op.tag == "JMP":
                 op = replace(op, target=op.target + suffix)
-            if not isinstance(op, ir.Call):
+            if op.tag != "CALL":
                 out.append(ANode(ir.Instr(op, label, ins.line), f.name, idx,
                                  site=suffix))
                 continue
@@ -185,10 +186,8 @@ def inline_calls(prog: ir.Program, fn: ir.Function, tick=no_deadline) -> list[AN
                                f"{len(args)} args, expected {len(callee.params)}")
             if fresh is None:
                 used = [int(r[1:]) for g in prog.functions for r in g.params]
-                for g in prog.functions:
-                    for i in g.body:
-                        du = ir.instr_defuse(i.op)
-                        used += [int(r[1:]) for r in du.reads | du.writes]
+                used += [int(r[1:]) for g in prog.functions for i in g.body
+                         for regs in (i.op.reads, i.op.writes) for r in regs]
                 fresh = itertools.count(max(used, default=0) + 1)
             k = next(inst)
             cm = dict(zip(callee.params, args))
@@ -212,23 +211,24 @@ def inline_calls(prog: ir.Program, fn: ir.Function, tick=no_deadline) -> list[AN
 
 
 def _graphify(flat: list[ANode]) -> tuple[list[ANode], list[list[int]]]:
+    """Successors: the next node (``EXIT`` last), and a branch's target; a jump's alone."""
     labels: dict[str, int] = {}
+    jumps: list[int] = []
     for pos, nd in enumerate(flat):
         if nd.instr.label:
             if nd.instr.label in labels:
                 raise CfgError(f"duplicate label {nd.instr.label!r} after inlining")
             labels[nd.instr.label] = pos
-    succ: list[list[int]] = []
-    for pos, nd in enumerate(flat):
-        op = nd.instr.op
-        nxt = pos + 1 if pos + 1 < len(flat) else EXIT
-        if isinstance(op, ir.Jump):
-            succ.append([labels[op.target]])
-        elif isinstance(op, ir.BranchEqZero):
-            t = labels[op.target]
-            succ.append([nxt] if t == nxt else [nxt, t])
-        else:
-            succ.append([nxt])
+        if nd.instr.op.tag == "BR" or nd.instr.op.tag == "JMP":
+            jumps.append(pos)
+    succ = [[pos] for pos in range(1, len(flat))] + [[EXIT]]
+    for pos in jumps:
+        op = flat[pos].instr.op
+        target = labels[op.target]
+        if op.tag == "JMP":
+            succ[pos] = [target]
+        elif target != succ[pos][0]:
+            succ[pos].append(target)
     return flat, succ
 
 
@@ -418,7 +418,9 @@ def build_acfg(prog: ir.Program, tick=no_deadline) -> ACfg:
         off = len(all_nodes)
         roots.append(off)
         all_nodes.extend(nodes)
-        all_succ.extend([s if s == EXIT else s + off for s in ss] for ss in succ)
+        if off:
+            succ = [[s if s == EXIT else s + off for s in ss] for ss in succ]
+        all_succ.extend(succ)
     return ACfg(all_nodes, all_succ, roots, prog)
 
 
@@ -431,7 +433,7 @@ def _dot_lines(acfg: ACfg):
     yield "digraph acfg {"
     yield '  node [fontname="monospace"];'
     for i, nd in enumerate(acfg.nodes):
-        shape = "diamond" if isinstance(nd.instr.op, ir.BranchEqZero) else "box"
+        shape = "diamond" if nd.instr.op.tag == "BR" else "box"
         text = str(nd.instr.op).replace('"', r'\"')
         yield f'  n{i} [shape={shape}, label="{nd.describe()}\\n{text}"];'
     yield '  exit [shape=doublecircle, label="exit"];'

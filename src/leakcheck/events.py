@@ -29,9 +29,9 @@ dependencies, the sites and the silent-store marks are derived as each
 event is emitted, from state carried along the walk; no pass runs over a
 finished structure.
 
-Each node's instruction is decoded once per graph, on its first walk, into a
-flat record (:class:`_Op`) that each fetch of it reads; its location is
-resolved under an alias choice once per walk.
+Each node's record (:class:`_Op`) is made once per graph, on its first walk,
+from what its instruction's parse decoded (``ir.Decoded``); every fetch reads
+it, and its location is resolved under an alias choice once per walk.
 
 Each event keeps the nodes fetched for it (its own, then the event-less ones
 after it), from which fence slots and bypass windows are read; no event and
@@ -68,7 +68,6 @@ from operator import attrgetter
 from typing import NamedTuple, TypeVar
 
 from . import cfg as acfg_mod
-from . import ir
 from .cfg import ACfg, ANode, EXIT, no_deadline
 
 
@@ -92,7 +91,8 @@ class Site:
 
 
 class Step(NamedTuple):
-    """One fetch of a walk: an ACfg node, or a squash marker."""
+    """One fetch of a walk: an ACfg node, or a squash marker.  The walk passes
+    a committed fetch as the plain tuple ``(node, True, None)``."""
 
     node: int | None  # None = transient squash (ran off the program's end)
     committed: bool
@@ -249,7 +249,7 @@ class _Op(NamedTuple):
     """One ACfg node's instruction as each fetch of it reads it (:func:`_decode`)."""
 
     kind: str | None  # its events' kind, "ALU", or None: no event and no definition
-    label: str  # its events' label
+    label: str  # its events' label ("" for a node with none)
     closes: bool  # a branch or fence: a transient window stops before it
     loc: str | None = None  # R/W: a direct or indexed location, before alias resolution
     gep: bool = False  # R/W: the address is register-indexed
@@ -262,31 +262,26 @@ class _Op(NamedTuple):
 
 
 def _decode(node: ANode) -> _Op:
-    """``node``'s instruction, decoded once per graph (:func:`_walk_maps`)."""
-    op, label = node.instr.op, _node_label(node)
-    if isinstance(op, ir.Alu):
-        return _Op("ALU", label, False, None, False, None, (), op.dest, op.expr.regs)
-    if isinstance(op, (ir.Load, ir.Store)):
-        addr, loc, gep, ptr, regs = op.addr, None, False, None, ()
-        if isinstance(addr, ir.Direct):
-            loc = addr.loc
-        elif isinstance(addr, ir.Indirect):
-            ptr, regs = addr.reg, (addr.reg,)
-        elif isinstance(addr.index, int):
-            loc = f"{addr.base}.{addr.index}"
-        else:
-            loc, gep, regs = addr.base, True, (addr.index,)
-        if isinstance(op, ir.Load):
-            return _Op("R", label, False, loc, gep, ptr, regs, op.dest)
-        return _Op("W", label, False, loc, gep, ptr, regs, None, op.value.regs, op.value.text)
-    if isinstance(op, ir.BranchEqZero):
-        return _Op("BR", label, True, None, False, None, (), None, (op.cond,))
-    if isinstance(op, (ir.Fence, ir.Protect)):
-        fence = op.kind if isinstance(op, ir.Fence) else "lfence"
-        return _Op("F", label, True, None, False, None, (), None, (), "", fence)
-    if isinstance(op, acfg_mod.AbstractMemOp):
-        return _Op("AMO", label, False, None, False, None, op.pointer_args)
-    return _Op(None, label, False)  # skip, jump
+    """``node``'s instruction from its parse's record (``ir.Decoded``), once per
+    graph (:func:`_walk_maps`); made as a plain tuple, every field given."""
+    op, kind = node.instr.op, node.instr.op.tag
+    if kind == "ALU":
+        fields = (kind, "", False, None, False, None, (), op.dest, op.reads, "", None)
+    elif kind == "R" or kind == "W":
+        loc, regs = op.addr.cell, op.addr.regs
+        # A register of an address with a cell indexes it; of one without, it is the pointer.
+        gep, ptr = (bool(regs), None) if loc is not None else (False, regs[0])
+        fields = (kind, _node_label(node), False, loc, gep, ptr, regs) + (
+            (op.dest, (), "", None) if kind == "R" else (None, op.value.regs, op.value.text, None))
+    elif kind == "BR":
+        fields = (kind, _node_label(node), True, None, False, None, (), None, op.reads, "", None)
+    elif kind == "F":
+        fields = (kind, _node_label(node), True, None, False, None, (), None, (), "", op.kind)
+    elif kind == "AMO":
+        fields = (kind, _node_label(node), False, None, False, None, op.reads, None, (), "", None)
+    else:  # skip, jump
+        fields = (None, "", False, None, False, None, (), None, (), "", None)
+    return tuple.__new__(_Op, fields)
 
 
 class _ThreadState:
@@ -315,7 +310,10 @@ class _ThreadState:
 
 
 def _topological(graph: ACfg) -> list[int]:
-    """The nodes of the acyclic ``graph`` in a topological order (Kahn)."""
+    """The nodes of the acyclic ``graph`` in a topological order: index order
+    when every edge runs forward, else by Kahn's algorithm."""
+    if acfg_mod._forward_only(graph.succ):
+        return list(range(len(graph.succ)))
     indeg = [0] * len(graph.succ)
     for nxt in (nxt for succs in graph.succ for nxt in succs if nxt != EXIT):
         indeg[nxt] += 1
@@ -329,22 +327,23 @@ def _topological(graph: ACfg) -> list[int]:
     return order
 
 
-def _branch_regions(graph: ACfg, order: list[int]) -> dict[int, frozenset[int]]:
-    """Nodes control-dependent on each branch (postdominator-bounded), from
-    ``order``, a topological order of ``graph``: a node's immediate
+def _branch_regions(graph: ACfg, order: list[int], branches: list[int]) -> dict[int, frozenset]:
+    """Nodes control-dependent on each of the ``branches`` (postdominator-bounded),
+    from ``order``, a topological order of ``graph``: a node's immediate
     postdominator is the meet of its successors', all found in one pass in
     reverse ``order``, and a branch's region lies between the two in it."""
-    branches = [node for node, nd in enumerate(graph.nodes)
-                if isinstance(nd.instr.op, ir.BranchEqZero)]
     if not branches:
         return {}
-    rank = {EXIT: len(order)}
+    succ = graph.succ
+    rank = [0] * (len(succ) + 1)  # EXIT (-1) is the last entry, past every node
     for i, node in enumerate(order):
         rank[node] = i
-    ipdom: dict[int, int] = {}
+    rank[EXIT] = len(order)
+    ipdom = [EXIT] * len(succ)
     for node in reversed(order):
-        first, *rest = graph.succ[node]
-        for other in rest:  # walk up to the meet
+        first = succ[node][0]
+        if len(succ[node]) == 2:  # walk up to the meet
+            other = succ[node][1]
             while first != other:
                 while rank[first] < rank[other]:
                     first = ipdom[first]
@@ -353,15 +352,14 @@ def _branch_regions(graph: ACfg, order: list[int]) -> dict[int, frozenset[int]]:
         ipdom[node] = first
     regions: dict[int, frozenset[int]] = {}
     for node in branches:
-        succs = graph.succ[node]
-        if len(succs) != 2:
-            regions[node] = frozenset()
+        if len(succ[node]) != 2:
+            regions[node] = _EMPTY
             continue
         stop = ipdom[node]
-        reached = set(succs)
+        reached = set(succ[node])
         for cur in order[rank[node] + 1 : rank[stop]]:
             if cur in reached:
-                reached.update(graph.succ[cur])
+                reached.update(succ[cur])
         reached.discard(stop)
         reached.discard(EXIT)
         regions[node] = frozenset(reached)
@@ -411,11 +409,12 @@ class _Builder:
         # silent marks are read from them when the next store is emitted.
         self._stores: dict[str, tuple[tuple, ...]] = {}
         # The canonical cache's writers of each line so far, in fetch order
-        # (a read miss fills its line and counts as a writer), and the
-        # committed stores since the last committed fence: sites are read
-        # from them when a committed load is emitted.
+        # (a read miss fills its line and counts as a writer), the last
+        # committed fence (0: none), and under psf the committed stores since
+        # it: sites are read from them when a committed load is emitted.
         self._want_sites = self.single and bool(primitives & {"stl", "psf"})
         self._lines: dict[str, tuple[int, ...]] = {}
+        self._fence = 0
         self._unfenced: tuple[int, ...] = ()
         # The current thread's walking state: register taint and
         # definitions, and the open committed branches.
@@ -442,9 +441,10 @@ class _Builder:
 
         Only what the two arms can set apart is compared.  The arms emit no
         event and a window's events are transient, so ``po`` and the store
-        history are equal at every join; sites and the line and unfenced
-        histories are too, as a walk with sites has no windows; and ``tfo``
-        is equal whenever the events are.  The tests assert all of these."""
+        history are equal at every join; sites, the line histories, the last
+        fence and the unfenced stores are too, as a walk with sites has no
+        windows; and ``tfo`` is equal whenever the events are.  The tests
+        assert all of these."""
         mine, theirs = self.state, other.state
         return (
             mine.taint == theirs.taint
@@ -538,34 +538,37 @@ class _Builder:
     def _control(self, step: Step) -> frozenset[int]:
         """The condition reads of the open branches whose region holds
         ``step``'s node or whose window fetched it."""
-        if step.committed:
+        node, committed, window = step
+        if committed:
             # The ACfg is acyclic, so a committed path that has left a
             # branch's region never re-enters it.
             self._open = tuple(
-                br for br in self._open if step.node in self.maps.regions[br.node_id]
+                br for br in self._open if node in self.maps.regions[br.node_id]
             )
         out = _EMPTY
         for br in self._open:  # each with condition reads
-            if step.window == br.eid or step.node in self.maps.regions[br.node_id]:
+            if window == br.eid or node in self.maps.regions[br.node_id]:
                 out = out | br.cond_reads if out else br.cond_reads
         return out
 
     def _sites_at(self, ev: Event) -> None:
-        """The sites of load ``ev``, and its (or store or fence ``ev``'s)
-        mark on the line writers and the unfenced stores.  Every event is
-        committed: a structure with sites has no branch windows."""
+        """The sites of load ``ev``, and its (or store or fence ``ev``'s) mark
+        on the line writers, the last fence and the unfenced stores.  Every
+        event is committed: a structure with sites has no branch windows."""
         if ev.kind == "F":
-            self._unfenced = ()
+            self._fence, self._unfenced = ev.eid, ()
             return
         loc = ev.location or ""
         hist = self._lines.get(loc, (0,))
         if ev.kind == "W":
             self._lines[loc] = hist + (ev.eid,)
-            self._unfenced += (ev.eid,)
+            if "psf" in self.primitives:
+                self._unfenced += (ev.eid,)
             return
         # stl: the line's writer is a store with no fence since; the earlier
         # writers are the stale sources.
-        if "stl" in self.primitives and hist[-1] in self._unfenced:
+        writer = hist[-1]
+        if "stl" in self.primitives and writer > self._fence and self.events[writer].kind == "W":
             self.sites += (Site(ev.eid, "stl", hist[:-1]),)
         if "psf" in self.primitives:
             others = tuple(
@@ -647,7 +650,7 @@ def _walk_paths(
     want_windows = "branch" in primitives
     out: list[EventStructure] = []
     first = _Builder(graph, merged, primitives)
-    committed, joins = first.maps.committed, first.maps.joins
+    joins = first.maps.joins
     first.start_thread()
     # (builder, node to walk from, None), or (builder, None, the index in out
     # of the first structure to graft onto builder).
@@ -668,7 +671,7 @@ def _walk_paths(
                 builder.start_thread()
                 node = graph.roots[len(builder.po) - 1]
                 continue
-            builder.step(committed[node])
+            builder.step((node, True, None))
             succs = graph.succ[node]
             if len(succs) == 1:
                 node = succs[0]
@@ -687,7 +690,7 @@ def _walk_paths(
             for fork, nxt in zip(forks, succs):
                 while nxt != join:
                     tick()
-                    fork.step(committed[nxt])
+                    fork.step((nxt, True, None))
                     nxt = graph.succ[nxt][0]
             other, walked = forks
             if other.mergeable(walked, reads):
@@ -724,19 +727,19 @@ class _WalkMaps(NamedTuple):
 
     regions: dict[int, frozenset[int]]  # per branch (:func:`_branch_regions`)
     joins: dict[int, tuple[int, frozenset[str]]]  # per branch (:func:`_joins`)
-    committed: list[Step]  # per node: its committed fetch
     ops: list[_Op]  # per node: its decoded instruction
     prefixes: dict[tuple[int, tuple], int]  # ids of fetched prefixes (:func:`_windows`)
 
 
 def _walk_maps(graph: ACfg) -> _WalkMaps:
-    """``graph``'s walk maps, derived on its first walk."""
+    """``graph``'s walk maps, derived on its first walk from each node's
+    record (:func:`_decode`).  Only branches need a topological order."""
     if graph.walk_maps is None:
-        order = _topological(graph)
+        ops = [_decode(node) for node in graph.nodes]
+        branches = [node for node, op in enumerate(ops) if op.kind == "BR"]
+        order = _topological(graph) if branches else []
         graph.walk_maps = _WalkMaps(
-            _branch_regions(graph, order), _joins(graph, order),
-            [Step(node, True) for node in range(len(graph.nodes))],
-            [_decode(node) for node in graph.nodes], {})
+            _branch_regions(graph, order, branches), _joins(graph, order, ops), ops, {})
     return graph.walk_maps
 
 
@@ -770,31 +773,29 @@ def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, tuple, tu
     return windows
 
 
-def _joins(graph: ACfg, order: list[int]) -> dict[int, tuple[int, frozenset[str]]]:
+def _joins(graph: ACfg, order: list[int], ops: list[_Op]) -> dict[int, tuple[int, frozenset[str]]]:
     """Per two-way branch whose arms both run through event-less steps (ALU,
     skip, jump) to one node: that join node, and the registers whose reaching
     definition a node reachable from it reads, through an indirect address, a
     stored value or an AMO pointer.  ``order`` is a topological order of
-    ``graph``."""
+    ``graph``, and ``ops`` are its nodes' records."""
     def run(node: int) -> int:
-        while node != EXIT and isinstance(graph.nodes[node].instr.op, (ir.Alu, ir.Jump, ir.Skip)):
+        while node != EXIT and ops[node].kind in (None, "ALU"):
             node = graph.succ[node][0]
         return node
     joins = {node: join for node, succs in enumerate(graph.succ)
              if len(succs) == 2 and (join := run(succs[0])) == run(succs[1])}
     if not joins:
         return {}
-    reads: dict[int, frozenset[str]] = {EXIT: frozenset()}
+    reads: dict[int, frozenset[str]] = {EXIT: _EMPTY}
     for node in reversed(order):  # each node once all it reaches has its reads
-        op = graph.nodes[node].instr.op
-        own: set[str] = set()
-        if isinstance(op, (ir.Load, ir.Store)) and isinstance(op.addr, ir.Indirect):
-            own.add(op.addr.reg)
-        if isinstance(op, ir.Store):
-            own.update(op.value.regs)
-        elif isinstance(op, acfg_mod.AbstractMemOp):
-            own.update(op.pointer_args)
-        reads[node] = frozenset(own).union(*(reads[nxt] for nxt in graph.succ[node]))
+        first, *rest = graph.succ[node]
+        got = reads[first].union(*(reads[nxt] for nxt in rest)) if rest else reads[first]
+        op = ops[node]
+        own = op.regs if op.kind == "W" else op.addr_regs if op.kind == "AMO" else ()
+        if op.ptr:
+            own = (op.ptr, *own)
+        reads[node] = got.union(own) if not got.issuperset(own) else got
     return {node: (join, reads[join]) for node, join in joins.items()}
 
 

@@ -25,6 +25,10 @@ pointer operands.  Comments run from ``;`` to end of line.
 Value operands (right of ``<-``) are uninterpreted: only the registers
 occurring in them matter for dataflow.  Registers are ``r`` + digits.
 Distinct location names denote distinct addresses unless declared alias.
+
+Each instruction is decoded once, when it is made (:class:`Decoded`), into
+what the definite-assignment check, call inlining, the ACfg's edges and the
+walk's node records read of it; none of them decodes it again.
 """
 
 from __future__ import annotations
@@ -45,35 +49,47 @@ class ParseError(Exception):
 
 
 # --------------------------------------------------------------------------
-# address expressions and instruction operands
+# address expressions and instruction operands: an address has ``regs``, the
+# registers it reads, and ``cell``, its location before alias resolution.
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Direct:
     """A named location: ``x``."""
 
     loc: str
+    regs = ()
+    cell = property(lambda self: self.loc)
 
     def __str__(self):
         return self.loc
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Indexed:
     """Base location plus register or constant index: ``A+r2``, ``C+0``."""
 
     base: str
     index: str | int
+    regs: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    cell: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # a constant index names a cell of its own
+        const = not isinstance(self.index, str)
+        self.regs = () if const else (self.index,)
+        self.cell = f"{self.base}.{self.index}" if const else self.base
 
     def __str__(self):
         return f"{self.base}+{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Indirect:
-    """Load/store through a register holding a pointer: ``[r3]``."""
+    """Load/store through a register holding a pointer: ``[r3]``; no cell."""
 
     reg: str
+    regs = property(lambda self: (self.reg,))
+    cell = None
 
     def __str__(self):
         return f"[{self.reg}]"
@@ -82,7 +98,7 @@ class Indirect:
 AddressExpr = Direct | Indexed | Indirect
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Expr:
     """An uninterpreted value expression; only its registers are meaningful."""
 
@@ -94,88 +110,122 @@ class Expr:
 
 
 def make_expr(text: str) -> Expr:
-    seen: list[str] = []
-    for r in REG_RE.findall(text):
-        if r not in seen:
-            seen.append(r)
-    return Expr(text, tuple(seen))
+    regs = REG_RE.findall(text) if "r" in text else ()
+    return Expr(text, tuple(dict.fromkeys(regs)) if len(regs) > 1 else tuple(regs))
 
 
 # --------------------------------------------------------------------------
 # instructions
 
 
-@dataclass(frozen=True)
-class Load:
+class Decoded:
+    """An instruction as the later layers read it: ``reads`` and ``writes``,
+    its registers, and per class a ``tag``, the kind of event a fetch of it
+    emits (``R``, ``W``, ``BR``, ``F``, ``AMO``) or ``ALU``, ``JMP``, ``CALL``, ``SKIP``."""
+
+    __slots__ = ("reads", "writes")
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class Load(Decoded):
     addr: AddressExpr
     dest: str
+    tag = "R"
+
+    def __post_init__(self):
+        self.reads, self.writes = self.addr.regs, (self.dest,)
 
     def __str__(self):
         return f"R {self.addr} ->{self.dest}"
 
 
-@dataclass(frozen=True)
-class Store:
+@dataclass(unsafe_hash=True, slots=True)
+class Store(Decoded):
     addr: AddressExpr
     value: Expr
+    tag, writes = "W", ()
+
+    def __post_init__(self):
+        self.reads = self.addr.regs + self.value.regs
 
     def __str__(self):
         return f"W {self.addr} <-{self.value}"
 
 
-@dataclass(frozen=True)
-class Alu:
+@dataclass(unsafe_hash=True, slots=True)
+class Alu(Decoded):
     dest: str
     expr: Expr
+    tag = "ALU"
+
+    def __post_init__(self):
+        self.reads, self.writes = self.expr.regs, (self.dest,)
 
     def __str__(self):
         return f"{self.dest} <-{self.expr}"
 
 
-@dataclass(frozen=True)
-class BranchEqZero:
+@dataclass(unsafe_hash=True, slots=True)
+class BranchEqZero(Decoded):
     cond: str
     target: str
+    tag, writes = "BR", ()
+
+    def __post_init__(self):
+        self.reads = (self.cond,)
 
     def __str__(self):
         return f"BEQZ {self.cond}, {self.target}"
 
 
-@dataclass(frozen=True)
-class Jump:
+@dataclass(unsafe_hash=True, slots=True)
+class Jump(Decoded):
     target: str
+    tag, reads, writes = "JMP", (), ()
 
     def __str__(self):
         return f"JMP {self.target}"
 
 
-@dataclass(frozen=True)
-class Fence:
+@dataclass(unsafe_hash=True, slots=True)
+class Fence(Decoded):
     kind: str  # 'full' or 'lfence'
+    tag, reads, writes = "F", (), ()
 
     def __str__(self):
         return "fence" if self.kind == "full" else "lfence"
 
 
-@dataclass(frozen=True)
-class Protect:
+@dataclass(unsafe_hash=True, slots=True)
+class Protect(Decoded):
     reg: str | None = None
+    tag, writes = "F", ()
+    kind = "lfence"  # it acts as one
+
+    def __post_init__(self):
+        self.reads = (self.reg,) if self.reg else ()
 
     def __str__(self):
         return f"protect {self.reg}" if self.reg else "protect"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(unsafe_hash=True, slots=True)
+class Call(Decoded):
     func: str
     args: tuple[str, ...] = ()
+    tag, writes = "CALL", ()
+
+    def __post_init__(self):
+        self.reads = self.args
 
     def __str__(self):
         return f"call {self.func}({', '.join(self.args)})" if self.args else f"call {self.func}"
 
 
-@dataclass(frozen=True)
-class Skip:
+@dataclass(unsafe_hash=True, slots=True)
+class Skip(Decoded):
+    tag, reads, writes = "SKIP", (), ()
+
     def __str__(self):
         return "skip"
 
@@ -183,7 +233,7 @@ class Skip:
 Op = Load | Store | Alu | BranchEqZero | Jump | Fence | Protect | Call | Skip
 
 
-@dataclass
+@dataclass(slots=True)
 class Instr:
     op: Op
     label: str | None = None
@@ -226,16 +276,16 @@ _DECL_ALIAS = re.compile(r"^alias\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)$")
 _DECL_EXTERN = re.compile(r"^extern\s+(\w+)\s*/\s*(\d+)$")
 _HDR_THREAD = re.compile(r"^thread\s+(\w+)\s*:$")
 _HDR_FUNC = re.compile(r"^func\s+(\w+)\s*\(\s*([^)]*)\s*\)\s*:$")
-_LABEL = re.compile(r"^([A-Za-z_]\w*)\s*:\s*(.*)$")
+# A line's label, if it has one, and the leading word after it.
+_HEAD = re.compile(r"(?:([A-Za-z_]\w*)\s*:\s*)?(\w*)")
 _LOAD = re.compile(r"^R\s+(\S+)\s*->\s*(r\d+)$")
 _STORE = re.compile(r"^W\s+(\S+)\s*<-\s*(.+)$")
 _ALU = re.compile(r"^(r\d+)\s*<-\s*(.+)$")
 _BEQZ = re.compile(r"^BEQZ\s+(r\d+)\s*,\s*(\w+)$")
 _JMP = re.compile(r"^JMP\s+(\w+)$")
 _CALL = re.compile(r"^call\s+(\w+)\s*(?:\(\s*([^)]*)\s*\))?$")
-_ADDR_INDEXED = re.compile(r"^(\w+)\+(r\d+|\d+)$")
-_ADDR_INDIRECT = re.compile(r"^\[\s*(r\d+)\s*\]$")
-_ADDR_DIRECT = re.compile(r"^[A-Za-z_]\w*$")
+# An indirect or indexed address, a bare register, or a direct address.
+_ADDR = re.compile(r"\[\s*(r\d+)\s*\]|(\w+)\+(r\d+|\d+)|(r\d+)|([A-Za-z_]\w*)")
 
 _KEYWORDS = {"thread", "func", "alias", "extern", "call", "fence", "lfence",
              "protect", "skip", "BEQZ", "JMP", "R", "W"}
@@ -244,50 +294,46 @@ _HEADERS = {"alias": _DECL_ALIAS, "extern": _DECL_EXTERN, "thread": _HDR_THREAD,
 
 
 def _parse_addr(text: str, line: int) -> AddressExpr:
-    m = _ADDR_INDIRECT.match(text)
-    if m:
-        return Indirect(m.group(1))
-    m = _ADDR_INDEXED.match(text)
-    if m:
-        base, idx = m.group(1), m.group(2)
-        return Indexed(base, idx if idx.startswith("r") else int(idx))
-    if _ADDR_DIRECT.match(text):
-        if REG_RE.fullmatch(text):
-            raise ParseError(f"bare register {text!r} as address; use [{text}]", line)
-        return Direct(text)
-    raise ParseError(f"malformed address expression {text!r}", line)
+    m = _ADDR.fullmatch(text)
+    if m is None:
+        raise ParseError(f"malformed address expression {text!r}", line)
+    reg, base, index, bare, loc = m.groups()
+    if loc is not None:
+        return Direct(loc)
+    if base is not None:
+        return Indexed(base, index if index.startswith("r") else int(index))
+    if reg is not None:
+        return Indirect(reg)
+    raise ParseError(f"bare register {bare!r} as address; use [{bare}]", line)
 
 
-# Each opcode's pattern by its leading word (an ALU op leads with its register).
+# Each opcode's pattern by its leading word.
 _PATTERNS = {"R": _LOAD, "W": _STORE, "BEQZ": _BEQZ, "JMP": _JMP, "call": _CALL}
-_WORD = re.compile(r"\w*")
 
 
 def _parse_instr(text: str, word: str, line: int) -> Op:
     """The instruction ``text``, whose leading word is ``word``: only the
     pattern of that opcode is tried."""
-    pattern = _PATTERNS.get(word) or (REG_RE.fullmatch(word) and _ALU)
-    m = pattern and pattern.match(text)
+    pattern = _PATTERNS.get(word, _ALU)  # an ALU op leads with its register
+    m = pattern.match(text)
+    if m and pattern is _ALU:
+        return Alu(m[1], make_expr(m[2]))
     if m and word == "R":
-        return Load(_parse_addr(m.group(1), line), m.group(2))
+        return Load(_parse_addr(m[1], line), m[2])
     if m and word == "W":
-        return Store(_parse_addr(m.group(1), line), make_expr(m.group(2).strip()))
+        return Store(_parse_addr(m[1], line), make_expr(m[2]))
     if m and word == "BEQZ":
-        return BranchEqZero(m.group(1), m.group(2))
+        return BranchEqZero(m[1], m[2])
     if m and word == "JMP":
-        return Jump(m.group(1))
-    if m and word == "call":
-        args = tuple(a.strip() for a in (m.group(2) or "").split(",") if a.strip())
+        return Jump(m[1])
+    if m:  # a call
+        args = tuple(a.strip() for a in (m[2] or "").split(",") if a.strip())
         for a in args:
             if not REG_RE.fullmatch(a):
                 raise ParseError(f"call argument {a!r} is not a register", line)
-        return Call(m.group(1), args)
-    if m:
-        return Alu(m.group(1), make_expr(m.group(2).strip()))
-    if text == "fence":
-        return Fence("full")
-    if text == "lfence":
-        return Fence("lfence")
+        return Call(m[1], args)
+    if text == "fence" or text == "lfence":
+        return Fence("full" if text == "fence" else "lfence")
     if text == "skip":
         return Skip()
     if text == "protect" or text.startswith("protect "):
@@ -329,38 +375,34 @@ def parse(text: str) -> Program:
             continue
 
         # Dispatch on the leading word: a header, else a (labelled) instruction.
-        word = _WORD.match(stripped).group()
-        m = word in _HEADERS and _HEADERS[word].match(stripped)
-        if m and word == "alias":
-            aliases.append((m.group(1), m.group(2)))
-            continue
-        if m and word == "extern":
-            externs[m.group(1)] = int(m.group(2))
-            continue
-        if m and word == "thread":
-            if functions and not multithread:
-                raise ParseError("cannot mix thread blocks with other code", lineno)
-            multithread = True
-            saw_header = True
-            open_block(Function(m.group(1), (), []))
-            continue
-        if m:  # a func header
-            if multithread:
-                raise ParseError("cannot mix func blocks with thread blocks", lineno)
-            saw_header = True
-            params = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
-            for p in params:
-                if not REG_RE.fullmatch(p):
-                    raise ParseError(f"parameter {p!r} is not a register", lineno)
-            open_block(Function(m.group(1), params, []))
+        m = _HEAD.match(stripped)
+        label, word = m.groups()
+        if label in _KEYWORDS:  # a keyword before a colon is no label
+            label, word = None, label
+        body = stripped[m.start(2):] if label else stripped
+        m = label is None and word in _HEADERS and _HEADERS[word].match(stripped)
+        if m:
+            if word == "alias":
+                aliases.append((m.group(1), m.group(2)))
+            elif word == "extern":
+                externs[m.group(1)] = int(m.group(2))
+            elif word == "thread":
+                if functions and not multithread:
+                    raise ParseError("cannot mix thread blocks with other code", lineno)
+                multithread = True
+                saw_header = True
+                open_block(Function(m.group(1), (), []))
+            else:  # a func header
+                if multithread:
+                    raise ParseError("cannot mix func blocks with thread blocks", lineno)
+                saw_header = True
+                params = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
+                for p in params:
+                    if not REG_RE.fullmatch(p):
+                        raise ParseError(f"parameter {p!r} is not a register", lineno)
+                open_block(Function(m.group(1), params, []))
             continue
 
-        label = None
-        body = stripped
-        m = ":" in stripped and _LABEL.match(stripped)
-        if m and m.group(1) not in _KEYWORDS:
-            label, body = m.group(1), m.group(2).strip()
-            word = _WORD.match(body).group()
         if label and not body:
             if pending_label is not None:
                 raise ParseError(f"two labels ({pending_label!r}, {label!r}) "
@@ -375,7 +417,7 @@ def parse(text: str) -> Program:
             functions.append(cur)
 
         op = _parse_instr(body, word, lineno)
-        if multithread and isinstance(op, Call):
+        if multithread and op.tag == "CALL":
             raise ParseError("call is not allowed inside thread blocks", lineno)
         if pending_label is not None:
             if label is not None:
@@ -399,20 +441,21 @@ def parse(text: str) -> Program:
         entry = "main" if "main" in names else names[0]
 
     prog = Program(functions, entry, tuple(aliases), externs, multithread)
-    _resolve_labels(prog)
-    for f in prog.functions:
-        _check_defined_before_use(f)
+    for f, labels in zip(prog.functions, _resolve_labels(prog)):
+        _check_defined_before_use(f, labels)
     return prog
 
 
-def _resolve_labels(prog: Program):
-    """Resolve numeric branch targets to labels and check label references.
+def _resolve_labels(prog: Program) -> list[dict[str, int]]:
+    """Resolve numeric branch targets to labels and check label references;
+    each function's labels, by instruction index.
 
     A numeric target is a 1-based index into the enclosing function's
     instruction list; the target instruction gets a synthesized label
     ``L<n>`` if it has none, with ``_`` appended while another instruction
     has that label.
     """
+    out = []
     for fn in prog.functions:
         labels: dict[str, int] = {}
         for i, ins in enumerate(fn.body):
@@ -421,7 +464,7 @@ def _resolve_labels(prog: Program):
                     raise ParseError(f"duplicate label {ins.label!r}", ins.line)
                 labels[ins.label] = i
         for ins in fn.body:
-            if not isinstance(ins.op, (BranchEqZero, Jump)):
+            if ins.op.tag != "BR" and ins.op.tag != "JMP":
                 continue
             tgt = ins.op.target
             if tgt.isdigit():
@@ -437,87 +480,40 @@ def _resolve_labels(prog: Program):
                 ins.op = replace(ins.op, target=dest.label)
             elif tgt not in labels:
                 raise ParseError(f"undefined label {tgt!r}", ins.line)
+        out.append(labels)
+    return out
 
 
-def successors(fn: Function, i: int, labels: dict[str, int]) -> list[int]:
-    """Indices of the possible next instructions after ``fn.body[i]``.
-
-    ``labels`` maps each label of ``fn`` to its index;
-    ``len(fn.body)`` stands for function exit.
-    """
-    op = fn.body[i].op
-    if isinstance(op, Jump):
-        return [labels[op.target]]
-    if isinstance(op, BranchEqZero):
-        return sorted({i + 1, labels[op.target]})
-    return [i + 1]
-
-
-def _check_defined_before_use(fn: Function):
-    """Definite-assignment: every register read must be written on all paths."""
-    n = len(fn.body)
-    if n == 0:
+def _check_defined_before_use(fn: Function, labels: dict[str, int]):
+    """Definite assignment: every register read is written on every path to it.
+    Forward dataflow over a worklist, the first failing read reported; a lone
+    successor whose set changes is visited next, as if pushed and popped."""
+    body, n = fn.body, len(fn.body)
+    if not n:
         return
-    # Forward dataflow, intersection over predecessors.
     defined: list[set[str] | None] = [None] * n
     defined[0] = set(fn.params)
-    labels = {ins.label: j for j, ins in enumerate(fn.body) if ins.label}
-    defuse = [instr_defuse(ins.op) for ins in fn.body]
     work = [0]
     while work:
         i = work.pop()
-        du = defuse[i]
-        missing = du.reads - defined[i]
-        if missing:
-            raise ParseError(
-                f"register {sorted(missing)[0]} may be read before assignment",
-                fn.body[i].line)
-        out = defined[i] | du.writes
-        for j in successors(fn, i, labels):
-            if j >= n:
-                continue
-            if defined[j] is None:
-                defined[j] = set(out)
-                work.append(j)
-            elif not out >= defined[j]:
-                defined[j] &= out
-                work.append(j)
-
-
-# --------------------------------------------------------------------------
-# def/use
-
-
-@dataclass(frozen=True)
-class DefUse:
-    reads: frozenset[str]
-    writes: frozenset[str]
-
-
-def address_regs(addr: AddressExpr) -> frozenset[str]:
-    if isinstance(addr, Indexed) and isinstance(addr.index, str):
-        return frozenset([addr.index])
-    if isinstance(addr, Indirect):
-        return frozenset([addr.reg])
-    return frozenset()
-
-
-def instr_defuse(op: Op) -> DefUse:
-    """Registers read and written by one opcode."""
-    e = frozenset()
-    if isinstance(op, Load):
-        return DefUse(address_regs(op.addr), frozenset([op.dest]))
-    if isinstance(op, Store):
-        return DefUse(address_regs(op.addr) | frozenset(op.value.regs), e)
-    if isinstance(op, Alu):
-        return DefUse(frozenset(op.expr.regs), frozenset([op.dest]))
-    if isinstance(op, BranchEqZero):
-        return DefUse(frozenset([op.cond]), e)
-    if isinstance(op, Protect) and op.reg:
-        return DefUse(frozenset([op.reg]), e)
-    if isinstance(op, Call):
-        return DefUse(frozenset(op.args), e)
-    return DefUse(e, e)
+        while True:
+            have, op = defined[i], body[i].op
+            if not have.issuperset(op.reads):
+                missing = min(r for r in op.reads if r not in have)
+                raise ParseError(f"register {missing} may be read before assignment",
+                                 body[i].line)
+            out = have if have.issuperset(op.writes) else have.union(op.writes)
+            if op.tag == "BR" or op.tag == "JMP":
+                target = labels[op.target]
+                for j in sorted({i + 1, target}) if op.tag == "BR" else (target,):
+                    if j < n and (defined[j] is None or not out >= defined[j]):
+                        defined[j] = out if defined[j] is None else defined[j] & out
+                        work.append(j)
+                break
+            i += 1
+            if i == n or (defined[i] is not None and out >= defined[i]):
+                break
+            defined[i] = out if defined[i] is None else defined[i] & out
 
 
 # --------------------------------------------------------------------------

@@ -512,6 +512,7 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
                 points.append(reuse[i])
                 continue
             seen.add(rec)
+            config.tick()  # a long span's fence points take a while
             pts = _fence_points(st, span)
             points.append(pts)
             if pts:

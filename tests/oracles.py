@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from bisect import bisect_left
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from leakcheck import cfg, events, ir
 from leakcheck import executions as ex
@@ -317,7 +318,8 @@ class ReferenceBuilder(events._Builder):
     node's instruction type, resolves its location through the alias
     union-find, and passes the event's fields as keywords.  The references
     below build with it, so each event the walk emits is compared, field by
-    field, with this emission."""
+    field, with this emission.  Its sites are those of the emitter that
+    scanned the unfenced stores for a load's line writer (:meth:`_sites_at`)."""
 
     def __init__(self, graph, merged, primitives) -> None:
         super().__init__(graph, merged, primitives)
@@ -356,7 +358,7 @@ class ReferenceBuilder(events._Builder):
         fields: dict = {}
         if isinstance(op, (ir.Load, ir.Store)):
             loc, gep = self.location(op.addr, state)
-            addr_reads = state.reads_of(ir.address_regs(op.addr))
+            addr_reads = state.reads_of(address_regs_reference(op.addr))
             fields = {"location": loc, "gep": gep, "addr_reads": addr_reads}
             if isinstance(op, ir.Load):
                 kind = "R"
@@ -415,6 +417,33 @@ class ReferenceBuilder(events._Builder):
         if step.committed:
             self.po[-1].append(ev.eid)
 
+    def _sites_at(self, ev) -> None:
+        """The sites of load ``ev``, and its (or store or fence ``ev``'s)
+        mark on the line writers and the unfenced stores.  Every event is
+        committed: a structure with sites has no branch windows."""
+        if ev.kind == "F":
+            self._unfenced = ()
+            return
+        loc = ev.location or ""
+        hist = self._lines.get(loc, (0,))
+        if ev.kind == "W":
+            self._lines[loc] = hist + (ev.eid,)
+            self._unfenced += (ev.eid,)
+            return
+        # stl: the line's writer is a store with no fence since; the earlier
+        # writers are the stale sources.
+        if "stl" in self.primitives and hist[-1] in self._unfenced:
+            self.sites += (events.Site(ev.eid, "stl", hist[:-1]),)
+        if "psf" in self.primitives:
+            others = tuple(
+                s for s in self._unfenced if self.events[s].location != loc
+            )
+            if others:
+                self.sites += (events.Site(ev.eid, "psf", others),)
+        if len(hist) == 1:
+            # First touch: the miss fills the line and becomes its writer.
+            self._lines[loc] = (0, ev.eid)
+
 
 def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=250):
     """The enumerator that the path-tree walk replaced.
@@ -428,7 +457,8 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
     each window's branch by plan index, the builder by event id: each window
     is mapped as it is fed, as one block.
 
-    Each structure keeps its plans (one per thread) as ``plans``, and each
+    Each structure keeps the sites :meth:`ReferenceBuilder._sites_at` made
+    as ``emitted_sites``, its plans (one per thread) as ``plans``, and each
     event's step in its thread's plan, read as it is fed, as ``step_of``:
     the plan-based references (:func:`fence_points_reference`,
     :func:`windows_reference`, :func:`fetched_reference`) read them.
@@ -472,6 +502,9 @@ def enumerate_event_structures_reference(graph, primitives=frozenset(), d_spec=2
             st.plans, st.step_of = plan_combo, step_of
             silent_marks_reference(st)
             set_ctrl_reads(st, control_deps_reference(st, regions))
+            # The sites as the builder's replaced emitter made them, then by
+            # the post-pass.
+            st.emitted_sites = st.sites
             st.sites = sites_reference(st, primitives)
             structures.append(st)
     return structures
@@ -1259,7 +1292,11 @@ def random_multithread(rng: random.Random) -> str:
 
 
 # ``ir.parse`` before it dispatched each line on its leading word: every
-# pattern tried in turn.
+# pattern tried in turn, and a label matched apart from the leading word.
+_LABEL = re.compile(r"^([A-Za-z_]\w*)\s*:\s*(.*)$")
+
+
+
 def _parse_instr_reference(text: str, line: int) -> ir.Op:
     m = ir._LOAD.match(text)
     if m:
@@ -1357,7 +1394,7 @@ def parse_reference(text: str) -> ir.Program:
 
         label = None
         body = stripped
-        m = ir._LABEL.match(stripped)
+        m = _LABEL.match(stripped)
         if m and m.group(1) not in ir._KEYWORDS:
             label, body = m.group(1), m.group(2).strip()
         if label and not body:
@@ -1416,14 +1453,14 @@ def _check_defined_before_use_reference(fn: ir.Function):
     work = [0]
     while work:
         i = work.pop()
-        du = ir.instr_defuse(fn.body[i].op)
+        du = instr_defuse_reference(fn.body[i].op)
         missing = du.reads - defined[i]
         if missing:
             raise ir.ParseError(
                 f"register {sorted(missing)[0]} may be read before assignment",
                 fn.body[i].line)
         out = defined[i] | du.writes
-        for j in ir.successors(fn, i, labels):
+        for j in successors_reference(fn, i, labels):
             if j >= n:
                 continue
             if defined[j] is None:
@@ -1432,6 +1469,85 @@ def _check_defined_before_use_reference(fn: ir.Function):
             elif not out >= defined[j]:
                 defined[j] &= out
                 work.append(j)
+
+
+def successors_reference(fn: ir.Function, i: int, labels: dict[str, int]) -> list[int]:
+    """Indices of the possible next instructions after ``fn.body[i]``.
+
+    ``labels`` maps each label of ``fn`` to its index;
+    ``len(fn.body)`` stands for function exit.
+    """
+    op = fn.body[i].op
+    if isinstance(op, ir.Jump):
+        return [labels[op.target]]
+    if isinstance(op, ir.BranchEqZero):
+        return sorted({i + 1, labels[op.target]})
+    return [i + 1]
+
+
+# ``ir.instr_defuse`` before each instruction carried its reads and writes
+# (``ir.Decoded``).
+@dataclass(frozen=True)
+class DefUse:
+    reads: frozenset[str]
+    writes: frozenset[str]
+
+
+def address_regs_reference(addr: ir.AddressExpr) -> frozenset[str]:
+    if isinstance(addr, ir.Indexed) and isinstance(addr.index, str):
+        return frozenset([addr.index])
+    if isinstance(addr, ir.Indirect):
+        return frozenset([addr.reg])
+    return frozenset()
+
+
+def instr_defuse_reference(op: ir.Op) -> DefUse:
+    """Registers read and written by one opcode."""
+    e = frozenset()
+    if isinstance(op, ir.Load):
+        return DefUse(address_regs_reference(op.addr), frozenset([op.dest]))
+    if isinstance(op, ir.Store):
+        return DefUse(address_regs_reference(op.addr) | frozenset(op.value.regs), e)
+    if isinstance(op, ir.Alu):
+        return DefUse(frozenset(op.expr.regs), frozenset([op.dest]))
+    if isinstance(op, ir.BranchEqZero):
+        return DefUse(frozenset([op.cond]), e)
+    if isinstance(op, ir.Protect) and op.reg:
+        return DefUse(frozenset([op.reg]), e)
+    if isinstance(op, ir.Call):
+        return DefUse(frozenset(op.args), e)
+    return DefUse(e, e)
+
+
+# ``events._decode`` before it read each instruction's record: a dispatch
+# on the instruction's type.
+def decode_reference(node: cfg.ANode) -> events._Op:
+    """``node``'s instruction, decoded once per graph (``events._walk_maps``)."""
+    op, label = node.instr.op, events._node_label(node)
+    if isinstance(op, ir.Alu):
+        return events._Op("ALU", label, False, None, False, None, (), op.dest, op.expr.regs)
+    if isinstance(op, (ir.Load, ir.Store)):
+        addr, loc, gep, ptr, regs = op.addr, None, False, None, ()
+        if isinstance(addr, ir.Direct):
+            loc = addr.loc
+        elif isinstance(addr, ir.Indirect):
+            ptr, regs = addr.reg, (addr.reg,)
+        elif isinstance(addr.index, int):
+            loc = f"{addr.base}.{addr.index}"
+        else:
+            loc, gep, regs = addr.base, True, (addr.index,)
+        if isinstance(op, ir.Load):
+            return events._Op("R", label, False, loc, gep, ptr, regs, op.dest)
+        return events._Op("W", label, False, loc, gep, ptr, regs, None, op.value.regs,
+                          op.value.text)
+    if isinstance(op, ir.BranchEqZero):
+        return events._Op("BR", label, True, None, False, None, (), None, (op.cond,))
+    if isinstance(op, (ir.Fence, ir.Protect)):
+        fence = op.kind if isinstance(op, ir.Fence) else "lfence"
+        return events._Op("F", label, True, None, False, None, (), None, (), "", fence)
+    if isinstance(op, cfg.AbstractMemOp):
+        return events._Op("AMO", label, False, None, False, None, op.pointer_args)
+    return events._Op(None, label, False)  # skip, jump
 
 
 # ``cfg.inline_calls`` before it kept the entry function's instructions and
@@ -1450,7 +1566,7 @@ def inline_calls_reference(prog: ir.Program, fn: ir.Function, tick=events.no_dea
         for p in f.params:
             used.append(int(p[1:]))
         for ins in f.body:
-            du = ir.instr_defuse(ins.op)
+            du = instr_defuse_reference(ins.op)
             for r in du.reads | du.writes:
                 used.append(int(r[1:]))
     fresh = itertools.count(max(used) + 1)
@@ -1459,7 +1575,7 @@ def inline_calls_reference(prog: ir.Program, fn: ir.Function, tick=events.no_dea
     def locals_of(f: ir.Function) -> set[str]:
         w: set[str] = set()
         for ins in f.body:
-            w |= ir.instr_defuse(ins.op).writes
+            w |= instr_defuse_reference(ins.op).writes
         return w - set(f.params)
 
     out: list[ANode] = []

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
+import json
 import random
 import time
 
@@ -8,7 +11,8 @@ import pytest
 from conftest import CORPUS
 from hypothesis import given, settings, strategies as st
 
-from leakcheck import ir
+from leakcheck import cli, ir, repair
+from leakcheck import leakage as lk
 from leakcheck.cli import main
 
 
@@ -34,7 +38,7 @@ def test_labels_and_branches():
     assert body[0].label == "i1"
     assert body[1].op.target == "done"
     assert body[3].label == "done"
-    assert ir.successors(prog.entry_function, 1, {"i1": 0, "done": 3}) == [2, 3]
+    assert oracles.successors_reference(prog.entry_function, 1, {"i1": 0, "done": 3}) == [2, 3]
 
 
 def test_numeric_branch_target_resolves_to_synthesized_label():
@@ -134,13 +138,15 @@ def test_pretty_round_trip_is_stable():
 
 def test_defuse_and_address_regs():
     prog = ir.parse("r1 <-0\nR A+r1 ->r2\n")
-    # the address register is a read, the destination a write
+    # the address register is a read, the destination a write: in the
+    # instruction's record and by the dispatch it replaced
     op = prog.entry_function.body[1].op
-    du = ir.instr_defuse(op)
-    assert "r1" in du.reads and du.writes == {"r2"}
-    assert ir.address_regs(ir.Indexed("A", "r1")) == frozenset({"r1"})
-    assert ir.address_regs(ir.Indexed("A", 3)) == frozenset()
-    assert ir.address_regs(ir.Indirect("r7")) == frozenset({"r7"})
+    du = oracles.instr_defuse_reference(op)
+    for reads, writes in ((set(op.reads), set(op.writes)), (du.reads, du.writes)):
+        assert "r1" in reads and writes == {"r2"}
+    for addr, regs in ((ir.Indexed("A", "r1"), {"r1"}), (ir.Indexed("A", 3), set()),
+                       (ir.Indirect("r7"), {"r7"})):
+        assert set(addr.regs) == oracles.address_regs_reference(addr) == regs
 
 
 def test_definite_assignment_check_is_linear_in_function_length():
@@ -155,11 +161,39 @@ def test_definite_assignment_check_is_linear_in_function_length():
 
 
 def parsed(parse, text: str):
-    """``parse(text)`` printed back, or its error's message and line."""
+    """``parse(text)``, or its error's message and line."""
     try:
-        return ir.pretty(parse(text))
+        return parse(text)
     except ir.ParseError as exc:
         return exc.msg, exc.line
+
+
+def assert_records_match_reference(prog: ir.Program) -> None:
+    """Each instruction's reads and writes are those of the dispatch they
+    replaced."""
+    for fn in prog.functions:
+        for ins in fn.body:
+            du = oracles.instr_defuse_reference(ins.op)
+            assert (set(ins.op.reads), set(ins.op.writes)) == (du.reads, du.writes), ins
+
+
+def repaired_corpus_texts() -> list[str]:
+    """Each single-thread corpus program with lfences at the points its
+    repair chose, printed back: under its sidecar's engine and config, and
+    under every engine, scope and class."""
+    texts = []
+    for path in sorted(CORPUS.rglob("*.lcm")):
+        prog = ir.parse(path.read_text())
+        if prog.multithread:
+            continue
+        data = json.loads(path.with_suffix(".expect.json").read_text())
+        engine, config = cli._sidecar_config(data, argparse.Namespace(timeout=None))
+        wide = dataclasses.replace(config, scope="any", classes=frozenset(lk.CLASSES))
+        for engine, config in ((engine, config), ("all", wide)):
+            plan = repair.repair(prog, engine, config)
+            points = {(fp.func, fp.index) for fp in plan.fences}
+            texts.append(ir.pretty(repair.insert_fences(prog, points)))
+    return texts
 
 
 def test_parser_matches_reference_on_corpus_and_random_families():
@@ -169,9 +203,44 @@ def test_parser_matches_reference_on_corpus_and_random_families():
         texts += [oracles.random_single(rng), oracles.random_diamonds(rng),
                   oracles.random_nested(rng), oracles.random_joins(rng),
                   oracles.random_joins(rng, threads=2), oracles.random_multithread(rng)]
+    repaired = repaired_corpus_texts()
+    assert sum("_fence" in text for text in repaired) >= 1  # a fence before a jump target
+    texts += [oracles.bypass_blocks(8), *repaired]
     for text in texts:
-        assert parsed(ir.parse, text) == parsed(oracles.parse_reference, text)
-        assert isinstance(parsed(ir.parse, text), str)
+        prog = parsed(ir.parse, text)
+        assert isinstance(prog, ir.Program)
+        assert prog == parsed(oracles.parse_reference, text)
+        assert_records_match_reference(prog)
+
+
+def test_read_before_assignment_matches_reference():
+    """Each instruction that defines a register, deleted in turn (its label
+    kept on a ``skip``): the parser and the one it replaced accept the same
+    program or report the same error at the same line."""
+    texts = [path.read_text() for path in sorted(CORPUS.rglob("*.lcm"))]
+    for seed in range(40):
+        rng = random.Random(seed)
+        texts += [oracles.random_single(rng), oracles.random_diamonds(rng),
+                  oracles.random_nested(rng), oracles.random_joins(rng)]
+    outcomes = {"program": 0, "read before assignment": 0}
+    for text in texts:
+        lines = text.splitlines()
+        for fn in ir.parse(text).functions:
+            for ins in fn.body:
+                if not ins.op.writes:
+                    continue
+                cut = lines.copy()
+                cut[ins.line - 1] = f"{ins.label}: skip" if ins.label else ""
+                cut_text = "\n".join(cut) + "\n"
+                got = parsed(ir.parse, cut_text)
+                assert got == parsed(oracles.parse_reference, cut_text), (cut_text, got)
+                if isinstance(got, ir.Program):
+                    outcomes["program"] += 1
+                    assert_records_match_reference(got)
+                else:
+                    assert "may be read before assignment" in got[0]
+                    outcomes["read before assignment"] += 1
+    assert min(outcomes.values()) > 200, outcomes
 
 
 # Fragments of well- and ill-formed lines: opcodes and headers, operands,

@@ -10,7 +10,9 @@ as a view over its base, the references with a builder, one walk per base
 (``oracles.derive_bypass_reference``).
 The builder derives each event's ctrl reads and the sites as each event is
 emitted; both references set them by the post-passes that did so before
-(``oracles.control_deps_reference``, ``oracles.sites_reference``).
+(``oracles.control_deps_reference``, ``oracles.sites_reference``), and the
+sites are also compared with those of the emitter that scanned the unfenced
+stores for each load (``oracles.ReferenceBuilder._sites_at``).
 The walk's builder reads each node's record decoded once per graph; every
 reference builds with ``oracles.ReferenceBuilder``, which dispatches on the
 instruction at each fetch as the builder did before, so each event's every
@@ -110,6 +112,7 @@ def assert_walk_matches_reference(src: str, d_spec: int = 8) -> None:
         keys: dict = {}
         for st, ref in zip(got, want):
             assert_same_structure(st, ref)
+            assert st.sites == ref.emitted_sites
             assert st.fetched == oracles.fetched_reference(ref)
             assert_fence_points_match_reference(st, ref)
             if st.sites:  # a structure with branch windows has none
@@ -180,7 +183,7 @@ def test_merged_diamonds_match_reference(monkeypatch):
     def counted(self, other, reads):
         assert self.po == other.po and self.sites == other.sites
         assert self._stores == other._stores and self._lines == other._lines
-        assert self._unfenced == other._unfenced
+        assert self._fence == other._fence and self._unfenced == other._unfenced
         assert self.tfo == other.tfo or self.events != other.events
         verdict = mergeable(self, other, reads)
         unequal = sum(map(len, self.fetched)) != sum(map(len, other.fetched))
