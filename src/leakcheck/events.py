@@ -103,9 +103,17 @@ class Step(NamedTuple):
 # Sets are shared, never copied, as no set changes once made: a union with
 # one non-empty part is that part.
 _EMPTY: frozenset = frozenset()
+# A load's taint, {eid}: one set per event id, whatever the structure.
+_LOADS: list[frozenset[int]] = []
 
 
-@dataclass
+def _load_taint(eid: int) -> frozenset[int]:
+    while len(_LOADS) <= eid:
+        _LOADS.append(frozenset((len(_LOADS),)))
+    return _LOADS[eid]
+
+
+@dataclass(slots=True)
 class Event:
     eid: int
     kind: str  # "R" | "W" | "BR" | "F" | "AMO" | "TOP" | "BOT" | "SBOT"
@@ -504,7 +512,7 @@ class _Builder:
             loc = self.locs[node] or f"*{op.ptr}@{state.defs.get(op.ptr)}"
             addr = state.reads_of(op.addr_regs)
             if kind == "R":
-                state.taint[op.dest] = frozenset((eid,))
+                state.taint[op.dest] = _load_taint(eid)
                 state.defs[op.dest] = node, window
             else:
                 value = state.reads_of(op.regs)
@@ -702,23 +710,33 @@ def _walk_paths(
     return out
 
 
-def enumerate_event_structures(
+def iter_event_structures(
     graph: ACfg,
     primitives: frozenset[str] = frozenset(),
     d_spec: int = 250,
     tick=no_deadline,
-) -> list[EventStructure]:
-    """All event structures of the program: alias resolutions x path choices.
+) -> Iterator[EventStructure]:
+    """All event structures of the program: alias resolutions x path choices,
+    walked one alias resolution at a time, so a consumer that drops each
+    structure holds one resolution's.
 
     ``tick`` is a callable invoked once per node walked; it may
     raise :class:`AnalysisTimeout` to abandon a long-running enumeration.
     """
     if "branch" in primitives and primitives & {"stl", "psf"}:
         raise ValueError("branch windows do not combine with stl or psf")
-    structures: list[EventStructure] = []
     for merged in _alias_subsets(graph.program.aliases):
-        structures += _walk_paths(graph, merged, primitives, d_spec, tick)
-    return structures
+        yield from _walk_paths(graph, merged, primitives, d_spec, tick)
+
+
+def enumerate_event_structures(
+    graph: ACfg,
+    primitives: frozenset[str] = frozenset(),
+    d_spec: int = 250,
+    tick=no_deadline,
+) -> list[EventStructure]:
+    """:func:`iter_event_structures` as a list."""
+    return list(iter_event_structures(graph, primitives, d_spec, tick))
 
 
 class _WalkMaps(NamedTuple):

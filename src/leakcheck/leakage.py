@@ -477,24 +477,26 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             merged.candidates += rep.candidates
         merged.records = sorted(set(merged.records), key=record_sort_key)
         return merged
-    structures = ev_mod.enumerate_event_structures(
+    structures = ev_mod.iter_event_structures(
         graph, frozenset({_PRIMITIVES[engine]}), config.d_spec, tick=config.tick
     )
-    report = Report(engine=engine, records=[], elements=[], unrepairable=[],
-                    structures=len(structures))
+    report = Report(engine=engine, records=[], elements=[], unrepairable=[])
     seen, seen_bypass, passes = set(), set(), {}  # records, bypass keys, passes by content
     # id of a keyed structure -> its content key, pass and per-record fence points
     replays: dict[int, tuple] = {}
     keyed = ev_mod.shares_content(graph)
     for st in structures:
+        report.structures += 1
         leaf_done = leaf_points = None
         if isinstance(st, ev_mod.Graft):  # only where keyed: a graft needs a join
             leaf_key, leaf_done, leaf_points = replays[id(st.leaf)]
             key, views = ev_mod.graft_key(st, leaf_key), ()
             done = leaf_done if key is leaf_key else passes.setdefault(key, [])
         else:
-            key, views = ev_mod.content_key(st, config.d_spec, seen_bypass) if keyed else (id(st), ())
-            done = passes.setdefault(key, [])  # one hash of the key
+            key, views = ev_mod.content_key(st, config.d_spec, seen_bypass) if keyed else (None, ())
+            # One hash of the key.  Unkeyed, each structure is its own
+            # content, and nothing of it is kept once analysed.
+            done = passes.setdefault(key, []) if keyed else []
         if not done:
             done += _first_pass(st, engine, config, seen_bypass)
             report.distinct += 1

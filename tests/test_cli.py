@@ -170,8 +170,9 @@ def test_parse_error_exits_two(tmp_path, capsys):
 
 def test_path_enumeration_timeout_exits_two(tmp_path, capsys):
     f = tmp_path / "diamonds.lcm"
-    f.write_text(oracles.sequential_diamonds(18))
-    code = main(["check", str(f), "--engine", "v1", "--timeout", "1"])
+    # 2^20 paths: about seven times the budget on a 2-CPU VM.
+    f.write_text(oracles.sequential_diamonds(20))
+    code = main(["check", str(f), "--engine", "v1", "--timeout", "0.5"])
     assert code == 2
     assert "analysis timed out" in capsys.readouterr().err
 
