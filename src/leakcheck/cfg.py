@@ -43,10 +43,10 @@ class AbstractMemOp(ir.Decoded):
 
     func: str
     pointer_args: tuple[str, ...]
-    tag, writes = "AMO", ()
+    tag = "AMO"
 
     def __post_init__(self):
-        self.reads = self.pointer_args
+        self.reads, self.writes = self.pointer_args, ()
 
     def __str__(self):
         return f"abstract {self.func}({', '.join(self.pointer_args)})"

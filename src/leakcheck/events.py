@@ -67,7 +67,6 @@ from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple, TypeVar
 
-from . import cfg as acfg_mod
 from .cfg import ACfg, ANode, EXIT, no_deadline
 
 
@@ -103,17 +102,9 @@ class Step(NamedTuple):
 # Sets are shared, never copied, as no set changes once made: a union with
 # one non-empty part is that part.
 _EMPTY: frozenset = frozenset()
-# A load's taint, {eid}: one set per event id, whatever the structure.
-_LOADS: list[frozenset[int]] = []
 
 
-def _load_taint(eid: int) -> frozenset[int]:
-    while len(_LOADS) <= eid:
-        _LOADS.append(frozenset((len(_LOADS),)))
-    return _LOADS[eid]
-
-
-@dataclass(slots=True)
+@dataclass
 class Event:
     eid: int
     kind: str  # "R" | "W" | "BR" | "F" | "AMO" | "TOP" | "BOT" | "SBOT"
@@ -217,7 +208,7 @@ def _make_union_find(groups: Iterable[Iterable[_K]]) -> dict[_K, _K]:
     return uf
 
 
-def _alias_subsets(aliases: list[tuple[str, str]]) -> Iterator[frozenset[frozenset[str]]]:
+def alias_subsets(aliases: list[tuple[str, str]]) -> Iterator[frozenset[frozenset[str]]]:
     """Every subset of the alias pairs, one at a time: subset ``i`` holds pair
     ``j`` when bit ``j`` of ``i`` is set."""
     pairs = [frozenset(pair) for pair in aliases]
@@ -318,10 +309,7 @@ class _ThreadState:
 
 
 def _topological(graph: ACfg) -> list[int]:
-    """The nodes of the acyclic ``graph`` in a topological order: index order
-    when every edge runs forward, else by Kahn's algorithm."""
-    if acfg_mod._forward_only(graph.succ):
-        return list(range(len(graph.succ)))
+    """The nodes of the acyclic ``graph`` in a topological order (Kahn)."""
     indeg = [0] * len(graph.succ)
     for nxt in (nxt for succs in graph.succ for nxt in succs if nxt != EXIT):
         indeg[nxt] += 1
@@ -512,7 +500,7 @@ class _Builder:
             loc = self.locs[node] or f"*{op.ptr}@{state.defs.get(op.ptr)}"
             addr = state.reads_of(op.addr_regs)
             if kind == "R":
-                state.taint[op.dest] = _load_taint(eid)
+                state.taint[op.dest] = frozenset((eid,))
                 state.defs[op.dest] = node, window
             else:
                 value = state.reads_of(op.regs)
@@ -710,33 +698,23 @@ def _walk_paths(
     return out
 
 
-def iter_event_structures(
+def enumerate_event_structures(
     graph: ACfg,
     primitives: frozenset[str] = frozenset(),
     d_spec: int = 250,
     tick=no_deadline,
-) -> Iterator[EventStructure]:
-    """All event structures of the program: alias resolutions x path choices,
-    walked one alias resolution at a time, so a consumer that drops each
-    structure holds one resolution's.
+    merged: frozenset[frozenset[str]] | None = None,
+) -> list[EventStructure]:
+    """All event structures of the program, alias resolutions x path choices,
+    or those of the one resolution ``merged`` (an :func:`alias_subsets` item).
 
     ``tick`` is a callable invoked once per node walked; it may
     raise :class:`AnalysisTimeout` to abandon a long-running enumeration.
     """
     if "branch" in primitives and primitives & {"stl", "psf"}:
         raise ValueError("branch windows do not combine with stl or psf")
-    for merged in _alias_subsets(graph.program.aliases):
-        yield from _walk_paths(graph, merged, primitives, d_spec, tick)
-
-
-def enumerate_event_structures(
-    graph: ACfg,
-    primitives: frozenset[str] = frozenset(),
-    d_spec: int = 250,
-    tick=no_deadline,
-) -> list[EventStructure]:
-    """:func:`iter_event_structures` as a list."""
-    return list(iter_event_structures(graph, primitives, d_spec, tick))
+    resolutions = alias_subsets(graph.program.aliases) if merged is None else (merged,)
+    return [st for one in resolutions for st in _walk_paths(graph, one, primitives, d_spec, tick)]
 
 
 class _WalkMaps(NamedTuple):

@@ -125,6 +125,9 @@ class Decoded:
 
     __slots__ = ("reads", "writes")
 
+    def __post_init__(self):  # set even when empty, so copy and pickle see them
+        self.reads = self.writes = ()
+
 
 @dataclass(unsafe_hash=True, slots=True)
 class Load(Decoded):
@@ -143,10 +146,10 @@ class Load(Decoded):
 class Store(Decoded):
     addr: AddressExpr
     value: Expr
-    tag, writes = "W", ()
+    tag = "W"
 
     def __post_init__(self):
-        self.reads = self.addr.regs + self.value.regs
+        self.reads, self.writes = self.addr.regs + self.value.regs, ()
 
     def __str__(self):
         return f"W {self.addr} <-{self.value}"
@@ -169,10 +172,10 @@ class Alu(Decoded):
 class BranchEqZero(Decoded):
     cond: str
     target: str
-    tag, writes = "BR", ()
+    tag = "BR"
 
     def __post_init__(self):
-        self.reads = (self.cond,)
+        self.reads, self.writes = (self.cond,), ()
 
     def __str__(self):
         return f"BEQZ {self.cond}, {self.target}"
@@ -181,7 +184,7 @@ class BranchEqZero(Decoded):
 @dataclass(unsafe_hash=True, slots=True)
 class Jump(Decoded):
     target: str
-    tag, reads, writes = "JMP", (), ()
+    tag = "JMP"
 
     def __str__(self):
         return f"JMP {self.target}"
@@ -190,7 +193,7 @@ class Jump(Decoded):
 @dataclass(unsafe_hash=True, slots=True)
 class Fence(Decoded):
     kind: str  # 'full' or 'lfence'
-    tag, reads, writes = "F", (), ()
+    tag = "F"
 
     def __str__(self):
         return "fence" if self.kind == "full" else "lfence"
@@ -199,11 +202,11 @@ class Fence(Decoded):
 @dataclass(unsafe_hash=True, slots=True)
 class Protect(Decoded):
     reg: str | None = None
-    tag, writes = "F", ()
+    tag = "F"
     kind = "lfence"  # it acts as one
 
     def __post_init__(self):
-        self.reads = (self.reg,) if self.reg else ()
+        self.reads, self.writes = (self.reg,) if self.reg else (), ()
 
     def __str__(self):
         return f"protect {self.reg}" if self.reg else "protect"
@@ -213,10 +216,10 @@ class Protect(Decoded):
 class Call(Decoded):
     func: str
     args: tuple[str, ...] = ()
-    tag, writes = "CALL", ()
+    tag = "CALL"
 
     def __post_init__(self):
-        self.reads = self.args
+        self.reads, self.writes = self.args, ()
 
     def __str__(self):
         return f"call {self.func}({', '.join(self.args)})" if self.args else f"call {self.func}"
@@ -224,7 +227,7 @@ class Call(Decoded):
 
 @dataclass(unsafe_hash=True, slots=True)
 class Skip(Decoded):
-    tag, reads, writes = "SKIP", (), ()
+    tag = "SKIP"
 
     def __str__(self):
         return "skip"

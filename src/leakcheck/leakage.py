@@ -477,55 +477,53 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             merged.candidates += rep.candidates
         merged.records = sorted(set(merged.records), key=record_sort_key)
         return merged
-    structures = ev_mod.iter_event_structures(
-        graph, frozenset({_PRIMITIVES[engine]}), config.d_spec, tick=config.tick
-    )
     report = Report(engine=engine, records=[], elements=[], unrepairable=[])
     seen, seen_bypass, passes = set(), set(), {}  # records, bypass keys, passes by content
-    # id of a keyed structure -> its content key, pass and per-record fence points
-    replays: dict[int, tuple] = {}
     keyed = ev_mod.shares_content(graph)
-    for st in structures:
-        report.structures += 1
-        leaf_done = leaf_points = None
-        if isinstance(st, ev_mod.Graft):  # only where keyed: a graft needs a join
-            leaf_key, leaf_done, leaf_points = replays[id(st.leaf)]
-            key, views = ev_mod.graft_key(st, leaf_key), ()
-            done = leaf_done if key is leaf_key else passes.setdefault(key, [])
-        else:
-            key, views = ev_mod.content_key(st, config.d_spec, seen_bypass) if keyed else (None, ())
-            # One hash of the key.  Unkeyed, each structure is its own
-            # content, and nothing of it is kept once analysed.
-            done = passes.setdefault(key, []) if keyed else []
-        if not done:
-            done += _first_pass(st, engine, config, seen_bypass)
-            report.distinct += 1
-        else:
-            config.tick()
-            seen_bypass.update(views)
-        count, found, drawn = done
-        report.candidates += count
-        reuse = leaf_points if done is leaf_done else None
-        points = []
-        for i, (rec, span) in enumerate(found):
-            if reuse is not None and (span is None or span[0] >= st.cut):
-                # A graft replaying its leaf's pass: a span past the join has
-                # the leaf's fence points, and the leaf kept the record.
-                points.append(reuse[i])
-                continue
-            seen.add(rec)
-            config.tick()  # a long span's fence points take a while
-            pts = _fence_points(st, span)
-            points.append(pts)
-            if pts:
-                report.elements.append(RepairElement(pts, rec))
+    for resolution in ev_mod.alias_subsets(graph.program.aliases):  # one list at a time
+        structures = ev_mod.enumerate_event_structures(
+            graph, frozenset({_PRIMITIVES[engine]}), config.d_spec, config.tick, resolution)
+        report.structures += len(structures)
+        # id of a keyed structure -> its content key, pass and per-record fence points
+        replays: dict[int, tuple] = {}  # of this resolution, as a graft's leaf is
+        for st in structures:
+            leaf_done, leaf_points, views, done = None, None, (), []  # unkeyed: its own content
+            if isinstance(st, ev_mod.Graft):  # only where keyed: a graft needs a join
+                leaf_key, leaf_done, leaf_points = replays[id(st.leaf)]
+                key, views = ev_mod.graft_key(st, leaf_key), ()
+                done = leaf_done if key is leaf_key else passes.setdefault(key, [])
+            elif keyed:
+                key, views = ev_mod.content_key(st, config.d_spec, seen_bypass)
+                done = passes.setdefault(key, [])  # one hash of the key
+            if not done:
+                done += _first_pass(st, engine, config, seen_bypass)
+                report.distinct += 1
             else:
-                report.unrepairable.append(rec)
-        if keyed:
-            replays[id(st)] = key, done, points
-        for w in drawn:
-            title = f"{engine} witness {len(report.graphs) + 1}"
-            report.graphs.append((title, witness_dot(w.cand, w, title)))
+                config.tick()
+                seen_bypass.update(views)
+            count, found, drawn = done
+            report.candidates += count
+            reuse = leaf_points if done is leaf_done else None
+            points = []
+            for i, (rec, span) in enumerate(found):
+                if reuse is not None and (span is None or span[0] >= st.cut):
+                    # A graft replaying its leaf's pass: a span past the join has
+                    # the leaf's fence points, and the leaf kept the record.
+                    points.append(reuse[i])
+                    continue
+                seen.add(rec)
+                config.tick()  # a long span's fence points take a while
+                pts = _fence_points(st, span)
+                points.append(pts)
+                if pts:
+                    report.elements.append(RepairElement(pts, rec))
+                else:
+                    report.unrepairable.append(rec)
+            if keyed:
+                replays[id(st)] = key, done, points
+            for w in drawn:
+                title = f"{engine} witness {len(report.graphs) + 1}"
+                report.graphs.append((title, witness_dot(w.cand, w, title)))
     report.records = sorted(seen, key=record_sort_key)
     # Many witnesses repeat one finding: keep each first occurrence.
     report.elements = list(dict.fromkeys(report.elements))

@@ -288,7 +288,7 @@ def _plan_for_path(graph, path: list[int], primitives, d_spec: int):
 
 
 def alias_subsets_reference(aliases):
-    """The alias resolutions as the list ``events._alias_subsets`` built before
+    """The alias resolutions as the list ``events.alias_subsets`` built before
     it yielded them one at a time, kept verbatim."""
     subsets = [frozenset()]
     for pair in aliases:

@@ -187,7 +187,7 @@ def test_subsets_are_made_one_at_a_time_in_their_old_order():
     assert not isinstance(subsets, list)
     assert list(subsets) == oracles.nonempty_subsets_reference(items)
     pairs = [("x", "y"), ("y", "z"), ("a", "b"), ("x", "y")]
-    resolutions = ev._alias_subsets(pairs)
+    resolutions = ev.alias_subsets(pairs)
     assert not isinstance(resolutions, list)
     assert list(resolutions) == oracles.alias_subsets_reference(pairs)
 

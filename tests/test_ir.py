@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
+import pickle
 import random
 import time
 
@@ -11,7 +13,7 @@ import pytest
 from conftest import CORPUS
 from hypothesis import given, settings, strategies as st
 
-from leakcheck import cli, ir, repair
+from leakcheck import cfg, cli, ir, repair
 from leakcheck import leakage as lk
 from leakcheck.cli import main
 
@@ -147,6 +149,26 @@ def test_defuse_and_address_regs():
     for addr, regs in ((ir.Indexed("A", "r1"), {"r1"}), (ir.Indexed("A", 3), set()),
                        (ir.Indirect("r7"), {"r7"})):
         assert set(addr.regs) == oracles.address_regs_reference(addr) == regs
+
+
+def test_parsed_program_copies_and_pickles():
+    # every op, and the summary of an extern call the graph builds
+    prog = ir.parse(
+        "extern probe/1\nr9 <-0\nR A+r9 ->r1\nR [r1] ->r2\nW x <-r1&r2\n"
+        "BEQZ r2, out\nJMP out\nout: fence\nlfence\nprotect r1\nprotect\n"
+        "call probe(r1)\ncall f(r2)\nskip\n\nfunc f(r3):\nW y <-r3\n"
+    )
+    ops = [ins.op for f in prog.functions for ins in f.body]
+    ops += [n.instr.op for n in cfg.build_acfg(prog).nodes]
+    assert {type(op).__name__ for op in ops} >= {
+        "Load", "Store", "Alu", "BranchEqZero", "Jump", "Fence", "Protect", "Call",
+        "Skip", "AbstractMemOp"}
+    for copied in (copy.copy(prog), copy.deepcopy(prog), pickle.loads(pickle.dumps(prog))):
+        assert copied == prog
+    for op in ops:
+        for twin in (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
+            assert twin == op and hash(twin) == hash(op)
+            assert (twin.tag, twin.reads, twin.writes) == (op.tag, op.reads, op.writes)
 
 
 def test_definite_assignment_check_is_linear_in_function_length():
