@@ -435,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeError) as exc:  # unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # exit 1 would read as "leaks found"
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

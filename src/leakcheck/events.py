@@ -74,7 +74,7 @@ class AnalysisTimeout(Exception):
     """Raised when a cooperative deadline expires mid-enumeration."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Site:
     """A committed load that a bypass primitive may misforward.
 
@@ -104,7 +104,7 @@ class Step(NamedTuple):
 _EMPTY: frozenset = frozenset()
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     eid: int
     kind: str  # "R" | "W" | "BR" | "F" | "AMO" | "TOP" | "BOT" | "SBOT"
@@ -725,6 +725,7 @@ class _WalkMaps(NamedTuple):
     joins: dict[int, tuple[int, frozenset[str]]]  # per branch (:func:`_joins`)
     ops: list[_Op]  # per node: its decoded instruction
     prefixes: dict[tuple[int, tuple], int]  # ids of fetched prefixes (:func:`_windows`)
+    slots: list[tuple[str, int]]  # per node: its fence slot, (function, index)
 
 
 def _walk_maps(graph: ACfg) -> _WalkMaps:
@@ -735,7 +736,8 @@ def _walk_maps(graph: ACfg) -> _WalkMaps:
         branches = [node for node, op in enumerate(ops) if op.kind == "BR"]
         order = _topological(graph) if branches else []
         graph.walk_maps = _WalkMaps(
-            _branch_regions(graph, order, branches), _joins(graph, order, ops), ops, {})
+            _branch_regions(graph, order, branches), _joins(graph, order, ops), ops, {},
+            [(node.func, node.index) for node in graph.nodes])
     return graph.walk_maps
 
 

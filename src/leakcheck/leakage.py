@@ -24,10 +24,11 @@ by rf, or by a same-location fill edge from a store).  It is promoted to
 upstream read and the access's own fill was not alias-mispredicted.
 
 A witness becomes records along one path, :func:`findings`: the source
-events the scope keeps are classified (walking only the chains an admitted
-class needs), the class and ``require_gep`` filters applied, and each kept
-event yields one record -- its most severe class -- with the span where a
-fence would kill it.
+events the scope keeps are classified among the admitted classes (walking
+only the chains those need), the ``require_gep`` filter applied, and each
+kept event yields one record -- its most severe class -- with the span where
+a fence would kill it.  The span's fence points are built only when
+:attr:`Report.elements` is read.
 
 Engines differ only in the speculation primitive they enumerate: ``v1``
 (branch windows), ``v4`` (store-to-load bypass), ``psf`` (alias-predicted
@@ -38,7 +39,9 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 
 from . import cfg as cfg_mod
@@ -58,13 +61,13 @@ _SEVERITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Culprit:
     kind: str  # rf_without_rfx | co_without_cox_frx | co_imm_without_rfx | fr_without_frx
     edge: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Transmitter:
     event: int
     klass: str
@@ -75,7 +78,7 @@ class Transmitter:
     gep: bool = False  # the chain's final addr hop is a computed element access
 
 
-@dataclass
+@dataclass(slots=True)
 class LeakWitness:
     cand: Candidate
     culprit: Culprit
@@ -96,7 +99,7 @@ def record_sort_key(rec: "Record") -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Record:
     """One reported finding: dedupable, serializable; sort via record_sort_key."""
 
@@ -122,7 +125,7 @@ class Record:
         return "LEAK " + " ".join(bits)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class RepairElement:
     """One witness occurrence with the fence slots that would kill it."""
 
@@ -134,12 +137,30 @@ class RepairElement:
 class Report:
     engine: str
     records: list[Record]
-    elements: list[RepairElement]
     unrepairable: list[Record]
     structures: int = 0
     distinct: int = 0  # structures of distinct content, each analysed once
     candidates: int = 0
     graphs: list[tuple[str, str]] = field(default_factory=list)
+    # What :attr:`elements` is built from, in analysis order: each record
+    # occurrence whose span has a slot, with that span and the fetched nodes
+    # of its structure; the graph's fence slots per node; the deadline.
+    occurrences: list[tuple[Record, tuple[int, int], list]] = field(
+        default_factory=list, repr=False, compare=False)
+    slots: list[tuple[str, int]] = field(default_factory=list, repr=False, compare=False)
+    tick: Callable[[], None] = field(default=cfg_mod.no_deadline, repr=False, compare=False)
+
+    @cached_property
+    def elements(self) -> list[RepairElement]:
+        """Each occurrence with its fence points, the first of equal ones
+        kept.  Built on first read, which ``repair`` makes and ``check`` does
+        not, ticking once per occurrence."""
+        elements = []
+        for rec, span, fetched in self.occurrences:
+            self.tick()  # a long span's fence points take a while
+            elements.append(RepairElement(_fence_points(fetched, span, self.slots), rec))
+        # Many witnesses repeat one finding: keep each first occurrence.
+        return list(dict.fromkeys(elements))
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
@@ -305,6 +326,7 @@ class _Chains:
                        for final, pair in (("addr", ("data", "universal_data")),
                                            ("ctrl", ("control", "universal_control")))
                        if classes.intersection(pair)]
+        self.address = "address" in classes
         # data;forward composition: read a -> read r via a store.
         self.value_hop: dict[int, set[int]] = {}
         for w, r in fwd:
@@ -340,12 +362,12 @@ class _Chains:
         return hop
 
     def classify(self, t: int) -> list[Transmitter]:
-        """Every satisfied class of event ``t`` among the address class and
-        the admitted ones.  A chain's final addr hop is a computed element
-        access (``gep``) when its target's address is register-indexed."""
+        """Every satisfied class of event ``t`` among the admitted ones.  A
+        chain's final addr hop is a computed element access (``gep``) when
+        its target's address is register-indexed."""
         st = self.st
         ev = st.events[t]
-        out = [Transmitter(t, "address", ev.transient)]
+        out = [Transmitter(t, "address", ev.transient)] if self.address else []
         for final, base_klass, universal_klass in self.halves:
             accesses = self.sources(t, final, t)
             if not accesses:
@@ -385,8 +407,8 @@ def classify_transmitters(
     cand: Candidate, events: list[int], w_size: int | None, shared: _Shared,
     classes: frozenset[str] = frozenset(CLASSES),
 ) -> dict[int, list[Transmitter]]:
-    """Every satisfied class of each event among the address class and
-    ``classes``, events in ascending order.
+    """Every satisfied class of each event among ``classes``, events in
+    ascending order.
 
     ``shared`` holds what earlier candidates of ``cand.st`` computed, for
     the same ``w_size`` and ``classes``; a fresh one reuses nothing.  With
@@ -435,15 +457,19 @@ def _span(cand: Candidate, sources: list[int], t: Transmitter) -> tuple[int, int
     return prim, min(chain)
 
 
-def _fence_points(st: EventStructure, span: tuple | None) -> frozenset | None:
-    """The fence slots of the nodes ``st`` fetched after ``span``'s
-    primitive, up to its end's own node (a squash has none)."""
-    if span is None:
-        return None
+def _run(fetched: list[tuple[int | None, ...]], span: tuple[int, int]) -> Iterator[int | None]:
+    """The nodes a structure whose per-event fetched nodes are ``fetched``
+    fetched after ``span``'s primitive, up to its end's own node (a squash
+    has none: None)."""
     prim, end = span
-    fetched, nodes = st.fetched, st.acfg.nodes
-    run = chain(fetched[prim][1:], *fetched[prim + 1 : end], fetched[end][:1])
-    return frozenset((nodes[n].func, nodes[n].index) for n in run if n is not None)
+    return chain(fetched[prim][1:], *fetched[prim + 1 : end], fetched[end][:1])
+
+
+def _fence_points(fetched: list[tuple[int | None, ...]], span: tuple[int, int],
+                  slots: list[tuple[str, int]]) -> frozenset[tuple[str, int]]:
+    """The fence slots of :func:`_run`'s nodes; ``slots`` are the graph's,
+    per node (``events._WalkMaps.slots``)."""
+    return frozenset(slots[n] for n in _run(fetched, span) if n is not None)
 
 
 # --------------------------------------------------------------------------
@@ -465,11 +491,13 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
         )
     graph = graph or cfg_mod.build_acfg(prog, config.tick)
     if engine == "all":
-        merged = Report(engine="all", records=[], elements=[], unrepairable=[])
+        merged = Report(engine="all", records=[], unrepairable=[],
+                        slots=ev_mod._walk_maps(graph).slots, tick=config.tick)
         for sub in ("v1", "v4", "psf"):
             rep = analyze(prog, sub, config, graph)
             merged.records.extend(rep.records)
-            merged.elements.extend(rep.elements)
+            # No two engines' elements are equal: their records name them.
+            merged.occurrences.extend(rep.occurrences)
             merged.unrepairable.extend(rep.unrepairable)
             merged.graphs.extend(rep.graphs)
             merged.structures += rep.structures
@@ -477,19 +505,20 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             merged.candidates += rep.candidates
         merged.records = sorted(set(merged.records), key=record_sort_key)
         return merged
-    report = Report(engine=engine, records=[], elements=[], unrepairable=[])
+    report = Report(engine=engine, records=[], unrepairable=[],
+                    slots=ev_mod._walk_maps(graph).slots, tick=config.tick)
     seen, seen_bypass, passes = set(), set(), {}  # records, bypass keys, passes by content
     keyed = ev_mod.shares_content(graph)
     for resolution in ev_mod.alias_subsets(graph.program.aliases):  # one list at a time
         structures = ev_mod.enumerate_event_structures(
             graph, frozenset({_PRIMITIVES[engine]}), config.d_spec, config.tick, resolution)
         report.structures += len(structures)
-        # id of a keyed structure -> its content key, pass and per-record fence points
+        # id of a keyed structure -> its content key and pass
         replays: dict[int, tuple] = {}  # of this resolution, as a graft's leaf is
         for st in structures:
-            leaf_done, leaf_points, views, done = None, None, (), []  # unkeyed: its own content
+            leaf_done, views, done = None, (), []  # unkeyed: its own content
             if isinstance(st, ev_mod.Graft):  # only where keyed: a graft needs a join
-                leaf_key, leaf_done, leaf_points = replays[id(st.leaf)]
+                leaf_key, leaf_done = replays[id(st.leaf)]
                 key, views = ev_mod.graft_key(st, leaf_key), ()
                 done = leaf_done if key is leaf_key else passes.setdefault(key, [])
             elif keyed:
@@ -503,30 +532,25 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
                 seen_bypass.update(views)
             count, found, drawn = done
             report.candidates += count
-            reuse = leaf_points if done is leaf_done else None
-            points = []
-            for i, (rec, span) in enumerate(found):
-                if reuse is not None and (span is None or span[0] >= st.cut):
+            replay = done is leaf_done
+            for rec, span in found:
+                if replay and (span is None or span[0] >= st.cut):
                     # A graft replaying its leaf's pass: a span past the join has
                     # the leaf's fence points, and the leaf kept the record.
-                    points.append(reuse[i])
                     continue
                 seen.add(rec)
-                config.tick()  # a long span's fence points take a while
-                pts = _fence_points(st, span)
-                points.append(pts)
-                if pts:
-                    report.elements.append(RepairElement(pts, rec))
+                config.tick()
+                # Its points wait for :attr:`Report.elements`; the first slot decides.
+                if span is not None and any(n is not None for n in _run(st.fetched, span)):
+                    report.occurrences.append((rec, span, st.fetched))
                 else:
                     report.unrepairable.append(rec)
             if keyed:
-                replays[id(st)] = key, done, points
+                replays[id(st)] = key, done
             for w in drawn:
                 title = f"{engine} witness {len(report.graphs) + 1}"
                 report.graphs.append((title, witness_dot(w.cand, w, title)))
     report.records = sorted(seen, key=record_sort_key)
-    # Many witnesses repeat one finding: keep each first occurrence.
-    report.elements = list(dict.fromkeys(report.elements))
     report.unrepairable = list(dict.fromkeys(report.unrepairable))
     return report
 
@@ -591,13 +615,12 @@ def findings(
     for eid, entries in classify_transmitters(
         cand, kept, config.w_size, shared, config.classes
     ).items():
-        eligible = [t for t in entries if t.klass in config.classes]
         if config.require_gep:
             # An address record has no chain, a control chain no addr hop.
-            eligible = [t for t in eligible if t.klass in ("address", "control") or t.gep]
-        if not eligible:
+            entries = [t for t in entries if t.klass in ("address", "control") or t.gep]
+        if not entries:
             continue
-        best = max(eligible, key=lambda t: _SEVERITY[t.klass])
+        best = max(entries, key=lambda t: _SEVERITY[t.klass])
         ev = st.events[eid]
         silent = None
         if eid in cand.silent:

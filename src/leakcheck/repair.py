@@ -1,8 +1,9 @@
 """Minimal fence insertion.
 
-Each leak finding carries the set of program points where an ``lfence``
-would cut the transient window between its speculation primitive and its
-earliest transient transmitter.  Repair computes a minimum-cardinality
+Each leak finding has a set of program points where an ``lfence`` would
+cut the transient window between its speculation primitive and its
+earliest transient transmitter, built when repair first reads the report's
+elements (``leakage.Report.elements``).  Repair computes a minimum-cardinality
 hitting set over those point sets, inserts the fences, re-runs the engine,
 and iterates until the report is empty or the iteration cap is hit.
 

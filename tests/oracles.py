@@ -861,7 +861,7 @@ def analyze_reference(prog, engine, config, graph=None):
     """
     graph = graph or cfg.build_acfg(prog)
     if engine == "all":
-        merged = lk.Report(engine="all", records=[], elements=[], unrepairable=[])
+        merged = lk.Report(engine="all", records=[], unrepairable=[])
         for sub in ("v1", "v4", "psf"):
             rep = analyze_reference(prog, sub, config, graph)
             merged.records.extend(rep.records)
@@ -887,7 +887,7 @@ def analyze_reference(prog, engine, config, graph=None):
             seen=seen_bypass,
         )
     ]
-    report = lk.Report(engine=engine, records=[], elements=[], unrepairable=[],
+    report = lk.Report(engine=engine, records=[], unrepairable=[],
                        structures=len(structures), candidates=len(cands))
     seen = set()
     shared = None
@@ -928,6 +928,68 @@ def analyze_reference(prog, engine, config, graph=None):
     report.elements = list(dict.fromkeys(report.elements))
     report.unrepairable = list(dict.fromkeys(report.unrepairable))
     return report
+
+
+def fence_points_eager(st, span):
+    """``leakage._fence_points`` as it was when ``analyze`` built every kept
+    record's fence points, kept verbatim: a fresh slot per node and record."""
+    if span is None:
+        return None
+    prim, end = span
+    fetched, nodes = st.fetched, st.acfg.nodes
+    run = itertools.chain(fetched[prim][1:], *fetched[prim + 1 : end], fetched[end][:1])
+    return frozenset((nodes[n].func, nodes[n].index) for n in run if n is not None)
+
+
+def elements_reference(prog, engine, config, graph=None):
+    """The repair elements and unrepairable records of ``leakage.analyze``
+    as it was when it built each kept record's fence points as it met the
+    record (:func:`fence_points_eager`), kept verbatim but for the records,
+    counts, graphs and ticks it also made."""
+    graph = graph or cfg.build_acfg(prog)
+    if engine == "all":
+        elements, unrepairable = [], []
+        for sub in ("v1", "v4", "psf"):
+            sub_elements, sub_unrepairable = elements_reference(prog, sub, config, graph)
+            elements.extend(sub_elements)
+            unrepairable.extend(sub_unrepairable)
+        return elements, unrepairable
+    elements, unrepairable = [], []
+    seen_bypass, passes = set(), {}
+    keyed = events.shares_content(graph)
+    for resolution in events.alias_subsets(graph.program.aliases):
+        structures = events.enumerate_event_structures(
+            graph, frozenset({lk._PRIMITIVES[engine]}), config.d_spec, config.tick, resolution)
+        replays: dict[int, tuple] = {}
+        for st in structures:
+            leaf_done, leaf_points, views, done = None, None, (), []
+            if isinstance(st, events.Graft):
+                leaf_key, leaf_done, leaf_points = replays[id(st.leaf)]
+                key, views = events.graft_key(st, leaf_key), ()
+                done = leaf_done if key is leaf_key else passes.setdefault(key, [])
+            elif keyed:
+                key, views = events.content_key(st, config.d_spec, seen_bypass)
+                done = passes.setdefault(key, [])
+            if not done:
+                done += lk._first_pass(st, engine, config, seen_bypass)
+            else:
+                seen_bypass.update(views)
+            _, found, _ = done
+            reuse = leaf_points if done is leaf_done else None
+            points = []
+            for i, (rec, span) in enumerate(found):
+                if reuse is not None and (span is None or span[0] >= st.cut):
+                    points.append(reuse[i])
+                    continue
+                pts = fence_points_eager(st, span)
+                points.append(pts)
+                if pts:
+                    elements.append(lk.RepairElement(pts, rec))
+                else:
+                    unrepairable.append(rec)
+            if keyed:
+                replays[id(st)] = key, done, points
+    return list(dict.fromkeys(elements)), list(dict.fromkeys(unrepairable))
 
 
 class _ChainsReference:

@@ -217,6 +217,16 @@ def test_alias_subsets_honour_the_timeout(tmp_path):
     assert cpu < 2
 
 
+def test_out_of_memory_exits_two(tmp_path):
+    # The stress program's witness graphs take about 300 MB, three times
+    # the cap.  Exit 1 would read as "leaks found".
+    proc, cpu = run_capped(CORPUS / "stress" / "deep_pipeline.lcm", "--dot", str(tmp_path),
+                           "--no-timing")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: out of memory\n"
+    assert cpu < 2
+
+
 def test_independent_gadgets_repair_is_checked_minimal_within_the_cap(tmp_path):
     # 8 independent v1 gadgets: a subset search over the 8 fences would
     # re-analyse 255 programs; the drop-one check takes 8.

@@ -460,6 +460,24 @@ def test_psf_stress_analysis_peaks_under_32_mib():
     assert peak < 32 * 2**20
 
 
+def test_psf_stress_analysis_of_every_class_peaks_under_8_mib():
+    # Every class under scope any keeps 5344 repair elements.  Building
+    # their fence points as ``analyze`` met each record peaked at 65 MiB;
+    # built only when ``Report.elements`` is read, they leave about 3.3 MiB.
+    from leakcheck import leakage as lk
+
+    prog = ir.parse((CORPUS / "stress" / "deep_pipeline.lcm").read_text())
+    config = lk.EngineConfig(scope="any", classes=frozenset(lk.CLASSES))
+    tracemalloc.start()
+    try:
+        report = lk.analyze(prog, "psf", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 277
+    assert peak < 8 * 2**20
+
+
 def test_sequential_diamonds_analysis_peaks_under_24_mib():
     # 16384 structures, all but one grafts: views that share their leaf's
     # events and build no fetched nodes of their own unless read.  Grafts

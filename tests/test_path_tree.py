@@ -79,15 +79,15 @@ def assert_views_match_builder(st: ev.EventStructure, ref: ev.EventStructure,
 def assert_fence_points_match_reference(st: ev.EventStructure, ref: ev.EventStructure):
     """``_fence_points`` against the plan slice it replaced, on every span
     from a branch or a site's read to a later event of thread 0."""
-    slots = oracles.slots_reference(ref)
+    slots, walk_slots = oracles.slots_reference(ref), ev._walk_maps(st.acfg).slots
     reads = {site.read for site in st.sites}
     thread0 = [e for e in ref.step_of if st.events[e].thread == 0]
     for i, prim in enumerate(thread0):
         if prim in reads or st.events[prim].kind == "BR":
             for end in thread0[i + 1 :]:
                 span = prim, end
-                assert lk._fence_points(st, span) == oracles.fence_points_reference(
-                    ref, span, slots), span
+                assert lk._fence_points(st.fetched, span, walk_slots) == (
+                    oracles.fence_points_reference(ref, span, slots)), span
 
 
 def assert_windows_match_reference(st, ref, d_spec: int, keys: dict) -> None:

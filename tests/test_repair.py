@@ -433,7 +433,7 @@ def emitted_with_repeats(prog: ir.Program, engine: str, config: lk.EngineConfig)
             shared = lk._Shared(cand.st)
         for w in lk.detect_leaks(cand, probe=config.probe):
             for rec, span in lk.findings(cand, w, engine, config, shared):
-                points = lk._fence_points(cand.st, span)
+                points = oracles.fence_points_eager(cand.st, span)
                 if points:
                     out.append(lk.RepairElement(points, rec))
     return out
@@ -470,3 +470,48 @@ def test_stress_program_elements_are_distinct():
     elements = lk.analyze(prog, "psf", lk.EngineConfig()).elements
     assert len(elements) > 1000
     assert len(elements) == len(set(elements))
+
+
+# -- fence points built on first read ------------------------------------------
+
+
+def assert_elements_match_eager(src: str, config: lk.EngineConfig) -> None:
+    """``Report.elements``, built on first read, against the points
+    ``analyze`` built as it met each record (``oracles.elements_reference``):
+    the same elements in the same order, and the same unrepairable records,
+    under every engine."""
+    prog = ir.parse(src)
+    for engine in ("v1", "v4", "psf", "all"):
+        report = lk.analyze(prog, engine, config)
+        elements, unrepairable = oracles.elements_reference(prog, engine, config)
+        assert report.elements == elements, engine
+        assert report.unrepairable == unrepairable, engine
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.rglob("*.lcm")), ids=lambda p: p.stem)
+def test_lazy_elements_match_the_eager_points_on_the_corpus(path):
+    config = json.loads(path.with_suffix(".expect.json").read_text()).get("config", {})
+    assert_elements_match_eager(path.read_text(), lk.EngineConfig(
+        d_spec=config.get("d_spec", 250), w_size=config.get("w_size"),
+        scope="any", classes=frozenset(lk.CLASSES)))
+
+
+@pytest.mark.parametrize("family", [
+    oracles.random_single, oracles.random_diamonds,
+    lambda rng: oracles.random_joins(rng, sites=0.9),
+], ids=["single", "diamonds", "joins"])
+def test_lazy_elements_match_the_eager_points_on_random_programs(family):
+    config = lk.EngineConfig(d_spec=8, scope="any", classes=frozenset(lk.CLASSES))
+    for seed in range(9000, 9150):
+        assert_elements_match_eager(family(random.Random(seed)), config)
+
+
+def test_lazy_elements_match_the_eager_points_around_merged_diamonds():
+    # Grafts replay the diamonds' leaf: the first gadget's spans end before
+    # the joins, the second's start after them.
+    before = "g2: R y ->r3\nBEQZ r3, e0\ng5: R A+r3 ->r4\ng6: R B+r4 ->r5\ne0: skip\n"
+    src = before + oracles.sequential_diamonds(4) + GADGET.replace("r2", "r3")
+    config = lk.EngineConfig(scope="any", classes=frozenset(lk.CLASSES))
+    report = lk.analyze(ir.parse(src), "v1", config)
+    assert report.structures > report.distinct and report.elements
+    assert_elements_match_eager(src, config)

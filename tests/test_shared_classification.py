@@ -32,7 +32,7 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
     structures = ev.enumerate_event_structures(
         cfg.build_acfg(prog), frozenset({lk._PRIMITIVES[engine]}), config.d_spec
     )
-    report = lk.Report(engine=engine, records=[], elements=[], unrepairable=[])
+    report = lk.Report(engine=engine, records=[], unrepairable=[])
     seen: set[lk.Record] = set()
     transmitters = []
     seen_bypass: set = set()
@@ -63,7 +63,7 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
                 transmitters.append(classified)
             for rec, span in lk.findings(cand, w, engine, config, fresh):
                 seen.add(rec)
-                points = lk._fence_points(cand.st, span)
+                points = oracles.fence_points_eager(cand.st, span)
                 if points:
                     report.elements.append(lk.RepairElement(points, rec))
                 else:
