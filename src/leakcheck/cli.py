@@ -158,13 +158,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     prog = _load(args.file)
     config = _config(args, collect_graphs=bool(args.dot))
+    if args.dot:  # before the analysis, so a path that is no directory fails first
+        outdir = Path(args.dot)
+        outdir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     report = analyze(prog, args.engine, config)
     for line in report.lines():
         print(line)
     if args.dot:
-        outdir = Path(args.dot)
-        outdir.mkdir(parents=True, exist_ok=True)
         for i, (_, text) in enumerate(report.graphs, start=1):
             (outdir / f"witness_{i:03d}.dot").write_text(text, encoding="utf-8")
     n = len(report.records)

@@ -2,7 +2,9 @@
 
 An event structure fixes one committed path through the abstract CFG (one
 outcome per branch), an optional set of transient events fetched beyond it,
-and the static relations between events:
+and the static relations between events.  It stores only the events: each
+thread fetches in id order, one thread after another, so the orders and the
+fence pairs are read off them:
 
 * ``po``  -- committed program order, per thread;
 * ``tfo`` -- total fetch order, per thread (``po`` plus transient events);
@@ -133,13 +135,11 @@ class Event:
 
 @dataclass
 class EventStructure:
+    """Its events in id order, the one record of order: ⊤, each thread's in
+    fetch order, then ⊥.  ``po``, ``tfo`` and ``fence_pairs`` are read off
+    them anew on each read."""
+
     events: list[Event]
-    po: list[list[int]]  # committed program events per thread
-    tfo: list[list[int]]  # fetched program events per thread (includes squashes)
-    # Memory-event pairs a fence orders, read by the multi-thread TSO check
-    # only: empty for single-thread structures, whose one witness is
-    # canonical.
-    fence_pairs: frozenset[tuple[int, int]]
     sites: tuple[Site, ...]
     merged_aliases: frozenset[frozenset[str]]
     # Per event: the nodes fetched for it, its own first (None for a
@@ -158,11 +158,44 @@ class EventStructure:
         """The final observer's event id."""
         return len(self.events) - 1
 
+    @property
+    def tfo(self) -> list[list[int]]:
+        """Fetched program events per thread (squashes included)."""
+        events = self.events[1:-1]
+        return [[e.eid for e in events if e.thread == t] for t in range(len(self.acfg.roots))]
+
+    @property
+    def po(self) -> list[list[int]]:
+        """Committed program events per thread."""
+        return [[e for e in order if not self.events[e].transient] for order in self.tfo]
+
+    @property
+    def fence_pairs(self) -> frozenset[tuple[int, int]]:
+        """Memory-event pairs a fence orders, read by the multi-thread TSO
+        check only: empty for single-thread structures, whose one witness is
+        canonical."""
+        if len(self.acfg.roots) < 2:
+            return _EMPTY
+        pairs: set[tuple[int, int]] = set()
+        for order in self.po:
+            for i, fid in enumerate(order):
+                fev = self.events[fid]
+                if fev.kind != "F":
+                    continue
+                before = [e for e in order[:i] if self.events[e].is_memory()]
+                after = [e for e in order[i + 1 :] if self.events[e].is_memory()]
+                for e1 in before:
+                    if fev.fence == "lfence" and self.events[e1].kind != "R":
+                        continue
+                    for e2 in after:
+                        pairs.add((e1, e2))
+        return frozenset(pairs)
+
     def describe(self) -> str:
-        parts = []
-        for tid, order in enumerate(self.tfo):
+        parts, orders = [], self.tfo
+        for tid, order in enumerate(orders):
             names = " ".join(self.events[e].display() for e in order)
-            parts.append(names if len(self.tfo) == 1 else f"t{tid}: {names}")
+            parts.append(names if len(orders) == 1 else f"t{tid}: {names}")
         return " | ".join(parts)
 
 
@@ -170,15 +203,14 @@ class Graft(EventStructure):
     """A structure of a merged fork's walk (:func:`_walk_paths`), as a view of
     ``leaf``, the structure the other fork's walk gave in its place.
 
-    It shares the leaf's events, orders, sites and fence pairs.  ``cut`` is
+    It shares the leaf's events and sites.  ``cut`` is
     the id of the event the join emits: the fork's own ``fetched`` has that
     many entries, and from there on the leaf's are the graft's, so the graft's
     ``fetched`` is the two joined, built on first read.
     """
 
     def __init__(self, leaf: EventStructure, head: list[tuple[int | None, ...]]) -> None:
-        self.events, self.po, self.tfo = leaf.events, leaf.po, leaf.tfo
-        self.fence_pairs, self.sites = leaf.fence_pairs, leaf.sites
+        self.events, self.sites = leaf.events, leaf.sites
         self.merged_aliases, self.acfg = leaf.merged_aliases, leaf.acfg
         self.leaf, self.cut, self._head = leaf, len(head), head
 
@@ -368,7 +400,7 @@ class _Builder:
 
     Every edge, site and mark of the structure is derived as its event is
     emitted, from state carried along the walk, so :meth:`finish` only adds
-    the final observer (and the fence order of a multi-thread structure):
+    the final observer:
 
     * an event's ``addr_reads`` and ``value_reads`` from the register taint;
     * its ``ctrl_reads`` from the open committed branches, those with a
@@ -398,8 +430,8 @@ class _Builder:
         self.single = len(graph.roots) == 1
         self.events: list[Event] = [Event(0, "TOP", label="⊤")]
         self.fetched: list[tuple[int | None, ...]] = [()]
-        self.po: list[list[int]] = []
-        self.tfo: list[list[int]] = []
+        # The current thread (-1: none yet) and the id of its first event.
+        self.thread, self._first = -1, 1
         self.sites: tuple[Site, ...] = ()
         # Value identities of the committed stores so far, per location:
         # silent marks are read from them when the next store is emitted.
@@ -422,8 +454,6 @@ class _Builder:
         new.__dict__.update(self.__dict__)
         new.events = list(self.events)
         new.fetched = list(self.fetched)
-        new.po = [list(order) for order in self.po]
-        new.tfo = [list(order) for order in self.tfo]
         new._stores = dict(self._stores)
         new._lines = dict(self._lines)
         new.state = self.state.copy()
@@ -439,8 +469,7 @@ class _Builder:
         event and a window's events are transient, so ``po`` and the store
         history are equal at every join; sites, the line histories, the last
         fence and the unfenced stores are too, as a walk with sites has no
-        windows; and ``tfo`` is equal whenever the events are.  The tests
-        assert all of these."""
+        windows.  The tests assert all of these."""
         mine, theirs = self.state, other.state
         return (
             mine.taint == theirs.taint
@@ -458,9 +487,9 @@ class _Builder:
         return Graft(leaf, self.fetched)
 
     def start_thread(self) -> None:
+        self.thread += 1
+        self._first = len(self.events)
         self.state = _ThreadState()
-        self.po.append([])
-        self.tfo.append([])
         self._open = ()
 
     def window(self, steps: list[Step]) -> None:
@@ -477,10 +506,9 @@ class _Builder:
         ctrl_reads = self._control(step) if self._open else _EMPTY
         eid = len(self.events)
         if node is None:
-            self.events.append(Event(eid, "SBOT", len(self.po) - 1, True, window=window,
+            self.events.append(Event(eid, "SBOT", self.thread, True, window=window,
                                      ctrl_reads=ctrl_reads, label="⊥"))
             self.fetched.append((None,))
-            self.tfo[-1].append(eid)
             return
         op, state = self.maps.ops[node], self.state
         kind = op.kind
@@ -490,7 +518,7 @@ class _Builder:
                 state.defs[op.dest] = node, window
             # No event: the node joins the fetched nodes of the thread's
             # last event, if it has one.
-            if self.tfo[-1]:
+            if eid > self._first:
                 self.fetched[-1] += (node,)
             return
         loc, cond, addr, value, pointers, eligible, definite = (
@@ -519,7 +547,7 @@ class _Builder:
         elif kind == "AMO":
             addr = state.reads_of(op.addr_regs)
             pointers = tuple((reg, f"*{reg}@{state.defs.get(reg)}") for reg in op.addr_regs)
-        ev = Event(eid, kind, len(self.po) - 1, not committed, node, loc, op.gep, op.fence, window,
+        ev = Event(eid, kind, self.thread, not committed, node, loc, op.gep, op.fence, window,
                    cond, addr, value, ctrl_reads, pointers, eligible, definite, op.label)
         self.events.append(ev)
         self.fetched.append((node,))
@@ -527,9 +555,6 @@ class _Builder:
             self._open += (ev,)
         if self._want_sites and kind in ("R", "W", "F"):
             self._sites_at(ev)
-        self.tfo[-1].append(eid)
-        if committed:
-            self.po[-1].append(eid)
 
     def _control(self, step: Step) -> frozenset[int]:
         """The condition reads of the open branches whose region holds
@@ -580,32 +605,7 @@ class _Builder:
         """The structure of the steps so far; the builder is spent."""
         self.events.append(Event(len(self.events), "BOT", label="⊥"))
         self.fetched.append(())
-        return EventStructure(
-            events=self.events,
-            po=self.po,
-            tfo=self.tfo,
-            fence_pairs=self._fence_order() if len(self.po) > 1 else _EMPTY,
-            sites=self.sites,
-            merged_aliases=self.merged,
-            fetched=self.fetched,
-            acfg=self.graph,
-        )
-
-    def _fence_order(self) -> frozenset[tuple[int, int]]:
-        pairs: set[tuple[int, int]] = set()
-        for order in self.po:
-            for i, fid in enumerate(order):
-                fev = self.events[fid]
-                if fev.kind != "F":
-                    continue
-                before = [e for e in order[:i] if self.events[e].is_memory()]
-                after = [e for e in order[i + 1 :] if self.events[e].is_memory()]
-                for e1 in before:
-                    if fev.fence == "lfence" and self.events[e1].kind != "R":
-                        continue
-                    for e2 in after:
-                        pairs.add((e1, e2))
-        return frozenset(pairs)
+        return EventStructure(self.events, self.sites, self.merged, self.fetched, self.graph)
 
 
 def _walk_paths(
@@ -647,10 +647,11 @@ def _walk_paths(
     out: list[EventStructure] = []
     first = _Builder(graph, merged, primitives)
     joins = first.maps.joins
-    first.start_thread()
     # (builder, node to walk from, None), or (builder, None, the index in out
-    # of the first structure to graft onto builder).
-    stack: list[tuple[_Builder, int | None, int | None]] = [(first, graph.roots[0], None)]
+    # of the first structure to graft onto builder).  The walk starts at EXIT
+    # with no thread open, so an entry with no node gives one structure with
+    # no events.
+    stack: list[tuple[_Builder, int | None, int | None]] = [(first, EXIT, None)]
     while stack:
         builder, node, graft_from = stack.pop()
         if graft_from is not None:
@@ -661,11 +662,11 @@ def _walk_paths(
         while True:
             tick()
             if node == EXIT:
-                if len(builder.po) == len(graph.roots):
+                if builder.thread + 1 == len(graph.roots):
                     out.append(builder.finish())
                     break
                 builder.start_thread()
-                node = graph.roots[len(builder.po) - 1]
+                node = graph.roots[builder.thread]
                 continue
             builder.step((node, True, None))
             succs = graph.succ[node]
@@ -804,8 +805,8 @@ def shares_content(graph: ACfg) -> bool:
 
 
 class _ByValue(tuple):
-    """The events and orders of a structure: compared by value, hashed by the
-    events' nodes (lists are unhashable)."""
+    """The events of a structure, which imply its orders: compared by value,
+    hashed by their nodes (a list is unhashable)."""
 
     def __hash__(self) -> int:
         return hash(tuple(map(_node_id, self[0])))
@@ -819,7 +820,7 @@ def content_key(st: EventStructure, d_spec: int, seen: set) -> tuple[tuple, list
     place fence slots), with each site's view cut and if ``seen`` holds it;
     its views' keys."""
     windows = _windows(st, d_spec) if st.sites else []
-    key = (_ByValue((st.events, st.po, st.tfo)), st.fence_pairs, st.sites, st.merged_aliases,
+    key = (_ByValue((st.events,)), st.sites, st.merged_aliases,
            tuple((stop, exits, view in seen) for stop, exits, _, view in windows))
     return key, [view for site, (stop, *_, view) in zip(st.sites, windows) if stop != site.read]
 
@@ -867,13 +868,12 @@ def derive_bypass(
     own prefix events and keeps every event id (the site's and its stale
     sources' included); its suffix events are transient twins of ``st``'s,
     made once and shared by overlapping windows, each with its original's
-    dependencies; its orders and fetched nodes are ``st``'s, cut at the
-    window's end.  ``tick`` runs once per site.
+    dependencies; its fetched nodes are ``st``'s, cut at the window's end.
+    ``tick`` runs once per site.
     """
     if not st.sites:
         return []
     seen = set() if seen is None else seen
-    order = st.tfo[0]
     twins: list[Event | None] = [None] * st.bottom
     squash = Event(st.bottom, "SBOT", transient=True, label="⊥")
     out: list[EventStructure | None] = []
@@ -892,7 +892,5 @@ def derive_bypass(
         events = st.events[: site.read] + twins[site.read : stop]
         events += [squash] * exits + [Event(len(events) + exits, "BOT", label="⊥")]
         fetched = st.fetched[: stop - 1] + [last] + [(None,)] * exits + [()]
-        out.append(EventStructure(
-            events, [order[: site.read - 1]], [order[: stop - 1] + [squash.eid] * exits],
-            st.fence_pairs, (), st.merged_aliases, fetched, st.acfg))
+        out.append(EventStructure(events, (), st.merged_aliases, fetched, st.acfg))
     return out

@@ -175,18 +175,19 @@ def canonical_arch(
     rf: dict[int, int] = {}
     co: dict[str, list[int]] = {}
     last: dict[str, int] = {}
-    for order in cand_st.po:
-        for eid in order:
-            kind, loc = access[eid]
-            if kind == "R":
-                rf[eid] = last.get(loc, 0)
-            elif kind == "W":
-                co.setdefault(loc, [0]).append(eid)
-                last[loc] = eid
+    events = cand_st.events
+    for eid, (kind, loc) in enumerate(access):  # po is the committed events in id order
+        if kind is None or events[eid].transient:
+            continue
+        if kind == "R":
+            rf[eid] = last.get(loc, 0)
+        elif kind == "W":
+            co.setdefault(loc, [0]).append(eid)
+            last[loc] = eid
     return rf, co
 
 
-def _tso_consistent(cand: Candidate) -> bool:
+def _tso_consistent(cand: Candidate, fence_pairs: frozenset[tuple[int, int]]) -> bool:
     st, access = cand.st, cand.access
     rf = cand.rf_pairs()
     co = _ordered_pairs(cand.co.values())
@@ -211,14 +212,14 @@ def _tso_consistent(cand: Candidate) -> bool:
         for (w, r) in rf
         if w == 0 or st.events[w].thread != st.events[r].thread
     }
-    return not find_cycle(rfe | co | fr | ppo | st.fence_pairs)
+    return not find_cycle(rfe | co | fr | ppo | fence_pairs)
 
 
 def arch_witnesses(
     st: EventStructure, access: Accesses, tick=no_deadline
 ) -> list[tuple[dict[int, int], dict[str, list[int]]]]:
     """All TSO-consistent (rf, co) pairs; brute force for multi-thread."""
-    if len(st.po) == 1:
+    if len(st.acfg.roots) == 1:
         return [canonical_arch(st, access)]
 
     reads: list[int] = []
@@ -241,14 +242,14 @@ def arch_witnesses(
         [(loc, [0] + list(p)) for p in itertools.permutations(ws)]
         for loc, ws in writes.items()
     ]
-    out = []
+    fence_pairs, out = st.fence_pairs, []
     for rf_combo in itertools.product(*rf_opts) if rf_opts else [()]:
         for co_combo in itertools.product(*co_opts) if co_opts else [()]:
             tick()
             rf = dict(rf_combo)
             co = dict(co_combo)
             probe = Candidate(st=st, rf=rf, co=co, rfx_in={}, cox={}, access=access)
-            if _tso_consistent(probe):
+            if _tso_consistent(probe, fence_pairs):
                 out.append((rf, co))
     return out
 
@@ -336,22 +337,14 @@ def _refill(base: View, stale_src: int) -> View:
                 fills, base.lines, base)
 
 
-def fetch_positions(st: EventStructure) -> dict[int, int]:
-    """Each fetched event's index in fetch order (threads in turn), BOT last."""
-    pos = {e: i for i, e in enumerate(e for order in st.tfo for e in order)}
-    pos[st.bottom] = len(pos) + 1
-    return pos
-
-
 def confidential(cand: Candidate) -> bool:
     """The microarchitectural analog of consistency.
 
     The fill/writer orders must compose acyclically with same-line fetch
     order, and any fill edge pointing *against* fetch order (reading a line
     version that a fetch-earlier event should already have replaced) is
-    only justified at a bypass site.
+    only justified at a bypass site.  Fetch order is event-id order.
     """
-    pos = fetch_positions(cand.st)
     edges = {(src, e) for e, src in cand.rfx_in.items()}
     for order in cand.cox.values():
         edges.update(zip(order, order[1:]))
@@ -359,9 +352,7 @@ def confidential(cand: Candidate) -> bool:
     for e, src in cand.rfx_in.items():
         by_x.setdefault(cand.xstate(e), []).append(e)
     for x, order in cand.cox.items():
-        members = sorted(
-            set(order[1:]) | set(by_x.get(x, [])), key=lambda e: pos.get(e, -1)
-        )
+        members = sorted(set(order[1:]) | set(by_x.get(x, [])))
         edges.update(zip(members, members[1:]))
     if find_cycle(edges):
         return False
@@ -369,7 +360,7 @@ def confidential(cand: Candidate) -> bool:
     for e, w2 in cand.frx():
         if w2 == 0 or e == cand.st.bottom:
             continue
-        if pos.get(w2, 0) < pos.get(e, 0) and e != site_read:
+        if w2 < e and e != site_read:
             return False
     return True
 
@@ -436,8 +427,8 @@ class View(Candidate):
         if name not in ("rf", "co", "rfx_in", "cox"):
             raise AttributeError(name)
         self.rf, self.co = canonical_arch(self.st, self.access)
-        self.rfx_in, self.cox = _simulate({}, {}, self.access, self.st.tfo[0], frozenset(),
-                                          self.site, self.stale_src)
+        self.rfx_in, self.cox = _simulate({}, {}, self.access, range(1, self.st.bottom),
+                                          frozenset(), self.site, self.stale_src)
         return getattr(self, name)
 
     def observed(self) -> tuple[int, ...]:
@@ -466,7 +457,7 @@ def _view_candidates(
     tail = [(None, None)] * (len(view.events) - stop)  # a squash, the final observer
     cuts = [(dict(amo), sweep.canon.access[:stop] + tail, sweep, sweep.advance(read))
             for amo, sweep in choices.items()]
-    window = view.tfo[0][read - 1:]
+    window = range(read, view.bottom)
     # choice -> the candidate of the site's first line-neutral source; the
     # later ones share its simulation.
     bases: dict[int, View] = {}
@@ -518,7 +509,7 @@ def iter_candidates(
         tables = [access_table(st, amo) for amo in amos]
         archs = [arch_witnesses(st, access, tick) for access in tables]
         silent = [e.eid for e in st.events if e.silent_eligible] if silent_stores else []
-        fetched = [e for order in st.tfo for e in order]
+        fetched = range(1, st.bottom)
         canonical = []
         for amo, access, arch in zip(amos, tables, archs):
             tick()

@@ -652,9 +652,9 @@ def witness_dot(cand: Candidate, w: LeakWitness, title: str) -> str:
     st = cand.st
     lines = [f'digraph "{title}" {{', "  rankdir=TB;", '  node [shape=box];']
 
-    for e in sorted({0, st.bottom, *chain.from_iterable(st.tfo)}):  # ⊤, ⊥ and the fetched
-        extra = " style=dashed" if st.events[e].transient else ""
-        lines.append(f'  e{e} [label="{st.events[e].display()}"{extra}];')
+    for ev in st.events:  # ⊤, the fetched events and ⊥
+        extra = " style=dashed" if ev.transient else ""
+        lines.append(f'  e{ev.eid} [label="{ev.display()}"{extra}];')
     culprit = w.culprit.edge
     drawn: set[tuple[int, int]] = set()
 

@@ -319,11 +319,52 @@ class ReferenceBuilder(events._Builder):
     union-find, and passes the event's fields as keywords.  The references
     below build with it, so each event the walk emits is compared, field by
     field, with this emission.  Its sites are those of the emitter that
-    scanned the unfenced stores for a load's line writer (:meth:`_sites_at`)."""
+    scanned the unfenced stores for a load's line writer (:meth:`_sites_at`).
+
+    It keeps each thread's ``po`` and ``tfo`` as the builder stored them
+    before structures read them off their events: appended as each event is
+    emitted.  :meth:`finish` leaves them, and the fence pairs the builder
+    read off them (:meth:`_fence_order`), on the structure as
+    ``emitted_po``, ``emitted_tfo`` and ``emitted_fence_pairs``."""
 
     def __init__(self, graph, merged, primitives) -> None:
         super().__init__(graph, merged, primitives)
         self.uf = events._make_union_find(merged)
+        self.po: list[list[int]] = []
+        self.tfo: list[list[int]] = []
+
+    def fork(self):
+        new = super().fork()
+        new.po = [list(order) for order in self.po]
+        new.tfo = [list(order) for order in self.tfo]
+        return new
+
+    def start_thread(self) -> None:
+        super().start_thread()
+        self.po.append([])
+        self.tfo.append([])
+
+    def finish(self):
+        st = super().finish()
+        st.emitted_po, st.emitted_tfo = self.po, self.tfo
+        st.emitted_fence_pairs = self._fence_order() if len(self.po) > 1 else frozenset()
+        return st
+
+    def _fence_order(self) -> frozenset[tuple[int, int]]:
+        pairs: set[tuple[int, int]] = set()
+        for order in self.po:
+            for i, fid in enumerate(order):
+                fev = self.events[fid]
+                if fev.kind != "F":
+                    continue
+                before = [e for e in order[:i] if self.events[e].is_memory()]
+                after = [e for e in order[i + 1 :] if self.events[e].is_memory()]
+                for e1 in before:
+                    if fev.fence == "lfence" and self.events[e1].kind != "R":
+                        continue
+                    for e2 in after:
+                        pairs.add((e1, e2))
+        return frozenset(pairs)
 
     def location(self, addr, state) -> tuple[str, bool]:
         if isinstance(addr, ir.Direct):

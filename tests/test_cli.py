@@ -53,6 +53,31 @@ def test_clean_program_exits_zero(tmp_path, capsys):
     assert "LEAK" not in out
 
 
+EMPTY_ENTRY_OUTPUT = {
+    "check": (0, "{f}: no leaks\n"),
+    "repair": (0, "{f}: repaired, 0 fence(s), 1 iteration(s), minimal\n"),
+    "enumerate": (0, "1 event structures, 1 consistent candidate executions\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_ENTRY_OUTPUT))
+@pytest.mark.parametrize("rest", ["", "\nfunc other():\n" + GADGET], ids=["alone", "beside"])
+def test_entry_with_an_empty_body_has_one_empty_structure(tmp_path, capsys, command, rest):
+    # The entry has no node, so the walk ends where it starts: one structure
+    # with no events, as for a lone ``skip``; a function beside it that is
+    # never called adds nothing.
+    f = tmp_path / "empty.lcm"
+    f.write_text("func main():\n" + rest)
+    argv = [command, str(f)] + (["--no-timing"] if command == "check" else [])
+    code = main(argv)
+    want_code, want_out = EMPTY_ENTRY_OUTPUT[command]
+    assert (code, capsys.readouterr().out) == (want_code, want_out.format(f=f))
+    skip = tmp_path / "skip.lcm"
+    skip.write_text("skip\n")
+    assert main([command, str(skip)] + argv[2:]) == want_code
+    assert capsys.readouterr().out == want_out.format(f=skip)
+
+
 def test_check_scope_and_classes_flags(gadget, capsys):
     code = main([
         "check", str(gadget), "--engine", "v1", "--no-timing",
@@ -84,6 +109,18 @@ def test_check_writes_witness_graphs(gadget, tmp_path, capsys):
     capsys.readouterr()
     graphs = [f.read_text(encoding="utf-8") for f in (tmp_path / "v4").glob("*.dot")]
     assert any('e1 -> e3 [label="data", style=dashed]' in g for g in graphs)
+
+
+def test_check_dot_onto_a_file_fails_before_the_analysis(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    code = main(["check", str(CORPUS / "gadgets" / "spectre_v1.lcm"), "--no-timing",
+                 "--dot", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "File exists" in captured.err
+    assert captured.out == ""
+    assert taken.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("name", ["gadgets/spectre_v1.lcm", "pht/pht04.lcm"])

@@ -478,6 +478,23 @@ def test_psf_stress_analysis_of_every_class_peaks_under_8_mib():
     assert peak < 8 * 2**20
 
 
+def test_bypass_views_analysis_peaks_under_8_mib():
+    # 320 blocks give 320 views of one structure under v4.  Views that also
+    # stored their po and tfo, as slices of their base's, peaked at 9.5 MiB;
+    # read off the events, they leave about 6.5 MiB.
+    from leakcheck import leakage as lk
+
+    prog = ir.parse(oracles.bypass_blocks(320))
+    tracemalloc.start()
+    try:
+        report = lk.analyze(prog, "v4", lk.EngineConfig(d_spec=25, w_size=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 320
+    assert peak < 8 * 2**20
+
+
 def test_sequential_diamonds_analysis_peaks_under_24_mib():
     # 16384 structures, all but one grafts: views that share their leaf's
     # events and build no fetched nodes of their own unless read.  Grafts

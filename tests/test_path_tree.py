@@ -56,6 +56,10 @@ FIELDS = tuple(f.name for f in dataclasses.fields(ev.EventStructure) if f.compar
 def assert_same_structure(got: ev.EventStructure, want: ev.EventStructure):
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), name
+    # The orders ``got`` reads off its events, against those the reference's
+    # builder appended as it emitted each event (``oracles.ReferenceBuilder``).
+    assert got.po == want.emitted_po and got.tfo == want.emitted_tfo
+    assert got.fence_pairs == want.emitted_fence_pairs
     assert len(got.fetched) == len(got.events)
 
 
@@ -180,11 +184,14 @@ def test_merged_diamonds_match_reference(monkeypatch):
     verdicts: dict[tuple, int] = {}
     mergeable = ev._Builder.mergeable
 
+    def committed(builder):
+        return [e for e in builder.events if not e.transient]
+
     def counted(self, other, reads):
-        assert self.po == other.po and self.sites == other.sites
+        assert (self.thread, self._first) == (other.thread, other._first)
+        assert committed(self) == committed(other) and self.sites == other.sites
         assert self._stores == other._stores and self._lines == other._lines
         assert self._fence == other._fence and self._unfenced == other._unfenced
-        assert self.tfo == other.tfo or self.events != other.events
         verdict = mergeable(self, other, reads)
         unequal = sum(map(len, self.fetched)) != sum(map(len, other.fetched))
         key = (self.primitives, verdict, unequal)
