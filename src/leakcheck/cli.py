@@ -230,10 +230,17 @@ def _classes(value) -> frozenset[str]:
     return _names(CLASSES, "class")(",".join(value))
 
 
+def _count(value) -> int:
+    """A sidecar count: a JSON integer (no bool, string or float), at least 0."""
+    if type(value) is not int:
+        raise ValueError(f"invalid int value: {str(value)!r}")
+    return _at_least_zero(int)(str(value))
+
+
 # The sidecar config keys (EngineConfig fields), each checked as its flag is.
 _SIDECAR_KEYS = {
-    "d_spec": lambda v: _at_least_zero(int)(str(v)),
-    "w_size": lambda v: _at_least_zero(int)(str(v)),
+    "d_spec": _count,
+    "w_size": lambda v: None if v is None else _count(v),  # null: EngineConfig's own
     "classes": _classes,
     "scope": _one_of(_SCOPES, "scope"),
     **{key: _one_of((False, True), key)

@@ -62,11 +62,9 @@ the program.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 from typing import NamedTuple, TypeVar
 
 from .cfg import ACfg, ANode, EXIT, no_deadline
@@ -149,8 +147,8 @@ class EventStructure:
     # kept: no fence slot span starts there.
     fetched: list[tuple[int | None, ...]] = field(repr=False)
     acfg: ACfg = field(repr=False)
-    # :func:`_windows` for one ``d_spec``, shared by the content key and the
-    # bypass derivation: (d_spec, windows).
+    # :func:`_windows` for one ``d_spec``, shared by the bypass derivation
+    # and its views' candidates (``executions.iter_candidates``): (d_spec, windows).
     window_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -748,7 +746,7 @@ def _windows(st: EventStructure, d_spec: int) -> list[tuple[int, bool, tuple, tu
     holds, and its dedupe key.  A window walks the fetched nodes from the
     site's read: it stops before a branch or fence, whose node is its event's
     first, or after ``d_spec`` nodes.  Computed once per ``d_spec``:
-    :func:`content_key` and :func:`derive_bypass` both read them.  A key holds
+    :func:`derive_bypass` and its views' candidates read them.  A key holds
     the window's nodes after an id of those before: equal ids, equal nodes."""
     if st.window_memo is not None and st.window_memo[0] == d_spec:
         return st.window_memo[1]
@@ -796,57 +794,6 @@ def _joins(graph: ACfg, order: list[int], ops: list[_Op]) -> dict[int, tuple[int
             own = (op.ptr, *own)
         reads[node] = got.union(own) if not got.issuperset(own) else got
     return {node: (join, reads[join]) for node, join in joins.items()}
-
-
-def shares_content(graph: ACfg) -> bool:
-    """Whether two paths can give structures of equal content: only if, where
-    they part, both arms run through event-less steps to one node."""
-    return bool(_walk_maps(graph).joins)
-
-
-class _ByValue(tuple):
-    """The events of a structure, which imply its orders: compared by value,
-    hashed by their nodes (a list is unhashable)."""
-
-    def __hash__(self) -> int:
-        return hash(tuple(map(_node_id, self[0])))
-
-
-_node_id = attrgetter("node_id")
-
-
-def content_key(st: EventStructure, d_spec: int, seen: set) -> tuple[tuple, list]:
-    """What ``st``'s records are computed from, but its fetched nodes (which
-    place fence slots), with each site's view cut and if ``seen`` holds it;
-    its views' keys."""
-    windows = _windows(st, d_spec) if st.sites else []
-    key = (_ByValue((st.events,)), st.sites, st.merged_aliases,
-           tuple((stop, exits, view in seen) for stop, exits, _, view in windows))
-    return key, [view for site, (stop, *_, view) in zip(st.sites, windows) if stop != site.read]
-
-
-def graft_key(st: Graft, leaf_key: tuple) -> tuple:
-    """``st``'s :func:`content_key`, from ``leaf_key``, its leaf's: that very
-    key, with no rehash, when the two are equal.
-
-    They can differ only in which views are marked seen.  A site before the
-    join has the same window in ``st`` as in its leaf, as no window crosses
-    the branch, and the leaf saw it first: in ``st`` each such view with room
-    is seen.  A view past the join names ``st``'s own fetched nodes, which only
-    the grafts of its batch share, as their leaves share theirs, so ``st`` sees
-    it as its leaf did.  So grafts need not add their views' keys to the
-    seen set: the keys differ only for the first graft of a batch, whose
-    leaf is the first structure past the join and has seen none of its
-    views there.
-    """
-    sites = st.sites
-    if not sites or sites[0].read >= st.cut:
-        return leaf_key
-    *content, marks = leaf_key
-    before = bisect_left([site.read for site in sites], st.cut)
-    own = tuple((stop, exits, seen or stop != site.read)
-                for (stop, exits, seen), site in zip(marks[:before], sites)) + marks[before:]
-    return leaf_key if own == marks else (*content, own)
 
 
 def derive_bypass(

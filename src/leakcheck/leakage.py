@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -80,7 +80,6 @@ class Transmitter:
 
 @dataclass(slots=True)
 class LeakWitness:
-    cand: Candidate
     culprit: Culprit
     receiver: int
     sources: tuple[int, ...]  # events whose micro-sourcing realizes the deviation
@@ -139,7 +138,7 @@ class Report:
     records: list[Record]
     unrepairable: list[Record]
     structures: int = 0
-    distinct: int = 0  # structures of distinct content, each analysed once
+    distinct: int = 0  # structures analysed by their own pass, not a graft's replay
     candidates: int = 0
     graphs: list[tuple[str, str]] = field(default_factory=list)
     # What :attr:`elements` is built from, in analysis order: each record
@@ -195,7 +194,7 @@ def detect_leaks(cand: Candidate, probe: bool = True) -> list[LeakWitness]:
     out: list[LeakWitness] = []
 
     def witness(kind: str, edge, receiver, deviators: list[int]) -> None:
-        out.append(LeakWitness(cand, Culprit(kind, tuple(edge)), receiver, tuple(deviators)))
+        out.append(LeakWitness(Culprit(kind, tuple(edge)), receiver, tuple(deviators)))
 
     # Observer rule: the final observer reads every line from its last
     # writer, architecturally only from the initial state.
@@ -482,9 +481,8 @@ _PRIMITIVES = {"v1": "branch", "v4": "stl", "psf": "psf"}
 def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             graph: cfg_mod.ACfg | None = None) -> Report:
     """Run one engine (or the merge of all three) over a program, on its
-    ACfg ``graph`` if given: ``all`` builds it once for the three.  Structures
-    of one content (:func:`events.content_key`) replay the first's findings;
-    a graft finds its content through its leaf's (:func:`events.graft_key`)."""
+    ACfg ``graph`` if given: ``all`` builds it once for the three.  A graft
+    (a merged path's structure) replays its leaf's pass where it can."""
     if prog.multithread:
         raise ex_mod.ExecutionError(
             f"engine {engine} analyzes single-thread programs only"
@@ -505,34 +503,30 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
             merged.candidates += rep.candidates
         merged.records = sorted(set(merged.records), key=record_sort_key)
         return merged
-    report = Report(engine=engine, records=[], unrepairable=[],
-                    slots=ev_mod._walk_maps(graph).slots, tick=config.tick)
-    seen, seen_bypass, passes = set(), set(), {}  # records, bypass keys, passes by content
-    keyed = ev_mod.shares_content(graph)
+    maps = ev_mod._walk_maps(graph)
+    report = Report(engine=engine, records=[], unrepairable=[], slots=maps.slots,
+                    tick=config.tick)
+    seen, seen_bypass = set(), set()  # records, bypass keys
     for resolution in ev_mod.alias_subsets(graph.program.aliases):  # one list at a time
         structures = ev_mod.enumerate_event_structures(
             graph, frozenset({_PRIMITIVES[engine]}), config.d_spec, config.tick, resolution)
         report.structures += len(structures)
-        # id of a keyed structure -> its content key and pass
-        replays: dict[int, tuple] = {}  # of this resolution, as a graft's leaf is
+        # id of a structure -> its pass, kept where the walk can merge paths
+        # (at joins) for the structure's grafts, all of this resolution
+        passes: dict[int, tuple] = {}
         for st in structures:
-            leaf_done, views, done = None, (), []  # unkeyed: its own content
-            if isinstance(st, ev_mod.Graft):  # only where keyed: a graft needs a join
-                leaf_key, leaf_done = replays[id(st.leaf)]
-                key, views = ev_mod.graft_key(st, leaf_key), ()
-                done = leaf_done if key is leaf_key else passes.setdefault(key, [])
-            elif keyed:
-                key, views = ev_mod.content_key(st, config.d_spec, seen_bypass)
-                done = passes.setdefault(key, [])  # one hash of the key
-            if not done:
-                done += _first_pass(st, engine, config, seen_bypass)
+            # A graft replays its leaf's pass unless that pass derived a view at
+            # a site before the join, which no window crosses: the graft has
+            # it too, now seen.  Past the join, a view names the graft's own
+            # fetched nodes, so the graft sees it as its leaf did.
+            done = passes[id(st.leaf)] if isinstance(st, ev_mod.Graft) else None
+            replay = done is not None and done[3] >= st.cut
+            if not replay:
+                done = _first_pass(st, engine, config, seen_bypass)
                 report.distinct += 1
-            else:
-                config.tick()
-                seen_bypass.update(views)
-            count, found, drawn = done
+            config.tick()
+            count, found, drawn, _ = done
             report.candidates += count
-            replay = done is leaf_done
             for rec, span in found:
                 if replay and (span is None or span[0] >= st.cut):
                     # A graft replaying its leaf's pass: a span past the join has
@@ -545,31 +539,33 @@ def analyze(prog: ir.Program, engine: str, config: EngineConfig,
                     report.occurrences.append((rec, span, st.fetched))
                 else:
                     report.unrepairable.append(rec)
-            if keyed:
-                replays[id(st)] = key, done
-            for w in drawn:
+            if maps.joins:
+                passes[id(st)] = done
+            for cand, w in drawn:
                 title = f"{engine} witness {len(report.graphs) + 1}"
-                report.graphs.append((title, witness_dot(w.cand, w, title)))
+                report.graphs.append((title, witness_dot(cand, w, title)))
     report.records = sorted(seen, key=record_sort_key)
     report.unrepairable = list(dict.fromkeys(report.unrepairable))
     return report
 
 
 def _first_pass(st: EventStructure, engine: str, config: EngineConfig, seen: set) -> tuple:
-    """The candidate count, records with spans and drawn witnesses of ``st``.
+    """The candidate count, records with spans, drawn (candidate, witness)
+    pairs and first bypass view's site read (``st.bottom``: none) of ``st``.
 
     Each candidate is analysed as it is built.  Only a bypass candidate's
     witnesses are kept, for the later stale sources that share its
     simulation, so a candidate is dropped once analysed (unless its graph
     is drawn): many silent-store subsets cost time, not memory.
     """
-    count, found, drawn, shared = 0, [], [], _Shared(st)
+    count, found, drawn, shared, view_at = 0, [], [], _Shared(st), st.bottom
     for cand in ex_mod.iter_candidates(
             [st], config.silent_stores, config.d_spec, config.tick, seen):
         count += 1
         config.tick()
         if shared.current is not cand.st:
             shared = _Shared(cand.st)
+            view_at = min(view_at, cand.site.read)
         psf = cand.site is not None and cand.site.kind == "psf"
         if cand.base is None:
             witnesses = detect_leaks(cand, probe=config.probe)
@@ -578,20 +574,19 @@ def _first_pass(st: EventStructure, engine: str, config: EngineConfig, seen: set
         elif psf:
             # Its base added its records (ex_mod._refill); draw its graphs.
             if config.collect_graphs:
-                drawn += [replace(w, cand=cand) for w in shared.witnesses[id(cand.base)]]
+                drawn += [(cand, w) for w in shared.witnesses[id(cand.base)]]
             continue
         else:
-            # An stl sharer has its base's witnesses, up to the
-            # candidate they name (ex_mod._refill argues why).
-            witnesses = [replace(w, cand=cand) for w in shared.witnesses[id(cand.base)]]
+            # An stl sharer has its base's witnesses (ex_mod._refill argues why).
+            witnesses = shared.witnesses[id(cand.base)]
         for w in witnesses:
             records = findings(cand, w, engine, config, shared)
             found += records
             if records and psf:  # the witnesses its sharers draw
                 shared.witnesses[id(cand)].append(w)
             if records and config.collect_graphs:
-                drawn.append(w)
-    return count, found, drawn
+                drawn.append((cand, w))
+    return count, found, drawn, view_at
 
 
 def findings(

@@ -13,12 +13,14 @@ import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from leakcheck import cfg, events, ir
 from leakcheck import executions as ex
 from leakcheck import leakage as lk
 from leakcheck import repair as rp
-from leakcheck.cfg import EXIT
+from leakcheck.cfg import EXIT, ACfg
+from leakcheck.events import EventStructure, Graft, _walk_maps, _windows
 
 
 def acyclic(nodes, edges) -> bool:
@@ -944,12 +946,11 @@ def analyze_reference(prog, engine, config, graph=None):
             # Its base added its records (ex._refill); draw its graphs.
             if config.collect_graphs:
                 for w in shared.witnesses[id(cand.base)]:
-                    w = replace(w, cand=cand)
                     title = f"{engine} witness {len(report.graphs) + 1}"
                     report.graphs.append((title, lk.witness_dot(cand, w, title)))
             continue
         else:
-            witnesses = [replace(w, cand=cand) for w in shared.witnesses[id(cand.base)]]
+            witnesses = shared.witnesses[id(cand.base)]
         slots = slots_reference(st)
         for w in witnesses:
             found = lk.findings(cand, w, engine, config, shared)
@@ -982,6 +983,62 @@ def fence_points_eager(st, span):
     return frozenset((nodes[n].func, nodes[n].index) for n in run if n is not None)
 
 
+# ``events.shares_content``, ``content_key`` and ``graft_key`` as they were
+# when ``analyze`` keyed structures by content, moved verbatim for
+# :func:`elements_reference`.
+
+
+def shares_content(graph: ACfg) -> bool:
+    """Whether two paths can give structures of equal content: only if, where
+    they part, both arms run through event-less steps to one node."""
+    return bool(_walk_maps(graph).joins)
+
+
+class _ByValue(tuple):
+    """The events of a structure, which imply its orders: compared by value,
+    hashed by their nodes (a list is unhashable)."""
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(_node_id, self[0])))
+
+
+_node_id = attrgetter("node_id")
+
+
+def content_key(st: EventStructure, d_spec: int, seen: set) -> tuple[tuple, list]:
+    """What ``st``'s records are computed from, but its fetched nodes (which
+    place fence slots), with each site's view cut and if ``seen`` holds it;
+    its views' keys."""
+    windows = _windows(st, d_spec) if st.sites else []
+    key = (_ByValue((st.events,)), st.sites, st.merged_aliases,
+           tuple((stop, exits, view in seen) for stop, exits, _, view in windows))
+    return key, [view for site, (stop, *_, view) in zip(st.sites, windows) if stop != site.read]
+
+
+def graft_key(st: Graft, leaf_key: tuple) -> tuple:
+    """``st``'s :func:`content_key`, from ``leaf_key``, its leaf's: that very
+    key, with no rehash, when the two are equal.
+
+    They can differ only in which views are marked seen.  A site before the
+    join has the same window in ``st`` as in its leaf, as no window crosses
+    the branch, and the leaf saw it first: in ``st`` each such view with room
+    is seen.  A view past the join names ``st``'s own fetched nodes, which only
+    the grafts of its batch share, as their leaves share theirs, so ``st`` sees
+    it as its leaf did.  So grafts need not add their views' keys to the
+    seen set: the keys differ only for the first graft of a batch, whose
+    leaf is the first structure past the join and has seen none of its
+    views there.
+    """
+    sites = st.sites
+    if not sites or sites[0].read >= st.cut:
+        return leaf_key
+    *content, marks = leaf_key
+    before = bisect_left([site.read for site in sites], st.cut)
+    own = tuple((stop, exits, seen or stop != site.read)
+                for (stop, exits, seen), site in zip(marks[:before], sites)) + marks[before:]
+    return leaf_key if own == marks else (*content, own)
+
+
 def elements_reference(prog, engine, config, graph=None):
     """The repair elements and unrepairable records of ``leakage.analyze``
     as it was when it built each kept record's fence points as it met the
@@ -997,7 +1054,7 @@ def elements_reference(prog, engine, config, graph=None):
         return elements, unrepairable
     elements, unrepairable = [], []
     seen_bypass, passes = set(), {}
-    keyed = events.shares_content(graph)
+    keyed = shares_content(graph)
     for resolution in events.alias_subsets(graph.program.aliases):
         structures = events.enumerate_event_structures(
             graph, frozenset({lk._PRIMITIVES[engine]}), config.d_spec, config.tick, resolution)
@@ -1006,16 +1063,16 @@ def elements_reference(prog, engine, config, graph=None):
             leaf_done, leaf_points, views, done = None, None, (), []
             if isinstance(st, events.Graft):
                 leaf_key, leaf_done, leaf_points = replays[id(st.leaf)]
-                key, views = events.graft_key(st, leaf_key), ()
+                key, views = graft_key(st, leaf_key), ()
                 done = leaf_done if key is leaf_key else passes.setdefault(key, [])
             elif keyed:
-                key, views = events.content_key(st, config.d_spec, seen_bypass)
+                key, views = content_key(st, config.d_spec, seen_bypass)
                 done = passes.setdefault(key, [])
             if not done:
                 done += lk._first_pass(st, engine, config, seen_bypass)
             else:
                 seen_bypass.update(views)
-            _, found, _ = done
+            _, found, _, _ = done
             reuse = leaf_points if done is leaf_done else None
             points = []
             for i, (rec, span) in enumerate(found):
@@ -1373,8 +1430,10 @@ def random_joins(rng: random.Random, threads: int = 0, sites: float = 0.5) -> st
     return "\n".join(lines) + "\n"
 
 
-def random_multithread(rng: random.Random) -> str:
-    """A two-thread litmus shape, at most 3 memory ops per thread."""
+def random_multithread(rng: random.Random, lfence: float = 0.0) -> str:
+    """A two-thread litmus shape, at most 3 memory ops per thread.  A fence
+    between two of them is an ``lfence`` with probability ``lfence``; at 0
+    no draw is made for it, so a seed gives the program it always gave."""
     lines = []
     for t in range(2):
         lines.append(f"thread t{t}:")
@@ -1386,7 +1445,7 @@ def random_multithread(rng: random.Random) -> str:
             else:
                 lines.append(f"W {loc} <-{rng.randint(1, 3)}")
             if i + 1 < k and rng.random() < 0.3:
-                lines.append("fence")
+                lines.append("lfence" if lfence and rng.random() < lfence else "fence")
     return "\n".join(lines) + "\n"
 
 

@@ -392,7 +392,9 @@ def write_case(root, name, text, expect):
 
 def test_corpus_runner_passes_on_matching_expectations(tmp_path, capsys):
     expect = {
-        "config": {"engine": "v1", "classes": ["universal_data"]},
+        # null is EngineConfig's own w_size
+        "config": {"engine": "v1", "classes": ["universal_data"], "d_spec": 25,
+                   "w_size": None},
         "expect": [
             {"label": "i6", "transient": True, "class": "universal_data",
              "access": "i5", "access_transient": True},
@@ -487,6 +489,8 @@ def test_corpus_runner_checks_culprit_detail(tmp_path, capsys):
     ({"probe": "no"}, "invalid probe 'no'"),
     ({"silent_stores": 1}, "invalid silent_stores 1"),
     ({"spec_depth": 5}, "unknown config key 'spec_depth'"),
+    ({"d_spec": "25"}, "invalid int value: '25'"),
+    ({"w_size": True}, "invalid int value: 'True'"),
 ])
 def test_corpus_runner_rejects_bad_sidecar_config(tmp_path, capsys, config, message):
     write_case(tmp_path, "one", GADGET, {"config": config, "expect": []})

@@ -1,13 +1,14 @@
-"""``analyze`` analyses each distinct event structure once.
+"""``analyze`` analyses each merged path once.
 
-Structures whose paths differ only in event-less steps (ALU, skip, jump)
-have equal content (``events.content_key``): the first of them runs
-candidates, leak detection and classification, and each later one replays
-its records, with fence slots from its own fetched nodes, and its witness
-graphs.  The reference is the loop this replaced, one pass over every
-candidate of every structure (``oracles.analyze_reference``).  Both must
-give the same records, repair elements (points and order), unrepairable
-records, witness graphs and structure and candidate counts.
+Where the walk merges two paths whose arms differ only in event-less steps
+(ALU, skip, jump), each structure of the other path is a graft
+(``events.Graft``): it replays its leaf's pass (candidates, leak detection
+and classification), with fence slots from its own fetched nodes, and its
+witness graphs.  Every other structure runs its own pass.  The reference
+is one pass over every candidate of every structure
+(``oracles.analyze_reference``).  Both must give the same records, repair
+elements (points and order), unrepairable records, witness graphs and
+structure and candidate counts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import pytest
 from conftest import CORPUS
 from leakcheck import cfg, ir
 from leakcheck import events as ev
-from leakcheck import executions as ex
 from leakcheck import leakage as lk
 
 ALL = frozenset(lk.CLASSES)
@@ -33,11 +33,11 @@ CONFIGS = (
 )
 
 # Diamonds with ALU-only arms of unequal length around stl/psf blocks.
-# Before a site, the two paths have equal content but different fetched
+# Before a site, the two paths have equal events but different fetched
 # nodes, so both derive the site's view and their fence slots differ.  After
 # a site, the two paths fetch the view's nodes alike up to the window's end,
-# so only the first derives it: their events are equal, their content keys
-# are not.
+# so only the first derives it: their events are equal, the graft runs its
+# own pass.
 GUARDED_BLOCKS = (
     "r7 <-0\nr8 <-0\na: R g ->r1\nBEQZ r1, j1\nr7 <-r7+1\nr7 <-r7+2\nj1: skip\n"
     "b: R i ->r2\nr3 <-r2&15\nw: W T+r3 <-r2\nr8 <-r8+1\nrd: R T+r3 ->r4\n"
@@ -107,30 +107,30 @@ def test_bypass_blocks_match_reference(n):
 
 
 def test_random_joins_match_reference(monkeypatch):
-    """Grafts (``events.Graft``) find their content through their leaf's key
-    (``events.graft_key``): the same key where the leaf had seen each view
-    before the join, else the key with those views seen, which an earlier
-    structure may have analysed or the graft analyses first.  The family's
-    arms differ in length before and after bypass sites."""
-    paths = {"replay": 0, "rekeyed": 0, "first": 0}
-    graft_key, first_pass = ev.graft_key, lk._first_pass
+    """A graft (``events.Graft``) replays its leaf's pass, unless that pass
+    derived a bypass view at a site before the join: then the graft runs its
+    own.  The family's arms differ in length before and after bypass sites."""
+    grafts = {"replay": 0, "own": 0}
+    enumerate_structures, first_pass = ev.enumerate_event_structures, lk._first_pass
 
-    def keyed(st, leaf_key):
-        key = graft_key(st, leaf_key)
-        paths["replay" if key is leaf_key else "rekeyed"] += 1
-        return key
+    def listed(*args):
+        structures = enumerate_structures(*args)
+        grafts["replay"] += sum(isinstance(st, ev.Graft) for st in structures)
+        return structures
 
     def counted(st, *args):
-        paths["first"] += isinstance(st, ev.Graft)
+        own = isinstance(st, ev.Graft)
+        grafts["replay"] -= own
+        grafts["own"] += own
         return first_pass(st, *args)
 
-    monkeypatch.setattr(ev, "graft_key", keyed)
+    monkeypatch.setattr(ev, "enumerate_event_structures", listed)
     monkeypatch.setattr(lk, "_first_pass", counted)
     for seed in range(30):
         rng = random.Random(seed)
         assert_matches_reference(oracles.random_joins(rng, sites=0.9),
                                  d_spec=rng.choice((1, 2, 3, 8)))
-    assert paths["replay"] > 100 and paths["rekeyed"] > paths["first"] > 5
+    assert grafts["replay"] > 100 and grafts["own"] > 5, grafts
 
 
 @pytest.mark.parametrize("src", GUARDED_BLOCKS, ids=["indexed", "direct"])
@@ -139,29 +139,8 @@ def test_diamond_guarded_bypass_blocks_match_reference(src):
         assert_matches_reference(src, d_spec=d_spec)
 
 
-def test_programs_that_share_no_content_have_distinct_keys():
-    """``analyze`` keys no structure where ``events.shares_content`` says no
-    two paths can have equal content; their keys would all differ."""
-    unkeyed = 0
-    for seed in range(60):
-        for src in (oracles.random_single(random.Random(seed)),
-                    oracles.random_diamonds(random.Random(seed))):
-            graph = cfg.build_acfg(ir.parse(src))
-            if ev.shares_content(graph):
-                continue
-            unkeyed += 1
-            for prims in ({"branch"}, {"stl"}, {"psf"}):
-                seen: set = set()
-                keys = []
-                for st in ev.enumerate_event_structures(graph, frozenset(prims), 8):
-                    keys.append(ev.content_key(st, 8, seen)[0])
-                    ex.enumerate_candidates([st], d_spec=8, seen=seen)
-                assert len(set(keys)) == len(keys), src
-    assert unkeyed > 60
-
-
 # The shape of the benchmark's branch_diamonds: five diamonds, then a v1
-# gadget whose branch splits the 64 structures into two contents.
+# gadget whose branch splits the 64 structures into two walked paths.
 BRANCH_DIAMONDS = oracles.sequential_diamonds(5) + (
     "i2: R y ->r3\nBEQZ r3, end\ni5: R A+r3 ->r4\ni6: R B+r4 ->r5\nend: skip\n"
 )
@@ -194,17 +173,16 @@ def test_leaks_are_detected_once_per_distinct_content(monkeypatch):
     for engine in ("v1", "v4", "psf"):
         calls[0] = 0
         report = lk.analyze(prog, engine, lk.EngineConfig())
-        # one candidate per structure, 256 structures of one content
+        # one candidate per structure, 256 structures, all but one grafts
         assert (report.structures, report.candidates) == (256, 256)
         assert calls[0] == report.distinct == 1
 
 
 def test_distinct_contents_hash_apart(monkeypatch):
-    """Three event-free diamonds, then nine whose arms load: 4096 structures
-    of 512 contents.  Content keys hash by the events' nodes, so a key is
-    compared with the keys of its own content only; under a constant hash it
-    would be compared with every content so far, over a million ``Event``
-    comparisons."""
+    """Three event-free diamonds, then nine whose arms load: 4096 structures,
+    512 of them walked and the rest grafts that replay them.  No structure is
+    compared with another: only the merge at each join compares events, so
+    ``Event`` comparisons stay under one per structure."""
     src = oracles.sequential_diamonds(3) + "".join(
         f"R d{k} ->r1\nBEQZ r1, e{k}\nR a{k} ->r3\ne{k}: skip\n" for k in range(9))
     calls = [0]

@@ -166,10 +166,12 @@ def test_random_programs_with_aliases_match_reference():
 
 
 def test_random_multithread_programs_match_reference():
+    # With lfences, a store before one is ordered with nothing after it.
     for seed in range(8400, 8460):
-        assert_walk_matches_reference(
-            oracles.random_multithread(random.Random(seed))
-        )
+        for lfence in (0.0, 0.5):
+            assert_walk_matches_reference(
+                oracles.random_multithread(random.Random(seed), lfence)
+            )
 
 
 def test_merged_diamonds_match_reference(monkeypatch):
@@ -288,9 +290,10 @@ def test_join_at_a_threads_exit_keeps_no_leading_steps_of_the_next():
         assert got[1].fetched[: write] != got[0].fetched[: write]
 
 
-def branching_threads(rng: random.Random) -> str:
-    """Two or three threads, each with up to two if-then diamonds."""
-    arm = ("W x <-1", "W x <-r1", "R y ->r1", "fence", "r1 <-r1&1")
+def branching_threads(rng: random.Random, lfence: bool = False) -> str:
+    """Two or three threads, each with up to two if-then diamonds; an arm
+    may be an ``lfence`` only where ``lfence`` is set."""
+    arm = ("W x <-1", "W x <-r1", "R y ->r1", "fence", "r1 <-r1&1") + ("lfence",) * lfence
     lines = []
     for t in range(rng.randint(2, 3)):
         lines.append(f"thread t{t}:")
@@ -305,9 +308,10 @@ def branching_threads(rng: random.Random) -> str:
 
 def test_multithread_programs_with_branches_match_reference():
     for seed in range(8500, 8540):
-        rng = random.Random(seed)
-        aliases = "alias (x, y)\n" if rng.random() < 0.3 else ""
-        assert_walk_matches_reference(aliases + branching_threads(rng))
+        for lfence in (False, True):
+            rng = random.Random(seed)
+            aliases = "alias (x, y)\n" if rng.random() < 0.3 else ""
+            assert_walk_matches_reference(aliases + branching_threads(rng, lfence))
 
 
 def test_silent_marks_follow_the_committed_path():

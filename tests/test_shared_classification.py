@@ -5,8 +5,8 @@ indexes and fetch positions between a structure and its bypass views
 (``leakage._Shared``).  The reference is the same code with nothing shared:
 each witness gets a fresh ``_Shared`` for ``classify_transmitters`` and
 ``findings``.  Both must give the same transmitters (but those of psf
-sharers, and of structures whose content an earlier structure had, which
-``analyze`` does not classify), records and repair elements, in order.
+sharers, and of grafts that replay their leaf's pass, which ``analyze``
+does not classify), records and repair elements, in order.
 """
 
 from __future__ import annotations
@@ -36,16 +36,20 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
     seen: set[lk.Record] = set()
     transmitters = []
     seen_bypass: set = set()
-    contents: set[tuple] = set()
+    view_at: dict[int, int] = {}  # id of a structure -> its pass's first view
     candidates = []
     for st in structures:
-        key, _ = ev.content_key(st, config.d_spec, seen_bypass)
-        first = key not in contents
-        contents.add(key)
-        candidates += [(first, cand) for cand in ex.enumerate_candidates(
+        cands = ex.enumerate_candidates(
             [st], silent_stores=config.silent_stores, d_spec=config.d_spec,
             seen=seen_bypass,
-        )]
+        )
+        # A graft replays its leaf's pass unless that pass derived a view
+        # before the graft's cut; every other structure runs its own.
+        leaf = view_at[id(st.leaf)] if isinstance(st, ev.Graft) else None
+        first = leaf is None or leaf < st.cut
+        view_at[id(st)] = min((cand.site.read for cand in cands if cand.site is not None),
+                              default=st.bottom) if first else leaf
+        candidates += [(first, cand) for cand in cands]
     for first, cand in candidates:
         for w in lk.detect_leaks(cand, probe=config.probe):
             fresh = lk._Shared(cand.st)  # nothing from earlier witnesses
@@ -57,8 +61,8 @@ def reference_report(prog: ir.Program, engine: str, config: lk.EngineConfig):
             classified = lk.classify_transmitters(
                 cand, kept, config.w_size, fresh, config.classes)
             # analyze classifies nothing for a psf sharer, whose records are
-            # its base's, nor for a structure whose content an earlier one
-            # had; their records still count below.
+            # its base's, nor for a graft that replays its leaf's pass; their
+            # records still count below.
             if first and (cand.base is None or cand.site.kind != "psf"):
                 transmitters.append(classified)
             for rec, span in lk.findings(cand, w, engine, config, fresh):

@@ -97,8 +97,8 @@ def test_shared_simulations_match_fresh_ones(monkeypatch):
                     assert cand.cox == cox, where
                     if cand.base is not None and cand.site.kind == "psf":
                         # A psf sharer's records are its base's: analyze
-                        # never computes them.  Its graphs are its base's
-                        # witnesses, rebound: those must match too.
+                        # never computes them.  Its graphs draw its base's
+                        # witnesses on itself: those must match too.
                         psf_sharers += 1
                         assert id(cand) not in used, where
                         assert lk._forwarding(cand) == lk._forwarding(cand.base)
@@ -113,7 +113,6 @@ def test_shared_simulations_match_fresh_ones(monkeypatch):
                         psf_records += sum(map(len, found))
                         continue
                     got = used.get(id(cand), [])
-                    assert all(w.cand is cand for w in got), where
                     assert [(w.culprit, w.receiver, w.sources) for w in got] == [
                         (w.culprit, w.receiver, w.sources)
                         for w in lk.detect_leaks(cand, probe=probe)
